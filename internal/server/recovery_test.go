@@ -341,3 +341,173 @@ func waitProgress(t *testing.T, job *Job, n int) {
 		}
 	}
 }
+
+// oldFormatJournal is a journal as the two-lifecycle daemon (PR 10) wrote
+// it, op strings spelled out literally so the fixture keeps meaning what
+// it meant then: all fourteen ops, across an in-flight job that had been
+// picked up, retried and checkpointed, one job per terminal state, a
+// family interrupted mid-curve with a done, a failed and a checkpointed
+// point, and one family per terminal state. Journaled energies are values
+// no solver returns, so a replayed point that re-ran would show.
+func oldFormatJournal(t *testing.T, spool string) []journal.Record {
+	t.Helper()
+	pending := runspecMustParse(t, `{"optimizer": {"method": "nelder-mead", "max_iter": 50}}`)
+	h2 := runspecMustParse(t, `{"molecule": {"kind": "h2"}}`)
+	curve := func(values string) (json.RawMessage, string) {
+		ss, err := runspec.ParseSweep([]byte(
+			`{"base":{"molecule":{"kind":"h2"}},"axis":{"param":"distance","values":` + values + `}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, ss.Hash()
+	}
+	result := func(energy float64) json.RawMessage {
+		return journalResult(&runspec.Result{Energy: energy, Exact: energy, Converged: true, EnergyEvaluations: 7})
+	}
+	midSpec, midHash := curve(`[0.5,0.7414,1.0,1.5]`)
+	cancelledSpec, cancelledHash := curve(`[0.6,0.8,1.2]`)
+	doneSpec, doneHash := curve(`[0.65,0.85]`)
+	failedSpec, failedHash := curve(`[0.55,0.95]`)
+	gone := filepath.Join(spool, "never-written.ckpt")
+	return []journal.Record{
+		{Op: "accepted", JobID: "job-000001", SpecHash: pending.Hash(), Spec: journalSpec(pending)},
+		{Op: "running", JobID: "job-000001", SpecHash: pending.Hash(), Checkpoint: gone},
+		{Op: "retrying", JobID: "job-000001", Attempt: 1, Error: "server: worker recovered a panic: boom", Checkpoint: gone},
+		{Op: "running", JobID: "job-000001", SpecHash: pending.Hash(), Attempt: 1, Checkpoint: gone},
+		{Op: "checkpointed", JobID: "job-000001", SpecHash: pending.Hash(), Checkpoint: gone},
+
+		{Op: "accepted", JobID: "job-000002", SpecHash: h2.Hash(), Spec: journalSpec(h2)},
+		{Op: "running", JobID: "job-000002", SpecHash: h2.Hash()},
+		{Op: "done", JobID: "job-000002", SpecHash: h2.Hash(), Result: result(-1.25)},
+		{Op: "accepted", JobID: "job-000003", SpecHash: "rs1:dead", Spec: journalSpec(&runspec.RunSpec{})},
+		{Op: "failed", JobID: "job-000003", SpecHash: "rs1:dead", Error: "engine: no such backend"},
+		{Op: "accepted", JobID: "job-000004", SpecHash: "rs1:beef", Spec: journalSpec(&runspec.RunSpec{})},
+		{Op: "interrupted", JobID: "job-000004", SpecHash: "rs1:beef", Result: result(-0.75), Checkpoint: gone},
+
+		{Op: "sweep_accepted", JobID: "sweep-000001", SpecHash: midHash, Spec: midSpec},
+		{Op: "sweep_point_done", JobID: "sweep-000001", Point: 1, SpecHash: "rs1:p1", Result: result(-9.75)},
+		{Op: "sweep_point_failed", JobID: "sweep-000001", Point: 2, SpecHash: "rs1:p2", Error: "interrupted before convergence"},
+		{Op: "sweep_checkpoint", JobID: "sweep-000001", Point: 3, SpecHash: "rs1:p3", Checkpoint: gone},
+
+		{Op: "sweep_accepted", JobID: "sweep-000002", SpecHash: cancelledHash, Spec: cancelledSpec},
+		{Op: "sweep_point_done", JobID: "sweep-000002", Point: 1, SpecHash: "rs1:c1", Result: result(-8.5)},
+		{Op: "sweep_cancelled", JobID: "sweep-000002", SpecHash: cancelledHash, Error: "server: sweep cancelled by client"},
+
+		{Op: "sweep_accepted", JobID: "sweep-000003", SpecHash: doneHash, Spec: doneSpec},
+		{Op: "sweep_point_done", JobID: "sweep-000003", Point: 2, SpecHash: "rs1:d2", Result: result(-7.5)},
+		{Op: "sweep_point_done", JobID: "sweep-000003", Point: 1, SpecHash: "rs1:d1", Result: result(-7.25)},
+		{Op: "sweep_done", JobID: "sweep-000003", SpecHash: doneHash},
+
+		{Op: "sweep_accepted", JobID: "sweep-000004", SpecHash: failedHash, Spec: failedSpec},
+		{Op: "sweep_point_done", JobID: "sweep-000004", Point: 1, SpecHash: "rs1:f1", Result: result(-6.5)},
+		{Op: "sweep_point_failed", JobID: "sweep-000004", Point: 2, SpecHash: "rs1:f2", Error: "engine: no such backend"},
+		{Op: "sweep_failed", JobID: "sweep-000004", SpecHash: failedHash, Error: "1 of 2 point(s) failed"},
+	}
+}
+
+// TestOldFormatJournalReplays boots a daemon on oldFormatJournal and
+// asserts the views it serves: terminal jobs and families answer with
+// their journaled outcomes, the in-flight job keeps its consumed retry
+// and runs to done, the mid-curve family keeps its settled points and
+// runs only the open ones, and both id sequences continue past the
+// replayed maxima.
+func TestOldFormatJournalReplays(t *testing.T) {
+	spool := t.TempDir()
+	writeJournal(t, spool, oldFormatJournal(t, spool))
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, SpoolDir: spool})
+
+	getJob := func(id string) View {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v View
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %s: status %d err %v", id, resp.StatusCode, err)
+		}
+		return v
+	}
+	if v := getJob("job-000002"); v.Status != StatusDone || v.Result == nil || v.Result.Energy != -1.25 {
+		t.Errorf("replayed done job %+v", v)
+	}
+	if v := getJob("job-000003"); v.Status != StatusFailed || v.Error != "engine: no such backend" || v.Result != nil {
+		t.Errorf("replayed failed job %+v", v)
+	}
+	if v := getJob("job-000004"); v.Status != StatusInterrupted || v.Result == nil || v.Result.Energy != -0.75 ||
+		v.CheckpointPath != filepath.Join(spool, "never-written.ckpt") {
+		t.Errorf("replayed interrupted job %+v", v)
+	}
+	// The journaled done result re-seeds the cache under its spec hash.
+	if hit := submitSpec(t, ts, `{"molecule": {"kind": "h2"}}`); hit.ID != "job-000005" || !hit.CacheHit ||
+		hit.Result == nil || hit.Result.Energy != -1.25 {
+		t.Errorf("resubmission of the replayed done spec %+v, want job-000005 served from cache", hit)
+	}
+	// In flight: re-enqueued (its journaled checkpoint never reached the
+	// disk, so it cold-starts), one retry already spent.
+	if v := pollDone(t, ts, "job-000001", 60*time.Second); v.Status != StatusDone || v.Result == nil || v.Attempt != 1 {
+		t.Errorf("recovered in-flight job %+v, want done on attempt 1", v)
+	}
+
+	terminalSweeps := []struct {
+		id                      string
+		status                  Status
+		errMsg                  string
+		points, done, fail, cxl int
+		curve                   []float64
+	}{
+		{"sweep-000002", StatusCancelled, "server: sweep cancelled by client", 3, 1, 0, 2, []float64{-8.5}},
+		{"sweep-000003", StatusDone, "", 2, 2, 0, 0, []float64{-7.25, -7.5}},
+		{"sweep-000004", StatusFailed, "1 of 2 point(s) failed", 2, 1, 1, 0, []float64{-6.5}},
+	}
+	for _, want := range terminalSweeps {
+		v := pollSweepDone(t, ts, want.id, time.Second)
+		if v.Status != want.status || v.Error != want.errMsg || v.Points != want.points ||
+			v.Done != want.done || v.Failed != want.fail || v.Cancelled != want.cxl ||
+			len(v.PointStates) != want.points || len(v.Curve) != len(want.curve) {
+			t.Errorf("replayed %s: %+v", want.id, v)
+			continue
+		}
+		for i, c := range v.Curve {
+			if c.Energy != want.curve[i] || c.Evaluations != 7 {
+				t.Errorf("%s curve[%d] = %+v, want journaled energy %v", want.id, i, c, want.curve[i])
+			}
+		}
+	}
+
+	// Mid-curve: point 1 keeps its journaled energy, point 2 stays failed,
+	// points 3 and 4 run now; a family with a failed point settles failed.
+	mid := pollSweepDone(t, ts, "sweep-000001", 60*time.Second)
+	if mid.Status != StatusFailed || mid.Error != "1 of 4 point(s) failed" ||
+		mid.Points != 4 || mid.Done != 3 || mid.Failed != 1 || len(mid.PointStates) != 4 {
+		t.Fatalf("resumed mid-curve family %+v", mid)
+	}
+	if p := mid.PointStates[0]; p.Status != StatusDone || p.Energy != -9.75 {
+		t.Errorf("journaled point re-ran or was lost: %+v", p)
+	}
+	if p := mid.PointStates[1]; p.Status != StatusFailed || p.Error != "interrupted before convergence" {
+		t.Errorf("journaled failed point %+v", p)
+	}
+	for _, p := range mid.PointStates[2:] {
+		if p.Status != StatusDone || p.Energy >= 0 || p.Energy == -9.75 {
+			t.Errorf("open point %+v, want solved after the restart", p)
+		}
+	}
+
+	ss, err := runspec.ParseSweep([]byte(sweepBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := srv.SubmitSweep(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.ID != "sweep-000005" {
+		t.Errorf("post-recovery sweep ID = %s, want sweep-000005", sw.ID)
+	}
+}
