@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test bench-test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
 
 all: check
 
@@ -20,6 +20,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-test vets and tests the benchmark module. bench/ is its own Go
+# module (see bench/README.md), so build/test/vet above never compile
+# bench/probe or bench/vqebench — which import internal/server,
+# internal/server/journal and the other probed layers directly.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -151,7 +158,7 @@ figures:
 
 check: build vet test race bench figures
 
-# ci mirrors the GitHub Actions workflow jobs (test, lint, vqelint, vuln,
-# coverage, bench-smoke, chaos-smoke, chaos-recovery, vqed-smoke,
-# load-smoke, sweep-smoke) so `make ci` locally means green CI.
-ci: build lint vuln test race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke
+# ci mirrors the GitHub Actions workflow jobs (test, bench-test, lint,
+# vqelint, vuln, coverage, bench-smoke, chaos-smoke, chaos-recovery,
+# vqed-smoke, load-smoke, sweep-smoke) so `make ci` locally means green CI.
+ci: build lint vuln test bench-test race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke

@@ -10,6 +10,7 @@ package vqesim
 // headline numbers as custom metrics so regressions show up in CI.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -466,12 +467,12 @@ func BenchmarkDensityNoise(b *testing.B) {
 // path) so facade-level regressions are visible.
 func BenchmarkVQEEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := GroundStateVQE(H2(), VQEConfig{})
+		res, err := Run(context.Background(), &RunSpec{}, RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.ErrorVsFCI > 1e-5 {
-			b.Fatalf("H2 VQE failed to converge: %v", res.ErrorVsFCI)
+		if res.ErrorVsExact > 1e-5 {
+			b.Fatalf("H2 VQE failed to converge: %v", res.ErrorVsExact)
 		}
 	}
 }

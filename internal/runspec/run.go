@@ -212,9 +212,9 @@ func Run(ctx context.Context, spec *RunSpec, opts RunOptions) (*Result, error) {
 }
 
 // RunOnMolecule executes a spec's algorithm sections against an
-// already-built molecule — the adapter the legacy facade entry points
-// (vqesim.GroundStateVQE and friends) use, since an arbitrary
-// MolecularData value has no declarative spec. The molecule section of
+// already-built molecule — the entry point for callers holding an
+// arbitrary MolecularData value, which has no declarative spec (the
+// vqesim facade re-exports it). The molecule section of
 // the spec is ignored; the result's SpecHash is empty because the run is
 // not content-addressable.
 func RunOnMolecule(ctx context.Context, m *chem.MolecularData, spec *RunSpec, opts RunOptions) (*Result, error) {

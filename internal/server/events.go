@@ -1,9 +1,7 @@
 package server
 
-// eventHub is the publish/subscribe core shared by jobs and sweep
-// families: a bounded replayable event history plus live fan-out to SSE
-// subscribers. It was extracted from Job when sweeps arrived so both
-// lifecycles stream through one mechanism.
+// eventHub is a family's publish/subscribe core: a bounded replayable
+// event history plus live fan-out to SSE subscribers.
 
 import (
 	"encoding/json"
@@ -12,7 +10,7 @@ import (
 	"sync"
 )
 
-// eventHub carries one entity's event stream. The zero value is not
+// eventHub carries one family's event stream. The zero value is not
 // ready; use newEventHub.
 type eventHub struct {
 	mu      sync.Mutex
@@ -89,15 +87,10 @@ func (h *eventHub) unsubscribe(ch chan Event) {
 	h.mu.Unlock()
 }
 
-// eventSource is anything whose lifecycle streams over SSE.
-type eventSource interface {
-	subscribe() ([]Event, chan Event)
-	unsubscribe(chan Event)
-}
-
-// streamEvents serves one SSE connection: history replays first, then
-// live events until a terminal frame or client disconnect.
-func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
+// streamEvents serves one SSE connection: the family's event history
+// replays first, then live events until a terminal frame or client
+// disconnect.
+func streamEvents(w http.ResponseWriter, r *http.Request, f *family) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeAPIError(w, http.StatusInternalServerError, codeInternal, "streaming unsupported", 0)
@@ -108,8 +101,8 @@ func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	replay, live := src.subscribe()
-	defer src.unsubscribe(live)
+	replay, live := f.subscribe()
+	defer f.unsubscribe(live)
 	writeEvent := func(e Event) bool {
 		data, err := json.Marshal(e)
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 // regardless of when it subscribed relative to concurrent publishes.
 func TestPublishFanoutExactlyOnce(t *testing.T) {
 	spec := &runspec.RunSpec{Molecule: runspec.MoleculeSpec{Kind: "synthetic", Orbitals: 4, Seed: 1}}
-	j := newJob("fanout", spec)
+	j := newFamily("fanout", nil, soloPoints(spec))
 
 	const publishers = 4
 	const perPublisher = 10
@@ -73,7 +73,7 @@ func TestPublishFanoutExactlyOnce(t *testing.T) {
 	}
 	wg.Wait()
 	j.publish(Event{Type: "done"})
-	<-j.hub.done // closed by the terminal publish, after its fan-out
+	<-j.done // closed by the terminal publish, after its fan-out
 
 	check := func(name string, replay []Event, ch chan Event) {
 		t.Helper()

@@ -1,10 +1,15 @@
-// Package journal is the vqed write-ahead job journal: an append-only
-// log of job lifecycle transitions (accepted → running → checkpointed →
-// done/failed) that survives a SIGKILL of the daemon. On restart the
-// journal is replayed: jobs that were accepted but never finished are
-// re-enqueued, running jobs resume from their latest resilience
-// checkpoint, and terminal jobs keep answering client polls with their
+// Package journal is the vqed write-ahead journal: an append-only log of
+// family lifecycle transitions (accepted → retrying/checkpointed →
+// done/failed/…) that survives a SIGKILL of the daemon. On restart the
+// journal is replayed: families that were accepted but never finished are
+// re-enqueued, their open points resume from their latest resilience
+// checkpoint, and settled ones keep answering client polls with their
 // recorded results.
+//
+// There is one vocabulary (see Op) for jobs and sweep families alike: a
+// record either concerns the family (Point 0) or one of its points
+// (Point ≥ 1), and a job — a family of one point — writes only Point-0
+// records, its terminal record carrying the result.
 //
 // On-disk format: a flat sequence of length-prefixed, CRC-framed
 // records, reusing the internal/resilience envelope conventions
@@ -15,13 +20,13 @@
 //
 // Appends are fsync-batched with group commit: concurrent Append calls
 // coalesce into one fsync, and every Append returns only after its
-// record is durable, so an acknowledged job is never lost to a crash. A
-// crash mid-append leaves at most one torn record at the tail; Open
-// detects it (short frame or CRC mismatch) and truncates the file back
-// to the last intact record instead of refusing to start. Compact
+// record is durable, so an acknowledged submission is never lost to a
+// crash. A crash mid-append leaves at most one torn record at the tail;
+// Open detects it (short frame or CRC mismatch) and truncates the file
+// back to the last intact record instead of refusing to start. Compact
 // rewrites the journal to just the live records — the daemon calls it
 // after replay and whenever the log has grown well past the live set —
-// so the file stays proportional to in-flight work, not job history.
+// so the file stays proportional to in-flight work, not history.
 package journal
 
 import (
@@ -37,67 +42,56 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Op is a job lifecycle transition.
+// Op is a lifecycle transition, of a family (Record.Point == 0) or of one
+// of its points.
 type Op string
 
 const (
-	// OpAccepted: the job passed admission; the record carries the spec.
+	// OpAccepted: the family passed admission; the record carries the
+	// submitted document (a RunSpec for a job, a SweepSpec for a sweep).
 	OpAccepted Op = "accepted"
-	// OpRunning: a worker picked the job up (Attempt counts retries).
-	OpRunning Op = "running"
-	// OpCheckpointed: the job was interrupted (drain, stall, crash-adjacent
-	// requeue) with a resumable checkpoint at Checkpoint; non-terminal —
-	// replay resumes it.
-	OpCheckpointed Op = "checkpointed"
-	// OpRetrying: the job failed retryably and was re-queued.
+	// OpRetrying: a point failed retryably and will be re-run; Attempt
+	// carries the budget spent so far.
 	OpRetrying Op = "retrying"
-	// OpDone: terminal success; the record carries the result.
+	// OpCheckpointed: a point was interrupted by a drain with a resumable
+	// checkpoint at Checkpoint; non-terminal — replay resumes it.
+	OpCheckpointed Op = "checkpointed"
+	// OpDone: terminal success. On a point (or a job) the record carries
+	// the result; on a sweep family it closes the family.
 	OpDone Op = "done"
 	// OpFailed: terminal failure; the record carries the error.
 	OpFailed Op = "failed"
-	// OpInterrupted: terminal best-so-far halt (walltime or degraded
-	// stall) with the partial result.
+	// OpInterrupted: a job's terminal best-so-far halt (walltime or a
+	// spent retry budget) with the partial result.
 	OpInterrupted Op = "interrupted"
+	// OpCancelled: a sweep family was cancelled by its client.
+	OpCancelled Op = "cancelled"
 
-	// Sweep family lifecycle. JobID carries the sweep ID; point-level
-	// records additionally set Point (1-based submission index) and use
-	// SpecHash for the point's rs1 hash, while family-level records use
-	// it for the sw1 family hash.
-
-	// OpSweepAccepted: the family passed admission; the record carries
-	// the full SweepSpec document.
-	OpSweepAccepted Op = "sweep_accepted"
-	// OpSweepPointDone: one point finished; the record carries its result.
-	OpSweepPointDone Op = "sweep_point_done"
-	// OpSweepPointFailed: one point settled terminally without a result.
-	OpSweepPointFailed Op = "sweep_point_failed"
-	// OpSweepCheckpoint: a point was interrupted (drain) with a resumable
-	// checkpoint at Checkpoint; non-terminal — replay resumes the family.
-	OpSweepCheckpoint Op = "sweep_checkpoint"
-	// OpSweepDone / OpSweepFailed / OpSweepCancelled: family terminal.
-	OpSweepDone      Op = "sweep_done"
-	OpSweepFailed    Op = "sweep_failed"
-	OpSweepCancelled Op = "sweep_cancelled"
+	// OpRunning marked a worker picking a job up. It is no longer written
+	// — replay took nothing from it that OpRetrying does not carry — but
+	// journals from older daemons hold it, so Open still delivers it.
+	OpRunning Op = "running"
 )
 
-// Terminal reports whether the op ends a single job's lifecycle.
+// readAliases maps the op strings older daemons wrote for sweep families
+// — a second vocabulary, told apart from the job ops by name where Point
+// now does it — onto the ops above. Read side only: scan applies it,
+// nothing writes these strings, and the first compaction after an
+// upgrade rewrites them away.
+var readAliases = map[Op]Op{
+	"sweep_accepted":     OpAccepted,
+	"sweep_point_done":   OpDone,
+	"sweep_point_failed": OpFailed,
+	"sweep_checkpoint":   OpCheckpointed,
+	"sweep_done":         OpDone,
+	"sweep_failed":       OpFailed,
+	"sweep_cancelled":    OpCancelled,
+}
+
+// Terminal reports whether the op ends the lifecycle of what it is
+// recorded against.
 func (o Op) Terminal() bool {
-	return o == OpDone || o == OpFailed || o == OpInterrupted
-}
-
-// Sweep reports whether the op belongs to a sweep family's lifecycle.
-func (o Op) Sweep() bool {
-	switch o {
-	case OpSweepAccepted, OpSweepPointDone, OpSweepPointFailed,
-		OpSweepCheckpoint, OpSweepDone, OpSweepFailed, OpSweepCancelled:
-		return true
-	}
-	return false
-}
-
-// SweepTerminal reports whether the op ends a sweep family's lifecycle.
-func (o Op) SweepTerminal() bool {
-	return o == OpSweepDone || o == OpSweepFailed || o == OpSweepCancelled
+	return o == OpDone || o == OpFailed || o == OpInterrupted || o == OpCancelled
 }
 
 // Record is one journal entry. Spec and Result stay raw JSON so the
@@ -107,14 +101,16 @@ type Record struct {
 	Op       Op     `json:"op"`
 	JobID    string `json:"job_id"`
 	SpecHash string `json:"spec_hash,omitempty"`
-	// Spec is the submitted RunSpec document (OpAccepted only).
+	// Spec is the submitted document (OpAccepted only).
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Checkpoint is the resumable snapshot path (OpCheckpointed).
+	// Checkpoint is the resumable snapshot path (OpCheckpointed, and
+	// terminal records of points that left one behind).
 	Checkpoint string `json:"checkpoint,omitempty"`
-	// Attempt is the 0-based execution attempt (OpRunning, OpRetrying).
+	// Attempt is the number of execution attempts spent (OpRetrying).
 	Attempt int `json:"attempt,omitempty"`
-	// Point is the 1-based submission-order index of a sweep member
-	// (sweep point records only; 0 means the record is family-level).
+	// Point is the 1-based submission-order index of the sweep member the
+	// record concerns; 0 means the family itself — which for a job, a
+	// family of one, is also its only point.
 	Point int `json:"point,omitempty"`
 	// Error carries the failure text (OpFailed, OpRetrying).
 	Error string `json:"error,omitempty"`
@@ -222,6 +218,9 @@ func scan(f *os.File) ([]Record, int64, error) {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return recs, offset, nil
+		}
+		if op, old := readAliases[rec.Op]; old {
+			rec.Op = op
 		}
 		recs = append(recs, rec)
 		offset += frameHeaderSize + int64(length)

@@ -1,300 +1,99 @@
 package server
 
-// Journal replay: how a restarted daemon rebuilds its job table. Every
-// accepted job reappears — terminal ones with their recorded results (so
-// clients polling across the restart still get answers), unfinished ones
-// re-enqueued, resuming from their latest resilience checkpoint when one
-// validates. The legacy SIGTERM spool manifest (written by earlier
-// releases, never read by them) is folded into the same path and then
-// deleted.
+// Journal replay: how a restarted daemon rebuilds its family table. Every
+// accepted family reappears — settled points with their recorded results
+// (so clients polling across the restart still get answers, and the
+// result cache is warm again), unfinished families re-enqueued with only
+// their open points left to run, each resuming from its latest resilience
+// checkpoint when one validates. Compaction is the same thing backwards:
+// liveSnapshot writes the minimal record set that replays to the current
+// table.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/resilience"
 	"repro/internal/runspec"
 	"repro/internal/server/journal"
 	"repro/internal/telemetry"
 )
 
 var (
-	mJobsRecovered   = telemetry.GetCounter("server.jobs.recovered")
-	mJobsReplayed    = telemetry.GetCounter("server.jobs.replayed_terminal")
-	mSweepsRecovered = telemetry.GetCounter("server.sweeps.recovered")
-	mRecoverDropped  = telemetry.GetCounter("server.recovery.dropped_records")
+	mJobsReplayed   = telemetry.GetCounter("server.jobs.replayed_terminal")
+	mRecoverDropped = telemetry.GetCounter("server.recovery.dropped_records")
 )
 
-// partitionRecords splits a replayed record stream into the job and
-// sweep lifecycles (each replays independently).
-func partitionRecords(recs []journal.Record) (jobs, sweeps []journal.Record) {
-	for _, rec := range recs {
-		if rec.Op.Sweep() {
-			sweeps = append(sweeps, rec)
-		} else {
-			jobs = append(jobs, rec)
-		}
-	}
-	return jobs, sweeps
-}
-
-// replayedJob is the merged per-job outcome of a journal scan. Records
-// for one job may interleave with other jobs' and repeat across retries;
-// the merge keeps the strongest lifecycle fact per job (terminal beats
-// running beats accepted) plus the latest checkpoint/attempt.
-type replayedJob struct {
-	id         string
-	specRaw    json.RawMessage
-	specHash   string
+// fact is what the journal establishes about one point of a family — or,
+// under index 0, about the family itself (and so about a solo family's
+// point, see family.pointNo). Records for one family may interleave with
+// other families' and repeat across retries; the merge keeps the terminal
+// fact, if any, plus the latest checkpoint and attempt.
+type fact struct {
+	// op is the terminal op, or empty while the point is unsettled.
 	op         journal.Op
+	result     json.RawMessage
+	errMsg     string
 	checkpoint string
 	attempt    int
-	errMsg     string
-	resultRaw  json.RawMessage
 }
 
-// mergeRecords folds a replayed record stream into per-job outcomes,
+// replayed is the merged outcome of a journal scan for one family: the
+// submitted document and the facts keyed by point number.
+type replayed struct {
+	id    string
+	hash  string
+	doc   json.RawMessage
+	facts map[int]*fact
+}
+
+// mergeRecords folds a replayed record stream into per-family outcomes,
 // preserving first-appearance order.
-func mergeRecords(recs []journal.Record) []*replayedJob {
-	byID := map[string]*replayedJob{}
-	var order []*replayedJob
+func mergeRecords(recs []journal.Record) []*replayed {
+	byID := map[string]*replayed{}
+	var order []*replayed
 	for _, rec := range recs {
-		if rec.JobID == "" {
+		if rec.JobID == "" || rec.Point < 0 {
 			mRecoverDropped.Inc()
 			continue
 		}
 		e := byID[rec.JobID]
 		if e == nil {
-			e = &replayedJob{id: rec.JobID}
+			e = &replayed{id: rec.JobID, facts: map[int]*fact{}}
 			byID[rec.JobID] = e
 			order = append(order, e)
 		}
-		if rec.SpecHash != "" {
-			e.specHash = rec.SpecHash
+		if rec.Point == 0 && rec.SpecHash != "" {
+			e.hash = rec.SpecHash
+		}
+		ft := e.facts[rec.Point]
+		if ft == nil {
+			ft = &fact{}
+			e.facts[rec.Point] = ft
 		}
 		switch rec.Op {
 		case journal.OpAccepted:
-			e.specRaw = rec.Spec
-			if e.op == "" {
-				e.op = journal.OpAccepted
-			}
-		case journal.OpRunning:
-			if !e.op.Terminal() {
-				e.op = journal.OpRunning
-				e.attempt = rec.Attempt
+			e.doc = rec.Spec
+		case journal.OpRunning, journal.OpRetrying:
+			if !ft.op.Terminal() {
+				ft.attempt = rec.Attempt
 			}
 		case journal.OpCheckpointed:
-			if !e.op.Terminal() {
-				e.op = journal.OpCheckpointed
-				e.checkpoint = rec.Checkpoint
+			if !ft.op.Terminal() {
+				ft.checkpoint = rec.Checkpoint
 			}
-		case journal.OpRetrying:
-			if !e.op.Terminal() {
-				e.op = journal.OpRetrying
-				e.attempt = rec.Attempt
-				e.errMsg = rec.Error
-			}
-		case journal.OpDone, journal.OpFailed, journal.OpInterrupted:
-			e.op = rec.Op
-			e.resultRaw = rec.Result
-			e.errMsg = rec.Error
-			if rec.Checkpoint != "" {
-				e.checkpoint = rec.Checkpoint
-			}
-		default:
-			mRecoverDropped.Inc()
-		}
-	}
-	return order
-}
-
-// legacyManifest mirrors the shutdown manifest earlier daemon versions
-// wrote (and never read back). Recovery merges it once, then deletes the
-// file.
-type legacyManifest struct {
-	Jobs []struct {
-		ID             string           `json:"id"`
-		SpecHash       string           `json:"spec_hash"`
-		CheckpointPath string           `json:"checkpoint_path"`
-		Spec           *runspec.RunSpec `json:"spec"`
-	} `json:"jobs"`
-}
-
-// recover rebuilds the job table from replayed journal records plus any
-// legacy manifest, returning the jobs to re-enqueue. Called from New
-// before the worker fleet starts, so no locking is needed yet.
-func (s *Server) recoverJobs(recs []journal.Record) []*Job {
-	merged := mergeRecords(recs)
-	merged = append(merged, s.legacyManifestJobs()...)
-
-	var pending []*Job
-	for _, e := range merged {
-		if _, dup := s.jobs[e.id]; dup {
-			mRecoverDropped.Inc()
-			continue
-		}
-		job, ok := s.rebuildJob(e)
-		if !ok {
-			continue
-		}
-		s.jobs[e.id] = job
-		s.order = append(s.order, e.id)
-		if n := jobSeqOf(e.id); n > s.jobSeq {
-			s.jobSeq = n
-		}
-		st, _, _ := job.snapshot()
-		if st == StatusQueued {
-			pending = append(pending, job)
-			mJobsRecovered.Inc()
-		} else {
-			mJobsReplayed.Inc()
-		}
-	}
-	return pending
-}
-
-// rebuildJob turns one merged journal outcome into a live Job record.
-func (s *Server) rebuildJob(e *replayedJob) (*Job, bool) {
-	var spec *runspec.RunSpec
-	if len(e.specRaw) > 0 {
-		parsed, err := runspec.Parse(e.specRaw)
-		if err != nil {
-			s.logf("vqed: recovery: job %s spec unusable: %v", e.id, err)
-		} else {
-			spec = parsed
-		}
-	}
-	switch {
-	case spec == nil && e.op.Terminal():
-		// A compacted terminal record without a spec still answers client
-		// polls; the job just cannot be re-run (it does not need to be).
-		spec = &runspec.RunSpec{}
-	case spec == nil:
-		// A non-terminal job without a recoverable spec is genuinely lost;
-		// surface it as failed rather than silently dropping the ID.
-		s.logf("vqed: recovery: job %s has no recoverable spec, marking failed", e.id)
-		job := newJob(e.id, &runspec.RunSpec{})
-		job.SpecHash = e.specHash
-		job.status = StatusFailed
-		job.err = "server: journal holds no recoverable spec for this job"
-		job.finished = time.Now()
-		job.publish(Event{Type: string(StatusFailed), Error: job.err})
-		return job, true
-	}
-
-	job := newJob(e.id, spec)
-	if e.specHash != "" {
-		job.SpecHash = e.specHash
-	}
-	job.attempt = e.attempt
-
-	if e.op.Terminal() {
-		job.status = Status(e.op)
-		job.err = e.errMsg
-		job.checkpoint = e.checkpoint
-		now := time.Now()
-		job.started, job.finished = now, now
-		if len(e.resultRaw) > 0 {
-			var res runspec.Result
-			if err := json.Unmarshal(e.resultRaw, &res); err != nil {
-				s.logf("vqed: recovery: job %s result unusable: %v", e.id, err)
-			} else {
-				job.result = &res
-				if e.op == journal.OpDone && !s.cfg.DisableCache {
-					s.cacheStore(job.SpecHash, &res)
+		case journal.OpDone, journal.OpFailed, journal.OpInterrupted, journal.OpCancelled:
+			// A later terminal record wins, except over a result.
+			if ft.op != journal.OpDone {
+				ft.op, ft.result, ft.errMsg = rec.Op, rec.Result, rec.Error
+				if rec.Checkpoint != "" {
+					ft.checkpoint = rec.Checkpoint
 				}
 			}
-		}
-		job.publish(Event{Type: string(job.status), Error: job.err})
-		return job, true
-	}
-
-	// Unfinished: back to the queue. Resume from the journaled checkpoint
-	// when it verifies (CRC + version); a torn or corrupt snapshot is
-	// deleted so the rerun cold-starts instead of failing on load.
-	if ckpt := e.checkpoint; ckpt != "" {
-		if _, err := resilience.CheckpointKind(ckpt); err == nil {
-			job.checkpoint = ckpt
-			job.resume = true
-		} else if !os.IsNotExist(err) {
-			s.logf("vqed: recovery: job %s checkpoint %s invalid, cold restart: %v", e.id, ckpt, err)
-			os.Remove(ckpt)
-		}
-	} else if ckpt := filepath.Join(s.cfg.SpoolDir, e.id+".ckpt"); fileExists(ckpt) {
-		// A crash between checkpoint write and journal append leaves a
-		// spool file the journal never heard about — still resumable.
-		if _, err := resilience.CheckpointKind(ckpt); err == nil {
-			job.checkpoint = ckpt
-			job.resume = true
-		}
-	}
-	job.publish(Event{Type: string(StatusQueued)})
-	return job, true
-}
-
-// replayedSweep is the merged per-family outcome of a journal scan:
-// the family document, its terminal fact (if any), and the per-point
-// facts keyed by 1-based submission index.
-type replayedSweep struct {
-	id          string
-	familyHash  string
-	specRaw     json.RawMessage
-	op          journal.Op
-	errMsg      string
-	pointDone   map[int]json.RawMessage
-	pointFailed map[int]string
-	pointCkpt   map[int]string
-}
-
-// mergeSweepRecords folds a sweep record stream into per-family
-// outcomes, preserving first-appearance order.
-func mergeSweepRecords(recs []journal.Record) []*replayedSweep {
-	byID := map[string]*replayedSweep{}
-	var order []*replayedSweep
-	for _, rec := range recs {
-		if rec.JobID == "" {
-			mRecoverDropped.Inc()
-			continue
-		}
-		e := byID[rec.JobID]
-		if e == nil {
-			e = &replayedSweep{
-				id:          rec.JobID,
-				pointDone:   map[int]json.RawMessage{},
-				pointFailed: map[int]string{},
-				pointCkpt:   map[int]string{},
-			}
-			byID[rec.JobID] = e
-			order = append(order, e)
-		}
-		switch rec.Op {
-		case journal.OpSweepAccepted:
-			e.specRaw = rec.Spec
-			e.familyHash = rec.SpecHash
-			if e.op == "" {
-				e.op = journal.OpSweepAccepted
-			}
-		case journal.OpSweepPointDone:
-			if rec.Point > 0 {
-				e.pointDone[rec.Point] = rec.Result
-				delete(e.pointFailed, rec.Point)
-			}
-		case journal.OpSweepPointFailed:
-			if rec.Point > 0 && e.pointDone[rec.Point] == nil {
-				e.pointFailed[rec.Point] = rec.Error
-			}
-		case journal.OpSweepCheckpoint:
-			if rec.Point > 0 {
-				e.pointCkpt[rec.Point] = rec.Checkpoint
-			}
-		case journal.OpSweepDone, journal.OpSweepFailed, journal.OpSweepCancelled:
-			e.op = rec.Op
-			e.errMsg = rec.Error
 		default:
 			mRecoverDropped.Inc()
 		}
@@ -302,160 +101,158 @@ func mergeSweepRecords(recs []journal.Record) []*replayedSweep {
 	return order
 }
 
-// recoverSweeps rebuilds the family table from replayed sweep records,
-// returning the families to re-enqueue. Called from New before the
-// worker fleet starts, so no locking is needed yet.
-func (s *Server) recoverSweeps(recs []journal.Record) []*Sweep {
-	merged := mergeSweepRecords(recs)
-	var pending []*Sweep
-	for _, e := range merged {
-		if _, dup := s.sweeps[e.id]; dup {
-			mRecoverDropped.Inc()
-			continue
+// replay rebuilds the family table from the journal's records, returning
+// the families to re-enqueue. Called from New before the worker fleet
+// starts, so no locking is needed yet.
+func (s *Server) replay(recs []journal.Record) []*family {
+	var pending []*family
+	for _, e := range mergeRecords(recs) {
+		f := s.rebuild(e)
+		s.register(f)
+		if n := seqOf(f.kind(), e.id); n > s.seq[f.kind()] {
+			s.seq[f.kind()] = n
 		}
-		sw, ok := s.rebuildSweep(e)
-		if !ok {
-			continue
-		}
-		s.sweeps[e.id] = sw
-		s.sweepOrder = append(s.sweepOrder, e.id)
-		if n := sweepSeqOf(e.id); n > s.sweepSeq {
-			s.sweepSeq = n
-		}
-		if !sw.status.Terminal() {
-			pending = append(pending, sw)
-			mSweepsRecovered.Inc()
-		} else {
+		if f.status.Terminal() {
 			mJobsReplayed.Inc()
+			continue
 		}
+		pending = append(pending, f)
+		countersOf[f.kind()].recovered.Inc()
 	}
 	return pending
 }
 
-// sweepStatusOf maps a terminal sweep op to the family status.
-func sweepStatusOf(op journal.Op) Status {
-	switch op {
-	case journal.OpSweepDone:
-		return StatusDone
-	case journal.OpSweepFailed:
-		return StatusFailed
-	case journal.OpSweepCancelled:
-		return StatusCancelled
+// kindOfID tells the two views apart by the id's prefix (foreign ids
+// read as jobs).
+func kindOfID(id string) string {
+	if strings.HasPrefix(id, kindSweep+"-") {
+		return kindSweep
 	}
-	return StatusQueued
+	return kindJob
 }
 
-// rebuildSweep turns one merged journal outcome into a live Sweep. The
-// family document re-expands to the same points (expansion is
-// deterministic), settled points replay their recorded outcomes — done
-// results also re-seed the spec-hash cache — and an unfinished family
-// re-enqueues with only its open points left to run.
-func (s *Server) rebuildSweep(e *replayedSweep) (*Sweep, bool) {
-	var ss *runspec.SweepSpec
-	var points []runspec.SweepPoint
-	if len(e.specRaw) > 0 {
-		parsed, err := runspec.ParseSweep(e.specRaw)
-		if err != nil {
-			s.logf("vqed: recovery: sweep %s spec unusable: %v", e.id, err)
-		} else if pts, err := parsed.Points(); err != nil {
-			s.logf("vqed: recovery: sweep %s expansion failed: %v", e.id, err)
-		} else {
-			ss, points = parsed, pts
-		}
+// expand parses a journaled document back into the points it was
+// admitted as. Expansion is deterministic, so a sweep re-expands to the
+// same points.
+func expand(kind string, doc json.RawMessage) (*runspec.SweepSpec, []runspec.SweepPoint, error) {
+	if len(doc) == 0 {
+		return nil, nil, errors.New("no document journaled")
 	}
-	if ss == nil {
-		// Without a re-expandable document the family cannot re-run; a
-		// terminal one still answers polls, a live one surfaces as failed.
-		sw := &Sweep{
-			ID:         e.id,
-			Spec:       &runspec.SweepSpec{},
-			FamilyHash: e.familyHash,
-			status:     sweepStatusOf(e.op),
-			errMsg:     e.errMsg,
-			submitted:  time.Now(),
-			finished:   time.Now(),
-			hub:        newEventHub(),
+	if kind == kindJob {
+		spec, err := runspec.Parse(doc)
+		if err != nil {
+			return nil, nil, err
 		}
-		if !e.op.SweepTerminal() {
-			sw.status = StatusFailed
-			sw.errMsg = "server: journal holds no recoverable spec for this sweep"
-			s.logf("vqed: recovery: sweep %s has no recoverable spec, marking failed", e.id)
+		return nil, soloPoints(spec), nil
+	}
+	ss, err := runspec.ParseSweep(doc)
+	if err != nil {
+		return nil, nil, err
+	}
+	points, err := ss.Points()
+	return ss, points, err
+}
+
+// rebuild turns one merged journal outcome into a live family: settled
+// points replay their recorded outcomes — done results also re-seed the
+// spec-hash cache — and open ones re-arm their checkpoints.
+func (s *Server) rebuild(e *replayed) *family {
+	top := e.facts[0]
+	if top == nil {
+		top = &fact{}
+		e.facts[0] = top
+	}
+	kind := kindOfID(e.id)
+	sweep, points, err := expand(kind, e.doc)
+	if err != nil {
+		// Without a re-expandable document the family cannot re-run: a
+		// terminal one still answers polls (it does not need to re-run), a
+		// live one is genuinely lost and surfaces as failed rather than
+		// silently dropping the ID.
+		sweep, points = nil, soloPoints(&runspec.RunSpec{})
+		if kind == kindSweep {
+			sweep, points = &runspec.SweepSpec{}, nil
 		}
-		sw.publish(Event{Type: string(sw.status), Error: sw.errMsg})
-		return sw, true
+		if !top.op.Terminal() {
+			s.logf("vqed: recovery: %s has no recoverable spec (%v), marking failed", e.id, err)
+			top.op = journal.OpFailed
+			top.errMsg = "server: journal holds no recoverable spec for this " + kind
+		}
 	}
 
-	sw := newSweep(e.id, ss, points)
-	if e.familyHash != "" {
-		sw.FamilyHash = e.familyHash
+	f := newFamily(e.id, sweep, points)
+	if e.hash != "" {
+		f.hash = e.hash
+		if f.solo() {
+			f.points[0].pt.Hash = e.hash
+		}
 	}
-	for pt, raw := range e.pointDone {
-		if pt < 1 || pt > len(sw.points) {
+	for _, p := range f.points {
+		ft := e.facts[f.pointNo(p)]
+		if ft == nil {
+			ft = &fact{}
+		}
+		s.restore(f, p, ft)
+	}
+	for n := range e.facts {
+		if n > len(f.points) {
 			mRecoverDropped.Inc()
-			continue
 		}
-		p := sw.points[pt-1]
+	}
+
+	if !top.op.Terminal() {
+		f.publish(Event{Type: string(StatusQueued)})
+		return f
+	}
+	f.status, f.err = Status(top.op), top.errMsg
+	now := time.Now()
+	f.started, f.finished = now, now
+	if f.status == StatusCancelled {
+		for _, p := range f.points {
+			if !p.status.Terminal() {
+				p.status = StatusCancelled
+			}
+		}
+	}
+	f.publish(Event{Type: string(f.status), Error: f.err})
+	return f
+}
+
+// restore applies the journal's fact about one point.
+func (s *Server) restore(f *family, p *point, ft *fact) {
+	p.attempt = ft.attempt
+	if ft.op.Terminal() {
+		p.status, p.err, p.checkpoint = Status(ft.op), ft.errMsg, ft.checkpoint
+		if len(ft.result) == 0 {
+			return
+		}
 		var res runspec.Result
-		if err := json.Unmarshal(raw, &res); err != nil {
-			s.logf("vqed: recovery: sweep %s point %d result unusable: %v", e.id, pt, err)
-			continue
+		if err := json.Unmarshal(ft.result, &res); err != nil {
+			s.logf("vqed: recovery: %s point %d result unusable: %v", f.ID, p.pt.Index+1, err)
+			return
 		}
-		p.status = StatusDone
 		p.result = &res
-		if !s.cfg.DisableCache {
+		if p.status == StatusDone {
 			s.cacheStore(p.pt.Hash, &res)
 		}
+		return
 	}
-	for pt, msg := range e.pointFailed {
-		if pt < 1 || pt > len(sw.points) {
-			mRecoverDropped.Inc()
-			continue
-		}
-		p := sw.points[pt-1]
-		if !p.status.Terminal() {
-			p.status = StatusFailed
-			p.err = msg
-		}
+	// Unfinished: resume from the journaled checkpoint when it verifies.
+	// A crash between checkpoint write and journal append leaves a spool
+	// file the journal never heard about — still resumable, so probe the
+	// point's own spool path too.
+	ckpt := ft.checkpoint
+	if ckpt == "" {
+		ckpt = s.checkpointPath(f, p)
 	}
-	for pt, ckpt := range e.pointCkpt {
-		if pt < 1 || pt > len(sw.points) || ckpt == "" {
-			continue
-		}
-		p := sw.points[pt-1]
-		if p.status.Terminal() {
-			continue
-		}
-		if _, err := resilience.CheckpointKind(ckpt); err == nil {
-			p.checkpoint = ckpt
-			p.resume = true
-		} else if !os.IsNotExist(err) {
-			s.logf("vqed: recovery: sweep %s point %d checkpoint %s invalid, cold restart: %v", e.id, pt, ckpt, err)
-			os.Remove(ckpt)
-		}
+	if s.resumable(ckpt) {
+		p.checkpoint, p.resume = ckpt, true
 	}
-
-	if e.op.SweepTerminal() {
-		sw.status = sweepStatusOf(e.op)
-		sw.errMsg = e.errMsg
-		now := time.Now()
-		sw.started, sw.finished = now, now
-		if sw.status == StatusCancelled {
-			for _, p := range sw.points {
-				if !p.status.Terminal() {
-					p.status = StatusCancelled
-				}
-			}
-		}
-		sw.publish(Event{Type: string(sw.status), Error: sw.errMsg})
-		return sw, true
-	}
-	sw.publish(Event{Type: string(StatusQueued)})
-	return sw, true
 }
 
-// sweepSeqOf extracts the numeric suffix of a "sweep-%06d" ID.
-func sweepSeqOf(id string) int {
-	num, ok := strings.CutPrefix(id, "sweep-")
+// seqOf extracts the numeric suffix of a "<kind>-%06d" ID (0 if foreign).
+func seqOf(kind, id string) int {
+	num, ok := strings.CutPrefix(id, kind+"-")
 	if !ok {
 		return 0
 	}
@@ -466,74 +263,17 @@ func sweepSeqOf(id string) int {
 	return n
 }
 
-// journalSweepSpec marshals a family document for its accepted record.
-func journalSweepSpec(ss *runspec.SweepSpec) json.RawMessage {
-	raw, err := json.Marshal(ss)
-	if err != nil {
-		return nil
-	}
-	return raw
-}
-
-// legacyManifestJobs reads and deletes the old shutdown manifest,
-// converting its entries to replay form.
-func (s *Server) legacyManifestJobs() []*replayedJob {
-	path := filepath.Join(s.cfg.SpoolDir, "manifest.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var m legacyManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		s.logf("vqed: recovery: legacy manifest unreadable, ignoring: %v", err)
-		os.Remove(path)
-		return nil
-	}
-	var out []*replayedJob
-	for _, mj := range m.Jobs {
-		if mj.ID == "" || mj.Spec == nil {
-			continue
-		}
-		raw, err := json.Marshal(mj.Spec)
-		if err != nil {
-			continue
-		}
-		out = append(out, &replayedJob{
-			id:         mj.ID,
-			specRaw:    raw,
-			specHash:   mj.SpecHash,
-			op:         journal.OpCheckpointed,
-			checkpoint: mj.CheckpointPath,
-		})
-	}
-	os.Remove(path)
-	if len(out) > 0 {
-		s.logf("vqed: recovery: merged %d job(s) from legacy manifest", len(out))
-	}
-	return out
-}
-
-// jobSeqOf extracts the numeric suffix of a "job-%06d" ID (0 if foreign).
-func jobSeqOf(id string) int {
-	num, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
+// fileExists reports whether path names a regular file ("" does not).
 func fileExists(path string) bool {
 	fi, err := os.Stat(path)
 	return err == nil && fi.Mode().IsRegular()
 }
 
-// journalSpec marshals a job's spec for its accepted record.
-func journalSpec(spec *runspec.RunSpec) json.RawMessage {
-	raw, err := json.Marshal(spec)
+// rawJSON marshals a journal payload: the journal keeps submitted
+// documents and results as raw JSON so it does not depend on their
+// schema.
+func rawJSON(v any) json.RawMessage {
+	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil
 	}
@@ -545,116 +285,72 @@ func journalResult(res *runspec.Result) json.RawMessage {
 	if res == nil {
 		return nil
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return nil
-	}
-	return raw
+	return rawJSON(res)
 }
 
 // compactThreshold is how many appended records trigger a background
-// journal compaction after a job settles.
+// journal compaction after a family settles.
 const compactThreshold = 512
 
 // liveSnapshot rebuilds the minimal record set that reproduces the
-// current job table: accepted (+spec) for every job, the latest
-// checkpoint/attempt facts for unfinished ones, and the terminal record
-// (with result) for settled ones.
+// current family table: accepted (+document) for every family, the
+// terminal record (with result) for every settled point, the latest
+// attempt/checkpoint facts for open ones, and the terminal record of
+// every settled family.
 func (s *Server) liveSnapshot() []journal.Record {
-	// Snapshot the job list under s.mu, then read each job under its own
-	// lock only after s.mu is released (same lock-order discipline as the
-	// HTTP listing path).
+	// Snapshot the family list under s.mu, then read each family under its
+	// own lock only after s.mu is released (same lock-order discipline as
+	// the HTTP listing path).
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
-	sweeps := make([]*Sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sweeps = append(sweeps, s.sweeps[id])
+	var families []*family
+	for _, kind := range []string{kindJob, kindSweep} {
+		for _, id := range s.order[kind] {
+			families = append(families, s.families[id])
+		}
 	}
 	s.mu.Unlock()
 
 	var recs []journal.Record
-	for _, j := range jobs {
-		j.mu.Lock()
-		st, ckpt, attempt, res, errMsg := j.status, j.checkpoint, j.attempt, j.result, j.err
-		resume := j.resume
-		j.mu.Unlock()
+	for _, f := range families {
+		f.mu.Lock()
 		recs = append(recs, journal.Record{
-			Op: journal.OpAccepted, JobID: j.ID, SpecHash: j.SpecHash,
-			Spec: journalSpec(j.Spec),
+			Op: journal.OpAccepted, JobID: f.ID, SpecHash: f.hash, Spec: f.document(),
 		})
-		switch st {
-		case StatusDone, StatusFailed, StatusInterrupted:
-			recs = append(recs, journal.Record{
-				Op: journal.Op(st), JobID: j.ID, SpecHash: j.SpecHash,
-				Result: journalResult(res), Error: errMsg, Checkpoint: ckpt,
-			})
-		default:
-			if attempt > 0 {
-				recs = append(recs, journal.Record{
-					Op: journal.OpRetrying, JobID: j.ID, Attempt: attempt, Error: errMsg,
-				})
-			}
-			if resume && ckpt != "" {
-				recs = append(recs, journal.Record{
-					Op: journal.OpCheckpointed, JobID: j.ID, Checkpoint: ckpt,
-				})
-			}
-		}
-	}
-	for _, sw := range sweeps {
-		sw.mu.Lock()
-		recs = append(recs, journal.Record{
-			Op: journal.OpSweepAccepted, JobID: sw.ID, SpecHash: sw.FamilyHash,
-			Spec: journalSweepSpec(sw.Spec),
-		})
-		for _, p := range sw.points {
+		for _, p := range f.points {
+			rec := journal.Record{JobID: f.ID, Point: f.pointNo(p), SpecHash: p.pt.Hash}
 			switch p.status {
-			case StatusDone:
-				recs = append(recs, journal.Record{
-					Op: journal.OpSweepPointDone, JobID: sw.ID,
-					Point: p.pt.Index + 1, SpecHash: p.pt.Hash,
-					Result: journalResult(p.result),
-				})
-			case StatusFailed:
-				recs = append(recs, journal.Record{
-					Op: journal.OpSweepPointFailed, JobID: sw.ID,
-					Point: p.pt.Index + 1, SpecHash: p.pt.Hash, Error: p.err,
-				})
+			case StatusDone, StatusFailed, StatusInterrupted:
+				rec.Op = journal.Op(p.status)
+				rec.Result, rec.Error, rec.Checkpoint = journalResult(p.result), p.err, p.checkpoint
+				recs = append(recs, rec)
+			case StatusCancelled:
+				// Implied by the family's cancelled record.
 			default:
+				if p.attempt > 0 {
+					rec.Op, rec.Attempt = journal.OpRetrying, p.attempt
+					recs = append(recs, rec)
+				}
 				if p.resume && p.checkpoint != "" {
-					recs = append(recs, journal.Record{
-						Op: journal.OpSweepCheckpoint, JobID: sw.ID,
-						Point: p.pt.Index + 1, SpecHash: p.pt.Hash,
-						Checkpoint: p.checkpoint,
-					})
+					rec.Op, rec.Attempt, rec.Checkpoint = journal.OpCheckpointed, 0, p.checkpoint
+					recs = append(recs, rec)
 				}
 			}
 		}
-		if sw.status.Terminal() && sw.status != StatusInterrupted {
-			var op journal.Op
-			switch sw.status {
-			case StatusDone:
-				op = journal.OpSweepDone
-			case StatusFailed:
-				op = journal.OpSweepFailed
-			case StatusCancelled:
-				op = journal.OpSweepCancelled
-			}
+		// A solo family's point record is its terminal record; a parked
+		// (interrupted) family is not settled — replay re-enqueues it.
+		if !f.solo() && f.status.Terminal() && f.status != StatusInterrupted {
 			recs = append(recs, journal.Record{
-				Op: op, JobID: sw.ID, SpecHash: sw.FamilyHash, Error: sw.errMsg,
+				Op: journal.Op(f.status), JobID: f.ID, SpecHash: f.hash, Error: f.err,
 			})
 		}
-		sw.mu.Unlock()
+		f.mu.Unlock()
 	}
 	return recs
 }
 
 // compactIfNeeded rewrites the journal down to the live snapshot once
 // enough appends have accumulated. At most one compaction runs at a time;
-// contenders simply skip (the next settling job retries).
+// contenders simply skip (the next settling family retries).
 func (s *Server) compactIfNeeded(force bool) {
 	s.mu.Lock()
 	jn := s.jn

@@ -2,18 +2,23 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/runspec"
 	"repro/internal/server/journal"
+	"repro/internal/telemetry"
 )
 
 // writeJournal builds a journal file in dir from the given records, as if
@@ -49,9 +54,9 @@ func TestRecoveryReplaysJournal(t *testing.T) {
 	doneResult := &runspec.Result{Energy: -1.25, Converged: true}
 	writeJournal(t, spool, []journal.Record{
 		{Op: journal.OpAccepted, JobID: "job-000003", SpecHash: pendingSpec.Hash(),
-			Spec: journalSpec(pendingSpec)},
+			Spec: rawJSON(pendingSpec)},
 		{Op: journal.OpAccepted, JobID: "job-000007", SpecHash: "sha256:feed",
-			Spec: journalSpec(&runspec.RunSpec{})},
+			Spec: rawJSON(&runspec.RunSpec{})},
 		{Op: journal.OpRunning, JobID: "job-000003", Attempt: 0},
 		{Op: journal.OpDone, JobID: "job-000007", Result: journalResult(doneResult)},
 	})
@@ -97,7 +102,7 @@ func TestRecoveryTornJournalTail(t *testing.T) {
 	spec := &runspec.RunSpec{}
 	writeJournal(t, spool, []journal.Record{
 		{Op: journal.OpAccepted, JobID: "job-000001", SpecHash: spec.Hash(),
-			Spec: journalSpec(spec)},
+			Spec: rawJSON(spec)},
 		{Op: journal.OpDone, JobID: "job-000001",
 			Result: journalResult(&runspec.Result{Energy: -2})},
 	})
@@ -140,77 +145,159 @@ func TestRecoveryTornJournalTail(t *testing.T) {
 	}
 }
 
-// TestPanicIsolationRetriesToDone: an injected worker panic on the job's
-// first progress sample is recovered, the job re-queues, and the retry
-// completes normally. Other concurrent jobs are untouched.
-func TestPanicIsolationRetriesToDone(t *testing.T) {
-	var once sync.Once
-	hook := func(ctx context.Context, jobID string, p runspec.Progress) {
-		once.Do(func() { panic("server: injected test panic") })
-	}
-	_, ts := newTestServer(t, Config{
-		MaxConcurrent: 2,
-		RetryBudget:   2,
-		FaultHook:     hook,
-	})
-	v := submitSpec(t, ts, `{"optimizer": {"method": "nelder-mead", "max_iter": 60}}`)
-	done := pollDone(t, ts, v.ID, 60*time.Second)
-	if done.Status != StatusDone || done.Result == nil {
-		t.Fatalf("panicked job settled as %s (err=%q), want done", done.Status, done.Error)
-	}
-	if done.Attempt == 0 {
-		t.Errorf("job completed with attempt=0; the panic retry was not recorded")
+// pointFault is one row of the point-level fault table: a fault injected
+// into the engine's progress path (or the spool), and how a point that
+// meets it must end. Every row runs against a solo job and against a
+// 3-point family whose first-executed point meets the fault.
+type pointFault struct {
+	cfg Config
+	// hook builds the row's fault hook, fresh per run.
+	hook func() FaultHook
+	// blockSpool squats a directory on the first-executed point's
+	// checkpoint path, so its first snapshot fails to commit.
+	blockSpool bool
+	// recovers: the retry completes the point. Otherwise the point spends
+	// its whole budget and fails — and the family carries on without it.
+	recovers bool
+}
+
+// panicTimes panics on the first n progress samples it observes.
+func panicTimes(n int64) func() FaultHook {
+	return func() FaultHook {
+		var seen atomic.Int64
+		return func(ctx context.Context, id string, p runspec.Progress) {
+			if seen.Add(1) <= n {
+				panic("server: injected test panic")
+			}
+		}
 	}
 }
 
-// TestWatchdogCancelsStalledJob: a hook that blocks the engine's progress
-// path past StallTimeout is cancelled by the watchdog and the retry (the
-// hook fires only once) completes the job.
-func TestWatchdogCancelsStalledJob(t *testing.T) {
-	var once sync.Once
-	hook := func(ctx context.Context, jobID string, p runspec.Progress) {
-		once.Do(func() {
-			// Block until the watchdog cancels the job context; an untimed
-			// stall is exactly what the watchdog exists to catch.
-			<-ctx.Done()
-		})
-	}
-	_, ts := newTestServer(t, Config{
-		MaxConcurrent: 1,
-		RetryBudget:   2,
-		StallTimeout:  200 * time.Millisecond,
-		FaultHook:     hook,
-	})
-	v := submitSpec(t, ts, `{"optimizer": {"method": "nelder-mead", "max_iter": 60}}`)
-	done := pollDone(t, ts, v.ID, 60*time.Second)
-	if done.Status != StatusDone || done.Result == nil {
-		t.Fatalf("stalled job settled as %s (err=%q), want done after watchdog retry", done.Status, done.Error)
-	}
-	if done.Attempt == 0 {
-		t.Errorf("job completed with attempt=0; the stall retry was not recorded")
-	}
+var pointFaults = map[string]pointFault{
+	// An injected worker panic on the first progress sample is recovered,
+	// the point re-runs, and the retry completes normally.
+	"panic": {cfg: Config{RetryBudget: 2}, hook: panicTimes(1), recovers: true},
+	// A hook that blocks the engine's progress path past StallTimeout is
+	// cancelled by the watchdog; the retry (the hook fires only once)
+	// completes the point. An untimed stall is exactly what the watchdog
+	// exists to catch.
+	"stall": {cfg: Config{RetryBudget: 2, StallTimeout: 200 * time.Millisecond}, recovers: true,
+		hook: func() FaultHook {
+			var once sync.Once
+			return func(ctx context.Context, id string, p runspec.Progress) {
+				once.Do(func() { <-ctx.Done() })
+			}
+		}},
+	// A point whose every attempt panics settles terminally once the
+	// budget is spent instead of looping forever.
+	"budget": {cfg: Config{RetryBudget: 1}, hook: panicTimes(2)},
+	// resilience.ErrCheckpointWrite means the spool is broken, not the
+	// point: checkpointing is shed and the point re-runs without it.
+	"checkpoint-write": {cfg: Config{RetryBudget: 2}, blockSpool: true, recovers: true},
 }
 
-// TestRetryBudgetExhausted: a job whose every attempt panics settles
-// terminally once the budget is spent instead of looping forever.
-func TestRetryBudgetExhausted(t *testing.T) {
-	hook := func(ctx context.Context, jobID string, p runspec.Progress) {
-		panic("server: permanent injected panic")
+// runPointFault drives one table row through both views.
+func runPointFault(t *testing.T, name string) {
+	const faultSpec = `{"optimizer":{"method":"nelder-mead","max_iter":60},"resilience":{"checkpoint_every":1}}`
+	row := pointFaults[name]
+	boot := func(t *testing.T, firstCheckpoint string) *httptest.Server {
+		cfg := row.cfg
+		cfg.MaxConcurrent, cfg.SpoolDir = 1, t.TempDir()
+		if row.hook != nil {
+			cfg.FaultHook = row.hook()
+		}
+		if row.blockSpool {
+			squat := filepath.Join(cfg.SpoolDir, firstCheckpoint)
+			if err := os.MkdirAll(filepath.Join(squat, "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, ts := newTestServer(t, cfg)
+		return ts
 	}
-	_, ts := newTestServer(t, Config{
-		MaxConcurrent: 1,
-		RetryBudget:   1,
-		FaultHook:     hook,
+	shedSpool := func(t *testing.T, ts *httptest.Server) {
+		t.Helper()
+		if !row.blockSpool {
+			return
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health struct {
+			Status string `json:"status"`
+			Reason string `json:"degraded_reason"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		if health.Status != "degraded" || !strings.Contains(health.Reason, "checkpoint write failed") {
+			t.Errorf("healthz after a failed checkpoint write = %+v, want the spool shed", health)
+		}
+	}
+
+	t.Run("solo", func(t *testing.T) {
+		ts := boot(t, "job-000001.ckpt")
+		v := submitSpec(t, ts, faultSpec)
+		done := pollDone(t, ts, v.ID, 60*time.Second)
+		if row.recovers {
+			if done.Status != StatusDone || done.Result == nil {
+				t.Fatalf("faulted job settled as %s (err=%q), want done after the retry", done.Status, done.Error)
+			}
+			if done.Attempt == 0 {
+				t.Errorf("job completed with attempt=0; the retry was not recorded")
+			}
+		} else {
+			if done.Status != StatusFailed {
+				t.Fatalf("always-faulting job settled as %s, want failed", done.Status)
+			}
+			if done.Error == "" {
+				t.Errorf("terminal failure carries no reason")
+			}
+		}
+		shedSpool(t, ts)
 	})
-	v := submitSpec(t, ts, `{"optimizer": {"method": "nelder-mead", "max_iter": 60}}`)
-	done := pollDone(t, ts, v.ID, 60*time.Second)
-	if done.Status != StatusFailed {
-		t.Fatalf("always-panicking job settled as %s, want failed", done.Status)
-	}
-	if done.Error == "" {
-		t.Errorf("terminal failure carries no reason")
-	}
+
+	t.Run("family", func(t *testing.T) {
+		// Point 1 has the lowest axis value, so it executes — and meets
+		// the fault — first.
+		ts := boot(t, "sweep-000001-p001.ckpt")
+		v, _ := submitSweep(t, ts, `{"base":`+faultSpec+`,"axis":{"param":"distance","values":[0.5,0.7414,1.5]}}`)
+		done := pollSweepDone(t, ts, v.ID, 120*time.Second)
+		if len(done.PointStates) != 3 {
+			t.Fatalf("family settled with %d point states: %+v", len(done.PointStates), done)
+		}
+		first := done.PointStates[0]
+		if first.Attempt == 0 {
+			t.Errorf("faulted point shows attempt=0; the retry was not recorded: %+v", first)
+		}
+		for _, p := range done.PointStates[1:] {
+			if p.Status != StatusDone || p.Attempt != 0 {
+				t.Errorf("point %d after the faulted one: %+v, want done on the first attempt", p.Point, p)
+			}
+		}
+		if row.recovers {
+			if done.Status != StatusDone || done.Done != 3 || first.Status != StatusDone {
+				t.Errorf("family settled %s (%q), first point %+v, want all three done", done.Status, done.Error, first)
+			}
+		} else {
+			if done.Status != StatusFailed || done.Error != "1 of 3 point(s) failed" || done.Done != 2 || done.Failed != 1 {
+				t.Errorf("family settled %s (%q) %d done %d failed, want failed with 1 of 3", done.Status, done.Error, done.Done, done.Failed)
+			}
+			if first.Status != StatusFailed || !strings.Contains(first.Error, "retry budget exhausted") {
+				t.Errorf("always-faulting point %+v, want failed on a spent budget", first)
+			}
+		}
+		shedSpool(t, ts)
+	})
 }
+
+// The table's rows, under the names the solo cases have always had.
+func TestPanicIsolationRetriesToDone(t *testing.T)      { runPointFault(t, "panic") }
+func TestWatchdogCancelsStalledJob(t *testing.T)        { runPointFault(t, "stall") }
+func TestRetryBudgetExhausted(t *testing.T)             { runPointFault(t, "budget") }
+func TestCheckpointWriteFailureShedsSpool(t *testing.T) { runPointFault(t, "checkpoint-write") }
 
 // TestDegradedJournalStillServes: an unusable journal path (a directory
 // squatting on journal.wal) degrades durability but the daemon still
@@ -319,7 +406,7 @@ func runspecMustParse(t *testing.T, s string) *runspec.RunSpec {
 // waitProgress blocks until the job has emitted n optimizer progress
 // events (setup-phase heartbeats excluded — the point is to interrupt a
 // run that demonstrably has checkpointable optimizer state).
-func waitProgress(t *testing.T, job *Job, n int) {
+func waitProgress(t *testing.T, job *family, n int) {
 	t.Helper()
 	replay, live := job.subscribe()
 	defer job.unsubscribe(live)
@@ -374,18 +461,18 @@ func oldFormatJournal(t *testing.T, spool string) []journal.Record {
 	failedSpec, failedHash := curve(`[0.55,0.95]`)
 	gone := filepath.Join(spool, "never-written.ckpt")
 	return []journal.Record{
-		{Op: "accepted", JobID: "job-000001", SpecHash: pending.Hash(), Spec: journalSpec(pending)},
+		{Op: "accepted", JobID: "job-000001", SpecHash: pending.Hash(), Spec: rawJSON(pending)},
 		{Op: "running", JobID: "job-000001", SpecHash: pending.Hash(), Checkpoint: gone},
 		{Op: "retrying", JobID: "job-000001", Attempt: 1, Error: "server: worker recovered a panic: boom", Checkpoint: gone},
 		{Op: "running", JobID: "job-000001", SpecHash: pending.Hash(), Attempt: 1, Checkpoint: gone},
 		{Op: "checkpointed", JobID: "job-000001", SpecHash: pending.Hash(), Checkpoint: gone},
 
-		{Op: "accepted", JobID: "job-000002", SpecHash: h2.Hash(), Spec: journalSpec(h2)},
+		{Op: "accepted", JobID: "job-000002", SpecHash: h2.Hash(), Spec: rawJSON(h2)},
 		{Op: "running", JobID: "job-000002", SpecHash: h2.Hash()},
 		{Op: "done", JobID: "job-000002", SpecHash: h2.Hash(), Result: result(-1.25)},
-		{Op: "accepted", JobID: "job-000003", SpecHash: "rs1:dead", Spec: journalSpec(&runspec.RunSpec{})},
+		{Op: "accepted", JobID: "job-000003", SpecHash: "rs1:dead", Spec: rawJSON(&runspec.RunSpec{})},
 		{Op: "failed", JobID: "job-000003", SpecHash: "rs1:dead", Error: "engine: no such backend"},
-		{Op: "accepted", JobID: "job-000004", SpecHash: "rs1:beef", Spec: journalSpec(&runspec.RunSpec{})},
+		{Op: "accepted", JobID: "job-000004", SpecHash: "rs1:beef", Spec: rawJSON(&runspec.RunSpec{})},
 		{Op: "interrupted", JobID: "job-000004", SpecHash: "rs1:beef", Result: result(-0.75), Checkpoint: gone},
 
 		{Op: "sweep_accepted", JobID: "sweep-000001", SpecHash: midHash, Spec: midSpec},
@@ -419,6 +506,44 @@ func TestOldFormatJournalReplays(t *testing.T) {
 	spool := t.TempDir()
 	writeJournal(t, spool, oldFormatJournal(t, spool))
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, SpoolDir: spool})
+
+	// Replay forces a compaction before the fleet starts, and compaction
+	// writes the one vocabulary: the old sweep ops and "running" are read,
+	// never written back. The frames are decoded here by hand — the
+	// journal's own reader would translate the old strings.
+	wal, err := os.ReadFile(filepath.Join(spool, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]int{}
+	for len(wal) >= 8 {
+		n := int(binary.LittleEndian.Uint32(wal))
+		if len(wal) < 8+n {
+			break
+		}
+		var rec struct {
+			Op    string `json:"op"`
+			JobID string `json:"job_id"`
+			Point int    `json:"point"`
+		}
+		if err := json.Unmarshal(wal[8:8+n], &rec); err != nil {
+			t.Fatalf("compacted journal frame: %v", err)
+		}
+		onDisk[rec.Op]++
+		onDisk[fmt.Sprintf("%s %s#%d", rec.Op, rec.JobID, rec.Point)]++
+		wal = wal[8+n:]
+	}
+	for _, op := range []string{"accepted", "retrying", "done", "failed", "interrupted", "cancelled",
+		"done sweep-000001#1", "failed sweep-000001#2", "done sweep-000003#0", "done job-000002#0"} {
+		if onDisk[op] == 0 {
+			t.Errorf("compacted journal lost its %q record(s): %v", op, onDisk)
+		}
+	}
+	for op := range onDisk {
+		if strings.HasPrefix(op, "sweep_") || strings.HasPrefix(op, "running") {
+			t.Errorf("compacted journal still holds %q records", op)
+		}
+	}
 
 	getJob := func(id string) View {
 		t.Helper()
@@ -509,5 +634,42 @@ func TestOldFormatJournalReplays(t *testing.T) {
 	}
 	if sw.ID != "sweep-000005" {
 		t.Errorf("post-recovery sweep ID = %s, want sweep-000005", sw.ID)
+	}
+}
+
+// TestJournalAppendsPerOperation pins what an operation costs in durable
+// appends: a job is its accepted record plus its terminal record, cache
+// hit or not, and a cold N-point family is N point records between its
+// accepted and terminal records.
+func TestJournalAppendsPerOperation(t *testing.T) {
+	telemetry.Enable()
+	t.Cleanup(func() { telemetry.Disable(); telemetry.Reset() })
+	appends := telemetry.GetCounter("journal.appends")
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+
+	before := appends.Value()
+	miss := submitSpec(t, ts, `{"molecule": {"kind": "h2"}}`)
+	if v := pollDone(t, ts, miss.ID, 30*time.Second); v.Status != StatusDone || v.CacheHit {
+		t.Fatalf("cold job %+v", v)
+	}
+	if got := appends.Value() - before; got != 2 {
+		t.Errorf("cache-miss job took %d appends, want 2", got)
+	}
+
+	before = appends.Value()
+	if hit := submitSpec(t, ts, `{"molecule": {"kind": "h2"}}`); !hit.CacheHit {
+		t.Fatalf("resubmission missed the cache: %+v", hit)
+	}
+	if got := appends.Value() - before; got != 2 {
+		t.Errorf("cache-hit job took %d appends, want 2", got)
+	}
+
+	before = appends.Value()
+	v, _ := submitSweep(t, ts, sweepBody)
+	if done := pollSweepDone(t, ts, v.ID, 60*time.Second); done.Status != StatusDone || done.CacheHits != 0 {
+		t.Fatalf("cold family %+v", done)
+	}
+	if got := appends.Value() - before; got != 3+2 {
+		t.Errorf("cold 3-point family took %d appends, want 5", got)
 	}
 }

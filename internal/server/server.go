@@ -1,16 +1,27 @@
 // Package server implements the vqed job-serving daemon: VQE workloads
-// submitted as canonical runspec.RunSpec documents over HTTP, executed on
-// a bounded worker scheduler that shares one simulation pool, with
-// per-iteration progress streamed over SSE, results cached by spec
-// content hash, and a durable job lifecycle: every accepted job is
-// journaled to a write-ahead log before it is acknowledged, so a crash —
-// SIGKILL included — loses nothing. On restart the journal replays:
-// finished jobs keep answering polls, unfinished ones re-enqueue and
-// resume from their latest resilience checkpoint. Workers isolate panics,
-// retry transient failures on a bounded budget, and a watchdog cancels
-// evaluations that stop producing progress heartbeats. When the journal
-// or checkpoint spool becomes unwritable the daemon sheds durability and
-// keeps serving (/healthz reports "degraded").
+// submitted over HTTP as canonical runspec documents — one RunSpec (a
+// job) or a SweepSpec (a family of them along an axis) — executed on a
+// bounded worker scheduler that shares one simulation pool, with
+// per-iteration progress streamed over SSE and results cached by spec
+// content hash. There is one lifecycle: a submission is a family of
+// points, a job being the family of one point and no axis (family.go), and
+// admission, execution, retry, settlement, journaling and replay are each
+// one code path that /v1/jobs and /v1/sweeps are two views over.
+//
+// The lifecycle is durable: every accepted family is journaled to a
+// write-ahead log before it is acknowledged, so a crash — SIGKILL
+// included — loses nothing. On restart the journal replays: settled
+// points and finished families keep answering polls, unfinished ones
+// re-enqueue and resume from their latest resilience checkpoint. Workers
+// isolate panics, retry transient failures on a bounded budget, and a
+// watchdog cancels evaluations that stop producing progress heartbeats.
+// When the journal or checkpoint spool becomes unwritable the daemon sheds
+// durability and keeps serving (/healthz reports "degraded").
+//
+// Lock order: Server.mu before family.mu, never the reverse (code that
+// needs both copies what it needs out from under Server.mu first). A
+// family's event-hub lock is independent of both and is never held across
+// a call out.
 //
 // Endpoints:
 //
@@ -109,21 +120,21 @@ type Config struct {
 // journalFile is the WAL's name under the spool dir.
 const journalFile = "journal.wal"
 
-// Server is the daemon core: scheduler, job store, result cache, journal,
-// and the HTTP handler over them.
+// Server is the daemon core: scheduler, family store, result cache,
+// journal, and the HTTP handler over them.
 type Server struct {
 	cfg  Config
 	pool *state.Pool
 	mux  *http.ServeMux
-	// queue carries both single jobs and sweep families; a family
-	// occupies one worker slot and executes its points sequentially.
-	queue chan queueItem
+	// queue carries admitted families; a family occupies one worker slot
+	// and executes its points sequentially.
+	queue chan *family
 
 	runCtx  context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	running atomic.Int64
-	// avgRunNs is the EWMA of recent job execution times backing
+	// avgRunNs is the EWMA of recent queue-item execution times backing
 	// EstimateWait when no cost model is configured.
 	avgRunNs atomic.Int64
 	// spoolOK is false once the checkpoint spool proved unwritable;
@@ -139,29 +150,21 @@ type Server struct {
 	// degradedReason is non-empty once any durability surface has been
 	// shed; /healthz reports it.
 	degradedReason string
-	// queued is the admission-control backlog: jobs accepted into the
-	// queue channel and not yet picked up. The channel itself is sized
-	// with slack for retries and recovery, so this counter — not the
-	// channel capacity — enforces QueueDepth.
+	// queued is the admission-control backlog: families accepted into
+	// the queue channel and not yet picked up. The channel itself is sized
+	// with slack for recovery, so this counter — not the channel capacity
+	// — enforces QueueDepth.
 	queued int
-	jobSeq int
-	jobs   map[string]*Job
-	order  []string
-	// sweeps is the family table, keyed by sweep ID.
-	sweepSeq   int
-	sweeps     map[string]*Sweep
-	sweepOrder []string
-	// watch maps running job/sweep IDs to their heartbeat and cancel
-	// handles for the stuck-job watchdog.
+	// families is the one table, keyed by ID; seq and order are the
+	// per-view (kindJob, kindSweep) id sequences and listing orders.
+	families map[string]*family
+	seq      map[string]int
+	order    map[string][]string
+	// watch maps running family IDs to their heartbeat and cancel handles
+	// for the stuck-job watchdog.
 	watch      map[string]*watchEntry
 	cache      map[string]*runspec.Result
 	cacheOrder []string
-}
-
-// queueItem is one scheduler admission: exactly one of job or sweep.
-type queueItem struct {
-	job   *Job
-	sweep *Sweep
 }
 
 // watchEntry is one watchdog registration: the heartbeat to compare
@@ -202,14 +205,15 @@ func New(cfg Config) (*Server, error) {
 	//vqelint:ignore ctxflow daemon lifecycle root: New has no caller context; Shutdown cancels it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		pool:   state.NewPool(cfg.SimWorkers),
-		runCtx: ctx,
-		cancel: cancel,
-		jobs:   map[string]*Job{},
-		sweeps: map[string]*Sweep{},
-		watch:  map[string]*watchEntry{},
-		cache:  map[string]*runspec.Result{},
+		cfg:      cfg,
+		pool:     state.NewPool(cfg.SimWorkers),
+		runCtx:   ctx,
+		cancel:   cancel,
+		families: map[string]*family{},
+		seq:      map[string]int{},
+		order:    map[string][]string{},
+		watch:    map[string]*watchEntry{},
+		cache:    map[string]*runspec.Result{},
 	}
 	s.spoolOK.Store(true)
 	s.routes()
@@ -230,25 +234,19 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Rebuild the job and sweep tables before sizing the queue: the
-	// channel needs room for QueueDepth admissions, one retry slot per
-	// worker, and every recovered entry, so sends after admission never
+	// Rebuild the family table before sizing the queue: the channel needs
+	// room for QueueDepth admissions plus every recovered entry (and slack
+	// for admissions racing a pick-up), so sends after admission never
 	// block.
-	jobRecs, sweepRecs := partitionRecords(recs)
-	pending := s.recoverJobs(jobRecs)
-	pendingSweeps := s.recoverSweeps(sweepRecs)
-	s.queue = make(chan queueItem, cfg.QueueDepth+cfg.MaxConcurrent+len(pending)+len(pendingSweeps)+64)
-	for _, job := range pending {
+	pending := s.replay(recs)
+	s.queue = make(chan *family, cfg.QueueDepth+cfg.MaxConcurrent+len(pending)+64)
+	for _, f := range pending {
 		s.queued++
-		s.queue <- queueItem{job: job}
+		s.queue <- f
 	}
-	for _, sw := range pendingSweeps {
-		s.queued++
-		s.queue <- queueItem{sweep: sw}
-	}
-	if len(pending) > 0 || len(s.jobs) > 0 || len(s.sweeps) > 0 {
-		s.logf("vqed: journal replay: %d job(s) and %d sweep(s) restored, %d+%d re-enqueued",
-			len(s.jobs), len(s.sweeps), len(pending), len(pendingSweeps))
+	if len(s.families) > 0 {
+		s.logf("vqed: journal replay: %d job(s) and %d sweep(s) restored, %d re-enqueued",
+			len(s.order[kindJob]), len(s.order[kindSweep]), len(pending))
 	}
 	s.compactIfNeeded(len(recs) > 0)
 
@@ -293,7 +291,7 @@ func (s *Server) degrade(reason string) {
 }
 
 // degradeSpool stops assigning checkpoint paths after a checkpoint write
-// failure; jobs keep running without durability.
+// failure; points keep running without durability.
 func (s *Server) degradeSpool(reason string) {
 	if s.spoolOK.CompareAndSwap(true, false) {
 		s.mu.Lock()
@@ -306,7 +304,7 @@ func (s *Server) degradeSpool(reason string) {
 }
 
 // journalAppend durably records one lifecycle transition; a write failure
-// degrades journaling rather than failing the job.
+// degrades journaling rather than failing the family.
 func (s *Server) journalAppend(rec journal.Record) {
 	s.mu.Lock()
 	jn := s.jn
@@ -319,14 +317,24 @@ func (s *Server) journalAppend(rec journal.Record) {
 	}
 }
 
-// cacheStore inserts a result under FIFO eviction (takes s.mu).
-func (s *Server) cacheStore(hash string, res *runspec.Result) {
+// cachedResult probes the result cache (takes s.mu).
+func (s *Server) cachedResult(hash string) *runspec.Result {
+	if s.cfg.DisableCache {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cacheStoreLocked(hash, res)
+	return s.cache[hash]
 }
 
-func (s *Server) cacheStoreLocked(hash string, res *runspec.Result) {
+// cacheStore inserts a result under FIFO eviction (takes s.mu); a no-op
+// with the cache disabled.
+func (s *Server) cacheStore(hash string, res *runspec.Result) {
+	if s.cfg.DisableCache {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.cache[hash]; ok {
 		return
 	}
@@ -354,8 +362,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 
-	// Cancel in-flight runs; queued jobs stay journaled as accepted and
-	// are re-enqueued on the next start.
+	// Cancel in-flight runs; queued families stay journaled as accepted
+	// and are re-enqueued on the next start.
 	s.cancel()
 	done := make(chan struct{})
 	go func() {
@@ -384,25 +392,58 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	s.mux.HandleFunc("GET /v1/jobs", s.handleList(kindJob))
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.withFamily(kindJob, s.handleDetail))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.withFamily(kindJob, s.handleResult))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.withFamily(kindJob, streamEvents))
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweep)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
+	s.mux.HandleFunc("GET /v1/sweeps", s.handleList(kindSweep))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.withFamily(kindSweep, s.handleDetail))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.withFamily(kindSweep, streamEvents))
+	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.withFamily(kindSweep, s.handleCancel))
 	s.mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 }
 
-// maxSpecBytes bounds a submitted spec document.
+// register adds a family to the table and its view's listing (caller
+// holds s.mu, or is recovery before the fleet starts).
+func (s *Server) register(f *family) {
+	s.families[f.ID] = f
+	s.order[f.kind()] = append(s.order[f.kind()], f.ID)
+}
+
+// maxSpecBytes bounds a submitted spec or sweep document.
 const maxSpecBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	s.serveAdmission(w, r, func(body []byte) (*family, *runspec.RunSpec, error) {
+		spec, err := runspec.Parse(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		f, err := s.Submit(spec)
+		return f, spec, err
+	})
+}
+
+func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
+	s.serveAdmission(w, r, func(body []byte) (*family, *runspec.RunSpec, error) {
+		ss, err := runspec.ParseSweep(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		f, err := s.SubmitSweep(ss)
+		return f, &ss.Base, err
+	})
+}
+
+// serveAdmission is the POST handler behind both views: submit parses the
+// bounded body and admits it, also returning the spec a queue-full
+// rejection prices its Retry-After by.
+func (s *Server) serveAdmission(w http.ResponseWriter, r *http.Request,
+	submit func(body []byte) (*family, *runspec.RunSpec, error)) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -412,69 +453,69 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, errors.New("spec document too large"))
 		return
 	}
-	spec, err := runspec.Parse(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := s.Submit(spec)
+	f, spec, err := submit(body)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Quote a wait proportional to actual load: backlog ÷ fleet,
-		// priced by the cost model (or the measured job-time EWMA).
+		// priced by the cost model (or the measured run-time EWMA).
 		writeAPIError(w, http.StatusServiceUnavailable, codeQueueFull, err.Error(), s.EstimateWait(spec))
 		return
 	case errors.Is(err, ErrShuttingDown):
 		writeAPIError(w, http.StatusServiceUnavailable, codeShuttingDown, err.Error(), 0)
+		return
+	case errors.Is(err, errSweepTooLarge):
+		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, err.Error(), 0)
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	status := http.StatusAccepted
-	if st, _, _ := job.snapshot(); st.Terminal() {
-		// Cache hit: the job is already settled.
+	if st, _, _ := f.snapshot(); st.Terminal() {
+		// Every point answered from cache: the family is already settled.
 		status = http.StatusOK
 	}
-	writeJSON(w, status, job.view(true))
+	writeJSON(w, status, f.view(true))
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	views := make([]View, len(jobs))
-	for i, j := range jobs {
-		views[i] = j.view(false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
-}
-
-func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-	}
-	return j
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j := s.job(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.view(true))
+func (s *Server) handleList(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		families := make([]*family, 0, len(s.order[kind]))
+		for _, id := range s.order[kind] {
+			families = append(families, s.families[id])
+		}
+		s.mu.Unlock()
+		views := make([]any, len(families))
+		for i, f := range families {
+			views[i] = f.view(false)
+		}
+		writeJSON(w, http.StatusOK, map[string]any{kind + "s": views})
 	}
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
-	if j == nil {
-		return
+// withFamily resolves the {id} path value to a family of the view the
+// route belongs to, answering 404 otherwise.
+func (s *Server) withFamily(kind string, h func(http.ResponseWriter, *http.Request, *family)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		s.mu.Lock()
+		f := s.families[id]
+		s.mu.Unlock()
+		if f == nil || f.kind() != kind {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no %s %q", kind, id))
+			return
+		}
+		h(w, r, f)
 	}
-	status, result, errMsg := j.snapshot()
+}
+
+func (s *Server) handleDetail(w http.ResponseWriter, r *http.Request, f *family) {
+	writeJSON(w, http.StatusOK, f.view(true))
+}
+
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, f *family) {
+	status, result, errMsg := f.snapshot()
 	switch {
 	case status == StatusFailed:
 		writeJSON(w, http.StatusOK, map[string]any{"status": status, "error": errMsg})
@@ -485,12 +526,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents is the SSE stream: the job's event history replays first,
-// then live events until the job settles or the client disconnects.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if j := s.job(w, r); j != nil {
-		streamEvents(w, r, j)
-	}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, f *family) {
+	s.cancelFamily(f)
+	writeJSON(w, http.StatusOK, f.view(true))
 }
 
 func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
@@ -526,8 +564,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	degraded := s.degradedReason
 	journaling := s.jn != nil
-	total := len(s.jobs)
-	sweeps := len(s.sweeps)
+	total := len(s.order[kindJob])
+	sweeps := len(s.order[kindSweep])
 	s.mu.Unlock()
 	status := "ok"
 	if degraded != "" {

@@ -353,6 +353,11 @@ func TestShutdownCheckpointsInFlight(t *testing.T) {
 		t.Errorf("checkpoint kind = %q, iteration = %d", kind, iter)
 	}
 
+	// The drain leaves exactly that snapshot in the spool.
+	if left, _ := filepath.Glob(filepath.Join(spool, "*.ckpt")); len(left) != 1 || left[0] != ckpt {
+		t.Errorf("spool after the drain holds %v, want just %s", left, ckpt)
+	}
+
 	// No legacy manifest is written anymore; the journal carries the state.
 	if _, err := os.Stat(filepath.Join(spool, "manifest.json")); !os.IsNotExist(err) {
 		t.Errorf("legacy manifest.json written on shutdown (err=%v)", err)
@@ -379,6 +384,10 @@ func TestShutdownCheckpointsInFlight(t *testing.T) {
 	resumed := pollDone(t, ts2, job.ID, 120*time.Second)
 	if resumed.Status != StatusDone || resumed.Result == nil {
 		t.Fatalf("resumed job settled as %s (err=%q)", resumed.Status, resumed.Error)
+	}
+	// A done job has nothing left to resume: its checkpoint is collected.
+	if left, _ := filepath.Glob(filepath.Join(spool, "*.ckpt")); len(left) != 0 {
+		t.Errorf("spool after the job settled done still holds %v", left)
 	}
 	// Variational sanity: the resumed optimization must end at or below
 	// the mean-field reference (the synthetic model has no fixed scale).

@@ -64,7 +64,7 @@ const sweepBody = `{"base":{"algorithm":"vqe","molecule":{"kind":"h2"}},"axis":{
 // every point settled exactly once, the curve ascending by bond length,
 // and every point after the first warm-started.
 func TestSweepEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	v, status := submitSweep(t, ts, sweepBody)
 	if status != http.StatusAccepted {
 		t.Fatalf("fresh family acknowledged with %d, want 202", status)
@@ -103,6 +103,12 @@ func TestSweepEndToEnd(t *testing.T) {
 		if !strings.HasPrefix(p.SpecHash, runspec.HashPrefix+":") {
 			t.Errorf("point %d hash %q", p.Point, p.SpecHash)
 		}
+	}
+	// A family is a queue item like any other: a daemon that has served
+	// nothing else still quotes Retry-After from its measured run time,
+	// not the nominal second.
+	if wait := srv.EstimateWait(nil); wait == time.Second || wait <= 0 {
+		t.Errorf("wait estimate after a sweep = %s, want the family's measured run time", wait)
 	}
 }
 
@@ -500,7 +506,7 @@ func TestSweepRecoveryResumesCurve(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	parked := sw.view(true)
+	parked := sw.sweepView(true)
 	if parked.Status != StatusInterrupted {
 		t.Fatalf("family at shutdown = %s, want interrupted", parked.Status)
 	}
@@ -565,7 +571,7 @@ func TestSweepRecoveryResumesCurve(t *testing.T) {
 }
 
 // waitPointDone blocks until the sweep has settled n points successfully.
-func waitPointDone(t *testing.T, sw *Sweep, n int) {
+func waitPointDone(t *testing.T, sw *family, n int) {
 	t.Helper()
 	replay, live := sw.subscribe()
 	defer sw.unsubscribe(live)

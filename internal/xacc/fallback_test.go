@@ -159,7 +159,7 @@ func TestFallbackDoesNotOutliveDeadline(t *testing.T) {
 // TestResilientAcceleratorRegistered: the nwq-resilient chain is in the
 // registry and works end to end.
 func TestResilientAcceleratorRegistered(t *testing.T) {
-	a, err := GetAccelerator("nwq-resilient")
+	a, err := DefaultRegistry.New("nwq-resilient", AcceleratorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

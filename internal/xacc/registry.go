@@ -1,12 +1,9 @@
 package xacc
 
-// The accelerator registry. Earlier revisions kept a bare
-// map[string]func() Accelerator behind package-level functions; the job
-// daemon needs more than that — construction options at lookup time (a
-// submitted RunSpec carries worker/rank/fault settings), and an
-// enumerable catalog for its capabilities endpoint — so the registry is
-// now a first-class type. The old package-level helpers survive as thin
-// deprecated wrappers over DefaultRegistry.
+// The accelerator registry: a first-class type, because the job daemon
+// needs construction options at lookup time (a submitted RunSpec carries
+// worker/rank/fault settings) and an enumerable catalog for its
+// capabilities endpoint. DefaultRegistry holds the built-in backends.
 
 import (
 	"fmt"
@@ -174,25 +171,3 @@ func init() {
 		},
 	}))
 }
-
-// RegisterAccelerator installs a named backend factory in DefaultRegistry.
-//
-// Deprecated: use DefaultRegistry.Register, which carries a description
-// and lookup-time options.
-func RegisterAccelerator(name string, factory func() Accelerator) {
-	_ = DefaultRegistry.Register(name, Entry{
-		Factory: func(AcceleratorOptions) Accelerator { return factory() },
-	})
-}
-
-// GetAccelerator instantiates a registered backend with default options.
-//
-// Deprecated: use DefaultRegistry.New.
-func GetAccelerator(name string) (Accelerator, error) {
-	return DefaultRegistry.New(name, AcceleratorOptions{})
-}
-
-// AcceleratorNames lists registered backends, sorted.
-//
-// Deprecated: use DefaultRegistry.Names.
-func AcceleratorNames() []string { return DefaultRegistry.Names() }

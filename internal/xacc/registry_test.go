@@ -100,23 +100,3 @@ func TestClusterOptionsRespected(t *testing.T) {
 		t.Errorf("default rank count wrong: %#v", acc)
 	}
 }
-
-func TestDeprecatedWrappers(t *testing.T) {
-	RegisterAccelerator("legacy-test", func() Accelerator { return &SVAccelerator{Workers: 1} })
-	acc, err := GetAccelerator("legacy-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := acc.(*SVAccelerator); !ok {
-		t.Errorf("legacy factory not preserved: %#v", acc)
-	}
-	found := false
-	for _, n := range AcceleratorNames() {
-		if n == "legacy-test" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("legacy-registered backend missing from AcceleratorNames: %v", AcceleratorNames())
-	}
-}

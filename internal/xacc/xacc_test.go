@@ -13,7 +13,7 @@ import (
 )
 
 func TestRegistryContainsBuiltins(t *testing.T) {
-	names := AcceleratorNames()
+	names := DefaultRegistry.Names()
 	want := map[string]bool{"nwq-sv": false, "nwq-sv-serial": false, "nwq-cluster": false, "nwq-dm": false}
 	for _, n := range names {
 		if _, ok := want[n]; ok {
@@ -28,14 +28,18 @@ func TestRegistryContainsBuiltins(t *testing.T) {
 }
 
 func TestGetAcceleratorUnknown(t *testing.T) {
-	if _, err := GetAccelerator("hal9000"); err == nil {
+	if _, err := DefaultRegistry.New("hal9000", AcceleratorOptions{}); err == nil {
 		t.Error("unknown accelerator resolved")
 	}
 }
 
 func TestRegisterCustomAccelerator(t *testing.T) {
-	RegisterAccelerator("test-custom", func() Accelerator { return &SVAccelerator{Workers: 1} })
-	a, err := GetAccelerator("test-custom")
+	if err := DefaultRegistry.Register("test-custom", Entry{
+		Factory: func(AcceleratorOptions) Accelerator { return &SVAccelerator{Workers: 1} },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := DefaultRegistry.New("test-custom", AcceleratorOptions{})
 	if err != nil || a == nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func bellCircuit() *circuit.Circuit {
 func TestAllBackendsAgreeOnBell(t *testing.T) {
 	obs := pauli.NewOp().Add(pauli.MustParse("ZZ"), 1)
 	for _, name := range []string{"nwq-sv", "nwq-sv-serial", "nwq-cluster", "nwq-dm"} {
-		a, err := GetAccelerator(name)
+		a, err := DefaultRegistry.New(name, AcceleratorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func TestAllBackendsAgreeOnBell(t *testing.T) {
 }
 
 func TestExecuteWithShots(t *testing.T) {
-	a, _ := GetAccelerator("nwq-sv")
+	a, _ := DefaultRegistry.New("nwq-sv", AcceleratorOptions{})
 	res, err := a.Execute(context.Background(), bellCircuit(), 5000)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +159,8 @@ func TestVQEAlgorithmValidation(t *testing.T) {
 }
 
 func TestNumQubitsLimits(t *testing.T) {
-	for _, name := range AcceleratorNames() {
-		a, err := GetAccelerator(name)
+	for _, name := range DefaultRegistry.Names() {
+		a, err := DefaultRegistry.New(name, AcceleratorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +214,7 @@ func TestQPEFrontEnd(t *testing.T) {
 
 func TestAcceleratorNames(t *testing.T) {
 	for _, name := range []string{"nwq-sv", "nwq-cluster", "nwq-dm"} {
-		a, err := GetAccelerator(name)
+		a, err := DefaultRegistry.New(name, AcceleratorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,8 @@
 //
 // The canonical way to describe a workload is a RunSpec — the same JSON
 // document the vqe CLI assembles from flags and the vqed daemon accepts
-// over HTTP. The legacy GroundState* entry points and their config
-// structs remain as thin adapters for callers holding an arbitrary
-// *Molecule value.
+// over HTTP. A caller holding an arbitrary *Molecule value runs the same
+// spec against it with RunOnMolecule.
 //
 // The heavy lifting lives in the internal packages (state, circuit, pauli,
 // fermion, chem, ansatz, vqe, qpe, cluster, density, xacc); this package
@@ -165,134 +164,6 @@ func Downfold(m *Molecule, activeOrbitals int) (*Observable, error) {
 		return nil, err
 	}
 	return res.Qubit, nil
-}
-
-// VQEConfig tunes GroundStateVQE.
-//
-// Deprecated: VQEConfig is a thin adapter over RunSpec — new code should
-// build a RunSpec and call Run (or RunOnMolecule). It is kept so existing
-// callers compile.
-type VQEConfig struct {
-	// Mode selects energy evaluation: "direct" (default), "rotated",
-	// "sampled".
-	Mode string
-	// Shots for sampled mode (default 8192).
-	Shots int
-	// Caching enables post-ansatz state caching (default true for rotated
-	// and sampled modes; irrelevant for direct).
-	DisableCaching bool
-	// Fusion transpiles ansatz circuits with 2-qubit gate fusion.
-	Fusion bool
-	// Optimizer: "lbfgs" (default, adjoint gradients) or "nelder-mead".
-	Optimizer string
-	// Workers for parallel simulation (0 = GOMAXPROCS).
-	Workers int
-}
-
-// VQEResult reports a ground-state computation.
-type VQEResult struct {
-	Energy     float64
-	Params     []float64
-	Exact      float64 // FCI reference
-	ErrorVsFCI float64
-	Stats      vqe.Stats
-}
-
-// Spec converts the legacy config into its RunSpec equivalent.
-func (cfg VQEConfig) Spec() *RunSpec {
-	spec := &RunSpec{
-		Mode:           cfg.Mode,
-		Shots:          cfg.Shots,
-		DisableCaching: cfg.DisableCaching,
-		Fusion:         cfg.Fusion,
-	}
-	spec.Optimizer.Method = cfg.Optimizer
-	if cfg.Optimizer == "nelder-mead" {
-		// The legacy entry point capped Nelder–Mead at 4000 iterations.
-		spec.Optimizer.MaxIter = 4000
-	}
-	spec.Backend.Workers = cfg.Workers
-	return spec
-}
-
-// GroundStateVQE runs the full workflow on a molecule with a UCCSD ansatz
-// and returns the optimized energy alongside the FCI reference.
-//
-// Deprecated: build a RunSpec and call Run (content-addressable, more
-// backends) or RunOnMolecule. Kept as an adapter for existing callers.
-func GroundStateVQE(m *Molecule, cfg VQEConfig) (*VQEResult, error) {
-	//vqelint:ignore ctxflow deprecated adapter: the legacy signature has no ctx; Run is the cancellable path
-	res, err := runspec.RunOnMolecule(context.Background(), m, cfg.Spec(), runspec.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &VQEResult{
-		Energy:     res.Energy,
-		Params:     res.Params,
-		Exact:      res.Exact,
-		ErrorVsFCI: res.ErrorVsExact,
-		Stats: vqe.Stats{
-			EnergyEvaluations: res.EnergyEvaluations,
-			AnsatzExecutions:  res.AnsatzExecutions,
-			GatesApplied:      res.GatesApplied,
-		},
-	}, nil
-}
-
-// AdaptConfig tunes GroundStateAdaptVQE.
-//
-// Deprecated: AdaptConfig is a thin adapter over the RunSpec adapt
-// section — new code should set RunSpec.Algorithm = "adapt" and call Run.
-type AdaptConfig struct {
-	MaxIterations int     // default 30
-	GradientTol   float64 // default 1e-4
-	Workers       int
-}
-
-// Spec converts the legacy config into its RunSpec equivalent.
-func (cfg AdaptConfig) Spec() *RunSpec {
-	spec := &RunSpec{Algorithm: runspec.AlgorithmAdapt}
-	spec.Adapt.MaxIterations = cfg.MaxIterations
-	if spec.Adapt.MaxIterations == 0 {
-		spec.Adapt.MaxIterations = 30
-	}
-	spec.Adapt.GradientTol = cfg.GradientTol
-	spec.Backend.Workers = cfg.Workers
-	return spec
-}
-
-// AdaptResult re-exports the Adapt-VQE outcome.
-type AdaptResult = vqe.AdaptResult
-
-// GroundStateAdaptVQE runs Adapt-VQE (paper §5.3 / Figure 5), stopping at
-// chemical accuracy against the FCI reference. It remains a direct call
-// (not a spec adapter) because it returns the grown AdaptAnsatz, which
-// the serializable RunResult cannot carry.
-//
-// Deprecated: build a RunSpec with Algorithm = "adapt" and call Run
-// unless you need the ansatz object itself.
-func GroundStateAdaptVQE(m *Molecule, cfg AdaptConfig) (*AdaptResult, float64, error) {
-	h := Hamiltonian(m)
-	n := m.NumSpinOrbitals()
-	exact, err := ExactGroundEnergy(m)
-	if err != nil {
-		return nil, 0, err
-	}
-	pool, err := ansatz.NewPool(n, m.NumElectrons)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := vqe.Adapt(h, pool, n, m.NumElectrons, vqe.AdaptOptions{
-		MaxIterations: cfg.MaxIterations,
-		GradientTol:   cfg.GradientTol,
-		Reference:     exact,
-		EnergyTol:     core.ChemicalAccuracy,
-		Workers:       cfg.Workers,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, exact, nil
 }
 
 // QPEConfig tunes GroundStateQPE.

@@ -1,6 +1,7 @@
 package vqesim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,57 +9,74 @@ import (
 	"repro/internal/pauli"
 )
 
+// vqeOnH2 runs a spec's algorithm sections against the H2 molecule value.
+func vqeOnH2(spec *RunSpec) (*RunResult, error) {
+	return RunOnMolecule(context.Background(), H2(), spec, RunOptions{})
+}
+
+// nelderMead is a spec on the gradient-free optimizer, with the iteration
+// allowance direct/rotated H2 runs need to converge.
+func nelderMead(mode string) *RunSpec {
+	spec := &RunSpec{Mode: mode}
+	spec.Optimizer.Method, spec.Optimizer.MaxIter = "nelder-mead", 4000
+	return spec
+}
+
 func TestGroundStateVQEH2(t *testing.T) {
-	res, err := GroundStateVQE(H2(), VQEConfig{})
+	res, err := vqeOnH2(&RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Energy-(-1.13727)) > 5e-4 {
 		t.Errorf("H2 VQE energy %v", res.Energy)
 	}
-	if res.ErrorVsFCI > 1e-6 {
-		t.Errorf("error vs FCI %v", res.ErrorVsFCI)
+	if res.ErrorVsExact > 1e-6 {
+		t.Errorf("error vs FCI %v", res.ErrorVsExact)
 	}
 }
 
 func TestGroundStateVQEModes(t *testing.T) {
 	for _, mode := range []string{"direct", "rotated"} {
-		res, err := GroundStateVQE(H2(), VQEConfig{Mode: mode, Optimizer: "nelder-mead"})
+		res, err := vqeOnH2(nelderMead(mode))
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if res.ErrorVsFCI > 1e-4 {
-			t.Errorf("%s: error %v", mode, res.ErrorVsFCI)
+		if res.ErrorVsExact > 1e-4 {
+			t.Errorf("%s: error %v", mode, res.ErrorVsExact)
 		}
 	}
-	if _, err := GroundStateVQE(H2(), VQEConfig{Mode: "bogus"}); err == nil {
+	if _, err := vqeOnH2(&RunSpec{Mode: "bogus"}); err == nil {
 		t.Error("bogus mode accepted")
 	}
-	if _, err := GroundStateVQE(H2(), VQEConfig{Optimizer: "bogus"}); err == nil {
+	bogus := &RunSpec{}
+	bogus.Optimizer.Method = "bogus"
+	if _, err := vqeOnH2(bogus); err == nil {
 		t.Error("bogus optimizer accepted")
 	}
 }
 
 func TestGroundStateVQEWithFusion(t *testing.T) {
-	res, err := GroundStateVQE(H2(), VQEConfig{Fusion: true})
+	res, err := vqeOnH2(&RunSpec{Fusion: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ErrorVsFCI > 1e-6 {
-		t.Errorf("fusion changed physics: %v", res.ErrorVsFCI)
+	if res.ErrorVsExact > 1e-6 {
+		t.Errorf("fusion changed physics: %v", res.ErrorVsExact)
 	}
 }
 
 func TestGroundStateAdaptVQEH2(t *testing.T) {
-	res, exact, err := GroundStateAdaptVQE(H2(), AdaptConfig{MaxIterations: 8})
+	spec := &RunSpec{Algorithm: "adapt"}
+	spec.Adapt.MaxIterations = 8
+	res, err := vqeOnH2(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	if math.Abs(res.Energy-exact) > ChemicalAccuracy {
-		t.Errorf("adapt error %v", math.Abs(res.Energy-exact))
+	if math.Abs(res.Energy-res.Exact) > ChemicalAccuracy {
+		t.Errorf("adapt error %v", math.Abs(res.Energy-res.Exact))
 	}
 }
 
