@@ -1,0 +1,91 @@
+package runspec
+
+import (
+	"context"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestBackendEnergiesPinned pins the bit pattern of the converged H2
+// energy, and the number of energy evaluations spent reaching it, for
+// every registry backend under both optimizers. A change to the optimizer
+// loop, the gradient a backend run uses, or the order a backend sums its
+// expectation in shows up here before it shows up as a cache entry that no
+// longer matches a re-run.
+func TestBackendEnergiesPinned(t *testing.T) {
+	cases := []struct {
+		accelerator, method string
+		energyBits          uint64
+		evaluations         int
+	}{
+		{"nwq-sv", "nelder-mead", 0xbff2324097d9c4ff, 123},
+		{"nwq-sv", "lbfgs", 0xbff2324097e69a51, 6},
+		{"nwq-sv-serial", "nelder-mead", 0xbff2324097d9c4ff, 123},
+		{"nwq-sv-serial", "lbfgs", 0xbff2324097e69a4a, 42},
+		{"nwq-cluster", "nelder-mead", 0xbff2324097d9c4ff, 123},
+		{"nwq-cluster", "lbfgs", 0xbff2324097e69a4a, 42},
+		{"nwq-dm", "nelder-mead", 0xbff2324097d9c500, 123},
+		{"nwq-dm", "lbfgs", 0xbff2324097e69a4b, 42},
+		{"nwq-resilient", "nelder-mead", 0xbff2324097d9c4ff, 123},
+		{"nwq-resilient", "lbfgs", 0xbff2324097e69a4a, 42},
+	}
+	for _, tc := range cases {
+		spec := &RunSpec{
+			Optimizer: OptimizerSpec{Method: tc.method},
+			Backend:   BackendSpec{Accelerator: tc.accelerator},
+		}
+		res, err := Run(context.Background(), spec, RunOptions{})
+		if err != nil {
+			t.Errorf("%s/%s: %v", tc.accelerator, tc.method, err)
+			continue
+		}
+		if !res.Converged {
+			t.Errorf("%s/%s: did not converge", tc.accelerator, tc.method)
+		}
+		if got := math.Float64bits(res.Energy); got != tc.energyBits {
+			t.Errorf("%s/%s: energy %v has bits %#x, pinned %#x (%v)", tc.accelerator, tc.method,
+				res.Energy, got, tc.energyBits, math.Float64frombits(tc.energyBits))
+		}
+		if res.EnergyEvaluations != tc.evaluations {
+			t.Errorf("%s/%s: %d energy evaluations, pinned %d", tc.accelerator, tc.method,
+				res.EnergyEvaluations, tc.evaluations)
+		}
+	}
+}
+
+// TestParentCheckpointResumes resumes the snapshots under testdata/, which
+// the commit before the optimizer loops were merged wrote when an H2 run
+// on nwq-sv was cancelled (Nelder–Mead at iteration 17, L-BFGS at
+// iteration 1). Each must finish on the bits the uninterrupted run is
+// pinned to above: the checkpoint kinds and payloads are a wire format.
+func TestParentCheckpointResumes(t *testing.T) {
+	for method, want := range map[string]uint64{
+		"nelder-mead": 0xbff2324097d9c4ff,
+		"lbfgs":       0xbff2324097e69a51,
+	} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", "parent_"+method+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Resuming rewrites the snapshot as it goes; work on a copy.
+		path := filepath.Join(t.TempDir(), method+".ckpt")
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec := &RunSpec{
+			Optimizer:  OptimizerSpec{Method: method},
+			Resilience: ResilienceSpec{CheckpointPath: path, Resume: true},
+		}
+		res, err := Run(context.Background(), spec, RunOptions{})
+		if err != nil {
+			t.Errorf("%s: %v", method, err)
+			continue
+		}
+		if got := math.Float64bits(res.Energy); got != want || !res.Converged || res.Interrupted {
+			t.Errorf("%s: resumed to %v (bits %#x, converged=%v, interrupted=%v), pinned %#x",
+				method, res.Energy, got, res.Converged, res.Interrupted, want)
+		}
+	}
+}
