@@ -85,13 +85,21 @@ race:
 chaos: chaos-tests vqed-chaos
 
 # chaos-tests is the resilience smoke: the fault drills (seeded injectors
-# behind every cluster transfer), the crash/resume equivalence properties,
-# and the watchdog recovery paths, all under the race detector with a
-# tight deadline so a hung retry loop fails fast instead of stalling CI.
+# behind every cluster transfer), the crash/resume equivalence properties
+# (in process and through a registry backend), the backend-failure paths of
+# the VQE loop, and the watchdog recovery paths, all under the race
+# detector with a tight deadline so a hung retry loop fails fast instead
+# of stalling CI. `go test -run` succeeds when the pattern matches nothing,
+# so a drill that moves package would silently empty the gate: the target
+# fails if any listed package reports no tests to run.
+CHAOS_PKGS = ./internal/cluster/ ./internal/resilience/ ./internal/vqe/ ./internal/xacc/ ./internal/runspec/
 chaos-tests:
-	$(GO) test -race -timeout 5m \
-		-run 'FaultDrill|Watchdog|CrashResume|Fallback|Walltime|Deadline|Checkpoint|StatsRace' \
-		./internal/cluster/ ./internal/resilience/ ./internal/vqe/ ./internal/xacc/
+	@out=$$($(GO) test -race -timeout 5m \
+		-run 'FaultDrill|Watchdog|CrashResume|Fallback|Walltime|Deadline|Checkpoint|StatsRace|BackendFailure|BackendPanic' \
+		$(CHAOS_PKGS) 2>&1); status=$$?; echo "$$out"; \
+	if echo "$$out" | grep -q 'no tests to run'; then \
+		echo "chaos-tests: a listed package matched no test; fix the pattern or CHAOS_PKGS" >&2; exit 1; \
+	fi; exit $$status
 
 # vqed-chaos is the kill-the-daemon drill: vqeload drives closed-loop load
 # with worker panics/stalls injected while the script SIGKILLs and

@@ -220,7 +220,10 @@ func runOnOperatorFile(path string, layers, workers int) {
 		for i := range x0 {
 			x0[i] = 0.4 * rng.NormFloat64()
 		}
-		res := drv.Minimize(x0, opt.NelderMeadOptions{MaxIter: 4000})
+		res, err := drv.Minimize(context.Background(), x0, opt.NelderMeadOptions{MaxIter: 4000}, vqe.ResilienceOptions{})
+		if err != nil {
+			fail(err)
+		}
 		if res.Energy < best {
 			best = res.Energy
 			bestRes = res

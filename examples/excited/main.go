@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	states, err := vqe.Deflation(h, u, vqe.DeflationOptions{NumStates: 3, Seed: 11})
+	states, err := vqe.Deflation(context.Background(), h, u, vqe.DeflationOptions{NumStates: 3, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestIntegrationDownfoldThenVQE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := drv.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+	res, err := drv.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, vqe.ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestIntegrationVQEThenQPE(t *testing.T) {
 	fci, _ := chem.FCI(m)
 	u, _ := ansatz.NewUCCSD(4, 2)
 	drv, _ := vqe.New(h, u, vqe.Options{Mode: vqe.Direct})
-	vres, err := drv.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+	vres, err := drv.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, vqe.ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestIntegrationEncodingAgnosticEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := drv.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+		res, err := drv.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, vqe.ResilienceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestIntegrationSymmetryConservationThroughVQE(t *testing.T) {
 	h := chem.QubitHamiltonian(m)
 	u, _ := ansatz.NewUCCSD(4, 2)
 	drv, _ := vqe.New(h, u, vqe.Options{Mode: vqe.Direct})
-	res, err := drv.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+	res, err := drv.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, vqe.ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package batch
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -165,8 +166,10 @@ type EnsembleResult struct {
 
 // EnsembleVQE runs several independent VQE optimizations concurrently from
 // different starting points (EQC-style ensembling, paper ref [15]) and
-// returns all member results sorted by energy, best first.
-func (p *Pool) EnsembleVQE(h *pauli.Op, makeAnsatz func() ansatz.Ansatz, members int, spread float64, seed uint64) ([]EnsembleResult, error) {
+// returns all member results sorted by energy, best first. A canceled ctx
+// halts every member at its next optimizer iteration; the members then
+// report the best point they had reached.
+func (p *Pool) EnsembleVQE(ctx context.Context, h *pauli.Op, makeAnsatz func() ansatz.Ansatz, members int, spread float64, seed uint64) ([]EnsembleResult, error) {
 	if members < 1 {
 		return nil, core.ErrInvalidArgument
 	}
@@ -191,7 +194,7 @@ func (p *Pool) EnsembleVQE(h *pauli.Op, makeAnsatz func() ansatz.Ansatz, members
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[m] = runEnsembleMember(h, makeAnsatz(), starts[m], m)
+			results[m] = runEnsembleMember(ctx, h, makeAnsatz(), starts[m], m)
 		}(m)
 	}
 	wg.Wait()
@@ -204,7 +207,7 @@ func (p *Pool) EnsembleVQE(h *pauli.Op, makeAnsatz func() ansatz.Ansatz, members
 	return results, nil
 }
 
-func runEnsembleMember(h *pauli.Op, a ansatz.Ansatz, x0 []float64, m int) (res EnsembleResult) {
+func runEnsembleMember(ctx context.Context, h *pauli.Op, a ansatz.Ansatz, x0 []float64, m int) (res EnsembleResult) {
 	res.Member = m
 	defer func() {
 		if r := recover(); r != nil {
@@ -216,16 +219,12 @@ func runEnsembleMember(h *pauli.Op, a ansatz.Ansatz, x0 []float64, m int) (res E
 		res.Err = err
 		return res
 	}
-	r, err := drv.MinimizeLBFGS(x0, opt.LBFGSOptions{})
+	r, err := drv.MinimizeLBFGS(ctx, x0, opt.LBFGSOptions{}, vqe.ResilienceOptions{})
 	if err != nil {
 		// Fall back to derivative-free optimization for non-exponential
 		// ansaetze.
-		nm := drv.Minimize(x0, opt.NelderMeadOptions{MaxIter: 3000})
-		res.Energy = nm.Energy
-		res.Params = nm.Params
-		return res
+		r, err = drv.Minimize(ctx, x0, opt.NelderMeadOptions{MaxIter: 3000}, vqe.ResilienceOptions{})
 	}
-	res.Energy = r.Energy
-	res.Params = r.Params
+	res.Energy, res.Params, res.Err = r.Energy, r.Params, err
 	return res
 }

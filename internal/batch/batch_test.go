@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -148,7 +149,7 @@ func TestEnsembleVQEFindsGround(t *testing.T) {
 	h := chem.QubitHamiltonian(m)
 	fci, _ := chem.FCI(m)
 	p := NewPool(4)
-	results, err := p.EnsembleVQE(h, func() ansatz.Ansatz {
+	results, err := p.EnsembleVQE(context.Background(), h, func() ansatz.Ansatz {
 		u, _ := ansatz.NewUCCSD(4, 2)
 		return u
 	}, 5, 0.4, 11)
@@ -175,7 +176,7 @@ func TestEnsembleVQEFindsGround(t *testing.T) {
 
 func TestEnsembleValidation(t *testing.T) {
 	p := NewPool(1)
-	if _, err := p.EnsembleVQE(pauli.NewOp(), nil, 0, 0.1, 1); err == nil {
+	if _, err := p.EnsembleVQE(context.Background(), pauli.NewOp(), nil, 0, 0.1, 1); err == nil {
 		t.Error("zero members accepted")
 	}
 }

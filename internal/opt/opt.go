@@ -1,7 +1,7 @@
 // Package opt provides the classical optimizers driving the VQE loop
-// (paper §3.1 step 4): Nelder–Mead simplex, SPSA, Adam, and L-BFGS, plus
-// finite-difference gradients. All optimizers minimize and are
-// deterministic given their options.
+// (paper §3.1 step 4): Nelder–Mead simplex and L-BFGS, plus
+// finite-difference gradients. Both minimize and are deterministic given
+// their options.
 package opt
 
 import (
@@ -204,146 +204,6 @@ func NelderMead(f Objective, x0 []float64, o NelderMeadOptions) Result {
 	}
 	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
 	return Result{X: simplex[0].x, F: simplex[0].f, Iterations: iter, Evaluations: evals, Converged: false}
-}
-
-// SPSAOptions tunes simultaneous-perturbation stochastic approximation.
-type SPSAOptions struct {
-	MaxIter int     // default 500
-	A       float64 // step-size numerator, default 0.2
-	C       float64 // perturbation size, default 0.1
-	Alpha   float64 // step decay exponent, default 0.602
-	Gamma   float64 // perturbation decay exponent, default 0.101
-	Seed    uint64
-}
-
-// SPSA minimizes a (possibly noisy) objective with two evaluations per
-// iteration — the optimizer of choice for sampled VQE energies.
-func SPSA(f Objective, x0 []float64, o SPSAOptions) Result {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 500
-	}
-	if o.A == 0 {
-		o.A = 0.2
-	}
-	if o.C == 0 {
-		o.C = 0.1
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.602
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.101
-	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 77
-	}
-	rng := core.NewRNG(seed)
-	x := append([]float64(nil), x0...)
-	dim := len(x)
-	plus := make([]float64, dim)
-	minus := make([]float64, dim)
-	deltas := make([]float64, dim)
-	evals := 0
-	bigA := float64(o.MaxIter) / 10
-	bestX := append([]float64(nil), x...)
-	bestF := f(x)
-	evals++
-	for k := 0; k < o.MaxIter; k++ {
-		ak := o.A / math.Pow(float64(k)+1+bigA, o.Alpha)
-		ck := o.C / math.Pow(float64(k)+1, o.Gamma)
-		for i := range deltas {
-			if rng.Float64() < 0.5 {
-				deltas[i] = 1
-			} else {
-				deltas[i] = -1
-			}
-			plus[i] = x[i] + ck*deltas[i]
-			minus[i] = x[i] - ck*deltas[i]
-		}
-		fp, fm := f(plus), f(minus)
-		evals += 2
-		for i := range x {
-			g := (fp - fm) / (2 * ck * deltas[i])
-			x[i] -= ak * g
-		}
-		if fx := math.Min(fp, fm); fx < bestF {
-			bestF = fx
-			if fp < fm {
-				copy(bestX, plus)
-			} else {
-				copy(bestX, minus)
-			}
-		}
-	}
-	fx := f(x)
-	evals++
-	if fx < bestF {
-		bestF = fx
-		copy(bestX, x)
-	}
-	return Result{X: bestX, F: bestF, Iterations: o.MaxIter, Evaluations: evals, Converged: true}
-}
-
-// AdamOptions tunes the Adam optimizer.
-type AdamOptions struct {
-	MaxIter int     // default 500
-	LR      float64 // default 0.05
-	Beta1   float64 // default 0.9
-	Beta2   float64 // default 0.999
-	GradTol float64 // ∞-norm stop, default 1e-8
-}
-
-// Adam minimizes f using the provided gradient (FiniteDifference(f,0) if
-// nil).
-func Adam(f Objective, grad Gradient, x0 []float64, o AdamOptions) Result {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 500
-	}
-	if o.LR == 0 {
-		o.LR = 0.05
-	}
-	if o.Beta1 == 0 {
-		o.Beta1 = 0.9
-	}
-	if o.Beta2 == 0 {
-		o.Beta2 = 0.999
-	}
-	if o.GradTol == 0 {
-		o.GradTol = 1e-8
-	}
-	if grad == nil {
-		grad = FiniteDifference(f, 0)
-	}
-	dim := len(x0)
-	x := append([]float64(nil), x0...)
-	m := make([]float64, dim)
-	v := make([]float64, dim)
-	g := make([]float64, dim)
-	evals := 0
-	iter := 0
-	for ; iter < o.MaxIter; iter++ {
-		grad(x, g)
-		gInf := 0.0
-		for _, gi := range g {
-			gInf = math.Max(gInf, math.Abs(gi))
-		}
-		if gInf < o.GradTol {
-			fx := f(x)
-			evals++
-			return Result{X: x, F: fx, Iterations: iter, Evaluations: evals, Converged: true}
-		}
-		b1t := 1 - math.Pow(o.Beta1, float64(iter+1))
-		b2t := 1 - math.Pow(o.Beta2, float64(iter+1))
-		for i := range x {
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g[i]
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g[i]*g[i]
-			x[i] -= o.LR * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + 1e-12)
-		}
-	}
-	fx := f(x)
-	evals++
-	return Result{X: x, F: fx, Iterations: iter, Evaluations: evals, Converged: false}
 }
 
 // LBFGSOptions tunes the limited-memory BFGS optimizer.

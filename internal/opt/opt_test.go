@@ -3,8 +3,6 @@ package opt
 import (
 	"math"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // Test objectives.
@@ -63,39 +61,6 @@ func TestNelderMeadEvaluationsCounted(t *testing.T) {
 	}
 }
 
-func TestSPSAQuadratic(t *testing.T) {
-	res := SPSA(quadratic, []float64{0, 0, 0}, SPSAOptions{MaxIter: 3000, A: 0.1})
-	assertNear(t, res.F, 1.5, 0.05, "SPSA quadratic")
-}
-
-func TestSPSANoisyObjective(t *testing.T) {
-	rng := core.NewRNG(5)
-	noisy := func(x []float64) float64 {
-		return quadratic(x) + 0.01*rng.NormFloat64()
-	}
-	res := SPSA(noisy, []float64{0, 0, 0}, SPSAOptions{MaxIter: 4000, A: 0.1, Seed: 3})
-	// SPSA should get close despite noise.
-	if quadratic(res.X) > 1.8 {
-		t.Errorf("noisy SPSA landed at %v (true f %v)", res.F, quadratic(res.X))
-	}
-}
-
-func TestAdamQuadraticWithAnalyticGradient(t *testing.T) {
-	grad := func(x, g []float64) {
-		c := []float64{1, -2, 3}
-		for i := range x {
-			g[i] = 2 * float64(i+1) * (x[i] - c[i])
-		}
-	}
-	res := Adam(quadratic, grad, []float64{0, 0, 0}, AdamOptions{MaxIter: 3000, LR: 0.05})
-	assertNear(t, res.F, 1.5, 1e-4, "Adam quadratic")
-}
-
-func TestAdamFiniteDifferenceFallback(t *testing.T) {
-	res := Adam(quadratic, nil, []float64{0, 0, 0}, AdamOptions{MaxIter: 3000, LR: 0.05})
-	assertNear(t, res.F, 1.5, 1e-4, "Adam FD quadratic")
-}
-
 func TestLBFGSQuadratic(t *testing.T) {
 	res := LBFGS(quadratic, nil, []float64{10, -10, 10}, LBFGSOptions{})
 	if !res.Converged {
@@ -149,7 +114,6 @@ func TestOptimizersOnPeriodicLandscape(t *testing.T) {
 	for name, run := range map[string]func() Result{
 		"nm":    func() Result { return NelderMead(f, []float64{0.4, -0.6}, NelderMeadOptions{}) },
 		"lbfgs": func() Result { return LBFGS(f, nil, []float64{0.4, -0.6}, LBFGSOptions{}) },
-		"adam":  func() Result { return Adam(f, nil, []float64{0.4, -0.6}, AdamOptions{MaxIter: 2000}) },
 	} {
 		res := run()
 		if math.Abs(res.F-(-1)) > 1e-4 {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"time"
 
 	"repro/internal/ansatz"
@@ -47,9 +48,8 @@ type RunOptions struct {
 	// daemon's scheduler); nil lets each run size its own.
 	Pool *state.Pool
 	// CheckpointPath overrides spec.Resilience.CheckpointPath (the daemon
-	// assigns each job a spool path). Checkpointing is honored on the
-	// in-process nwq-sv path (vqe and adapt); accelerator-routed runs
-	// ignore it.
+	// assigns each job a spool path). Checkpointing is honored by vqe on
+	// every backend and by adapt; qpe has no loop to snapshot.
 	CheckpointPath string
 	// OnProgress, when set, receives one Progress per iteration. Called
 	// from the run's goroutine; keep it fast.
@@ -104,7 +104,8 @@ type Result struct {
 	// then holds the best point reached, and — when checkpointing was on
 	// — the snapshot on disk resumes the exact trajectory.
 	Interrupted bool `json:"interrupted"`
-	// CheckpointPath is the snapshot file the run wrote to (if any).
+	// CheckpointPath is the snapshot file the run left on disk; empty
+	// when checkpointing was off or no snapshot was written.
 	CheckpointPath    string `json:"checkpoint_path,omitempty"`
 	EnergyEvaluations int    `json:"energy_evaluations,omitempty"`
 	AnsatzExecutions  int    `json:"ansatz_executions,omitempty"`
@@ -297,9 +298,6 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 		HartreeFock: chem.HartreeFockEnergy(m),
 		Exact:       fciEnergy,
 	}
-	if ro.CheckpointPath != "" {
-		res.CheckpointPath = ro.CheckpointPath
-	}
 
 	switch c.Algorithm {
 	case AlgorithmQPE:
@@ -311,6 +309,9 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 	}
 	if err != nil {
 		return nil, err
+	}
+	if _, err := os.Stat(ro.CheckpointPath); err == nil {
+		res.CheckpointPath = ro.CheckpointPath
 	}
 	res.ErrorVsExact = math.Abs(res.Energy - res.Exact)
 	res.WallNs = time.Since(started).Nanoseconds()
@@ -378,43 +379,39 @@ func runAdapt(ctx context.Context, c *RunSpec, h *pauli.Op, n, ne int, fciE floa
 	return nil
 }
 
-// runVQE dispatches fixed-ansatz VQE: the in-process driver for the
-// default state-vector backend (full feature set — modes, caching,
-// adjoint gradients, checkpointing), or the accelerator-routed XACC loop
-// for everything else in the registry.
+// backend resolves the section to what the driver loop asks for ⟨H⟩ on n
+// qubits: nil (the driver's own state vector, with every mode, caching and
+// adjoint gradients) for nwq-sv, the registry's accelerator otherwise.
+func (b BackendSpec) backend(n int) (vqe.Backend, error) {
+	if b.Accelerator == "nwq-sv" {
+		return nil, nil
+	}
+	acc, err := xacc.DefaultRegistry.New(b.Accelerator, b.AcceleratorOptions())
+	if err != nil {
+		return nil, err
+	}
+	if n > acc.NumQubitsLimit() {
+		return nil, fmt.Errorf("%w: runspec: %d qubits exceed backend %q limit of %d",
+			core.ErrInvalidArgument, n, b.Accelerator, acc.NumQubitsLimit())
+	}
+	return acc, nil
+}
+
+// energyModes maps the validated spec mode onto the driver's.
+var energyModes = map[string]vqe.EnergyMode{"direct": vqe.Direct, "rotated": vqe.Rotated, "sampled": vqe.Sampled}
+
+// runVQE runs fixed-ansatz VQE through the one driver loop; the backend
+// section only decides where that loop gets ⟨H⟩ from.
 func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, n, ne int, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
 	a, err := buildAnsatz(c, n, ne)
 	if err != nil {
 		return err
 	}
-	if c.Backend.Accelerator == "nwq-sv" {
-		return runDriverVQE(ctx, c, h, a, ro, opts, res)
+	backend, err := c.Backend.backend(n)
+	if err != nil {
+		return err
 	}
-	return runAcceleratorVQE(ctx, c, h, n, a, opts, res)
-}
-
-func buildAnsatz(c *RunSpec, n, ne int) (ansatz.Ansatz, error) {
-	switch c.Ansatz.Kind {
-	case "uccsd":
-		enc, err := encodingFor(c.Encoding, n)
-		if err != nil {
-			return nil, err
-		}
-		return ansatz.NewUCCSDWithEncoding(n, ne, enc)
-	case "hea":
-		return ansatz.NewHardwareEfficient(n, c.Ansatz.Layers, 0)
-	}
-	return nil, fmt.Errorf("%w: runspec: unknown ansatz %q", core.ErrInvalidArgument, c.Ansatz.Kind)
-}
-
-func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
-	mode := vqe.Direct
-	switch c.Mode {
-	case "rotated":
-		mode = vqe.Rotated
-	case "sampled":
-		mode = vqe.Sampled
-	}
+	mode := energyModes[c.Mode]
 	drv, err := vqe.New(h, a, vqe.Options{
 		Mode:      mode,
 		Shots:     c.Shots,
@@ -422,6 +419,7 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 		Workers:   c.Backend.Workers,
 		Transpile: c.Fusion,
 		Pool:      opts.Pool,
+		Backend:   backend,
 	})
 	if err != nil {
 		return err
@@ -432,6 +430,11 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 		// A checkpoint resume carries its own optimizer state and wins.
 		copy(x0, opts.InitialParams)
 	}
+	progress := func(iter int, energy float64) {
+		if opts.OnProgress != nil {
+			opts.OnProgress(Progress{Phase: AlgorithmVQE, Iteration: iter, Energy: energy})
+		}
+	}
 	var out vqe.Result
 	switch c.Optimizer.Method {
 	case "nelder-mead":
@@ -439,23 +442,19 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 		if o.MaxIter == 0 {
 			o.MaxIter = 5000
 		}
-		if opts.OnProgress != nil {
-			o.Observer = func(st *opt.NelderMeadState) error {
-				_, f := st.Best()
-				opts.OnProgress(Progress{Phase: AlgorithmVQE, Iteration: st.Iter, Energy: f})
-				return nil
-			}
+		o.Observer = func(st *opt.NelderMeadState) error {
+			_, f := st.Best()
+			progress(st.Iter, f)
+			return nil
 		}
-		out, err = drv.MinimizeContext(ctx, x0, o, ro)
+		out, err = drv.Minimize(ctx, x0, o, ro)
 	default: // lbfgs (validated)
 		o := opt.LBFGSOptions{MaxIter: c.Optimizer.MaxIter}
-		if opts.OnProgress != nil {
-			o.Observer = func(st *opt.LBFGSState) error {
-				opts.OnProgress(Progress{Phase: AlgorithmVQE, Iteration: st.Iter, Energy: st.F})
-				return nil
-			}
+		o.Observer = func(st *opt.LBFGSState) error {
+			progress(st.Iter, st.F)
+			return nil
 		}
-		out, err = drv.MinimizeLBFGSContext(ctx, x0, o, ro)
+		out, err = drv.MinimizeLBFGS(ctx, x0, o, ro)
 	}
 	if err != nil {
 		return err
@@ -470,44 +469,16 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 	return nil
 }
 
-func runAcceleratorVQE(ctx context.Context, c *RunSpec, h *pauli.Op, n int, a ansatz.Ansatz, opts RunOptions, res *Result) error {
-	if c.Mode != "direct" {
-		return fmt.Errorf("%w: runspec: backend %q only supports mode direct (got %q)",
-			core.ErrInvalidArgument, c.Backend.Accelerator, c.Mode)
-	}
-	acc, err := xacc.DefaultRegistry.New(c.Backend.Accelerator, c.Backend.AcceleratorOptions())
-	if err != nil {
-		return err
-	}
-	if n > acc.NumQubitsLimit() {
-		return fmt.Errorf("%w: runspec: %d qubits exceed backend %q limit of %d",
-			core.ErrInvalidArgument, n, c.Backend.Accelerator, acc.NumQubitsLimit())
-	}
-	alg := &xacc.VQE{
-		Observable:  h,
-		Ansatz:      a,
-		Accelerator: acc,
-		Optimizer:   c.Optimizer.Method,
-		MaxIter:     c.Optimizer.MaxIter,
-	}
-	if opts.OnProgress != nil {
-		alg.OnIteration = func(iter int, energy float64) error {
-			opts.OnProgress(Progress{Phase: AlgorithmVQE, Iteration: iter, Energy: energy})
-			return nil
+func buildAnsatz(c *RunSpec, n, ne int) (ansatz.Ansatz, error) {
+	switch c.Ansatz.Kind {
+	case "uccsd":
+		enc, err := encodingFor(c.Encoding, n)
+		if err != nil {
+			return nil, err
 		}
+		return ansatz.NewUCCSDWithEncoding(n, ne, enc)
+	case "hea":
+		return ansatz.NewHardwareEfficient(n, c.Ansatz.Layers, 0)
 	}
-	var x0 []float64
-	if len(opts.InitialParams) == a.NumParameters() {
-		x0 = opts.InitialParams
-	}
-	out, err := alg.ExecuteContext(ctx, x0)
-	if err != nil {
-		return err
-	}
-	res.Energy = out.Energy
-	res.Params = out.Params
-	res.Converged = out.OptimizerResult.Converged
-	res.Interrupted = out.Interrupted
-	res.EnergyEvaluations = out.EnergyEvaluations
-	return nil
+	return nil, fmt.Errorf("%w: runspec: unknown ansatz %q", core.ErrInvalidArgument, c.Ansatz.Kind)
 }

@@ -3,6 +3,7 @@ package runspec
 import (
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -160,5 +161,89 @@ func TestRunCalibrationSpec(t *testing.T) {
 	spec = &RunSpec{Backend: BackendSpec{Calibration: filepath.Join(t.TempDir(), "missing.json")}}
 	if _, err := Run(context.Background(), spec, RunOptions{}); err == nil {
 		t.Error("Run accepted a missing calibration profile")
+	}
+}
+
+// TestClusterCrashResumeBitEqual is the driver's crash/resume property
+// run through a registry backend: an H2 run on nwq-cluster cancelled at
+// an iteration boundary leaves a snapshot on disk, and resuming from it
+// lands on the energy and parameter bits of the run that was never
+// interrupted. Before the loops were merged a backend run reported a
+// checkpoint path and never wrote the file.
+func TestClusterCrashResumeBitEqual(t *testing.T) {
+	for method, killAt := range map[string]int{"nelder-mead": 11, "lbfgs": 1} {
+		base := RunSpec{
+			Optimizer: OptimizerSpec{Method: method},
+			Backend:   BackendSpec{Accelerator: "nwq-cluster"},
+		}
+		full, err := Run(context.Background(), &base, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.CheckpointPath != "" {
+			t.Errorf("%s: run without checkpointing reports path %q", method, full.CheckpointPath)
+		}
+
+		path := filepath.Join(t.TempDir(), "cluster.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		partial, err := Run(ctx, &base, RunOptions{CheckpointPath: path, OnProgress: func(p Progress) {
+			if p.Phase == AlgorithmVQE && p.Iteration >= killAt {
+				cancel()
+			}
+		}})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !partial.Interrupted || partial.CheckpointPath != path {
+			t.Fatalf("%s: interrupted=%v checkpoint_path=%q, want a halted run naming %s",
+				method, partial.Interrupted, partial.CheckpointPath, path)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: no snapshot on disk: %v", method, err)
+		}
+
+		resume := base
+		resume.Resilience = ResilienceSpec{CheckpointPath: path, Resume: true}
+		resumed, err := Run(context.Background(), &resume, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Interrupted || !resumed.Converged ||
+			math.Float64bits(resumed.Energy) != math.Float64bits(full.Energy) {
+			t.Errorf("%s: resumed to %v (interrupted=%v converged=%v), straight-through %v",
+				method, resumed.Energy, resumed.Interrupted, resumed.Converged, full.Energy)
+		}
+		for i := range full.Params {
+			if math.Float64bits(resumed.Params[i]) != math.Float64bits(full.Params[i]) {
+				t.Errorf("%s: param %d: %v != %v", method, i, resumed.Params[i], full.Params[i])
+			}
+		}
+	}
+}
+
+// TestCheckpointPathOnlyWhenWritten: Result.CheckpointPath names a file
+// that exists. QPE has no loop to snapshot, so it reports none however
+// the spec is configured.
+func TestCheckpointPathOnlyWhenWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "never.ckpt")
+	spec := &RunSpec{Algorithm: AlgorithmQPE, QPE: QPESpec{Ancillas: 4},
+		Resilience: ResilienceSpec{CheckpointPath: path}}
+	res, err := Run(context.Background(), spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, statErr := os.Stat(path); statErr == nil || res.CheckpointPath != "" {
+		t.Errorf("qpe reports checkpoint %q (file exists: %v)", res.CheckpointPath, statErr == nil)
+	}
+	for _, acc := range []string{"nwq-sv", "nwq-dm"} {
+		path := filepath.Join(t.TempDir(), acc+".ckpt")
+		res, err := Run(context.Background(), &RunSpec{Backend: BackendSpec{Accelerator: acc}}, RunOptions{CheckpointPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, statErr := os.Stat(path); statErr != nil || res.CheckpointPath != path {
+			t.Errorf("%s: checkpoint_path %q, stat %v; want the written snapshot", acc, res.CheckpointPath, statErr)
+		}
 	}
 }

@@ -20,9 +20,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/xacc"
 )
 
 // Enum values accepted by Validate. Everything is lowercase in canonical
@@ -235,8 +237,9 @@ func lowerDefault(v, def string) string {
 
 // Validate checks the spec after defaulting, wrapping every failure in
 // core.ErrInvalidArgument so callers can errors.Is against the engine's
-// sentinel. It does not consult the accelerator registry — backend names
-// resolve at run time so specs stay portable across builds.
+// sentinel. It consults the accelerator registry: a spec the daemon has
+// acknowledged must not be one that can only fail, or run on a backend
+// other than the one its hash names.
 func (s *RunSpec) Validate() error {
 	c := *s
 	c.ApplyDefaults()
@@ -290,6 +293,17 @@ func (s *RunSpec) Validate() error {
 		// Adjoint gradients need the exponential ansatz structure; the
 		// hardware-efficient family only supports derivative-free search.
 		return fmt.Errorf("%w: runspec: ansatz hea requires optimizer.method nelder-mead", core.ErrInvalidArgument)
+	}
+	if acc := c.Backend.Accelerator; acc != "nwq-sv" {
+		// Anything but direct-mode VQE needs the in-process amplitudes.
+		switch {
+		case !slices.Contains(xacc.DefaultRegistry.Names(), acc):
+			return fmt.Errorf("%w: runspec: unknown backend.accelerator %q (have %v)", core.ErrInvalidArgument, acc, xacc.DefaultRegistry.Names())
+		case c.Algorithm != AlgorithmVQE:
+			return fmt.Errorf("%w: runspec: algorithm %q runs on backend nwq-sv only (got %q)", core.ErrInvalidArgument, c.Algorithm, acc)
+		case c.Mode != "direct":
+			return fmt.Errorf("%w: runspec: backend %q only supports mode direct (got %q)", core.ErrInvalidArgument, acc, c.Mode)
+		}
 	}
 	//vqelint:ignore workerssemantics validation bounds check, not a sentinel read — 0 and 1 both pass through untouched
 	if c.Backend.Ranks < 0 || c.Backend.Workers < 0 {

@@ -146,6 +146,12 @@ func TestValidateErrors(t *testing.T) {
 		{"negative downfold", RunSpec{Downfold: -1}},
 		{"negative workers", RunSpec{Backend: BackendSpec{Workers: -1}}},
 		{"resume without checkpoint", RunSpec{Resilience: ResilienceSpec{Resume: true}}},
+		{"unknown accelerator", RunSpec{Backend: BackendSpec{Accelerator: "bogus"}}},
+		{"rotated off nwq-sv", RunSpec{Mode: "rotated", Backend: BackendSpec{Accelerator: "nwq-cluster"}}},
+		{"sampled off nwq-sv", RunSpec{Mode: "sampled", Backend: BackendSpec{Accelerator: "nwq-dm"}}},
+		{"adapt off nwq-sv", RunSpec{Algorithm: "adapt", Backend: BackendSpec{Accelerator: "nwq-cluster"}}},
+		{"adapt on unknown accelerator", RunSpec{Algorithm: "adapt", Backend: BackendSpec{Accelerator: "bogus"}}},
+		{"qpe off nwq-sv", RunSpec{Algorithm: "qpe", Backend: BackendSpec{Accelerator: "nwq-sv-serial"}}},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -156,6 +162,12 @@ func TestValidateErrors(t *testing.T) {
 	ok := RunSpec{Ansatz: AnsatzSpec{Kind: "hea"}, Optimizer: OptimizerSpec{Method: "nelder-mead"}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("hea + nelder-mead should validate, got %v", err)
+	}
+	for _, acc := range []string{"nwq-sv", "nwq-sv-serial", "nwq-cluster", "nwq-dm", "nwq-resilient"} {
+		ok := RunSpec{Backend: BackendSpec{Accelerator: acc}}
+		if err := ok.Validate(); err != nil {
+			t.Errorf("direct-mode vqe on %s should validate, got %v", acc, err)
+		}
 	}
 }
 

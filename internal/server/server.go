@@ -106,8 +106,6 @@ type Config struct {
 	// Logf receives operational log lines (recovery, degradation,
 	// retries); nil discards them. The vqed CLI wires log.Printf.
 	Logf func(format string, args ...any)
-	// Registry resolves accelerator names (default xacc.DefaultRegistry).
-	Registry *xacc.Registry
 	// Estimator predicts a spec's runtime for admission-control wait
 	// quoting (nil falls back to a measured EWMA of recent jobs). The
 	// vqed CLI wires internal/load/costmodel here.
@@ -195,9 +193,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxSweepPoints > runspec.MaxSweepPoints {
 		cfg.MaxSweepPoints = runspec.MaxSweepPoints
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = xacc.DefaultRegistry
 	}
 	if cfg.SpoolDir == "" {
 		cfg.SpoolDir = filepath.Join(os.TempDir(), "vqed-spool")
@@ -533,7 +528,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, f *family)
 
 func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"accelerators": s.cfg.Registry.List(),
+		"accelerators": xacc.DefaultRegistry.List(),
 		"algorithms":   []string{runspec.AlgorithmVQE, runspec.AlgorithmAdapt, runspec.AlgorithmQPE},
 		"spec_hash":    runspec.HashPrefix,
 		"sweep_hash":   runspec.SweepHashPrefix,

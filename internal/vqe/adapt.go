@@ -169,11 +169,7 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			if err != nil {
 				return false, err
 			}
-			lb := o.LBFGS
-			if lb.MaxIter == 0 {
-				lb.MaxIter = 200
-			}
-			res, err := drv.MinimizeLBFGSContext(ctx, params, lb, ResilienceOptions{})
+			res, err := drv.MinimizeLBFGS(ctx, params, o.LBFGS, ResilienceOptions{})
 			if err != nil {
 				return false, err
 			}

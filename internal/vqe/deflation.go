@@ -1,6 +1,7 @@
 package vqe
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/opt"
 	"repro/internal/pauli"
-	"repro/internal/state"
 )
 
 // DeflationOptions configures variational quantum deflation (VQD, Higgott–
@@ -40,8 +40,9 @@ type DeflationState struct {
 
 // Deflation computes the lowest NumStates eigenvalues of h with the given
 // exponential ansatz. Each state minimizes the deflated objective over a
-// fresh parameter vector, warm-restarted a few times.
-func Deflation(h *pauli.Op, a Exponential, o DeflationOptions) ([]DeflationState, error) {
+// fresh parameter vector, warm-restarted a few times. A canceled ctx stops
+// the search at the next optimizer iteration and is returned as the error.
+func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptions) ([]DeflationState, error) {
 	if o.NumStates < 1 {
 		return nil, fmt.Errorf("%w: NumStates %d", core.ErrInvalidArgument, o.NumStates)
 	}
@@ -59,54 +60,51 @@ func Deflation(h *pauli.Op, a Exponential, o DeflationOptions) ([]DeflationState
 		seed = 0xDEF1
 	}
 	rng := core.NewRNG(seed)
-	n := a.NumQubits()
-	dim := a.NumParameters()
 
 	// Converged states are cached as raw amplitude vectors for the
 	// overlap penalties.
 	var found []DeflationState
 	var foundAmps [][]complex128
 
-	// The batched plan and the simulator are built once: every objective
-	// evaluation across all states and restarts reuses the same X-mask
-	// grouping and the same persistent worker pool.
-	plan := pauli.NewPlan(h)
-	sim := state.New(n, state.Options{Workers: o.Workers})
-	prepare := func(params []float64) *state.State {
-		sim.ResetZero()
-		sim.Run(a.Circuit(params))
-		return sim
+	// One driver serves every evaluation across all states and restarts:
+	// the same plan, simulator and optimizer loop as plain VQE. The penalty
+	// has no adjoint gradient, so the loop differentiates numerically.
+	drv, err := New(h, a, Options{Mode: Direct, Workers: o.Workers})
+	if err != nil {
+		return nil, err
 	}
-	objective := func(params []float64) float64 {
-		s := prepare(params)
-		e := plan.Evaluate(s, pauli.ExpectationOptions{Workers: o.Workers})
+	objective := func(_ context.Context, params []float64) (float64, error) {
+		e := drv.Energy(params)
 		for _, prev := range foundAmps {
-			ov := linalg.VecDot(prev, s.Amplitudes())
+			ov := linalg.VecDot(prev, drv.sim.Amplitudes())
 			e += o.Beta * (real(ov)*real(ov) + imag(ov)*imag(ov))
 		}
-		return e
+		return e, nil
 	}
 
 	for k := 0; k < o.NumStates; k++ {
-		bestF := math.Inf(1)
-		var bestX []float64
+		best := Result{Energy: math.Inf(1)}
 		for r := 0; r < o.Restarts; r++ {
-			x0 := make([]float64, dim)
+			x0 := make([]float64, a.NumParameters())
 			if r > 0 || k > 0 {
 				for i := range x0 {
 					x0[i] = 0.3 * rng.NormFloat64()
 				}
 			}
-			res := opt.LBFGS(objective, nil, x0, o.LBFGS)
-			if res.F < bestF {
-				bestF = res.F
-				bestX = res.X
+			res, err := drv.lbfgs(ctx, objective, nil, x0, o.LBFGS, ResilienceOptions{})
+			if err != nil {
+				return nil, err
+			}
+			if res.Interrupted {
+				return nil, ctx.Err()
+			}
+			if res.Energy < best.Energy {
+				best = res
 			}
 		}
-		s := prepare(bestX)
-		energy := plan.Evaluate(s, pauli.ExpectationOptions{Workers: o.Workers})
-		found = append(found, DeflationState{Index: k, Energy: energy, Params: bestX})
-		foundAmps = append(foundAmps, s.AmplitudesCopy())
+		// Report ⟨H⟩ alone; the minimized value still carries the penalty.
+		found = append(found, DeflationState{Index: k, Energy: drv.Energy(best.Params), Params: best.Params})
+		foundAmps = append(foundAmps, drv.sim.AmplitudesCopy())
 	}
 	return found, nil
 }

@@ -1,6 +1,7 @@
 package vqe
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestDeflationH2Spectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := Deflation(h, u, DeflationOptions{NumStates: 2, Seed: 3})
+	states, err := Deflation(context.Background(), h, u, DeflationOptions{NumStates: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDeflationOrthogonality(t *testing.T) {
 	m := chem.H2()
 	h := chem.QubitHamiltonian(m)
 	u, _ := ansatz.NewUCCSD(4, 2)
-	states, err := Deflation(h, u, DeflationOptions{NumStates: 2, Seed: 7})
+	states, err := Deflation(context.Background(), h, u, DeflationOptions{NumStates: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDeflationSingleStateEqualsVQE(t *testing.T) {
 	h := chem.QubitHamiltonian(m)
 	fci, _ := chem.FCI(m)
 	u, _ := ansatz.NewUCCSD(4, 2)
-	states, err := Deflation(h, u, DeflationOptions{NumStates: 1})
+	states, err := Deflation(context.Background(), h, u, DeflationOptions{NumStates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestDeflationEnergiesSorted(t *testing.T) {
 	m := chem.Hubbard(2, 1, 2, 2)
 	h := chem.QubitHamiltonian(m)
 	u, _ := ansatz.NewUCCSD(4, 2)
-	states, err := Deflation(h, u, DeflationOptions{NumStates: 3, Seed: 5})
+	states, err := Deflation(context.Background(), h, u, DeflationOptions{NumStates: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestDeflationEnergiesSorted(t *testing.T) {
 
 func TestDeflationValidation(t *testing.T) {
 	u, _ := ansatz.NewUCCSD(4, 2)
-	if _, err := Deflation(chem.QubitHamiltonian(chem.H2()), u, DeflationOptions{NumStates: 0}); err == nil {
+	if _, err := Deflation(context.Background(), chem.QubitHamiltonian(chem.H2()), u, DeflationOptions{NumStates: 0}); err == nil {
 		t.Error("zero states accepted")
 	}
 }

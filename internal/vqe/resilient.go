@@ -1,24 +1,20 @@
 package vqe
 
-// Checkpoint/restart and deadline-aware cancellation for the
-// minimization loops. The optimizer state structs in internal/opt carry
+// Checkpoint/restart for the minimization loop (minimize.go) and the
+// Adapt-VQE outer loop. The optimizer state structs in internal/opt carry
 // everything the iteration needs, so a resumed run provably walks the
 // same trajectory as an uninterrupted one (bit-exact — see the
 // equivalence tests). The driver itself is stateless across energy
-// evaluations in Direct mode (the simulator is reset from |0…0⟩ every
-// prepareAnsatz), which is why optimizer state alone suffices.
+// evaluations in Direct mode (simulator and backends alike prepare from
+// |0…0⟩ every time), which is why optimizer state alone suffices.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/resilience"
-	"repro/internal/telemetry"
 )
 
 // Checkpoint kind tags: a resume path refuses a checkpoint written by a
@@ -29,8 +25,8 @@ const (
 	KindAdapt      = "vqe/adapt"
 )
 
-// ResilienceOptions configures checkpointing for the *Context
-// minimization entry points. The zero value disables persistence.
+// ResilienceOptions configures checkpointing for Minimize, MinimizeLBFGS
+// and AdaptContext. The zero value disables persistence.
 type ResilienceOptions struct {
 	// CheckpointPath is the snapshot file; empty disables checkpointing.
 	CheckpointPath string
@@ -62,109 +58,6 @@ func (r ResilienceOptions) loadResume(wantKind string, st any) (found bool, err 
 			r.CheckpointPath, kind, wantKind, resilience.ErrCheckpointInvalid)
 	}
 	return true, nil
-}
-
-// EnergyContext evaluates ⟨H⟩ under a context: a canceled or expired
-// context is honored before the (potentially expensive) evaluation runs.
-func (d *Driver) EnergyContext(ctx context.Context, params []float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return d.Energy(params), nil
-}
-
-// MinimizeContext runs Nelder–Mead with checkpoint/restart and
-// deadline-aware cancellation. On context expiry the best vertex so far
-// is returned with Result.Interrupted set and a final checkpoint is
-// written, so a later call with ResilienceOptions.Resume continues the
-// exact trajectory.
-func (d *Driver) MinimizeContext(ctx context.Context, x0 []float64, o opt.NelderMeadOptions, ro ResilienceOptions) (Result, error) {
-	st := new(opt.NelderMeadState)
-	if found, err := ro.loadResume(KindNelderMead, st); err != nil {
-		return Result{}, err
-	} else if found {
-		o.Resume = st
-	}
-	cad := resilience.Cadence{Interval: ro.CheckpointEvery}
-	var cpErr error
-	prev := o.Observer
-	o.Observer = func(s *opt.NelderMeadState) error {
-		if prev != nil {
-			if err := prev(s); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			resilience.NoteDeadlineCancel()
-			if ro.enabled() {
-				cpErr = resilience.SaveCheckpoint(ro.CheckpointPath, KindNelderMead, s.Iter, s)
-			}
-			return err
-		}
-		if ro.enabled() && cad.Due(s.Iter) {
-			if err := resilience.SaveCheckpoint(ro.CheckpointPath, KindNelderMead, s.Iter, s); err != nil {
-				cpErr = err
-				return err
-			}
-		}
-		return nil
-	}
-	start := telemetry.Now()
-	res := opt.NelderMead(d.Energy, x0, o)
-	mPhaseOptimize.Since(start)
-	out := Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(),
-		CacheStats: d.CacheStats(), Interrupted: res.Interrupted}
-	return out, cpErr
-}
-
-// MinimizeLBFGSContext is the L-BFGS counterpart of MinimizeContext,
-// with the same checkpoint and cancellation semantics.
-func (d *Driver) MinimizeLBFGSContext(ctx context.Context, x0 []float64, o opt.LBFGSOptions, ro ResilienceOptions) (Result, error) {
-	exp, ok := d.Ansatz.(Exponential)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: ansatz does not expose exponential structure", core.ErrInvalidArgument)
-	}
-	st := new(opt.LBFGSState)
-	if found, err := ro.loadResume(KindLBFGS, st); err != nil {
-		return Result{}, err
-	} else if found {
-		o.Resume = st
-	}
-	cad := resilience.Cadence{Interval: ro.CheckpointEvery}
-	var cpErr error
-	prev := o.Observer
-	o.Observer = func(s *opt.LBFGSState) error {
-		if prev != nil {
-			if err := prev(s); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			resilience.NoteDeadlineCancel()
-			if ro.enabled() {
-				cpErr = resilience.SaveCheckpoint(ro.CheckpointPath, KindLBFGS, s.Iter, s)
-			}
-			return err
-		}
-		if ro.enabled() && cad.Due(s.Iter) {
-			if err := resilience.SaveCheckpoint(ro.CheckpointPath, KindLBFGS, s.Iter, s); err != nil {
-				cpErr = err
-				return err
-			}
-		}
-		return nil
-	}
-	grad := func(x, g []float64) {
-		gradStart := telemetry.Now()
-		d.adjointGradient(exp, x, g)
-		mPhaseGradient.Since(gradStart)
-	}
-	start := telemetry.Now()
-	res := opt.LBFGS(d.Energy, grad, x0, o)
-	mPhaseOptimize.Since(start)
-	out := Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(),
-		CacheStats: d.CacheStats(), Interrupted: res.Interrupted}
-	return out, cpErr
 }
 
 // AdaptState is the Adapt-VQE outer-loop checkpoint payload: the pool

@@ -25,7 +25,10 @@ func TestMinimizeCrashResumeEquivalence(t *testing.T) {
 	o := opt.NelderMeadOptions{MaxIter: 2000}
 
 	ref, _ := New(h, u, Options{Mode: Direct})
-	full := ref.Minimize(x0, o)
+	full, err := ref.Minimize(context.Background(), x0, o, ResilienceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(full.Energy-fci) > 1e-5 {
 		t.Fatalf("reference run off FCI: %v vs %v", full.Energy, fci)
 	}
@@ -46,7 +49,7 @@ func TestMinimizeCrashResumeEquivalence(t *testing.T) {
 			}
 			return nil
 		}
-		partial, err := dKill.MinimizeContext(ctx, x0, killOpts, ResilienceOptions{CheckpointPath: path, CheckpointEvery: 1})
+		partial, err := dKill.Minimize(ctx, x0, killOpts, ResilienceOptions{CheckpointPath: path, CheckpointEvery: 1})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +62,7 @@ func TestMinimizeCrashResumeEquivalence(t *testing.T) {
 		}
 
 		dResume, _ := New(h, u, Options{Mode: Direct})
-		resumed, err := dResume.MinimizeContext(context.Background(), x0, o, ResilienceOptions{CheckpointPath: path, Resume: true})
+		resumed, err := dResume.Minimize(context.Background(), x0, o, ResilienceOptions{CheckpointPath: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +92,7 @@ func TestMinimizeLBFGSCrashResumeEquivalence(t *testing.T) {
 	o := opt.LBFGSOptions{MaxIter: 200}
 
 	ref, _ := New(h, u, Options{Mode: Direct})
-	full, err := ref.MinimizeLBFGS(x0, o)
+	full, err := ref.MinimizeLBFGS(context.Background(), x0, o, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func TestMinimizeLBFGSCrashResumeEquivalence(t *testing.T) {
 			}
 			return nil
 		}
-		partial, err := dKill.MinimizeLBFGSContext(ctx, x0, killOpts, ResilienceOptions{CheckpointPath: path, CheckpointEvery: 1})
+		partial, err := dKill.MinimizeLBFGS(ctx, x0, killOpts, ResilienceOptions{CheckpointPath: path, CheckpointEvery: 1})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +124,7 @@ func TestMinimizeLBFGSCrashResumeEquivalence(t *testing.T) {
 		}
 
 		dResume, _ := New(h, u, Options{Mode: Direct})
-		resumed, err := dResume.MinimizeLBFGSContext(context.Background(), x0, o, ResilienceOptions{CheckpointPath: path, Resume: true})
+		resumed, err := dResume.MinimizeLBFGS(context.Background(), x0, o, ResilienceOptions{CheckpointPath: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +151,7 @@ func TestMinimizeRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := New(h, u, Options{Mode: Direct})
-	_, err := d.MinimizeContext(context.Background(), make([]float64, u.NumParameters()),
+	_, err := d.Minimize(context.Background(), make([]float64, u.NumParameters()),
 		opt.NelderMeadOptions{MaxIter: 5}, ResilienceOptions{CheckpointPath: path, Resume: true})
 	if !errors.Is(err, resilience.ErrCheckpointInvalid) {
 		t.Fatalf("want ErrCheckpointInvalid, got %v", err)
@@ -179,7 +182,7 @@ func TestWalltimeDeadlineReturnsBestSoFar(t *testing.T) {
 	defer cancel()
 	<-ctx.Done()
 	d, _ := New(h, u, Options{Mode: Direct})
-	res, err := d.MinimizeContext(ctx, make([]float64, u.NumParameters()),
+	res, err := d.Minimize(ctx, make([]float64, u.NumParameters()),
 		opt.NelderMeadOptions{MaxIter: 2000}, ResilienceOptions{CheckpointPath: path, CheckpointEvery: 10})
 	if err != nil {
 		t.Fatal(err)

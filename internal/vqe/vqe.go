@@ -7,11 +7,13 @@
 package vqe
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/ansatz"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/opt"
@@ -48,9 +50,20 @@ func (m EnergyMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// Backend evaluates ⟨prep|obs|prep⟩ somewhere other than the driver's own
+// state vector — a simulated cluster, a density matrix, a fallback chain.
+// The driver owns the loop around it; every xacc.Accelerator satisfies it.
+type Backend interface {
+	Expectation(ctx context.Context, prep *circuit.Circuit, obs *pauli.Op) (float64, error)
+}
+
 // Options configures a VQE driver.
 type Options struct {
 	Mode EnergyMode
+	// Backend, when set, is asked for ⟨H⟩ by EnergyContext and the
+	// Minimize loops in place of the in-process state vector (Direct mode
+	// only). L-BFGS then differentiates numerically: adjoints need amplitudes.
+	Backend Backend
 	// Shots per measurement group in Sampled mode (default 8192).
 	Shots int
 	// Caching enables the post-ansatz state cache: the ansatz circuit is
@@ -108,7 +121,8 @@ type Driver struct {
 	Ansatz ansatz.Ansatz
 	opts   Options
 
-	n       int
+	n int
+	// sim and plan are the in-process engine: nil when a Backend is set.
 	sim     *state.State
 	scratch *state.State
 	plan    *pauli.Plan // batched X-mask-grouped evaluation plan for H
@@ -132,6 +146,9 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	if h.MaxQubit() >= n {
 		return nil, core.QubitError(h.MaxQubit(), n)
 	}
+	if opts.Backend != nil && opts.Mode != Direct {
+		return nil, fmt.Errorf("%w: vqe: a backend serves mode direct only (got %v)", core.ErrInvalidArgument, opts.Mode)
+	}
 	if opts.Shots <= 0 {
 		opts.Shots = 8192
 	}
@@ -140,9 +157,11 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 		Ansatz: a,
 		opts:   opts,
 		n:      n,
-		sim:    state.New(n, state.Options{Workers: opts.Workers, Seed: opts.Seed, Pool: opts.Pool}),
-		plan:   pauli.NewPlan(h),
 		cache:  state.NewCache(opts.DeviceCapacityBytes),
+	}
+	if opts.Backend == nil {
+		d.sim = state.New(n, state.Options{Workers: opts.Workers, Seed: opts.Seed, Pool: opts.Pool})
+		d.plan = pauli.NewPlan(h)
 	}
 	if opts.Mode != Direct {
 		if opts.PerTermMeasurement {
@@ -183,7 +202,9 @@ func (d *Driver) NumMeasurementBases() int { return len(d.groups) }
 // Stats returns a copy of the accounting counters.
 func (d *Driver) Stats() Stats {
 	s := d.stats
-	s.GatesApplied = d.sim.GatesApplied()
+	if d.sim != nil {
+		s.GatesApplied = d.sim.GatesApplied()
+	}
 	if d.scratch != nil {
 		s.GatesApplied += d.scratch.GatesApplied()
 	}
@@ -193,18 +214,19 @@ func (d *Driver) Stats() Stats {
 // CacheStats exposes the post-ansatz cache counters.
 func (d *Driver) CacheStats() state.CacheStats { return d.cache.Stats() }
 
-// prepareAnsatz runs U(θ) from |0…0⟩ on d.sim.
-func (d *Driver) prepareAnsatz(params []float64) {
+// prepareAnsatz runs U(θ) from |0…0⟩ on s (the simulator, or the scratch
+// state the uncached measurement walk re-prepares for every basis).
+func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 	start := telemetry.Now()
 	c := d.Ansatz.Circuit(params)
-	d.sim.ResetZero()
+	s.ResetZero()
 	if d.opts.Transpile {
 		// Fused kernel path: compile through the transpiler and execute
 		// layered fused sweeps (falls back to the plain transpiled gate
 		// list below the calibrated cutoff).
-		d.sim.RunOptimized(c)
+		s.RunOptimized(c)
 	} else {
-		d.sim.Run(c)
+		s.Run(c)
 	}
 	d.stats.AnsatzExecutions++
 	mPhasePrepare.Since(start)
@@ -215,9 +237,13 @@ func paramKey(params []float64) string {
 	return fmt.Sprintf("%x", params)
 }
 
-// Energy evaluates ⟨H⟩ at params according to the configured mode and
-// caching policy.
+// Energy evaluates ⟨H⟩ at params on the driver's own state vector,
+// according to the configured mode and caching policy. It has no context
+// or error for a Backend; a driver built with one answers EnergyContext.
 func (d *Driver) Energy(params []float64) float64 {
+	if d.opts.Backend != nil {
+		panic(fmt.Errorf("%w: vqe: Energy cannot report a backend failure; call EnergyContext", core.ErrInvalidArgument))
+	}
 	start := telemetry.Now()
 	d.stats.EnergyEvaluations++
 	var e float64
@@ -226,7 +252,7 @@ func (d *Driver) Energy(params []float64) float64 {
 		// One ansatz execution; expectation read directly from the
 		// amplitudes through the batched engine (the X-mask grouping is
 		// built once per driver, amortized over every evaluation).
-		d.prepareAnsatz(params)
+		d.prepareAnsatz(d.sim, params)
 		readStart := telemetry.Now()
 		e = d.plan.Evaluate(d.sim, pauli.ExpectationOptions{Workers: d.opts.Workers})
 		mPhaseExpect.Since(readStart)
@@ -251,13 +277,39 @@ func (d *Driver) Energy(params []float64) float64 {
 	return e
 }
 
+// EnergyContext evaluates ⟨H⟩ under a context, on Options.Backend when one
+// is set: a canceled or expired context is honored before the (potentially
+// expensive) evaluation runs, and a backend failure comes back wrapped.
+func (d *Driver) EnergyContext(ctx context.Context, params []float64) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return d.evaluate(ctx, params)
+}
+
+// evaluate is one objective evaluation of the Minimize loops. The
+// in-process engine cannot fail and ignores ctx (the loops observe
+// cancellation between iterations, where the optimizer state is whole); a
+// backend is handed ctx so a walltime reaches into it.
+func (d *Driver) evaluate(ctx context.Context, params []float64) (float64, error) {
+	if d.opts.Backend == nil {
+		return d.Energy(params), nil
+	}
+	d.stats.EnergyEvaluations++
+	e, err := d.opts.Backend.Expectation(ctx, d.Ansatz.Circuit(params), d.H)
+	if err != nil {
+		return 0, fmt.Errorf("vqe: backend expectation: %w", err)
+	}
+	return e, nil
+}
+
 // energyViaGroupPlans is the fused Rotated path: one ansatz execution,
 // then every measurement group's plan sweeps the post-ansatz amplitudes
 // directly. Mathematically identical to the rotate-then-read walk
 // (pauli.TestGroupPlanMatchesRotatedSweep), but the basis-change layers
 // never execute — the rotation is folded into the X-mask pair sweep.
 func (d *Driver) energyViaGroupPlans(params []float64) float64 {
-	d.prepareAnsatz(params)
+	d.prepareAnsatz(d.sim, params)
 	readStart := telemetry.Now()
 	total := real(d.H.Coeff(pauli.Identity))
 	for _, pl := range d.groupPlans {
@@ -275,7 +327,7 @@ func (d *Driver) energyViaGroups(params []float64) float64 {
 	}
 	key := paramKey(params)
 	if d.opts.Caching {
-		d.prepareAnsatz(params)
+		d.prepareAnsatz(d.sim, params)
 		d.cache.Put(key, d.sim)
 	}
 	total := real(d.H.Coeff(pauli.Identity))
@@ -289,7 +341,7 @@ func (d *Driver) energyViaGroups(params []float64) float64 {
 			mPhaseRestore.Since(restoreStart)
 		} else {
 			// Traditional workflow: re-prepare the ansatz for every basis.
-			d.prepareAnsatzInto(d.scratch, params)
+			d.prepareAnsatz(d.scratch, params)
 		}
 		readStart := telemetry.Now()
 		d.scratch.Run(mb.Rotation)
@@ -366,20 +418,6 @@ func (d *Driver) groupShots(i int) int {
 		return d.opts.Shots
 	}
 	return d.shotPlan[i]
-}
-
-// prepareAnsatzInto runs U(θ) on an arbitrary state instance.
-func (d *Driver) prepareAnsatzInto(s *state.State, params []float64) {
-	start := telemetry.Now()
-	c := d.Ansatz.Circuit(params)
-	s.ResetZero()
-	if d.opts.Transpile {
-		s.RunOptimized(c)
-	} else {
-		s.Run(c)
-	}
-	d.stats.AnsatzExecutions++
-	mPhasePrepare.Since(start)
 }
 
 // readGroup extracts the group's weighted expectation from the rotated
@@ -474,31 +512,4 @@ type Result struct {
 	// Interrupted is set when the loop was halted early (deadline or
 	// observer); Energy/Params then hold the best point so far.
 	Interrupted bool
-}
-
-// Minimize runs the classical optimization loop from x0 using Nelder–Mead
-// (the derivative-free default suited to all three energy modes).
-func (d *Driver) Minimize(x0 []float64, o opt.NelderMeadOptions) Result {
-	start := telemetry.Now()
-	res := opt.NelderMead(d.Energy, x0, o)
-	mPhaseOptimize.Since(start)
-	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(), CacheStats: d.CacheStats(), Interrupted: res.Interrupted}
-}
-
-// MinimizeLBFGS runs L-BFGS with adjoint analytic gradients; the ansatz
-// must be an exponential-structure ansatz (UCCSD or Adapt).
-func (d *Driver) MinimizeLBFGS(x0 []float64, o opt.LBFGSOptions) (Result, error) {
-	exp, ok := d.Ansatz.(Exponential)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: ansatz does not expose exponential structure", core.ErrInvalidArgument)
-	}
-	grad := func(x, g []float64) {
-		gradStart := telemetry.Now()
-		d.adjointGradient(exp, x, g)
-		mPhaseGradient.Since(gradStart)
-	}
-	start := telemetry.Now()
-	res := opt.LBFGS(d.Energy, grad, x0, o)
-	mPhaseOptimize.Since(start)
-	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(), CacheStats: d.CacheStats(), Interrupted: res.Interrupted}, nil
 }

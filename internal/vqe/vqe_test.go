@@ -1,6 +1,7 @@
 package vqe
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestVQEReachesFCIForH2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+	res, err := d.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,10 @@ func TestVQEReachesFCIForH2(t *testing.T) {
 func TestVQENelderMeadReachesFCIForH2(t *testing.T) {
 	h, u, fci := h2Setup(t)
 	d, _ := New(h, u, Options{Mode: Direct})
-	res := d.Minimize(make([]float64, u.NumParameters()), opt.NelderMeadOptions{MaxIter: 2000})
+	res, err := d.Minimize(context.Background(), make([]float64, u.NumParameters()), opt.NelderMeadOptions{MaxIter: 2000}, ResilienceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(res.Energy-fci) > 1e-5 {
 		t.Errorf("VQE(NM) %v vs FCI %v", res.Energy, fci)
 	}
@@ -355,7 +359,7 @@ func TestVQEWithAlternativeEncodings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := drv.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+		res, err := drv.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, ResilienceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +468,7 @@ func TestUCCGSDAtLeastAsExpressive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{MaxIter: 120})
+		res, err := d.MinimizeLBFGS(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{MaxIter: 120}, ResilienceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

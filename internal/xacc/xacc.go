@@ -1,10 +1,10 @@
-// Package xacc is the reproduction's stand-in for the XACC programming
-// framework (paper §3): a hardware-agnostic accelerator abstraction with a
-// plugin-style registry, plus algorithm front-ends (VQE, Adapt-VQE, QPE)
-// that compile an observable + ansatz into backend executions and drive
-// the classical optimization loop. NWQ-Sim's backends (single-node
-// state vector, multi-rank cluster, density matrix) register themselves
-// here exactly as simulators register with the real XACC.
+// Package xacc is the reproduction's stand-in for the backend side of the
+// XACC programming framework (paper §3): a hardware-agnostic accelerator
+// abstraction, a plugin-style registry, and a fallback chain. NWQ-Sim's
+// backends (single-node state vector, multi-rank cluster, density matrix)
+// register themselves here exactly as simulators register with the real
+// XACC. The quantum-classical loop is internal/vqe's: every Accelerator
+// satisfies vqe.Backend and is chosen by handing it to the driver.
 package xacc
 
 import (

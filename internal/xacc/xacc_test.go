@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/ansatz"
-	"repro/internal/chem"
 	"repro/internal/circuit"
 	"repro/internal/density"
 	"repro/internal/pauli"
@@ -119,45 +117,6 @@ func TestTranspilingBackendMatches(t *testing.T) {
 	}
 }
 
-func TestVQEAlgorithmH2(t *testing.T) {
-	m := chem.H2()
-	h := chem.QubitHamiltonian(m)
-	fci, _ := chem.FCI(m)
-	u, _ := ansatz.NewUCCSD(4, 2)
-	for _, optName := range []string{"nelder-mead", "lbfgs"} {
-		alg := &VQE{Observable: h, Ansatz: u, Accelerator: &SVAccelerator{}, Optimizer: optName, MaxIter: 2000}
-		res, err := alg.Execute(nil)
-		if err != nil {
-			t.Fatalf("%s: %v", optName, err)
-		}
-		if math.Abs(res.Energy-fci.Energy) > 1e-4 {
-			t.Errorf("%s: E = %v vs FCI %v", optName, res.Energy, fci.Energy)
-		}
-		if res.EnergyEvaluations == 0 {
-			t.Error("no evaluations counted")
-		}
-	}
-}
-
-func TestVQEAlgorithmValidation(t *testing.T) {
-	u, _ := ansatz.NewUCCSD(4, 2)
-	if _, err := (&VQE{Ansatz: u}).Execute(nil); err == nil {
-		t.Error("missing observable accepted")
-	}
-	h := chem.QubitHamiltonian(chem.H2())
-	alg := &VQE{Observable: h, Ansatz: u, Accelerator: &SVAccelerator{}, Optimizer: "magic"}
-	if _, err := alg.Execute(nil); err == nil {
-		t.Error("unknown optimizer accepted")
-	}
-	if _, err := (&VQE{Observable: h, Ansatz: u, Accelerator: &SVAccelerator{}}).Execute([]float64{1}); err == nil {
-		t.Error("bad x0 length accepted")
-	}
-	wide := pauli.NewOp().Add(pauli.MustParse("IIIIIZ"), 1)
-	if _, err := (&VQE{Observable: wide, Ansatz: u, Accelerator: &SVAccelerator{}}).Execute(nil); err == nil {
-		t.Error("wide observable accepted")
-	}
-}
-
 func TestNumQubitsLimits(t *testing.T) {
 	for _, name := range DefaultRegistry.Names() {
 		a, err := DefaultRegistry.New(name, AcceleratorOptions{})
@@ -167,48 +126,6 @@ func TestNumQubitsLimits(t *testing.T) {
 		if a.NumQubitsLimit() < 2 {
 			t.Errorf("%s: implausible qubit limit", name)
 		}
-	}
-}
-
-func TestAdaptVQEFrontEnd(t *testing.T) {
-	m := chem.H2()
-	fci, _ := chem.FCI(m)
-	alg := &AdaptVQE{
-		Observable:   chem.QubitHamiltonian(m),
-		NumQubits:    4,
-		NumElectrons: 2,
-		Reference:    fci.Energy,
-	}
-	res, err := alg.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || math.Abs(res.Energy-fci.Energy) > 1e-3 {
-		t.Errorf("adapt front-end: E %v vs FCI %v converged=%v", res.Energy, fci.Energy, res.Converged)
-	}
-	if _, err := (&AdaptVQE{}).Execute(); err == nil {
-		t.Error("missing observable accepted")
-	}
-}
-
-func TestQPEFrontEnd(t *testing.T) {
-	m := chem.H2()
-	fci, _ := chem.FCI(m)
-	alg := &QPE{
-		Observable:   chem.QubitHamiltonian(m),
-		NumQubits:    4,
-		NumElectrons: 2,
-		Time:         0.8,
-	}
-	res, err := alg.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Energy-fci.Energy) > 2*res.Resolution {
-		t.Errorf("qpe front-end: %v vs FCI %v", res.Energy, fci.Energy)
-	}
-	if _, err := (&QPE{}).Execute(); err == nil {
-		t.Error("missing observable accepted")
 	}
 }
 
