@@ -106,7 +106,7 @@ chaos-tests:
 # restarts vqed three times on the same spool and port. The gate requires
 # zero lost jobs, zero duplicate ids, and energies bit-equal to
 # uninterrupted control runs — i.e. the write-ahead journal actually
-# makes the daemon crash-safe. Writes chaos_report.json + journal.wal.
+# makes the daemon crash-safe. Writes out/chaos_report.json + out/journal.wal.
 vqed-chaos:
 	$(GO) build -o bin/vqed ./cmd/vqed
 	$(GO) build -o bin/vqeload ./cmd/vqeload
@@ -122,7 +122,7 @@ vqed-smoke:
 # load-smoke is the serving latency gate: boot vqed on a free port, drive
 # it with a closed-loop vqeload run over the smoke mix, and fail the build
 # if end-to-end p99 exceeds LOAD_FAIL_P99 (2s) or SLO attainment drops
-# below LOAD_MIN_SLO (0.95). Writes load_report.json.
+# below LOAD_MIN_SLO (0.95). Writes out/load_report.json.
 load-smoke:
 	$(GO) build -o bin/vqed ./cmd/vqed
 	$(GO) build -o bin/vqeload ./cmd/vqeload
@@ -133,7 +133,7 @@ load-smoke:
 # points must always form a prefix of the value-ascending execution
 # order), SIGKILL the daemon mid-curve, restart it on the same spool, and
 # require the family to resume with zero lost or duplicated points.
-# Writes the final curve to sweep_curve.json.
+# Writes the final curve to out/sweep_curve.json.
 sweep-smoke:
 	$(GO) build -o bin/vqed ./cmd/vqed
 	$(GO) build -o bin/vqeload ./cmd/vqeload
@@ -146,7 +146,7 @@ bench:
 # must stay at least 2x faster than per-term sweeps, runtime gate fusion
 # must stay at least 1.3x faster than gate-at-a-time execution on the
 # deep-ansatz benchmark, and the telemetry overhead benchmark must run
-# clean. Writes run_report.json.
+# clean. Writes out/run_report.json.
 bench-smoke: bench
 	$(GO) test -bench BenchmarkTelemetryOverhead -benchtime 1x -run ^$$ .
 	$(GO) run ./cmd/benchfigs -fig expect -fast -metrics -fail-below 2

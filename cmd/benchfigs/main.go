@@ -27,7 +27,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fermion"
-	"repro/internal/kernel/calib"
 	"repro/internal/linalg"
 	"repro/internal/pauli"
 	"repro/internal/qpe"
@@ -43,11 +42,7 @@ func main() {
 	failBelowFusion := flag.Float64("fail-below-fusion", 0,
 		"exit non-zero if the fusion figure's minimum fused-vs-unfused speedup falls below this factor (0 = no gate)")
 	obsFlags := runreport.AddFlags(flag.CommandLine)
-	calibFlags := calib.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if err := calibFlags.Setup(); err != nil {
-		fail(err)
-	}
 
 	run := func(name string, f func(bool)) {
 		if *fig == "all" || *fig == name {

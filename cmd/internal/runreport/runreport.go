@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -33,7 +34,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.Metrics, "metrics", false,
 		"enable telemetry: print a metrics snapshot to stderr and write a run report on exit")
-	fs.StringVar(&f.Report, "report", "run_report.json",
+	fs.StringVar(&f.Report, "report", "out/run_report.json",
 		"run report path (written when -metrics is set)")
 	fs.StringVar(&f.Profile, "profile", "",
 		"write pprof profiles to <prefix>.cpu.pprof and <prefix>.heap.pprof")
@@ -149,6 +150,11 @@ func (r *Run) Finish() error {
 	fmt.Fprintf(os.Stderr, "\n== metrics (%s, wall %s) ==\n", r.command, time.Duration(rep.WallNs).Round(time.Microsecond))
 	if err := rep.Metrics.WriteText(os.Stderr); err != nil {
 		return err
+	}
+	// The default lives under out/ so a run leaves nothing in the
+	// checkout root; create the directory the first time.
+	if err := os.MkdirAll(filepath.Dir(r.flags.Report), 0o755); err != nil {
+		return fmt.Errorf("runreport: %w", err)
 	}
 	out, err := os.Create(r.flags.Report)
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"repro/cmd/internal/specflags"
 	"repro/internal/circuit"
 	"repro/internal/density"
-	"repro/internal/kernel/calib"
 	"repro/internal/qasm"
 	"repro/internal/xacc"
 )
@@ -40,11 +39,7 @@ func main() {
 		list  = flag.Bool("backends", false, "list registered backends and exit")
 	)
 	obsFlags := runreport.AddFlags(flag.CommandLine)
-	calibFlags := calib.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if err := calibFlags.Setup(); err != nil {
-		fail(err)
-	}
 	if *list {
 		for _, info := range xacc.DefaultRegistry.List() {
 			fmt.Printf("%-16s ≤%2d qubits  %s\n", info.Name, info.QubitLimit, info.Description)

@@ -29,7 +29,6 @@ import (
 	"repro/internal/ansatz"
 	"repro/internal/chem"
 	"repro/internal/core"
-	"repro/internal/kernel/calib"
 	"repro/internal/linalg"
 	"repro/internal/opt"
 	"repro/internal/pauli"
@@ -49,15 +48,11 @@ func main() {
 		sweepCold = flag.Bool("sweep-cold", false, "disable warm-starting in -scan/-sweep (the cold baseline for the iteration-savings comparison)")
 	)
 	obsFlags := runreport.AddFlags(flag.CommandLine)
-	calibFlags := calib.AddFlags(flag.CommandLine)
 	flag.Parse()
 
 	var err error
 	rep, err = runreport.Start("vqe", obsFlags)
 	if err != nil {
-		fail(err)
-	}
-	if err := calibFlags.Setup(); err != nil {
 		fail(err)
 	}
 

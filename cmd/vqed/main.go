@@ -43,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/kernel/calib"
 	"repro/internal/load/costmodel"
 	"repro/internal/server"
 	"repro/internal/telemetry"
@@ -62,12 +61,8 @@ func main() {
 	stall := flag.Duration("stall-timeout", 2*time.Minute, "no-progress deadline before the watchdog kills a running job (0 disables)")
 	costModel := flag.String("costmodel", "", "cost-model profile for Retry-After quoting (from `vqeload probe`)")
 	sweepPoints := flag.Int("sweep-points", 256, "maximum points one sweep family may expand to")
-	calibFlags := calib.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := calibFlags.Setup(); err != nil {
-		log.Fatalf("vqed: %v", err)
-	}
 	if *metrics {
 		telemetry.Enable()
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/gate"
-	"repro/internal/kernel/tuning"
 	"repro/internal/linalg"
 	"repro/internal/resilience"
 	"repro/internal/state"
@@ -36,6 +35,12 @@ var (
 	mLocalGates   = telemetry.GetCounter("cluster.gates.local")
 	mGlobalGates  = telemetry.GetCounter("cluster.gates.global")
 )
+
+// PoolMinAmps is the minimum per-rank amplitude count before a
+// multi-rank cluster starts its rank worker pool; below it the inline
+// rank loop is faster than goroutine handoff. Exported only so the
+// daemon's capability report can keep publishing it.
+const PoolMinAmps = 1 << 11
 
 // CommStats records simulated inter-rank traffic.
 type CommStats struct {
@@ -93,11 +98,11 @@ func NewWithOptions(n, numRanks int, opts Options) (*Cluster, error) {
 		c.blocks[r] = make([]complex128, localDim)
 	}
 	c.blocks[0][0] = 1
-	if numRanks > 1 && localDim >= tuning.ClusterPoolMin() {
+	if numRanks > 1 && localDim >= PoolMinAmps {
 		// One persistent goroutine per simulated rank, created once and
 		// reused by every gate instead of spawning per gate application.
-		// Below the calibrated per-rank amplitude cutoff the inline rank
-		// loop beats the goroutine handoff, so no pool is started
+		// Below PoolMinAmps the inline rank loop beats the goroutine
+		// handoff, so no pool is started
 		// (eachRank/eachRankPair fall back to inline execution).
 		c.pool = state.NewPool(numRanks)
 	}

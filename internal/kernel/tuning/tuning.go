@@ -1,207 +1,69 @@
-// Package tuning is the kernel-choice model shared by the execution
-// engine: one process-wide set of thresholds that decide, per phase,
-// which kernel strategy serves a request — serial loop vs worker pool,
-// per-term vs batched expectation, fused vs gate-at-a-time circuit
-// execution, and the cache-tile geometry of the fused sweep.
+// Package tuning holds the kernel-choice thresholds shared by the
+// execution engine: which amplitude count engages the worker pool for a
+// gate sweep or a reduction, where the per-term evaluator hands over to
+// the batched X-mask plan, and the cache-tile geometry of the fused
+// sweep. They are constants: every measured run of this repository
+// (the benchmark refuses anything else) used exactly these values, and
+// comparing kernels means holding the kernel configuration fixed.
 //
-// The package is a leaf (it depends only on telemetry) so that state,
-// pauli and cluster can all read it without import cycles, while the
-// calibration subsystem (internal/kernel/calib) imports those engine
-// packages to micro-benchmark them and writes its fitted thresholds
-// back here with Install. Until calibration runs, the defaults are the
-// constants the engine used when the thresholds were hardcoded.
-//
-// All reads are single atomic loads, cheap enough for per-gate paths;
-// Install swaps every knob atomically (each knob individually — a
-// concurrent reader may observe a torn *set*, but every individual
-// threshold is always a value that was explicitly installed, which is
-// harmless for performance heuristics).
+// The package is a leaf so that state and pauli can both read it
+// without import cycles.
 package tuning
 
-import (
-	"sync/atomic"
-
-	"repro/internal/telemetry"
-)
-
-// T is one complete set of kernel-choice thresholds. The zero value is
-// not meaningful; start from Defaults() or Current().
-type T struct {
+const (
 	// GateParallel is the minimum amplitude count before a gate sweep
 	// engages the worker pool; below it the serial loop wins.
-	GateParallel int `json:"gate_parallel"`
+	GateParallel = 1 << 14
 	// ReduceParallel is the minimum amplitude count before
 	// expectation-style reductions engage the pool — lower than
-	// GateParallel because a reduction amortizes the handoff over every
-	// term of a group.
-	ReduceParallel int `json:"reduce_parallel"`
+	// GateParallel because a reduction touches every amplitude of every
+	// term group, amortizing the handoff better than one gate does.
+	ReduceParallel = 1 << 12
 	// NaiveMaxTerms is the largest term count for which the per-term
 	// evaluator beats the batched X-mask plan (plan construction is
 	// O(terms) but not free; tiny observables don't repay it).
-	NaiveMaxTerms int `json:"naive_max_terms"`
-	// MinFuseAmps is the minimum amplitude count before compiling a
-	// circuit into a fused program pays for itself; smaller states run
-	// the plain transpiled gate list. The compile cost scales with gate
-	// count while execution scales with the state dimension, so below
-	// ~2^13 amplitudes the per-run compile usually eats the win.
-	MinFuseAmps int `json:"min_fuse_amps"`
-	// ClusterPoolMin is the minimum per-rank amplitude count before a
-	// multi-rank cluster starts its rank worker pool; below it the
-	// inline rank loop is faster than goroutine handoff.
-	ClusterPoolMin int `json:"cluster_pool_min"`
+	NaiveMaxTerms = 1
 	// TileBits is log2 of the amplitudes per cache tile in the fused
 	// layer sweep: ops of a layer whose qubits all fall below TileBits
 	// are applied back-to-back on one resident tile. 2^11 amplitudes =
 	// 32 KiB, sized to a typical L1 data cache.
-	TileBits int `json:"tile_bits"`
+	TileBits = 11
+)
+
+// T is the threshold set as one comparable value, for run headers and
+// the daemon's capability report.
+type T struct {
+	GateParallel   int `json:"gate_parallel"`
+	ReduceParallel int `json:"reduce_parallel"`
+	NaiveMaxTerms  int `json:"naive_max_terms"`
+	TileBits       int `json:"tile_bits"`
 }
 
-// Defaults returns the uncalibrated threshold set — the values that
-// were hardcoded in state, pauli and cluster before calibration
-// existed.
+// Defaults returns the compiled-in thresholds.
 func Defaults() T {
 	return T{
-		GateParallel:   1 << 14,
-		ReduceParallel: 1 << 12,
-		NaiveMaxTerms:  1,
-		MinFuseAmps:    1 << 13,
-		ClusterPoolMin: 1 << 11,
-		TileBits:       11,
+		GateParallel:   GateParallel,
+		ReduceParallel: ReduceParallel,
+		NaiveMaxTerms:  NaiveMaxTerms,
+		TileBits:       TileBits,
 	}
 }
 
-// Knob gauges: the currently installed thresholds, visible in every
-// run report and /v1/metrics capture so a run records which kernel
-// model it executed under. kernel.calib.installs counts Install calls
-// (0 = the run used compiled-in defaults).
-var (
-	gGateParallel   = telemetry.GetGauge("kernel.calib.gate_parallel")
-	gReduceParallel = telemetry.GetGauge("kernel.calib.reduce_parallel")
-	gNaiveMaxTerms  = telemetry.GetGauge("kernel.calib.naive_max_terms")
-	gMinFuseAmps    = telemetry.GetGauge("kernel.calib.min_fuse_amps")
-	gClusterPoolMin = telemetry.GetGauge("kernel.calib.cluster_pool_min")
-	gTileBits       = telemetry.GetGauge("kernel.calib.tile_bits")
-	cInstalls       = telemetry.GetCounter("kernel.calib.installs")
-)
+// Current returns the thresholds the engine runs under, which are the
+// compiled-in ones: nothing installs another set.
+func Current() T { return Defaults() }
 
-var (
-	vGateParallel   atomic.Int64
-	vReduceParallel atomic.Int64
-	vNaiveMaxTerms  atomic.Int64
-	vMinFuseAmps    atomic.Int64
-	vClusterPoolMin atomic.Int64
-	vTileBits       atomic.Int64
-	vSource         atomic.Value // string
-)
+// Source reports where the thresholds came from; always "default".
+func Source() string { return "default" }
 
-func init() {
-	store(Defaults())
-	vSource.Store("default")
-}
-
-func store(t T) {
-	vGateParallel.Store(int64(t.GateParallel))
-	vReduceParallel.Store(int64(t.ReduceParallel))
-	vNaiveMaxTerms.Store(int64(t.NaiveMaxTerms))
-	vMinFuseAmps.Store(int64(t.MinFuseAmps))
-	vClusterPoolMin.Store(int64(t.ClusterPoolMin))
-	vTileBits.Store(int64(t.TileBits))
-	gGateParallel.Set(int64(t.GateParallel))
-	gReduceParallel.Set(int64(t.ReduceParallel))
-	gNaiveMaxTerms.Set(int64(t.NaiveMaxTerms))
-	gMinFuseAmps.Set(int64(t.MinFuseAmps))
-	gClusterPoolMin.Set(int64(t.ClusterPoolMin))
-	gTileBits.Set(int64(t.TileBits))
-}
-
-// sanitize clamps nonsensical values to their defaults so a corrupt or
-// hand-edited calibration file can degrade performance but never break
-// execution (TileBits ≤ 0 would divide the state into zero-size tiles).
-func sanitize(t T) T {
-	d := Defaults()
-	if t.GateParallel <= 0 {
-		t.GateParallel = d.GateParallel
-	}
-	if t.ReduceParallel <= 0 {
-		t.ReduceParallel = d.ReduceParallel
-	}
-	if t.NaiveMaxTerms < 0 {
-		t.NaiveMaxTerms = 0
-	}
-	if t.MinFuseAmps <= 0 {
-		t.MinFuseAmps = d.MinFuseAmps
-	}
-	if t.ClusterPoolMin <= 0 {
-		t.ClusterPoolMin = d.ClusterPoolMin
-	}
-	if t.TileBits < 4 || t.TileBits > 30 {
-		t.TileBits = d.TileBits
-	}
-	return t
-}
-
-// Install makes t the process-wide threshold set. source records where
-// it came from ("measured", "file", or "default"/"test") and shows up
-// in Snapshot and the capability report.
-func Install(t T, source string) {
-	store(sanitize(t))
-	vSource.Store(source)
-	cInstalls.Inc()
-}
-
-// Reset restores the compiled-in defaults (used by tests that install
-// synthetic thresholds).
-func Reset() {
-	store(Defaults())
-	vSource.Store("default")
-}
-
-// Current returns the installed threshold set.
-func Current() T {
-	return T{
-		GateParallel:   int(vGateParallel.Load()),
-		ReduceParallel: int(vReduceParallel.Load()),
-		NaiveMaxTerms:  int(vNaiveMaxTerms.Load()),
-		MinFuseAmps:    int(vMinFuseAmps.Load()),
-		ClusterPoolMin: int(vClusterPoolMin.Load()),
-		TileBits:       int(vTileBits.Load()),
-	}
-}
-
-// Source reports where the installed thresholds came from.
-func Source() string { return vSource.Load().(string) }
-
-// Hot-path accessors: one atomic load each.
-
-// GateParallel returns the gate-sweep pool threshold.
-func GateParallel() int { return int(vGateParallel.Load()) }
-
-// ReduceParallel returns the reduction pool threshold.
-func ReduceParallel() int { return int(vReduceParallel.Load()) }
-
-// NaiveMaxTerms returns the per-term-vs-batched crossover.
-func NaiveMaxTerms() int { return int(vNaiveMaxTerms.Load()) }
-
-// MinFuseAmps returns the fused-vs-unfused crossover.
-func MinFuseAmps() int { return int(vMinFuseAmps.Load()) }
-
-// ClusterPoolMin returns the cluster rank-pool threshold.
-func ClusterPoolMin() int { return int(vClusterPoolMin.Load()) }
-
-// TileBits returns log2 of the fused-sweep tile size.
-func TileBits() int { return int(vTileBits.Load()) }
-
-// Snapshot returns the installed thresholds plus provenance as a plain
-// map, for the daemon's capability report.
+// Snapshot returns the thresholds plus provenance as a plain map, for
+// the daemon's capability report and the benchmark's run header.
 func Snapshot() map[string]any {
-	t := Current()
 	return map[string]any{
-		"source":           Source(),
-		"gate_parallel":    t.GateParallel,
-		"reduce_parallel":  t.ReduceParallel,
-		"naive_max_terms":  t.NaiveMaxTerms,
-		"min_fuse_amps":    t.MinFuseAmps,
-		"cluster_pool_min": t.ClusterPoolMin,
-		"tile_bits":        t.TileBits,
+		"source":          Source(),
+		"gate_parallel":   GateParallel,
+		"reduce_parallel": ReduceParallel,
+		"naive_max_terms": NaiveMaxTerms,
+		"tile_bits":       TileBits,
 	}
 }

@@ -3,69 +3,29 @@ package tuning
 import "testing"
 
 func TestDefaultsMatchLegacyHardcodedThresholds(t *testing.T) {
-	d := Defaults()
-	if d.GateParallel != 1<<14 {
-		t.Errorf("GateParallel default %d", d.GateParallel)
+	want := T{GateParallel: 1 << 14, ReduceParallel: 1 << 12, NaiveMaxTerms: 1, TileBits: 11}
+	if d := Defaults(); d != want {
+		t.Errorf("Defaults() = %+v, want %+v", d, want)
 	}
-	if d.ReduceParallel != 1<<12 {
-		t.Errorf("ReduceParallel default %d", d.ReduceParallel)
+	if c := Current(); c != want {
+		t.Errorf("Current() = %+v, want %+v", c, want)
 	}
-	if Source() != "default" && Source() != "test" {
-		// Another test may have installed and reset; Reset restores "default".
-		Reset()
-		if Source() != "default" {
-			t.Errorf("Source after Reset = %q", Source())
-		}
-	}
-}
-
-func TestInstallCurrentRoundTrip(t *testing.T) {
-	defer Reset()
-	want := T{
-		GateParallel:   123,
-		ReduceParallel: 45,
-		NaiveMaxTerms:  6,
-		MinFuseAmps:    789,
-		ClusterPoolMin: 1011,
-		TileBits:       12,
-	}
-	Install(want, "test")
-	if got := Current(); got != want {
-		t.Fatalf("Current() = %+v, want %+v", got, want)
-	}
-	if Source() != "test" {
+	if Source() != "default" {
 		t.Errorf("Source = %q", Source())
 	}
-	if GateParallel() != 123 || ReduceParallel() != 45 || NaiveMaxTerms() != 6 ||
-		MinFuseAmps() != 789 || ClusterPoolMin() != 1011 || TileBits() != 12 {
-		t.Error("accessors disagree with Current()")
-	}
-	Reset()
-	if got := Current(); got != Defaults() {
-		t.Fatalf("Reset left %+v", got)
-	}
 }
 
-func TestInstallSanitizesGarbage(t *testing.T) {
-	defer Reset()
-	Install(T{GateParallel: -1, ReduceParallel: 0, NaiveMaxTerms: -3, MinFuseAmps: 0, ClusterPoolMin: -7, TileBits: 99}, "test")
-	got := Current()
-	d := Defaults()
-	if got.GateParallel != d.GateParallel || got.ReduceParallel != d.ReduceParallel ||
-		got.MinFuseAmps != d.MinFuseAmps || got.ClusterPoolMin != d.ClusterPoolMin ||
-		got.TileBits != d.TileBits {
-		t.Fatalf("sanitize failed: %+v", got)
-	}
-	if got.NaiveMaxTerms != 0 {
-		t.Errorf("negative NaiveMaxTerms should clamp to 0, got %d", got.NaiveMaxTerms)
-	}
-}
-
+// TestSnapshotKeys pins the map the benchmark header and (plus the
+// cluster's pool cutoff) /v1/capabilities publish.
 func TestSnapshotKeys(t *testing.T) {
 	snap := Snapshot()
-	for _, k := range []string{"source", "gate_parallel", "reduce_parallel", "naive_max_terms", "min_fuse_amps", "cluster_pool_min", "tile_bits"} {
+	keys := []string{"source", "gate_parallel", "reduce_parallel", "naive_max_terms", "tile_bits"}
+	for _, k := range keys {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("Snapshot missing %q", k)
 		}
+	}
+	if len(snap) != len(keys) {
+		t.Errorf("Snapshot has %d keys, want %d: %v", len(snap), len(keys), snap)
 	}
 }

@@ -2,8 +2,7 @@
 // jobs, and answers capacity questions with it. The model is a log-linear
 // regression — log runtime over (qubits, log terms, log iterations) —
 // calibrated from short probe runs through the real runspec engine and
-// persisted as a JSON profile the same way internal/kernel/calib persists
-// kernel-choice profiles: keyed by schema version and GOMAXPROCS, with
+// persisted as a JSON profile keyed by schema version and GOMAXPROCS, with
 // stale profiles rejected at load.
 //
 // Two consumers share the model: the vqed admission controller prices
@@ -253,9 +252,8 @@ func (m *Model) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Load reads a profile, rejecting schema or GOMAXPROCS mismatches the
-// same way kernel calibration profiles are rejected — a model measured on
-// different parallelism predicts a different machine.
+// Load reads a profile, rejecting schema or GOMAXPROCS mismatches — a
+// model measured on different parallelism predicts a different machine.
 func Load(path string) (*Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -348,8 +346,8 @@ func DefaultProbeEntries() ([]runspec.MixEntry, error) {
 }
 
 // LoadOrProbe returns the model at path if it is present and valid, else
-// probes the default entries, fits, and saves to path (mirroring
-// calib.LoadOrMeasure). probed reports whether a measurement ran.
+// probes the default entries, fits, and saves to path. probed reports
+// whether a measurement ran.
 func LoadOrProbe(ctx context.Context, path string, opts ProbeOptions) (m *Model, probed bool, err error) {
 	if path != "" {
 		if m, err = Load(path); err == nil {

@@ -88,8 +88,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A profile from a different machine shape must be rejected, like
-	// kernel/calib profiles.
+	// A profile from a different machine shape must be rejected.
 	m2 := *m
 	m2.GoMaxProcs = m.GoMaxProcs + 1
 	bad := filepath.Join(t.TempDir(), "bad.json")

@@ -139,7 +139,7 @@ func (pl *Plan) Evaluate(s *state.State, opts ExpectationOptions) float64 {
 // 1 = serial.
 func expectationPool(s *state.State, opts ExpectationOptions, dim int) (*state.Pool, int) {
 	w := opts.resolveWorkers()
-	if w <= 1 || dim < tuning.ReduceParallel() {
+	if w <= 1 || dim < tuning.ReduceParallel {
 		return nil, 0
 	}
 	return s.EnsurePool(w), w

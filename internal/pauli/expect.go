@@ -68,8 +68,8 @@ func (o ExpectationOptions) resolveWorkers() int {
 }
 
 // Expectation computes ⟨ψ|H|ψ⟩ for a Pauli-sum observable using the
-// direct method. The strategy is chosen by the calibrated kernel model
-// (internal/kernel/tuning): observables at or below NaiveMaxTerms run
+// direct method. The strategy is chosen by term count against the
+// tuning.NaiveMaxTerms constant: observables at or below it run
 // the per-term evaluator (plan construction doesn't repay itself for a
 // handful of strings), everything larger is batched by X mask so every
 // group of terms sharing an index permutation is scored during one pass
@@ -79,7 +79,7 @@ func (o ExpectationOptions) resolveWorkers() int {
 // and call Evaluate to amortize the grouping.
 func Expectation(s *state.State, op *Op, opts ExpectationOptions) float64 {
 	checkWidth(s, op)
-	if op.NumTerms() <= tuning.NaiveMaxTerms() {
+	if op.NumTerms() <= tuning.NaiveMaxTerms {
 		mChoiceNaive.Inc()
 		return ExpectationNaive(s, op, opts)
 	}

@@ -225,23 +225,27 @@ func TestNewPlanFromTermsMatchesNewPlan(t *testing.T) {
 	}
 }
 
-// TestExpectationStrategyChoice: the calibrated NaiveMaxTerms threshold
-// must steer Expectation without changing its value.
+// TestExpectationStrategyChoice: both evaluators Expectation chooses
+// between, called directly, agree with the dense matrix on an observable
+// on each side of the NaiveMaxTerms constant — so which one the term
+// count selects can never change the value.
 func TestExpectationStrategyChoice(t *testing.T) {
-	defer tuning.Reset()
 	s := randomState(3)
-	h := testHamiltonian()
-	want := denseExpectation(s, h)
-
-	tt := tuning.Defaults()
-	tt.NaiveMaxTerms = 0 // always batched
-	tuning.Install(tt, "test")
-	if got := Expectation(s, h, ExpectationOptions{Workers: 1}); math.Abs(got-want) > 1e-10 {
-		t.Fatalf("batched choice: %v want %v", got, want)
+	oneTerm := NewOp().Add(MustParse("IXXY"), 0.05)
+	if oneTerm.NumTerms() > tuning.NaiveMaxTerms || testHamiltonian().NumTerms() <= tuning.NaiveMaxTerms {
+		t.Fatalf("observables no longer straddle NaiveMaxTerms = %d", tuning.NaiveMaxTerms)
 	}
-	tt.NaiveMaxTerms = 1 << 20 // always naive
-	tuning.Install(tt, "test")
-	if got := Expectation(s, h, ExpectationOptions{Workers: 1}); math.Abs(got-want) > 1e-10 {
-		t.Fatalf("naive choice: %v want %v", got, want)
+	for _, h := range []*Op{oneTerm, testHamiltonian()} {
+		want := denseExpectation(s, h)
+		opts := ExpectationOptions{Workers: 1}
+		for name, got := range map[string]float64{
+			"ExpectationNaive": ExpectationNaive(s, h, opts),
+			"Plan.Evaluate":    NewPlan(h).Evaluate(s, opts),
+			"Expectation":      Expectation(s, h, opts),
+		} {
+			if math.Abs(got-want) > 1e-10 {
+				t.Errorf("%d terms, %s: %v want %v", h.NumTerms(), name, got, want)
+			}
+		}
 	}
 }

@@ -13,9 +13,8 @@ var (
 	mPlanMatVec = telemetry.GetTimer("pauli.plan.matvec")
 	mNaiveEval  = telemetry.GetTimer("pauli.naive.evaluate")
 
-	// Calibrated strategy-choice counters: which evaluator Expectation
-	// picked per call (kernel.calib.* gauges record the thresholds that
-	// drove the choice).
+	// Strategy-choice counters: which evaluator Expectation picked per
+	// call.
 	mChoiceNaive   = telemetry.GetCounter("pauli.choice.naive")
 	mChoiceBatched = telemetry.GetCounter("pauli.choice.batched")
 )

@@ -16,7 +16,6 @@ import (
 	"repro/internal/chem"
 	"repro/internal/core"
 	"repro/internal/fermion"
-	"repro/internal/kernel/calib"
 	"repro/internal/opt"
 	"repro/internal/pauli"
 	"repro/internal/qpe"
@@ -248,16 +247,6 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 		}
 	}
 	setupBeat(0)
-	if c.Backend.Calibration != "" {
-		// Install the kernel-choice model before any simulation work; a
-		// stale or missing profile is a configuration error, not a
-		// trigger for a surprise multi-second measurement inside a job.
-		p, err := calib.Load(c.Backend.Calibration)
-		if err != nil {
-			return nil, err
-		}
-		p.Apply("file")
-	}
 	if c.Resilience.Walltime != "" {
 		budget, err := resilience.ParseWalltime(c.Resilience.Walltime)
 		if err != nil {

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/kernel/calib"
-	"repro/internal/kernel/tuning"
 	"repro/internal/state"
 )
 
@@ -134,33 +132,6 @@ func TestRunQPEH2(t *testing.T) {
 	}
 	if res.ErrorVsExact > res.QPE.Resolution {
 		t.Errorf("QPE error %g exceeds its own resolution %g", res.ErrorVsExact, res.QPE.Resolution)
-	}
-}
-
-// TestRunCalibrationSpec: a spec naming a calibration profile installs
-// it before simulating, and a missing/stale profile fails the run up
-// front instead of silently running uncalibrated.
-func TestRunCalibrationSpec(t *testing.T) {
-	defer tuning.Reset()
-	path := filepath.Join(t.TempDir(), "calib.json")
-	p := calib.Measure(calib.Options{QubitsMin: 4, QubitsMax: 5, Reps: 1, Workers: 2})
-	p.Tuning.GateParallel = 31337
-	if err := p.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	spec := &RunSpec{Backend: BackendSpec{Calibration: path}}
-	if _, err := Run(context.Background(), spec, RunOptions{}); err != nil {
-		t.Fatalf("Run with calibration: %v", err)
-	}
-	if tuning.GateParallel() != 31337 || tuning.Source() != "file" {
-		t.Errorf("calibration not installed: GateParallel=%d source=%q",
-			tuning.GateParallel(), tuning.Source())
-	}
-
-	spec = &RunSpec{Backend: BackendSpec{Calibration: filepath.Join(t.TempDir(), "missing.json")}}
-	if _, err := Run(context.Background(), spec, RunOptions{}); err == nil {
-		t.Error("Run accepted a missing calibration profile")
 	}
 }
 

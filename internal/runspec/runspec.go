@@ -110,11 +110,6 @@ type BackendSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// Fault enables the seeded fault injector (cluster backends).
 	Fault *FaultSpec `json:"fault,omitempty"`
-	// Calibration names a kernel calibration profile file to install
-	// before running (see internal/kernel/calib). Excluded from the
-	// canonical hash: tuning thresholds steer kernel strategy choices,
-	// never the computed energies.
-	Calibration string `json:"calibration,omitempty"`
 }
 
 // ResilienceSpec carries the checkpoint/walltime knobs. Excluded from the
@@ -365,7 +360,6 @@ func (s RunSpec) Canonical() RunSpec {
 	if c.Backend.Fault != nil && !c.Backend.Fault.enabled() {
 		c.Backend.Fault = nil
 	}
-	c.Backend.Calibration = ""
 	c.Resilience = ResilienceSpec{}
 	return c
 }

@@ -52,7 +52,6 @@ func TestHashNormalization(t *testing.T) {
 		{Adapt: AdaptSpec{MaxIterations: 99}},                       // adapt section inert under vqe
 		{QPE: QPESpec{Ancillas: 3}},                                 // qpe section inert under vqe
 		{Resilience: ResilienceSpec{Walltime: "30", Resume: false}}, // lifecycle only
-		{Backend: BackendSpec{Calibration: "calib.json"}},           // kernel tuning never changes results
 	}
 	for i, s := range same {
 		if s.Hash() != base.Hash() {

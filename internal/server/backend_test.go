@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/kernel/tuning"
 	"repro/internal/pauli"
 	"repro/internal/resilience"
 	"repro/internal/xacc"
@@ -99,13 +98,13 @@ func TestBackendFaultClassifiedThroughLoop(t *testing.T) {
 	}
 }
 
-// TestCalibrationRejectedAtAdmission: backend.calibration would have the
-// daemon open a client-named path and install process-wide kernel
-// thresholds under every concurrent job, so both admission routes answer
-// 400 and acknowledge nothing.
+// TestCalibrationRejectedAtAdmission: backend.calibration (once a
+// client-named profile path the daemon would open and install as
+// process-wide kernel thresholds) is no longer in the schema, so the
+// strict Parse/ParseSweep answer 400 on both admission routes like any
+// unknown key, and acknowledge nothing.
 func TestCalibrationRejectedAtAdmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	source := tuning.Source()
 	for path, body := range map[string]string{
 		"/v1/jobs":   `{"backend":{"calibration":"/etc/passwd"}}`,
 		"/v1/sweeps": `{"base":{"backend":{"calibration":"/etc/passwd"}},"axis":{"param":"distance","values":[0.7,0.8]}}`,
@@ -133,8 +132,5 @@ func TestCalibrationRejectedAtAdmission(t *testing.T) {
 		if strings.Contains(string(listing), `"id"`) {
 			t.Errorf("GET %s after the rejection lists a family: %s", path, listing)
 		}
-	}
-	if tuning.Source() != source {
-		t.Errorf("tuning source moved %q → %q", source, tuning.Source())
 	}
 }

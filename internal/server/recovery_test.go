@@ -637,6 +637,32 @@ func TestOldFormatJournalReplays(t *testing.T) {
 	}
 }
 
+// TestJournaledCalibrationKeyReplays: a journal written while
+// backend.calibration was still a schema field can hold accepted specs
+// that carry it. The strict parser no longer knows the key, so such a
+// spec cannot be re-expanded: a terminal job still answers polls from
+// its journaled outcome, and an open one settles failed through
+// rebuild's no-recoverable-spec path instead of vanishing or running
+// with the key silently dropped.
+func TestJournaledCalibrationKeyReplays(t *testing.T) {
+	spool := t.TempDir()
+	spec := json.RawMessage(`{"molecule":{"kind":"h2"},"backend":{"calibration":"calib.json"}}`)
+	done := journalResult(&runspec.Result{Energy: -1.25, Exact: -1.25, Converged: true, EnergyEvaluations: 7})
+	writeJournal(t, spool, []journal.Record{
+		{Op: "accepted", JobID: "job-000001", SpecHash: "rs1:aaaa", Spec: spec},
+		{Op: "done", JobID: "job-000001", SpecHash: "rs1:aaaa", Result: done},
+		{Op: "accepted", JobID: "job-000002", SpecHash: "rs1:aaaa", Spec: spec},
+	})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, SpoolDir: spool})
+	if v := pollDone(t, ts, "job-000001", time.Second); v.Status != StatusDone || v.Result == nil || v.Result.Energy != -1.25 {
+		t.Errorf("terminal job with the old key %+v, want its journaled done result", v)
+	}
+	if v := pollDone(t, ts, "job-000002", time.Second); v.Status != StatusFailed ||
+		!strings.Contains(v.Error, "no recoverable spec") {
+		t.Errorf("open job with the old key %+v, want failed: no recoverable spec", v)
+	}
+}
+
 // TestJournalAppendsPerOperation pins what an operation costs in durable
 // appends: a job is its accepted record plus its terminal record, cache
 // hit or not, and a cold N-point family is N point records between its

@@ -108,15 +108,6 @@ func (s *Server) SubmitSweep(ss *runspec.SweepSpec) (*family, error) {
 // whose every point is cached — a resubmitted job, say — settles
 // terminally without ever occupying a worker.
 func (s *Server) admit(sweep *runspec.SweepSpec, points []runspec.SweepPoint) (*family, error) {
-	for _, p := range points {
-		if p.Spec.Backend.Calibration != "" {
-			// The profile would be a client-named path opened on this
-			// host, installed as process-wide kernel thresholds under
-			// every concurrent job.
-			return nil, fmt.Errorf("%w: server: backend.calibration is not accepted over the API (start vqed with -calibration instead)",
-				core.ErrInvalidArgument)
-		}
-	}
 	f := newFamily("", sweep, points)
 	counters := countersOf[f.kind()]
 	s.mu.Lock()

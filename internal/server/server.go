@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/kernel/tuning"
 	"repro/internal/resilience"
 	"repro/internal/runspec"
@@ -527,6 +528,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, f *family)
 }
 
 func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
+	kernelTuning := tuning.Snapshot()
+	kernelTuning["cluster_pool_min"] = cluster.PoolMinAmps
 	writeJSON(w, http.StatusOK, map[string]any{
 		"accelerators": xacc.DefaultRegistry.List(),
 		"algorithms":   []string{runspec.AlgorithmVQE, runspec.AlgorithmAdapt, runspec.AlgorithmQPE},
@@ -538,7 +541,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		"max_concurrent":   s.cfg.MaxConcurrent,
 		"queue_depth":      s.cfg.QueueDepth,
 		"sim_workers":      s.pool.Workers(),
-		"kernel_tuning":    tuning.Snapshot(),
+		"kernel_tuning":    kernelTuning,
 	})
 }
 

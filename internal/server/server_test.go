@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +139,7 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 	}
 	var caps struct {
 		Accelerators []struct{ Name string } `json:"accelerators"`
+		KernelTuning map[string]any          `json:"kernel_tuning"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&caps)
 	resp.Body.Close()
@@ -152,6 +154,13 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("capabilities missing nwq-sv: %+v", caps)
+	}
+	// kernel_tuning keeps the keys clients saw before the thresholds
+	// became constants, less the fusion cutoff that no longer exists.
+	want := map[string]any{"source": "default", "gate_parallel": 16384.0, "reduce_parallel": 4096.0,
+		"naive_max_terms": 1.0, "cluster_pool_min": 2048.0, "tile_bits": 11.0}
+	if !reflect.DeepEqual(caps.KernelTuning, want) {
+		t.Errorf("capabilities kernel_tuning = %v, want %v", caps.KernelTuning, want)
 	}
 }
 

@@ -20,6 +20,7 @@ package state
 // still benefit from the compile-time kernel classification).
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -27,12 +28,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/kernel/tuning"
+	"repro/internal/linalg"
 	"repro/internal/telemetry"
 )
 
-// fusedOpKind selects the kernel a lowered op runs on. Classification
-// happens once at compile time; Apply2Q re-derives the same structure
-// on every call.
+// fusedOpKind selects the kernel a lowered op runs on.
 type fusedOpKind uint8
 
 const (
@@ -44,7 +44,7 @@ const (
 	fusedMarker
 )
 
-// fusedNZ is one nonzero of a sparse 4×4 fused matrix.
+// fusedNZ is one nonzero of a sparse 4×4 matrix.
 type fusedNZ struct {
 	r, c int
 	v    complex128
@@ -71,8 +71,8 @@ type fusedOp struct {
 // fusedLayer is a run of ops on pairwise-disjoint qubits; they commute,
 // so the tile sweep may apply them in any order within a tile.
 type fusedLayer struct {
-	ops      []fusedOp
-	maxQubit int
+	ops  []fusedOp
+	mask uint64 // union of the ops' qubit masks
 }
 
 // FusedProgram is a circuit compiled for fused execution. Programs are
@@ -102,13 +102,8 @@ func (p *FusedProgram) NumLayers() int { return len(p.layers) }
 // dropping, inverse cancellation, width-2 fusion) and lowers the result
 // into a fused program.
 func CompileFused(c *circuit.Circuit) *FusedProgram {
-	return CompileFusedOptions(c, circuit.DefaultTranspileOptions())
-}
-
-// CompileFusedOptions is CompileFused with explicit transpiler options.
-func CompileFusedOptions(c *circuit.Circuit, topts circuit.TranspileOptions) *FusedProgram {
 	start := telemetry.Now()
-	t := circuit.Transpile(c, topts)
+	t := circuit.Transpile(c, circuit.DefaultTranspileOptions())
 	p := &FusedProgram{n: c.NumQubits, gatesBefore: c.GateCount(), gatesAfter: t.GateCount()}
 	for _, g := range t.Gates {
 		p.lower(g)
@@ -123,24 +118,19 @@ func CompileFusedOptions(c *circuit.Circuit, topts circuit.TranspileOptions) *Fu
 // lower classifies one transpiled gate into a fusedOp and packs it into
 // the current layer (or a new one when qubits collide).
 func (p *FusedProgram) lower(g gate.Gate) {
-	var op fusedOp
 	switch {
 	case g.Kind == gate.Barrier || g.Kind == gate.I:
 		return // no runtime effect
 	case !g.IsUnitary():
 		// Markers execute through ApplyGate in program order; they get a
 		// private layer so the surrounding unitary layers stay pure.
-		op = fusedOp{kind: fusedMarker, marker: g.Clone()}
+		op := fusedOp{kind: fusedMarker, marker: g.Clone()}
 		p.layers = append(p.layers, fusedLayer{ops: []fusedOp{op}})
-		return
-	case g.Arity() == 1:
-		op = lower1Q(g)
-	case g.Arity() == 2:
-		op = lower2Q(g)
+	case kernelArity(g) == 1:
+		p.push(lower1Q(g))
 	default:
-		panic("state: fused compile: unsupported arity")
+		p.push(lower2Q(g))
 	}
-	p.push(op)
 }
 
 // push appends op to the last layer if its qubits are free there, else
@@ -150,27 +140,23 @@ func (p *FusedProgram) lower(g gate.Gate) {
 func (p *FusedProgram) push(op fusedOp) {
 	if n := len(p.layers); n > 0 {
 		l := &p.layers[n-1]
-		if len(l.ops) > 0 && l.ops[0].kind != fusedMarker && layerMask(l)&op.mask == 0 {
+		if l.ops[0].kind != fusedMarker && l.mask&op.mask == 0 {
 			l.ops = append(l.ops, op)
-			if mq := opMaxQubit(op); mq > l.maxQubit {
-				l.maxQubit = mq
-			}
+			l.mask |= op.mask
 			return
 		}
 	}
-	p.layers = append(p.layers, fusedLayer{ops: []fusedOp{op}, maxQubit: opMaxQubit(op)})
+	p.layers = append(p.layers, fusedLayer{ops: []fusedOp{op}, mask: op.mask})
 }
 
-func layerMask(l *fusedLayer) uint64 {
-	var m uint64
-	for i := range l.ops {
-		m |= l.ops[i].mask
+// kernelArity returns 1 or 2 for a unitary the shape kernels can run:
+// the one place a gate's qubit count selects a kernel family, for the
+// interpreter (ApplyGate) and the compiler (lower) alike.
+func kernelArity(g gate.Gate) int {
+	if n := g.Arity(); n == 1 || n == 2 {
+		return n
 	}
-	return m
-}
-
-func opMaxQubit(op fusedOp) int {
-	return 63 - bits.LeadingZeros64(op.mask)
+	panic(fmt.Errorf("%w: state: no kernel for %d-qubit gate %v", core.ErrInvalidArgument, g.Arity(), g.Kind))
 }
 
 // chop zeroes double-precision dust so kernels see the true sparsity
@@ -198,67 +184,85 @@ func lower1Q(g gate.Gate) fusedOp {
 	return op
 }
 
-func lower2Q(g gate.Gate) fusedOp {
-	u := g.Matrix4()
-	a, b := g.Qubits[0], g.Qubits[1]
-	op := fusedOp{a: a, b: b, mask: 1<<uint(a) | 1<<uint(b)}
-	diag := true
+// classify2Q is the one 4×4 matrix→shape classification, shared by
+// lower2Q and Apply2Q: it writes u's chopped entries row-major into m
+// and returns the cheapest class that can run them — diagonal, sparse
+// (≤ 8 nonzeros: fused staircase blocks such as CX·RZ·CX have ≤ 2 per
+// row, and exploiting that recovers the fusion speedup the paper sees
+// on bandwidth-bound GPU kernels), else dense.
+func classify2Q(u *linalg.Matrix, m *[16]complex128) fusedOpKind {
+	nnz, diag := 0, true
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			v := chop(u.At(i, j))
-			op.m[i*4+j] = v
+			m[i*4+j] = v
 			if v != 0 {
+				nnz++
 				if i != j {
 					diag = false
 				}
-				if op.nnz < len(op.nz) {
-					op.nz[op.nnz] = fusedNZ{r: i, c: j, v: v}
-				}
-				op.nnz++
 			}
 		}
 	}
 	switch {
 	case diag:
-		op.kind = fusedDiag2
+		return fusedDiag2
+	case nnz <= 8:
+		return fusedSparse2
+	}
+	return fusedDense2
+}
+
+// sparseEntries lists m's nonzeros (≤ 8 for every class but dense) in
+// row-major order and returns their count.
+func sparseEntries(m *[16]complex128, nz *[8]fusedNZ) int {
+	n := 0
+	for i, v := range m {
+		if v != 0 {
+			nz[n] = fusedNZ{r: i / 4, c: i % 4, v: v}
+			n++
+		}
+	}
+	return n
+}
+
+func lower2Q(g gate.Gate) fusedOp {
+	a, b := g.Qubits[0], g.Qubits[1]
+	op := fusedOp{a: a, b: b, mask: 1<<uint(a) | 1<<uint(b)}
+	op.kind = classify2Q(g.Matrix4(), &op.m)
+	switch op.kind {
+	case fusedDiag2:
 		op.m[1], op.m[2], op.m[3] = op.m[5], op.m[10], op.m[15]
-	case op.nnz <= 8:
-		op.kind = fusedSparse2
-	default:
-		op.kind = fusedDense2
+	case fusedSparse2:
+		op.nnz = sparseEntries(&op.m, &op.nz)
 	}
 	return op
 }
 
-// RunOptimized transpiles and executes c through the fused kernel path,
-// falling back to plain transpiled execution below the calibrated
-// fusion cutoff (tiny states finish before the compile pays off).
+// RunOptimized transpiles and executes c through the fused kernel path.
 func (s *State) RunOptimized(c *circuit.Circuit) {
-	if len(s.amps) < tuning.MinFuseAmps() {
-		mFusionRunsPlain.Inc()
-		s.Run(circuit.Transpile(c, circuit.DefaultTranspileOptions()))
-		return
-	}
-	mFusionRunsFused.Inc()
 	s.RunFused(CompileFused(c))
 }
 
 // RunFused executes a compiled program. Layers whose qubits all fit
 // inside one cache tile run as a single tiled memory pass; everything
 // else runs per-op with the precompiled kernels.
-func (s *State) RunFused(p *FusedProgram) {
+func (s *State) RunFused(p *FusedProgram) { s.runFused(p, tuning.TileBits) }
+
+// runFused takes the tile size as a parameter so tests can put a tile
+// boundary where a dense reference unitary still reaches both sides.
+func (s *State) runFused(p *FusedProgram, tileBits int) {
 	if p.n > s.n {
 		panic(core.ErrDimensionMismatch)
 	}
 	start := telemetry.Now()
-	tileBits := tuning.TileBits()
 	for li := range p.layers {
 		l := &p.layers[li]
 		if l.ops[0].kind == fusedMarker {
 			s.ApplyGate(l.ops[0].marker)
 			continue
 		}
-		if len(l.ops) >= 2 && l.maxQubit < tileBits && len(s.amps) >= 1<<uint(tileBits) {
+		if l.tiled(tileBits, len(s.amps)) {
 			s.runTiledLayer(l, tileBits)
 			continue
 		}
@@ -267,6 +271,14 @@ func (s *State) RunFused(p *FusedProgram) {
 		}
 	}
 	mFusionRun.Since(start)
+}
+
+// tiled reports whether the layer runs as one tile sweep on a state of
+// amps amplitudes: it has ops to share the pass between, every qubit it
+// touches lies below tileBits (so each op only couples amplitudes inside
+// one aligned tile), and the state holds at least one tile.
+func (l *fusedLayer) tiled(tileBits, amps int) bool {
+	return len(l.ops) >= 2 && l.mask>>uint(tileBits) == 0 && amps >= 1<<uint(tileBits)
 }
 
 // runTiledLayer applies every op of a layer tile by tile: each aligned
@@ -299,34 +311,63 @@ func (s *State) runTiledLayer(l *fusedLayer, tileBits int) {
 //vqesim:hotpath
 func fusedTileSweep(amps []complex128, ops []fusedOp, loTile, hiTile, tile uint64) {
 	for t := loTile; t < hiTile; t++ {
-		base := t * tile
 		for oi := range ops {
 			op := &ops[oi]
-			switch op.kind {
-			case fusedDiag1:
-				fusedDiag1Range(amps, op, base, tile)
-			case fusedDense1:
-				fusedDense1Range(amps, op, base, tile)
-			case fusedDiag2:
-				fusedDiag2Range(amps, op, base, tile)
-			case fusedSparse2:
-				fusedSparse2Range(amps, op, base, tile)
-			case fusedDense2:
-				fusedDense2Range(amps, op, base, tile)
-			}
+			op.sweep(amps, t*tile, 0, tile>>op.arity())
 		}
 	}
 }
 
-// The *Range kernels transform one aligned region [base, base+span) in
-// place; op qubits must lie below log2(span) so every coupled index
-// pair stays inside the region.
+// applyFusedOp runs one op as a full-state sweep (the non-tiled path:
+// high qubits or single-op layers): the same kernels as the tile sweep,
+// over pool chunks of the whole "rest" index space at base 0.
+//
+//vqesim:hotpath
+func (s *State) applyFusedOp(op *fusedOp) {
+	amps := s.amps
+	s.parallelFor(uint64(len(amps))>>op.arity(), func(lo, hi uint64) {
+		op.sweep(amps, 0, lo, hi)
+	})
+	s.nGates++
+	mFusionOps.Inc()
+}
+
+// arity is the op's qubit count, which is also log2 of how many
+// amplitudes each "rest" index of its kernel touches.
+func (op *fusedOp) arity() uint { return uint(bits.OnesCount64(op.mask)) }
+
+// sweep runs op's kernel over rest indices [lo, hi) of the aligned
+// region starting at base.
+//
+//vqesim:hotpath
+func (op *fusedOp) sweep(amps []complex128, base, lo, hi uint64) {
+	switch op.kind {
+	case fusedDiag1:
+		diag1(amps, op.a, op.m[0], op.m[1], base, lo, hi)
+	case fusedDense1:
+		dense1(amps, op.a, op.m[0], op.m[1], op.m[2], op.m[3], base, lo, hi)
+	case fusedDiag2:
+		diag2(amps, op.a, op.b, op.m[0], op.m[1], op.m[2], op.m[3], base, lo, hi)
+	case fusedSparse2:
+		sparse2(amps, op.a, op.b, op.nz[:op.nnz], base, lo, hi)
+	case fusedDense2:
+		dense2(amps, op.a, op.b, &op.m, base, lo, hi)
+	}
+}
+
+// The five shape kernels are the only code in the package that sweeps
+// amplitudes for a unitary matrix; the tile sweep, the full-state sweep
+// and the reference interpreter (Apply1Q/Apply2Q) all call them. Each
+// transforms in place the amplitudes that rest indices [lo, hi) address
+// inside the aligned region starting at base, rest being the amplitude
+// index with the op's qubit bits removed: a region of span amplitudes is
+// (0, span>>arity), a pool chunk any sub-range of it. For base ≠ 0 the
+// op's qubits must lie below log2(span) so every coupled index stays
+// inside the region. In the 2q kernels a is the high-order local bit.
 
 //vqesim:hotpath
-func fusedDiag1Range(amps []complex128, op *fusedOp, base, span uint64) {
-	d0, d1 := op.m[0], op.m[1]
-	q := op.a
-	for rest := uint64(0); rest < span/2; rest++ {
+func diag1(amps []complex128, q int, d0, d1 complex128, base, lo, hi uint64) {
+	for rest := lo; rest < hi; rest++ {
 		i0 := base + core.InsertZeroBit(rest, q)
 		amps[i0] *= d0
 		amps[i0|1<<uint(q)] *= d1
@@ -334,10 +375,8 @@ func fusedDiag1Range(amps []complex128, op *fusedOp, base, span uint64) {
 }
 
 //vqesim:hotpath
-func fusedDense1Range(amps []complex128, op *fusedOp, base, span uint64) {
-	u00, u01, u10, u11 := op.m[0], op.m[1], op.m[2], op.m[3]
-	q := op.a
-	for rest := uint64(0); rest < span/2; rest++ {
+func dense1(amps []complex128, q int, u00, u01, u10, u11 complex128, base, lo, hi uint64) {
+	for rest := lo; rest < hi; rest++ {
 		i0 := base + core.InsertZeroBit(rest, q)
 		i1 := i0 | 1<<uint(q)
 		a0, a1 := amps[i0], amps[i1]
@@ -347,10 +386,8 @@ func fusedDense1Range(amps []complex128, op *fusedOp, base, span uint64) {
 }
 
 //vqesim:hotpath
-func fusedDiag2Range(amps []complex128, op *fusedOp, base, span uint64) {
-	d0, d1, d2, d3 := op.m[0], op.m[1], op.m[2], op.m[3]
-	a, b := op.a, op.b
-	for rest := uint64(0); rest < span/4; rest++ {
+func diag2(amps []complex128, a, b int, d0, d1, d2, d3 complex128, base, lo, hi uint64) {
+	for rest := lo; rest < hi; rest++ {
 		i0 := base + core.InsertTwoZeroBits(rest, a, b)
 		i1 := i0 | 1<<uint(b)
 		i2 := i0 | 1<<uint(a)
@@ -363,12 +400,10 @@ func fusedDiag2Range(amps []complex128, op *fusedOp, base, span uint64) {
 }
 
 //vqesim:hotpath
-func fusedSparse2Range(amps []complex128, op *fusedOp, base, span uint64) {
-	a, b := op.a, op.b
-	nnz := op.nnz
+func sparse2(amps []complex128, a, b int, entries []fusedNZ, base, lo, hi uint64) {
 	var idx [4]uint64
 	var in, out [4]complex128
-	for rest := uint64(0); rest < span/4; rest++ {
+	for rest := lo; rest < hi; rest++ {
 		i0 := base + core.InsertTwoZeroBits(rest, a, b)
 		idx[0] = i0
 		idx[1] = i0 | 1<<uint(b)
@@ -376,8 +411,8 @@ func fusedSparse2Range(amps []complex128, op *fusedOp, base, span uint64) {
 		idx[3] = idx[1] | 1<<uint(a)
 		in[0], in[1], in[2], in[3] = amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]
 		out[0], out[1], out[2], out[3] = 0, 0, 0, 0
-		for t := 0; t < nnz; t++ {
-			e := &op.nz[t]
+		for t := range entries {
+			e := &entries[t]
 			out[e.r] += e.v * in[e.c]
 		}
 		amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]] = out[0], out[1], out[2], out[3]
@@ -385,11 +420,9 @@ func fusedSparse2Range(amps []complex128, op *fusedOp, base, span uint64) {
 }
 
 //vqesim:hotpath
-func fusedDense2Range(amps []complex128, op *fusedOp, base, span uint64) {
-	a, b := op.a, op.b
-	m := &op.m
+func dense2(amps []complex128, a, b int, m *[16]complex128, base, lo, hi uint64) {
 	var idx [4]uint64
-	for rest := uint64(0); rest < span/4; rest++ {
+	for rest := lo; rest < hi; rest++ {
 		i0 := base + core.InsertTwoZeroBits(rest, a, b)
 		idx[0] = i0
 		idx[1] = i0 | 1<<uint(b)
@@ -401,98 +434,4 @@ func fusedDense2Range(amps []complex128, op *fusedOp, base, span uint64) {
 		amps[idx[2]] = m[8]*v0 + m[9]*v1 + m[10]*v2 + m[11]*v3
 		amps[idx[3]] = m[12]*v0 + m[13]*v1 + m[14]*v2 + m[15]*v3
 	}
-}
-
-// applyFusedOp runs one op as a full-state sweep (the non-tiled path:
-// high qubits or single-op layers). The kernels reuse the *Range
-// helpers over pool chunks of the "rest" index space, mapped back to
-// amplitude space per kernel.
-//
-//vqesim:hotpath
-func (s *State) applyFusedOp(op *fusedOp) {
-	if op.kind == fusedMarker {
-		s.ApplyGate(op.marker)
-		return
-	}
-	amps := s.amps
-	switch op.kind {
-	case fusedDiag1:
-		d0, d1 := op.m[0], op.m[1]
-		q := op.a
-		s.parallelFor(uint64(len(amps)/2), func(lo, hi uint64) {
-			for rest := lo; rest < hi; rest++ {
-				i0 := core.InsertZeroBit(rest, q)
-				amps[i0] *= d0
-				amps[i0|1<<uint(q)] *= d1
-			}
-		})
-	case fusedDense1:
-		u00, u01, u10, u11 := op.m[0], op.m[1], op.m[2], op.m[3]
-		q := op.a
-		s.parallelFor(uint64(len(amps)/2), func(lo, hi uint64) {
-			for rest := lo; rest < hi; rest++ {
-				i0 := core.InsertZeroBit(rest, q)
-				i1 := i0 | 1<<uint(q)
-				a0, a1 := amps[i0], amps[i1]
-				amps[i0] = u00*a0 + u01*a1
-				amps[i1] = u10*a0 + u11*a1
-			}
-		})
-	case fusedDiag2:
-		d0, d1, d2, d3 := op.m[0], op.m[1], op.m[2], op.m[3]
-		a, b := op.a, op.b
-		s.parallelFor(uint64(len(amps)/4), func(lo, hi uint64) {
-			for rest := lo; rest < hi; rest++ {
-				i0 := core.InsertTwoZeroBits(rest, a, b)
-				i1 := i0 | 1<<uint(b)
-				i2 := i0 | 1<<uint(a)
-				i3 := i1 | 1<<uint(a)
-				amps[i0] *= d0
-				amps[i1] *= d1
-				amps[i2] *= d2
-				amps[i3] *= d3
-			}
-		})
-	case fusedSparse2:
-		a, b := op.a, op.b
-		nnz := op.nnz
-		s.parallelFor(uint64(len(amps)/4), func(lo, hi uint64) {
-			var idx [4]uint64
-			var in, out [4]complex128
-			for rest := lo; rest < hi; rest++ {
-				i0 := core.InsertTwoZeroBits(rest, a, b)
-				idx[0] = i0
-				idx[1] = i0 | 1<<uint(b)
-				idx[2] = i0 | 1<<uint(a)
-				idx[3] = idx[1] | 1<<uint(a)
-				in[0], in[1], in[2], in[3] = amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]
-				out[0], out[1], out[2], out[3] = 0, 0, 0, 0
-				for t := 0; t < nnz; t++ {
-					e := &op.nz[t]
-					out[e.r] += e.v * in[e.c]
-				}
-				amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]] = out[0], out[1], out[2], out[3]
-			}
-		})
-	case fusedDense2:
-		a, b := op.a, op.b
-		m := &op.m
-		s.parallelFor(uint64(len(amps)/4), func(lo, hi uint64) {
-			var idx [4]uint64
-			for rest := lo; rest < hi; rest++ {
-				i0 := core.InsertTwoZeroBits(rest, a, b)
-				idx[0] = i0
-				idx[1] = i0 | 1<<uint(b)
-				idx[2] = i0 | 1<<uint(a)
-				idx[3] = idx[1] | 1<<uint(a)
-				v0, v1, v2, v3 := amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]
-				amps[idx[0]] = m[0]*v0 + m[1]*v1 + m[2]*v2 + m[3]*v3
-				amps[idx[1]] = m[4]*v0 + m[5]*v1 + m[6]*v2 + m[7]*v3
-				amps[idx[2]] = m[8]*v0 + m[9]*v1 + m[10]*v2 + m[11]*v3
-				amps[idx[3]] = m[12]*v0 + m[13]*v1 + m[14]*v2 + m[15]*v3
-			}
-		})
-	}
-	s.nGates++
-	mFusionOps.Inc()
 }

@@ -110,20 +110,35 @@ func TestFusedMatchesUnfusedRandomCircuits(t *testing.T) {
 	}
 }
 
-// TestFusedTiledSweep forces tiny tiles so the cache-blocked layer
-// sweep (rather than the per-op fallback) executes, and checks it
-// against the unfused reference.
+// tiledLayers counts the layers RunFused executes as one cache-blocked
+// sweep on a state of n qubits.
+func tiledLayers(p *FusedProgram, n int) int {
+	count := 0
+	for i := range p.layers {
+		if p.layers[i].tiled(tuning.TileBits, 1<<uint(n)) {
+			count++
+		}
+	}
+	return count
+}
+
+// TestFusedTiledSweep runs widths just above the tile size (2^TileBits
+// amplitudes), where the cache-blocked layer sweep rather than the
+// per-op fallback executes, and checks it against the unfused
+// reference. Width 10 is the other side of the constant: no layer tiles.
 func TestFusedTiledSweep(t *testing.T) {
-	defer tuning.Reset()
-	tt := tuning.Defaults()
-	tt.TileBits = 4 // 16-amplitude tiles: every layer on n≥5 qubits tiles
-	tuning.Install(tt, "test")
-	for _, n := range []int{5, 7, 9} {
+	if got := tiledLayers(CompileFused(randomCircuit(7010, 10, 100)), 10); got != 0 {
+		t.Fatalf("%d layers tile below the tile size", got)
+	}
+	for _, n := range []int{12, 13} {
 		c := randomCircuit(uint64(7000+n), n, 10*n)
 		ref := New(n, Options{Workers: 1})
 		ref.Run(c)
 		s := New(n, Options{Workers: 1})
 		p := CompileFused(c)
+		if tiledLayers(p, n) == 0 {
+			t.Fatalf("n=%d: no layer takes the tiled sweep", n)
+		}
 		s.RunFused(p)
 		if dev := maxAmpDeviation(ref.Amplitudes(), s.Amplitudes()); dev > 1e-12 {
 			t.Fatalf("n=%d tiled fused deviates by %g", n, dev)
@@ -197,30 +212,23 @@ func TestFusedMarkers(t *testing.T) {
 	}
 }
 
-// TestRunOptimizedFallback: below the calibrated MinFuseAmps cutoff
-// RunOptimized must still execute correctly (plain transpiled path),
-// and above it the fused path must agree with it.
+// TestRunOptimizedFallback: RunOptimized is compile-then-RunFused at
+// every width, with no plain path to fall back to, so it must agree with
+// Run on a state far below one tile (4 qubits) and on one above both the
+// tile size and the gate-pool threshold (14 qubits).
 func TestRunOptimizedFallback(t *testing.T) {
-	defer tuning.Reset()
-	c := randomCircuit(99, 6, 48)
-	ref := New(6, Options{Workers: 1})
-	ref.Run(c)
-
-	tt := tuning.Defaults()
-	tt.MinFuseAmps = 1 << 20 // force the plain path
-	tuning.Install(tt, "test")
-	plain := New(6, Options{Workers: 1})
-	plain.RunOptimized(c)
-	if dev := maxAmpDeviation(ref.Amplitudes(), plain.Amplitudes()); dev > 1e-12 {
-		t.Fatalf("plain RunOptimized deviates by %g", dev)
-	}
-
-	tt.MinFuseAmps = 1 // force the fused path
-	tuning.Install(tt, "test")
-	fused := New(6, Options{Workers: 1})
-	fused.RunOptimized(c)
-	if dev := maxAmpDeviation(ref.Amplitudes(), fused.Amplitudes()); dev > 1e-12 {
-		t.Fatalf("fused RunOptimized deviates by %g", dev)
+	for _, n := range []int{4, 14} {
+		c := randomCircuit(uint64(99+n), n, 8*n)
+		ref := New(n, Options{Workers: 1})
+		ref.Run(c)
+		s := New(n, Options{Workers: 2})
+		s.RunOptimized(c)
+		if dev := maxAmpDeviation(ref.Amplitudes(), s.Amplitudes()); dev > 1e-12 {
+			t.Fatalf("n=%d: RunOptimized deviates from Run by %g", n, dev)
+		}
+		if want := uint64(CompileFused(c).GatesAfter()); s.GatesApplied() != want {
+			t.Fatalf("n=%d: RunOptimized applied %d gates, the fused program has %d", n, s.GatesApplied(), want)
+		}
 	}
 }
 

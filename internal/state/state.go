@@ -88,9 +88,7 @@ func New(n int, opts Options) *State {
 	dim := core.Dim(n)
 	opts.Workers = ResolveWorkers(opts.Workers)
 	if opts.ParallelThreshold <= 0 {
-		// Calibrated serial-vs-pool crossover (internal/kernel/tuning);
-		// the compiled-in default matches the old hardcoded 1<<14.
-		opts.ParallelThreshold = tuning.GateParallel()
+		opts.ParallelThreshold = tuning.GateParallel
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -107,7 +105,7 @@ func New(n int, opts Options) *State {
 	}
 	s := &State{n: n, amps: make([]complex128, dim), opts: opts, rng: core.NewRNG(seed)}
 	s.amps[0] = 1
-	if opts.Workers > 1 && dim >= tuning.ReduceParallel() {
+	if opts.Workers > 1 && dim >= tuning.ReduceParallel {
 		// Large enough that some caller (gates at ParallelThreshold, the
 		// expectation engine at its lower cutoff) will go parallel; start
 		// the persistent pool now rather than per call.
@@ -115,12 +113,6 @@ func New(n int, opts Options) *State {
 	}
 	return s
 }
-
-// The expectation-reduction pool threshold lives in
-// internal/kernel/tuning (ReduceParallel): lower than the gate
-// threshold because a reduction touches every amplitude of every term
-// group, amortizing the handoff better than one gate does, and
-// replaceable by a measured crossover from the calibration subsystem.
 
 // WorkerPool returns the state's persistent pool, or nil for states that
 // run serial (Workers ≤ 1 or too small to ever parallelize).
@@ -236,17 +228,19 @@ func (s *State) parallelFor(total uint64, body func(lo, hi uint64)) {
 }
 
 // parallelReduce sums body's per-chunk partials over [0,total), inline
-// below the reduction threshold (which is lower than the gate threshold —
-// see expectationParallelThreshold).
+// below the reduction threshold (tuning.ReduceParallel, lower than the
+// gate threshold).
 func (s *State) parallelReduce(total uint64, body func(lo, hi uint64) float64) float64 {
-	if int(total) < tuning.ReduceParallel() || s.opts.Workers <= 1 || s.pool == nil {
+	if int(total) < tuning.ReduceParallel || s.opts.Workers <= 1 || s.pool == nil {
 		mPoolInline.Inc()
 		return body(0, total)
 	}
 	return s.pool.ReduceFloat(total, s.opts.Workers, body)
 }
 
-// Apply1Q applies a 2×2 unitary to qubit q.
+// Apply1Q applies a 2×2 unitary to qubit q. The reference interpreter
+// runs every 1q matrix on the dense kernel, entries unchopped, so its
+// amplitudes do not depend on the fused path's diagonal classification.
 //
 //vqesim:hotpath
 func (s *State) Apply1Q(u *linalg.Matrix, q int) {
@@ -256,22 +250,17 @@ func (s *State) Apply1Q(u *linalg.Matrix, q int) {
 	u00, u01 := u.At(0, 0), u.At(0, 1)
 	u10, u11 := u.At(1, 0), u.At(1, 1)
 	amps := s.amps
-	half := uint64(len(amps) / 2)
-	s.parallelFor(half, func(lo, hi uint64) {
-		for rest := lo; rest < hi; rest++ {
-			i0 := core.InsertZeroBit(rest, q)
-			i1 := i0 | 1<<uint(q)
-			a0, a1 := amps[i0], amps[i1]
-			amps[i0] = u00*a0 + u01*a1
-			amps[i1] = u10*a0 + u11*a1
-		}
+	s.parallelFor(uint64(len(amps)/2), func(lo, hi uint64) {
+		dense1(amps, q, u00, u01, u10, u11, 0, lo, hi)
 	})
 	s.nGates++
 	mGate1Q.Inc()
 }
 
 // Apply2Q applies a 4×4 unitary to the ordered qubit pair (a,b) where a is
-// the high-order bit of the gate's local index.
+// the high-order bit of the gate's local index. The kernels get pointers
+// to its own arrays, not a fusedOp: what the chunk closure captures is a
+// heap object per gate, and small jobs are all per-gate cost.
 //
 //vqesim:hotpath
 func (s *State) Apply2Q(u *linalg.Matrix, a, b int) {
@@ -284,83 +273,23 @@ func (s *State) Apply2Q(u *linalg.Matrix, a, b int) {
 	if a == b {
 		panic(core.ErrInvalidArgument)
 	}
-	var m [4][4]complex128
-	nnz := 0
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			v := u.At(i, j)
-			// Chop double-precision dust from fused matrix products so the
-			// sparse kernel sees the true structure (entries of a unitary
-			// are O(1), so 1e-14 is pure rounding noise).
-			if math.Hypot(real(v), imag(v)) < 1e-14 {
-				v = 0
-			}
-			m[i][j] = v
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
+	var m [16]complex128
+	kind := classify2Q(u, &m)
 	amps := s.amps
 	quarter := uint64(len(amps) / 4)
-	if nnz <= 8 {
-		// Sparse kernel: fused staircase blocks (CX·RZ·CX and friends)
-		// have ≤ 2 nonzeros per row; exploiting that recovers the fusion
-		// speedup the paper sees on bandwidth-bound GPU kernels.
-		type nzEntry struct {
-			r, c int
-			v    complex128
-		}
-		// Fixed-size buffer: nnz ≤ 8 here, so the entry list never
-		// allocates (the kernel below is //vqesim:hotpath-checked).
-		var entries [8]nzEntry
-		ne := 0
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if m[i][j] != 0 {
-					entries[ne] = nzEntry{i, j, m[i][j]}
-					ne++
-				}
-			}
-		}
-		s.parallelFor(quarter, func(lo, hi uint64) {
-			var idx [4]uint64
-			var in, out [4]complex128
-			for rest := lo; rest < hi; rest++ {
-				base := core.InsertTwoZeroBits(rest, a, b)
-				idx[0] = base
-				idx[1] = base | 1<<uint(b)
-				idx[2] = base | 1<<uint(a)
-				idx[3] = idx[1] | 1<<uint(a)
-				in[0], in[1], in[2], in[3] = amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]
-				out[0], out[1], out[2], out[3] = 0, 0, 0, 0
-				for _, e := range entries[:ne] {
-					out[e.r] += e.v * in[e.c]
-				}
-				amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]] = out[0], out[1], out[2], out[3]
-			}
-		})
-		s.nGates++
-		mGate2QSparse.Inc()
+	s.nGates++
+	if kind == fusedDense2 {
+		s.parallelFor(quarter, func(lo, hi uint64) { dense2(amps, a, b, &m, 0, lo, hi) })
+		mGate2QDense.Inc()
 		return
 	}
-	s.parallelFor(quarter, func(lo, hi uint64) {
-		var idx [4]uint64
-		for rest := lo; rest < hi; rest++ {
-			base := core.InsertTwoZeroBits(rest, a, b)
-			idx[0] = base
-			idx[1] = base | 1<<uint(b)
-			idx[2] = base | 1<<uint(a)
-			idx[3] = idx[1] | 1<<uint(a)
-			v0, v1, v2, v3 := amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]
-			amps[idx[0]] = m[0][0]*v0 + m[0][1]*v1 + m[0][2]*v2 + m[0][3]*v3
-			amps[idx[1]] = m[1][0]*v0 + m[1][1]*v1 + m[1][2]*v2 + m[1][3]*v3
-			amps[idx[2]] = m[2][0]*v0 + m[2][1]*v1 + m[2][2]*v2 + m[2][3]*v3
-			amps[idx[3]] = m[3][0]*v0 + m[3][1]*v1 + m[3][2]*v2 + m[3][3]*v3
-		}
-	})
-	s.nGates++
-	mGate2QDense.Inc()
+	// Diagonal matrices stay on the sparse kernel here (the interpreter
+	// has no diagonal class), so amplitudes are bit-identical to what
+	// Run has always produced.
+	var nz [8]fusedNZ
+	entries := nz[:sparseEntries(&m, &nz)]
+	s.parallelFor(quarter, func(lo, hi uint64) { sparse2(amps, a, b, entries, 0, lo, hi) })
+	mGate2QSparse.Inc()
 }
 
 // applyCX is a fast path for the most common two-qubit gate.
@@ -442,13 +371,10 @@ func (s *State) ApplyGate(g gate.Gate) {
 		s.applyRZ(g.Params[0], g.Qubits[0])
 		return
 	}
-	switch g.Arity() {
-	case 1:
+	if kernelArity(g) == 1 {
 		s.Apply1Q(g.Matrix2(), g.Qubits[0])
-	case 2:
+	} else {
 		s.Apply2Q(g.Matrix4(), g.Qubits[0], g.Qubits[1])
-	default:
-		panic(fmt.Sprintf("state: unsupported arity %d", g.Arity()))
 	}
 }
 

@@ -29,8 +29,7 @@ var (
 
 	// Fused-execution instruments: compile and run wall clock, source vs
 	// executed gate counts (the paper's Figure 4 reduction, now a runtime
-	// quantity), layer/op tallies, and how often the calibrated
-	// RunOptimized choice picked the fused versus the plain path.
+	// quantity) and layer/op tallies.
 	mFusionCompile     = telemetry.GetTimer("fusion.compile")
 	mFusionRun         = telemetry.GetTimer("fusion.run")
 	mFusionGatesBefore = telemetry.GetCounter("fusion.gates_before")
@@ -38,6 +37,4 @@ var (
 	mFusionLayers      = telemetry.GetCounter("fusion.layers")
 	mFusionTiledSweeps = telemetry.GetCounter("fusion.tiled_sweeps")
 	mFusionOps         = telemetry.GetCounter("fusion.ops")
-	mFusionRunsFused   = telemetry.GetCounter("fusion.runs_fused")
-	mFusionRunsPlain   = telemetry.GetCounter("fusion.runs_plain")
 )

@@ -222,8 +222,7 @@ func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 	s.ResetZero()
 	if d.opts.Transpile {
 		// Fused kernel path: compile through the transpiler and execute
-		// layered fused sweeps (falls back to the plain transpiled gate
-		// list below the calibrated cutoff).
+		// layered fused sweeps.
 		s.RunOptimized(c)
 	} else {
 		s.Run(c)

@@ -6,8 +6,9 @@
 # gate then requires zero lost jobs (every acked submission answers its
 # poll after recovery), zero duplicate job ids, at least CHAOS_KILLS
 # observed restarts, and energies bit-equal to uninterrupted in-process
-# control runs of the same specs. Writes chaos_report.json and preserves
-# the write-ahead journal as journal.wal (CI uploads both as artifacts).
+# control runs of the same specs. Writes out/chaos_report.json and
+# preserves the write-ahead journal as out/journal.wal (CI uploads both
+# as artifacts).
 set -eu
 
 VQED_BIN=${VQED_BIN:-bin/vqed}
@@ -18,8 +19,9 @@ DURATION=${CHAOS_DURATION:-25s}
 CONCURRENCY=${CHAOS_CONCURRENCY:-3}
 SETTLE=${CHAOS_SETTLE:-3m}
 FAULTS=${CHAOS_FAULTS:-seed=7,panic=0.05,stall=0.03,stall_ms=500,max=6}
-REPORT=${CHAOS_REPORT:-chaos_report.json}
-JOURNAL_COPY=${CHAOS_JOURNAL:-journal.wal}
+REPORT=${CHAOS_REPORT:-out/chaos_report.json}
+JOURNAL_COPY=${CHAOS_JOURNAL:-out/journal.wal}
+mkdir -p "$(dirname "$REPORT")" "$(dirname "$JOURNAL_COPY")"
 
 . "$(dirname "$0")/daemon_lib.sh"
 LOAD_PID=

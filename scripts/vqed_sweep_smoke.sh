@@ -7,13 +7,14 @@
 # address and spool. The gate requires the family to survive the crash
 # (no 404 after restart), resume with only the unfinished points re-run,
 # and settle with every point done exactly once. Writes the final family
-# view — the full dissociation curve — to sweep_curve.json (CI uploads it
+# view — the full dissociation curve — to out/sweep_curve.json (CI uploads it
 # as an artifact).
 set -eu
 
 VQED_BIN=${VQED_BIN:-bin/vqed}
 VQELOAD_BIN=${VQELOAD_BIN:-bin/vqeload}
-CURVE_OUT=${SWEEP_CURVE:-sweep_curve.json}
+CURVE_OUT=${SWEEP_CURVE:-out/sweep_curve.json}
+mkdir -p "$(dirname "$CURVE_OUT")"
 # Nelder–Mead with a generous budget keeps each point slow enough
 # (~tens of ms) that the SIGKILL reliably lands mid-curve.
 SWEEP_SPEC='{"base":{"molecule":{"kind":"h2"},"optimizer":{"method":"nelder-mead","max_iter":400}},"axis":{"param":"distance","start":0.4,"stop":2.0,"step":0.01}}'

@@ -2,7 +2,7 @@
 # vqeload end-to-end smoke and the CI latency gate: boot vqed on a free
 # port, drive it with a closed-loop vqeload run over the smoke mix, gate
 # on end-to-end p99 and SLO attainment, and require a clean drain. Writes
-# load_report.json (CI uploads it as an artifact) and appends the
+# out/load_report.json (CI uploads it as an artifact) and appends the
 # markdown latency table to $GITHUB_STEP_SUMMARY when set.
 set -eu
 
@@ -12,7 +12,8 @@ DURATION=${LOAD_DURATION:-30s}
 CONCURRENCY=${LOAD_CONCURRENCY:-4}
 FAIL_P99=${LOAD_FAIL_P99:-2s}
 MIN_SLO=${LOAD_MIN_SLO:-0.95}
-REPORT=${LOAD_REPORT:-load_report.json}
+REPORT=${LOAD_REPORT:-out/load_report.json}
+mkdir -p "$(dirname "$REPORT")"
 
 . "$(dirname "$0")/daemon_lib.sh"
 trap cleanup_vqed EXIT INT TERM HUP
