@@ -89,3 +89,60 @@ func TestParentCheckpointResumes(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptWaterTrajectoryPinned pins the paper's Fig. 5 solve — the
+// benchmark's adapt12 spec — through Run: which operator each outer
+// iteration selects, the energy it optimizes to, and how many energy
+// evaluations the twelve inner L-BFGS runs spend. Operator selection is an
+// argmax over pool gradients and the stop is an energy threshold, so a
+// change to how the ansatz is prepared or differentiated that is only
+// "close" shows up here as a different trajectory.
+func TestAdaptWaterTrajectoryPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full 12-qubit Adapt solve")
+	}
+	spec, err := Parse([]byte(`{"molecule":{"kind":"water"},"algorithm":"adapt","backend":{"workers":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		operator string
+		energy   float64
+	}{
+		{"s(6->8)", 1.3080707478813},
+		{"s(7->9)", 1.2769455531589},
+		{"d(6,7->8,9)", 1.2586149321858},
+		{"s(3->9)", 1.2571845847929},
+		{"s(2->8)", 1.2557384585920},
+		{"s(7->11)", 1.2524499073272},
+		{"s(6->10)", 1.2495237087912},
+		{"d(6,7->10,11)", 1.2490665269172},
+		{"s(3->11)", 1.2488353086814},
+		{"s(2->10)", 1.2486044725853},
+		{"d(6,7->8,11)", 1.2483327916919},
+		{"d(6,7->9,10)", 1.2480746754948},
+	}
+	if len(res.History) != len(want) {
+		t.Fatalf("%d Adapt steps, pinned %d", len(res.History), len(want))
+	}
+	for i, w := range want {
+		got := res.History[i]
+		if got.Operator != w.operator {
+			t.Errorf("step %d selected %s, pinned %s", i+1, got.Operator, w.operator)
+		}
+		if math.Abs(got.Energy-w.energy) > 1e-10 {
+			t.Errorf("step %d (%s): energy %.13f, pinned %.13f", i+1, got.Operator, got.Energy, w.energy)
+		}
+	}
+	if res.EnergyEvaluations != 161 {
+		t.Errorf("%d energy evaluations, pinned 161", res.EnergyEvaluations)
+	}
+	if !res.Converged || res.Interrupted || !(res.ErrorVsExact < 1e-3) {
+		t.Errorf("converged=%v interrupted=%v error_vs_exact=%g, want a converged solve within 1e-3 Ha",
+			res.Converged, res.Interrupted, res.ErrorVsExact)
+	}
+}
