@@ -25,7 +25,9 @@ import (
 	"repro/internal/density"
 	"repro/internal/fermion"
 	"repro/internal/noise"
+	"repro/internal/opt"
 	"repro/internal/pauli"
+	"repro/internal/runspec"
 	"repro/internal/state"
 	"repro/internal/telemetry"
 	"repro/internal/trotter"
@@ -163,6 +165,75 @@ func BenchmarkFig5AdaptVQE(b *testing.B) {
 	}
 	b.ReportMetric(float64(iters), "iterations_to_1mHa")
 	b.ReportMetric(finalErr*1000, "final_error_mHa")
+}
+
+// adapt12Spec is the benchmark's Fig. 5 workload (bench/vqebench adaptBody).
+const adapt12Spec = `{"molecule":{"kind":"water"},"algorithm":"adapt","backend":{"workers":2}}`
+
+// BenchmarkAdaptWaterSolve times the adapt12 solve end to end, as the
+// benchmark harness runs it: molecule, observable, FCI reference and the
+// twelve Adapt iterations through Run.
+func BenchmarkAdaptWaterSolve(b *testing.B) {
+	spec, err := runspec.Parse([]byte(adapt12Spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(context.Background(), spec, RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.History) != 12 || !(res.ErrorVsExact < core.ChemicalAccuracy) {
+			b.Fatalf("%d Adapt steps, error %g", len(res.History), res.ErrorVsExact)
+		}
+	}
+}
+
+// BenchmarkValueAndGradientWater times one L-BFGS evaluation — energy and
+// adjoint gradient at the same θ — on the 12-operator ansatz that solve
+// ends with. An infinite gradient tolerance makes MinimizeLBFGS return
+// after exactly that one pair.
+func BenchmarkValueAndGradientWater(b *testing.B) {
+	m := chem.WaterLike()
+	h := chem.QubitHamiltonian(m)
+	pool, err := ansatz.NewPool(12, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	byLabel := map[string]ansatz.Excitation{}
+	for _, ex := range pool.Ops {
+		byLabel[ex.Label] = ex
+	}
+	a := ansatz.NewAdaptAnsatz(12, 8)
+	for _, label := range []string{"s(6->8)", "s(7->9)", "d(6,7->8,9)", "s(3->9)", "s(2->8)", "s(7->11)",
+		"s(6->10)", "d(6,7->10,11)", "s(3->11)", "s(2->10)", "d(6,7->8,11)", "d(6,7->9,10)"} {
+		ex, ok := byLabel[label]
+		if !ok {
+			b.Fatalf("pool has no operator %s", label)
+		}
+		a.Grow(ex)
+	}
+	theta := make([]float64, a.NumParameters())
+	for k := range theta {
+		theta[k] = 0.02 * float64(k+1)
+	}
+	drv, err := vqe.New(h, a, vqe.Options{Mode: vqe.Direct, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	once := opt.LBFGSOptions{GradTol: math.Inf(1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := drv.MinimizeLBFGS(context.Background(), theta, once, vqe.ResilienceOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Optimizer.Evaluations != 1 {
+			b.Fatalf("%d evaluations, want the one pair", res.Optimizer.Evaluations)
+		}
+	}
 }
 
 // BenchmarkDirectVsSampling times one VQE energy evaluation under the four

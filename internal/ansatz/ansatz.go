@@ -8,7 +8,6 @@ package ansatz
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -70,6 +69,32 @@ type Excitation struct {
 	// Paulis is the Jordan–Wigner image: Σ i·c_k·P_k with real c_k; the
 	// imaginary coefficients make the operator anti-Hermitian.
 	Paulis []pauli.Term
+	// plan is Paulis compiled for pauli.Plan.Exp, once, by the pool and
+	// ansatz constructors; copies of the Excitation share it.
+	plan *pauli.Plan
+}
+
+// compileGenerator vets and compiles a generator. The constructors of this
+// package only produce commuting, anti-Hermitian term lists, so a
+// rejection is a bug in them.
+func compileGenerator(label string, terms []pauli.Term) *pauli.Plan {
+	pl, err := pauli.NewGenerator(terms)
+	if err != nil {
+		panic(fmt.Errorf("ansatz: generator %s: %w", label, err))
+	}
+	return pl
+}
+
+// Plan returns A compiled for in-place exponentiation (pauli.Plan.Exp):
+// exp(θ·A) as one amplitude sweep per X-mask group (one, for a fermionic
+// excitation under Jordan–Wigner) instead of the AppendExp gate ladder.
+// An Excitation assembled by hand rather than by this package's
+// constructors is compiled on each call.
+func (e Excitation) Plan() *pauli.Plan {
+	if e.plan != nil {
+		return e.plan
+	}
+	return compileGenerator(e.Label, e.Paulis)
 }
 
 // AppendExp appends exp(θ·A) to the circuit. The Pauli terms arising from
@@ -108,12 +133,7 @@ func newExcitation(label string, t *fermion.Op, enc *fermion.Encoding) (Excitati
 	if len(terms) == 0 {
 		return Excitation{}, false
 	}
-	for _, tt := range terms {
-		if math.Abs(real(tt.Coeff)) > 1e-10 {
-			panic(fmt.Errorf("%w: generator %s not anti-Hermitian under JW", core.ErrInvalidArgument, label))
-		}
-	}
-	return Excitation{Label: label, Fermionic: a, Paulis: terms}, true
+	return Excitation{Label: label, Fermionic: a, Paulis: terms, plan: compileGenerator(label, terms)}, true
 }
 
 // Singles lists spin-preserving single excitations i→a (occupied →
@@ -385,10 +405,9 @@ func NewQubitPool(n, ne int) (*Pool, error) {
 				continue
 			}
 			seen[t.P] = true
-			ops = append(ops, Excitation{
-				Label:  "q[" + t.P.Compact() + "]",
-				Paulis: []pauli.Term{{Coeff: 1i, P: t.P}},
-			})
+			label := "q[" + t.P.Compact() + "]"
+			terms := []pauli.Term{{Coeff: 1i, P: t.P}}
+			ops = append(ops, Excitation{Label: label, Paulis: terms, plan: compileGenerator(label, terms)})
 		}
 	}
 	return &Pool{n: n, ne: ne, Ops: ops}, nil

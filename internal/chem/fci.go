@@ -82,7 +82,15 @@ func SectorMatrix(h *fermion.Op, nModes, ne int) (*linalg.Sparse, []uint64, erro
 	}
 	b := linalg.NewSparseBuilder(len(dets))
 	terms := h.Terms()
+	// Many terms hit the same (row, col) — 263 655 hits for 37 935 nonzeros
+	// on 12-qubit water — so each column is summed in a dense scratch first
+	// and the builder sees one entry per nonzero, not one per hit: its
+	// triplet list would otherwise be the largest allocation of a solve.
+	scratch := make([]complex128, len(dets))
+	touched := make([]bool, len(dets))
+	var rows []int
 	for col, det := range dets {
+		rows = rows[:0]
 		for _, t := range terms {
 			out, sign, ok := ApplyLadderProduct(t.Ops, det)
 			if !ok {
@@ -92,7 +100,15 @@ func SectorMatrix(h *fermion.Op, nModes, ne int) (*linalg.Sparse, []uint64, erro
 			if !in {
 				continue // particle-number-violating component: outside sector
 			}
-			b.Add(row, col, t.Coeff*complex(sign, 0))
+			if !touched[row] {
+				touched[row] = true
+				rows = append(rows, row)
+			}
+			scratch[row] += t.Coeff * complex(sign, 0)
+		}
+		for _, row := range rows {
+			b.Add(row, col, scratch[row])
+			scratch[row], touched[row] = 0, false
 		}
 	}
 	return b.Build(), dets, nil

@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 
@@ -87,16 +88,26 @@ func TestOpenLoopRejectionsAndRetryAfter(t *testing.T) {
 	// load with 503s carrying a Retry-After quote.
 	base := startDaemon(t, server.Config{MaxConcurrent: 1, QueueDepth: 1, SimWorkers: 1})
 
+	// The overload has to hold by construction, not because the engine
+	// happens to be slow: a sampled-mode job costs evaluations × groups ×
+	// shots, so shots is the dial (≈300 ms per job here). Distinct shot
+	// counts defeat the result cache so every class really runs once.
+	const ratePerSec = 40
+	slow := func(shots int) runspec.RunSpec {
+		return runspec.RunSpec{
+			Mode: "sampled", Shots: shots,
+			Optimizer: runspec.OptimizerSpec{Method: "nelder-mead", MaxIter: 40},
+		}
+	}
 	mix, err := runspec.NewMix("slowish", []runspec.MixEntry{
-		// Distinct seeds defeat the result cache so every job really runs.
-		{Name: "s1", Weight: 1, Spec: runspec.RunSpec{Molecule: runspec.MoleculeSpec{Kind: "synthetic", Orbitals: 4, Seed: 11}}},
-		{Name: "s2", Weight: 1, Spec: runspec.RunSpec{Molecule: runspec.MoleculeSpec{Kind: "synthetic", Orbitals: 4, Seed: 12}}},
-		{Name: "s3", Weight: 1, Spec: runspec.RunSpec{Molecule: runspec.MoleculeSpec{Kind: "synthetic", Orbitals: 4, Seed: 13}}},
+		{Name: "s1", Weight: 1, Spec: slow(20000)},
+		{Name: "s2", Weight: 1, Spec: slow(20001)},
+		{Name: "s3", Weight: 1, Spec: slow(20002)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := NewPoisson(40)
+	arr, err := NewPoisson(ratePerSec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +128,21 @@ func TestOpenLoopRejectionsAndRetryAfter(t *testing.T) {
 	rep, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The premise: an uncached job holds the one worker for several
+	// inter-arrival gaps, so the one queue slot cannot absorb the stream.
+	var runMs []float64
+	for _, o := range rep.Outcomes {
+		if o.Status == "done" && !o.CacheHit {
+			runMs = append(runMs, o.RunMs)
+		}
+	}
+	sort.Float64s(runMs)
+	const gapMs = 1000.0 / ratePerSec
+	if len(runMs) == 0 || runMs[len(runMs)/2] < 3*gapMs {
+		t.Fatalf("premise broken: uncached jobs ran %v ms, median must be ≥ %g ms (3 mean inter-arrival gaps at %d/s) "+
+			"for a 1-worker, 1-slot daemon to be overloaded — the engine got faster; raise shots in slow()",
+			runMs, 3*gapMs, ratePerSec)
 	}
 	if rep.Rejected == 0 {
 		t.Fatalf("overloaded daemon shed nothing: %+v", rep)

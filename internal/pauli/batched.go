@@ -43,7 +43,7 @@ type xGroup struct {
 	csRe []float64
 	zsIm []uint64
 	csIm []float64
-	// Raw terms for MatVec, which needs the full complex coefficients.
+	// Raw terms for MatVec and Exp, which need the full complex coefficients.
 	zs []uint64
 	cs []complex128
 }
@@ -56,6 +56,9 @@ type Plan struct {
 	maxQubit int
 	nTerms   int
 	groups   []xGroup // sorted by X mask; the diagonal group (x=0) first
+	// generator marks a plan NewGenerator vetted as anti-Hermitian with
+	// commuting terms — the precondition of Exp and Bracket.
+	generator bool
 }
 
 // NewPlan groups op's terms by X mask. The identity term needs no special
@@ -244,50 +247,52 @@ func padTo(n, unit int) int {
 	return (n+unit-1)/unit*unit + unit
 }
 
-// MatVec computes dst = H·src with one scatter pass per X-mask group
-// (batched counterpart of Op.MatVec, used by the adjoint-gradient and
-// Adapt pool-scan paths). Within a group the map i → i XOR x is a
-// bijection, so chunks write disjoint dst entries and the pass
-// parallelizes safely; pool may be nil for serial execution. dst and src
-// must both have length 2ⁿ and must not alias.
+// MatVec computes dst = H·src (batched counterpart of Op.MatVec, used by
+// the adjoint-gradient and Adapt pool-scan paths). The work is partitioned
+// on the destination index and dispatched to the pool once per call; each
+// chunk walks the X-mask groups in order over its own slice of dst, so
+// every dst entry receives its per-group contributions in group order
+// whatever the chunking, and chunks never share an entry. pool may be nil
+// for serial execution. dst and src must both have length 2ⁿ and must not
+// alias.
 func (pl *Plan) MatVec(dst, src []complex128, pool *state.Pool) {
 	start := telemetry.Now()
 	defer mPlanMatVec.Since(start)
-	for i := range dst {
-		dst[i] = 0
-	}
 	dim := uint64(len(src))
-	chunks := 0
-	if pool != nil && len(src) >= 1<<12 {
-		chunks = pool.Workers()
-	} else {
-		pool = nil
+	if pool == nil || len(src) < tuning.ReduceParallel {
+		pl.matVecRange(dst, src, 0, dim)
+		return
+	}
+	pool.Run(dim, pool.Workers(), func(_ int, lo, hi uint64) { pl.matVecRange(dst, src, lo, hi) })
+}
+
+// matVecRange fills dst[lo:hi): for group x, entry j gathers from source
+// i = j⊕x. Zero sources are skipped, which is most of them for a state
+// confined to a particle-number sector.
+//
+//vqesim:hotpath
+func (pl *Plan) matVecRange(dst, src []complex128, lo, hi uint64) {
+	for j := lo; j < hi; j++ {
+		dst[j] = 0
 	}
 	for gi := range pl.groups {
 		g := &pl.groups[gi]
-		//vqesim:hotpath
-		sweep := func(lo, hi uint64) {
-			zs, cs, x := g.zs, g.cs, g.x
-			for i := lo; i < hi; i++ {
-				v := src[i]
-				if v == 0 {
-					continue
-				}
-				var c complex128
-				for t, z := range zs {
-					if bits.OnesCount64(i&z)&1 == 0 {
-						c += cs[t]
-					} else {
-						c -= cs[t]
-					}
-				}
-				dst[i^x] += c * v
+		zs, cs, x := g.zs, g.cs, g.x
+		for j := lo; j < hi; j++ {
+			i := j ^ x
+			v := src[i]
+			if v == 0 {
+				continue
 			}
-		}
-		if pool == nil {
-			sweep(0, dim)
-		} else {
-			pool.Run(dim, chunks, func(_ int, lo, hi uint64) { sweep(lo, hi) })
+			// Signs by multiplication (±1 is exact), not branches: the
+			// parity of i∧z is as good as random to the predictor.
+			var cr, ci float64
+			for t, z := range zs {
+				sg := 1 - 2*float64(bits.OnesCount64(i&z)&1)
+				cr += sg * real(cs[t])
+				ci += sg * imag(cs[t])
+			}
+			dst[j] += complex(cr, ci) * v
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package pauli
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/core"
@@ -170,6 +172,60 @@ func TestPlanMatVecMatchesOpMatVec(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlanMatVecBitEqualToGroupScatter holds MatVec — one dispatch per
+// call, partitioned on the destination — to the bits of the pass it
+// replaced: one scatter over the sources per X-mask group, in group order.
+// Each destination must see the same additions in the same order however
+// the range is chunked, because adjoint gradients and Adapt's operator
+// selection are downstream of it.
+func TestPlanMatVecBitEqualToGroupScatter(t *testing.T) {
+	rng := core.NewRNG(0xB17)
+	op := randomOp(rng, 13, 80)
+	pl := NewPlan(op)
+	src := randomWideState(rng, 13, state.Options{Workers: 1}).AmplitudesCopy()
+	for i := range src {
+		if i%3 != 0 {
+			src[i] = 0 // a sector-confined state is mostly exact zeros
+		}
+	}
+	want := make([]complex128, len(src))
+	for gi := range pl.groups {
+		g := &pl.groups[gi]
+		for i, v := range src {
+			if v == 0 {
+				continue
+			}
+			var c complex128
+			for t, z := range g.zs {
+				if bits.OnesCount64(uint64(i)&z)&1 == 0 {
+					c += g.cs[t]
+				} else {
+					c -= g.cs[t]
+				}
+			}
+			want[uint64(i)^g.x] += c * v
+		}
+	}
+	check := func(name string, pool *state.Pool) {
+		got := make([]complex128, len(src))
+		for i := range got {
+			got[i] = complex(1, 1) // MatVec must overwrite, not accumulate
+		}
+		pl.MatVec(got, src, pool)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: dst[%d] = %v, group scatter gives %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	check("serial", nil)
+	for _, w := range []int{2, 3} {
+		pool := state.NewPool(w)
+		check(fmt.Sprintf("pool of %d", w), pool)
+		pool.Close()
 	}
 }
 

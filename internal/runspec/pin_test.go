@@ -14,14 +14,19 @@ import (
 // loop, the gradient a backend run uses, or the order a backend sums its
 // expectation in shows up here before it shows up as a cache entry that no
 // longer matches a re-run.
+//
+// nwq-sv prepares the ansatz with generator-exponential kernels and every
+// other backend runs Ansatz.Circuit, so the two routes round differently
+// (56 ulps on H2) and are pinned separately; what ties them together is
+// the agreement check at the end.
 func TestBackendEnergiesPinned(t *testing.T) {
 	cases := []struct {
 		accelerator, method string
 		energyBits          uint64
 		evaluations         int
 	}{
-		{"nwq-sv", "nelder-mead", 0xbff2324097d9c4ff, 123},
-		{"nwq-sv", "lbfgs", 0xbff2324097e69a51, 6},
+		{"nwq-sv", "nelder-mead", 0xbff2324097d9c4c7, 123},
+		{"nwq-sv", "lbfgs", 0xbff2324097e69a19, 6},
 		{"nwq-sv-serial", "nelder-mead", 0xbff2324097d9c4ff, 123},
 		{"nwq-sv-serial", "lbfgs", 0xbff2324097e69a4a, 42},
 		{"nwq-cluster", "nelder-mead", 0xbff2324097d9c4ff, 123},
@@ -31,6 +36,7 @@ func TestBackendEnergiesPinned(t *testing.T) {
 		{"nwq-resilient", "nelder-mead", 0xbff2324097d9c4ff, 123},
 		{"nwq-resilient", "lbfgs", 0xbff2324097e69a4a, 42},
 	}
+	energies := map[string]float64{}
 	for _, tc := range cases {
 		spec := &RunSpec{
 			Optimizer: OptimizerSpec{Method: tc.method},
@@ -52,6 +58,13 @@ func TestBackendEnergiesPinned(t *testing.T) {
 			t.Errorf("%s/%s: %d energy evaluations, pinned %d", tc.accelerator, tc.method,
 				res.EnergyEvaluations, tc.evaluations)
 		}
+		energies[tc.accelerator+"/"+tc.method] = res.Energy
+	}
+	// The kernel route and the circuit route are the same unitary.
+	for _, method := range []string{"nelder-mead", "lbfgs"} {
+		if d := math.Abs(energies["nwq-sv/"+method] - energies["nwq-sv-serial/"+method]); d > 1e-12 {
+			t.Errorf("nwq-sv and nwq-sv-serial disagree by %g under %s", d, method)
+		}
 	}
 }
 
@@ -62,8 +75,8 @@ func TestBackendEnergiesPinned(t *testing.T) {
 // pinned to above: the checkpoint kinds and payloads are a wire format.
 func TestParentCheckpointResumes(t *testing.T) {
 	for method, want := range map[string]uint64{
-		"nelder-mead": 0xbff2324097d9c4ff,
-		"lbfgs":       0xbff2324097e69a51,
+		"nelder-mead": 0xbff2324097d9c4c7,
+		"lbfgs":       0xbff2324097e69a19,
 	} {
 		fixture, err := os.ReadFile(filepath.Join("testdata", "parent_"+method+".ckpt"))
 		if err != nil {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"repro/internal/runspec"
 )
 
 // eventHub carries one family's event stream. The zero value is not
@@ -15,16 +17,94 @@ import (
 type eventHub struct {
 	mu      sync.Mutex
 	seq     int
-	history []Event
-	subs    map[chan Event]struct{}
-	done    chan struct{}
+	history []storedEvent
+	// subs is allocated by the first subscribe: most families settle
+	// without ever being streamed.
+	subs map[chan Event]struct{}
+	done chan struct{}
 }
 
 func newEventHub() eventHub {
-	return eventHub{
-		subs: map[chan Event]struct{}{},
-		done: make(chan struct{}),
+	return eventHub{done: make(chan struct{})}
+}
+
+// storedEvent is an Event as the replay buffer keeps it — 40 bytes
+// against 104: a daemon retains every settled family, so what a family's
+// history costs is what a served job costs in resident memory. Type and
+// Phase come from small closed sets and are interned to a byte; Seq,
+// Iteration and Point fit 32 bits (a family publishing 2³² frames would
+// take hours at one per microsecond); Operator and Error, absent from
+// almost every frame, sit behind one pointer. expand is the exact
+// inverse, so replay content is unchanged.
+type storedEvent struct {
+	energy, value         float64
+	rare                  *rareFields
+	seq, iteration, point uint32
+	typ, phase            uint8
+}
+
+// rareFields are the strings few frames carry, plus a Type or Phase the
+// intern table does not know (nameOther).
+type rareFields struct {
+	operator, err, typ, phase string
+}
+
+// eventNames is the intern table for Event.Type and Event.Phase.
+var eventNames = [...]string{
+	"", string(StatusQueued), string(StatusRunning), "progress", EventRetrying,
+	string(StatusDone), string(StatusFailed), string(StatusInterrupted), string(StatusCancelled),
+	EventPointDone, EventPointFailed,
+	"setup", runspec.AlgorithmVQE, runspec.AlgorithmAdapt, runspec.AlgorithmQPE,
+}
+
+// nameOther marks a name outside eventNames; it is kept in rareFields.
+const nameOther = 0xff
+
+// progressCode is the interned "progress": the one type publish evicts.
+var progressCode = nameCode("progress")
+
+func nameCode(name string) uint8 {
+	for i, n := range eventNames {
+		if n == name {
+			return uint8(i)
+		}
 	}
+	return nameOther
+}
+
+func compactEvent(e Event) storedEvent {
+	se := storedEvent{
+		energy: e.Energy, value: e.Value,
+		seq: uint32(e.Seq), iteration: uint32(e.Iteration), point: uint32(e.Point),
+		typ: nameCode(e.Type), phase: nameCode(e.Phase),
+	}
+	if e.Operator != "" || e.Error != "" || se.typ == nameOther || se.phase == nameOther {
+		se.rare = &rareFields{operator: e.Operator, err: e.Error}
+		if se.typ == nameOther {
+			se.rare.typ = e.Type
+		}
+		if se.phase == nameOther {
+			se.rare.phase = e.Phase
+		}
+	}
+	return se
+}
+
+func (se storedEvent) expand() Event {
+	e := Event{
+		Seq: int(se.seq), Iteration: int(se.iteration), Point: int(se.point),
+		Energy: se.energy, Value: se.value,
+	}
+	if se.rare != nil {
+		e.Operator, e.Error, e.Type, e.Phase = se.rare.operator, se.rare.err, se.rare.typ, se.rare.phase
+	}
+	if se.typ != nameOther {
+		e.Type = eventNames[se.typ]
+	}
+	if se.phase != nameOther {
+		e.Phase = eventNames[se.phase]
+	}
+	return e
 }
 
 // publish appends an event to the history and fans it out to live
@@ -45,18 +125,22 @@ func (h *eventHub) publish(e Event) {
 	if len(h.history) >= maxEventHistory {
 		// Drop the oldest progress event; lifecycle events stay.
 		for i, old := range h.history {
-			if old.Type == "progress" {
+			if old.typ == progressCode {
 				h.history = append(h.history[:i], h.history[i+1:]...)
 				break
 			}
 		}
 	}
-	h.history = append(h.history, e)
+	h.history = append(h.history, compactEvent(e))
+	terminal := Status(e.Type).Terminal()
+	if terminal {
+		// Nothing follows a terminal frame: give back the append slack.
+		h.history = append(make([]storedEvent, 0, len(h.history)), h.history...)
+	}
 	subs := make([]chan Event, 0, len(h.subs))
 	for ch := range h.subs {
 		subs = append(subs, ch)
 	}
-	terminal := Status(e.Type).Terminal()
 	h.mu.Unlock()
 	for _, ch := range subs {
 		select {
@@ -76,7 +160,12 @@ func (h *eventHub) subscribe() ([]Event, chan Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	replay := make([]Event, len(h.history))
-	copy(replay, h.history)
+	for i, se := range h.history {
+		replay[i] = se.expand()
+	}
+	if h.subs == nil {
+		h.subs = map[chan Event]struct{}{}
+	}
 	h.subs[ch] = struct{}{}
 	return replay, ch
 }

@@ -365,6 +365,11 @@ func (s *Server) compactIfNeeded(force bool) {
 		return
 	}
 	defer s.compacting.Store(false)
+	// Whatever the table holds now is in the snapshot (a family registers
+	// before its accepted record is appended, a point's state changes
+	// before its record is); whatever comes later waits for the new file.
+	s.journalGate.Lock()
+	defer s.journalGate.Unlock()
 	if err := jn.Compact(s.liveSnapshot()); err != nil {
 		s.degrade(fmt.Sprintf("journal compaction failed: %v", err))
 	}

@@ -699,3 +699,145 @@ func TestJournalAppendsPerOperation(t *testing.T) {
 		t.Errorf("cold 3-point family took %d appends, want 5", got)
 	}
 }
+
+// TestShutdownKeepsAcknowledgedAdmissions: an admission that passed the
+// draining gate is acknowledged, so its accepted record must reach the
+// journal even when Shutdown runs while it is in flight — a drained worker
+// fleet used to let Shutdown close the journal under it, and the restarted
+// daemon answered 404 for an id it had handed out (or handed it out again).
+func TestShutdownKeepsAcknowledgedAdmissions(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		spool := t.TempDir()
+		srv, err := New(Config{MaxConcurrent: 1, SimWorkers: 1, SpoolDir: spool, QueueDepth: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One settled job warms the result cache: later submissions of the
+		// same spec settle inside admit, which is all journal writes.
+		first, err := srv.Submit(&runspec.RunSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-first.done
+
+		var mu sync.Mutex
+		acked := []string{first.ID}
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					f, err := srv.Submit(&runspec.RunSpec{})
+					if err != nil {
+						return // ErrShuttingDown
+					}
+					mu.Lock()
+					acked = append(acked, f.ID)
+					mu.Unlock()
+				}
+			}()
+		}
+		time.Sleep(2 * time.Millisecond)
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+
+		again, err := New(Config{MaxConcurrent: 1, SimWorkers: 1, SpoolDir: spool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, id := range acked {
+			if seen[id] {
+				t.Fatalf("round %d: id %s acknowledged twice", round, id)
+			}
+			seen[id] = true
+			again.mu.Lock()
+			_, known := again.families[id]
+			again.mu.Unlock()
+			if !known {
+				t.Fatalf("round %d: %s was acknowledged before shutdown and is unknown after restart (%d acknowledged)",
+					round, id, len(acked))
+			}
+		}
+		if err := again.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCompactionKeepsConcurrentAdmissions: a compaction snapshots the
+// family table and then swaps the journal file. A family admitted in
+// between used to have its accepted (and done) record written to the file
+// the swap discards, so the restarted daemon had never heard of an id it
+// had acknowledged — the drill's "lost" and "duplicate id" outcomes.
+func TestCompactionKeepsConcurrentAdmissions(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		spool := t.TempDir()
+		srv, err := New(Config{MaxConcurrent: 1, SimWorkers: 1, SpoolDir: spool, QueueDepth: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := srv.Submit(&runspec.RunSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-first.done // the result cache now settles every resubmission inside admit
+
+		var mu sync.Mutex
+		acked := []string{first.ID}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					f, err := srv.Submit(&runspec.RunSpec{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					acked = append(acked, f.ID)
+					mu.Unlock()
+				}
+			}()
+		}
+		for i := 0; i < 20; i++ {
+			time.Sleep(2 * time.Millisecond)
+			srv.compactIfNeeded(true)
+		}
+		close(stop)
+		wg.Wait()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+
+		again, err := New(Config{MaxConcurrent: 1, SimWorkers: 1, SpoolDir: spool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := 0
+		again.mu.Lock()
+		for _, id := range acked {
+			if _, known := again.families[id]; !known {
+				missing++
+			}
+		}
+		again.mu.Unlock()
+		if missing > 0 {
+			t.Errorf("round %d: %d of %d acknowledged ids unknown after restart", round, missing, len(acked))
+		}
+		if err := again.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

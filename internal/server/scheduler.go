@@ -115,6 +115,11 @@ func (s *Server) admit(sweep *runspec.SweepSpec, points []runspec.SweepPoint) (*
 		s.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
+	// Past the draining gate: Shutdown waits for this admission before it
+	// closes the journal, or the 202 below could acknowledge a family whose
+	// accepted record was never written.
+	s.wg.Add(1)
+	defer s.wg.Done()
 	// Only the uncached remainder competes for a backlog slot.
 	cached := make([]*runspec.Result, len(points))
 	uncached := 0
@@ -328,7 +333,14 @@ func (s *Server) runFamily(f *family) {
 	famCtx, famCancel := context.WithCancelCause(s.runCtx)
 	f.cancelCause = famCancel
 	f.mu.Unlock()
-	defer famCancel(nil)
+	defer func() {
+		famCancel(nil)
+		// The closure pins the context tree; a family no worker owns has
+		// nothing to cancel (cancelFamily checks for nil).
+		f.mu.Lock()
+		f.cancelCause = nil
+		f.mu.Unlock()
+	}()
 
 	start := telemetry.Now()
 	mJobsRunning.Set(s.running.Add(1))

@@ -129,8 +129,10 @@ type Server struct {
 	// and executes its points sequentially.
 	queue chan *family
 
-	runCtx  context.Context
-	cancel  context.CancelFunc
+	runCtx context.Context
+	cancel context.CancelFunc
+	// wg counts the worker fleet, the watchdog, and every admission past
+	// the draining gate; Shutdown waits on it before closing the journal.
 	wg      sync.WaitGroup
 	running atomic.Int64
 	// avgRunNs is the EWMA of recent queue-item execution times backing
@@ -140,6 +142,13 @@ type Server struct {
 	// subsequent jobs run without checkpointing (degraded durability).
 	spoolOK    atomic.Bool
 	compacting atomic.Bool
+	// journalGate orders appends against compaction: every append holds
+	// it shared, a compaction holds it exclusively from its snapshot of
+	// the family table to the file swap. A record appended in between
+	// would be written to the file the swap discards — an acknowledged
+	// family the restarted daemon has never heard of. A compaction takes
+	// mu and family locks inside it; no append holds either.
+	journalGate sync.RWMutex
 
 	mu       sync.Mutex
 	draining bool
@@ -308,6 +317,8 @@ func (s *Server) journalAppend(rec journal.Record) {
 	if jn == nil {
 		return
 	}
+	s.journalGate.RLock()
+	defer s.journalGate.RUnlock()
 	if err := jn.Append(rec); err != nil {
 		s.degrade(fmt.Sprintf("journal append failed: %v", err))
 	}

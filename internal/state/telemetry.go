@@ -15,6 +15,7 @@ var (
 	mGateRZ       = telemetry.GetCounter("state.gate.rz")
 	mGate2QSparse = telemetry.GetCounter("state.gate.2q_sparse")
 	mGate2QDense  = telemetry.GetCounter("state.gate.2q_dense")
+	mGatePairs    = telemetry.GetCounter("state.gate.pair_rotation")
 	mCircuitRun   = telemetry.GetTimer("state.circuit.run")
 
 	// Worker-pool counters: dispatched parallel runs, chunk tasks fed to

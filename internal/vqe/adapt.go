@@ -126,8 +126,12 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 	}
 
 	// Pool-scan simulator created once: every outer iteration resets it in
-	// place, so its persistent worker pool serves all gradient scans.
+	// place, so its persistent worker pool serves all gradient scans. H is
+	// compiled once too, for every scan and every inner driver.
 	s := state.New(n, state.Options{Workers: o.Workers, Pool: o.Pool})
+	plan := pauli.NewPlan(h)
+	hPsi := make([]complex128, s.Dim())
+	ref := adapt.Reference()
 	// observerHalted distinguishes a deliberate post-iteration halt (the
 	// iteration completed; checkpoint covers it) from a deadline hit
 	// mid-iteration (partial work unwound; checkpoint excludes it).
@@ -148,9 +152,8 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			// or a full iteration — observes the timer.
 			defer mAdaptIter.Since(telemetry.Now())
 			// Prepare current optimal state and scan the pool.
-			s.ResetZero()
-			s.Run(adapt.Circuit(params))
-			grads := PoolGradients(s, h, pool.Ops)
+			prepareExponential(s, ref, adapt.Operators(), params)
+			grads := poolGradients(s, plan, hPsi, pool.Ops)
 			best, bestAbs := -1, 0.0
 			for k, g := range grads {
 				if a := math.Abs(g); a > bestAbs {
@@ -165,7 +168,7 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			selected = append(selected, best)
 			params = append(params, 0)
 
-			drv, err := New(h, adapt, Options{Mode: Direct, Workers: o.Workers, Pool: o.Pool})
+			drv, err := newDriver(h, plan, adapt, Options{Mode: Direct, Workers: o.Workers, Pool: o.Pool})
 			if err != nil {
 				return false, err
 			}

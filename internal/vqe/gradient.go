@@ -1,68 +1,48 @@
 package vqe
 
 import (
+	"slices"
+
 	"repro/internal/ansatz"
-	"repro/internal/circuit"
 	"repro/internal/linalg"
 	"repro/internal/pauli"
 	"repro/internal/state"
+	"repro/internal/telemetry"
 )
 
-// Exponential is an ansatz of the form U(θ) = ∏ₖ exp(θₖ·Aₖ)·|ref⟩ whose
-// structure enables adjoint differentiation. UCCSD and the Adapt ansatz
-// satisfy it.
-type Exponential interface {
-	ansatz.Ansatz
-	Reference() *circuit.Circuit
-	Operators() []ansatz.Excitation
+// forward leaves φ = U(θ)|ref⟩ in the simulator and λ = H·φ in the
+// driver's buffer and returns E = Re⟨φ|λ⟩: the energy, and the two vectors
+// the adjoint gradient at the same θ starts from.
+func (d *Driver) forward(params []float64) float64 {
+	d.prepareAnsatz(d.sim, params)
+	readStart := telemetry.Now()
+	if d.lambda == nil {
+		d.lambda = make([]complex128, d.sim.Dim())
+	}
+	d.plan.MatVec(d.lambda, d.sim.Amplitudes(), d.sim.WorkerPool())
+	e := real(linalg.VecDot(d.sim.Amplitudes(), d.lambda))
+	mPhaseExpect.Since(readStart)
+	d.lambdaAt = append(d.lambdaAt[:0], params...)
+	d.lambdaValid = true
+	return e
 }
 
-// adjointGradient fills g with ∂E/∂θ via the adjoint (reverse-sweep)
-// method: two state vectors, one forward preparation, one application of
-// H, then a backward sweep undoing each exponential —
-// O(m·(gates + 2ⁿ·terms)) total instead of O(m²) circuit executions.
-func (d *Driver) adjointGradient(exp Exponential, params, g []float64) {
-	ops := exp.Operators()
-	n := exp.NumQubits()
-
-	// Forward: |φ⟩ = U(θ)|ref⟩.
-	phi := state.New(n, state.Options{Workers: d.opts.Workers})
-	phi.Run(exp.Reference())
-	exps := make([]*circuit.Circuit, len(ops))
-	for k, ex := range ops {
-		c := circuit.New(n)
-		ex.AppendExp(c, params[k])
-		exps[k] = c
-		phi.Run(c)
+// adjointGradient fills g with ∂E/∂θ by the adjoint (reverse-sweep)
+// method. At step k, from last to first, φ and λ hold U_k…U_1|ref⟩ and
+// (U_{k+1}…U_m)†·H|ψ⟩, so g_k = 2·Re⟨λ|A_k|φ⟩, and one two-vector kernel
+// call both reads that bracket and undoes exp(θ_k·A_k) on φ and λ. When
+// the objective was just evaluated at the same θ — what L-BFGS always
+// does — the forward pass is already in the driver's buffers and only the
+// m backward sweeps run.
+func (d *Driver) adjointGradient(params, g []float64) {
+	if !d.lambdaValid || !slices.Equal(d.lambdaAt, params) {
+		d.forward(params)
 	}
-
-	// λ = H|φ⟩ (unnormalized; held as raw amplitudes). The driver's
-	// batched plan applies H with one scatter pass per X-mask group,
-	// parallelized over φ's worker pool.
-	lambda := make([]complex128, phi.Dim())
-	d.plan.MatVec(lambda, phi.Amplitudes(), phi.WorkerPool())
-	lamState := rawState(lambda, n, d.opts.Workers)
-
-	// Backward sweep: at step k (from last to first), φ and λ hold
-	// U_k…U_1|ref⟩ and (U_{k+1}…U_m)†H|ψ⟩; grad_k = 2·Re⟨λ|A_k|φ⟩.
-	tmp := make([]complex128, phi.Dim())
+	ops := d.exp.Operators()
 	for k := len(ops) - 1; k >= 0; k-- {
-		gen := ops[k].Generator()
-		gen.MatVec(tmp, phi.Amplitudes())
-		g[k] = 2 * real(linalg.VecDot(lamState.Amplitudes(), tmp))
-		inv := exps[k].Inverse()
-		phi.Run(inv)
-		lamState.Run(inv)
+		g[k] = ops[k].Plan().Exp(d.sim, d.lambda, -params[k])
 	}
-}
-
-// rawState wraps an arbitrary (possibly unnormalized) amplitude vector in
-// a State so circuits can be applied to it. Gate application is linear, so
-// normalization is irrelevant for the inner products taken here.
-func rawState(amps []complex128, n, workers int) *state.State {
-	s := state.New(n, state.Options{Workers: workers})
-	copy(s.Amplitudes(), amps)
-	return s
+	d.lambdaValid = false // φ and λ are unwound to the reference
 }
 
 // PoolGradients returns ∂E/∂θ at θ=0 for appending each pool operator to
@@ -70,15 +50,16 @@ func rawState(amps []complex128, n, workers int) *state.State {
 // the whole pool scan O(2ⁿ·(|H| + Σ|Aₖ|)) — this is the operator-selection
 // step of Adapt-VQE.
 func PoolGradients(s *state.State, h *pauli.Op, poolOps []ansatz.Excitation) []float64 {
-	hPsi := make([]complex128, s.Dim())
-	// H is the many-term factor; apply it batched. The per-operator
-	// generators below have only a handful of terms each.
-	pauli.NewPlan(h).MatVec(hPsi, s.Amplitudes(), s.WorkerPool())
-	tmp := make([]complex128, s.Dim())
+	return poolGradients(s, pauli.NewPlan(h), make([]complex128, s.Dim()), poolOps)
+}
+
+// poolGradients is PoolGradients on a plan and an Hψ buffer the caller
+// keeps across scans.
+func poolGradients(s *state.State, plan *pauli.Plan, hPsi []complex128, poolOps []ansatz.Excitation) []float64 {
+	plan.MatVec(hPsi, s.Amplitudes(), s.WorkerPool())
 	out := make([]float64, len(poolOps))
 	for k, ex := range poolOps {
-		ex.Generator().MatVec(tmp, s.Amplitudes())
-		out[k] = 2 * real(linalg.VecDot(hPsi, tmp))
+		out[k] = ex.Plan().Bracket(s, hPsi)
 	}
 	return out
 }

@@ -126,6 +126,17 @@ type Driver struct {
 	sim     *state.State
 	scratch *state.State
 	plan    *pauli.Plan // batched X-mask-grouped evaluation plan for H
+	// exp is Ansatz when it has exponential structure, and ref its
+	// reference circuit, built once: the in-process engine then prepares
+	// it with generator kernels (prepareExponential), not Ansatz.Circuit.
+	exp Exponential
+	ref *circuit.Circuit
+	// lambda is H·φ for the φ the simulator holds, valid while
+	// lambdaValid and for the parameters lambdaAt: the hand-over from
+	// an L-BFGS energy evaluation to the gradient that follows it.
+	lambda      []complex128
+	lambdaAt    []float64
+	lambdaValid bool
 	// groupPlans (Rotated mode with Transpile) holds one batched plan
 	// per measurement group, built once: the group's basis-change layer
 	// is fused into the pair sweep, so an energy evaluation reads every
@@ -142,6 +153,13 @@ type Driver struct {
 
 // New builds a driver for observable h over the given ansatz.
 func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
+	return newDriver(h, nil, a, opts)
+}
+
+// newDriver is New with h's evaluation plan supplied by a caller that
+// already compiled it (Adapt builds one per solve, not one per inner
+// driver); nil compiles it here.
+func newDriver(h *pauli.Op, plan *pauli.Plan, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	n := a.NumQubits()
 	if h.MaxQubit() >= n {
 		return nil, core.QubitError(h.MaxQubit(), n)
@@ -161,7 +179,13 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	}
 	if opts.Backend == nil {
 		d.sim = state.New(n, state.Options{Workers: opts.Workers, Seed: opts.Seed, Pool: opts.Pool})
-		d.plan = pauli.NewPlan(h)
+		if plan == nil {
+			plan = pauli.NewPlan(h)
+		}
+		d.plan = plan
+		if exp, ok := a.(Exponential); ok {
+			d.exp, d.ref = exp, exp.Reference()
+		}
 	}
 	if opts.Mode != Direct {
 		if opts.PerTermMeasurement {
@@ -215,20 +239,52 @@ func (d *Driver) Stats() Stats {
 func (d *Driver) CacheStats() state.CacheStats { return d.cache.Stats() }
 
 // prepareAnsatz runs U(θ) from |0…0⟩ on s (the simulator, or the scratch
-// state the uncached measurement walk re-prepares for every basis).
+// state the uncached measurement walk re-prepares for every basis). An
+// exponential ansatz has no gates to fuse — each operator is already one
+// sweep — so Transpile only bears on circuit-shaped ansätze.
 func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 	start := telemetry.Now()
-	c := d.Ansatz.Circuit(params)
-	s.ResetZero()
-	if d.opts.Transpile {
+	d.lambdaValid = false
+	switch {
+	case d.exp != nil:
+		if len(params) != d.exp.NumParameters() {
+			panic(core.ErrDimensionMismatch)
+		}
+		prepareExponential(s, d.ref, d.exp.Operators(), params)
+	case d.opts.Transpile:
 		// Fused kernel path: compile through the transpiler and execute
 		// layered fused sweeps.
-		s.RunOptimized(c)
-	} else {
-		s.Run(c)
+		s.ResetZero()
+		s.RunOptimized(d.Ansatz.Circuit(params))
+	default:
+		s.ResetZero()
+		s.Run(d.Ansatz.Circuit(params))
 	}
 	d.stats.AnsatzExecutions++
 	mPhasePrepare.Since(start)
+}
+
+// Exponential is an ansatz of the form U(θ) = ∏ₖ exp(θₖ·Aₖ)·|ref⟩ whose
+// structure the in-process driver executes directly — one amplitude sweep
+// per generator — and differentiates by the adjoint method. UCCSD and the
+// Adapt ansatz satisfy it.
+type Exponential interface {
+	ansatz.Ansatz
+	Reference() *circuit.Circuit
+	Operators() []ansatz.Excitation
+}
+
+// prepareExponential leaves U(θ)|ref⟩ in s: the reference circuit, then
+// one generator-exponential kernel per operator. This is how the driver
+// and the Adapt pool scan prepare an exponential ansatz in process;
+// Ansatz.Circuit, the gate-ladder form of the same unitary, is what
+// backends, QASM export and the gate-count figures consume.
+func prepareExponential(s *state.State, ref *circuit.Circuit, ops []ansatz.Excitation, params []float64) {
+	s.ResetZero()
+	s.Run(ref)
+	for k, ex := range ops {
+		ex.Plan().Exp(s, nil, params[k])
+	}
 }
 
 // paramKey builds the cache key for a parameter vector.
@@ -243,8 +299,7 @@ func (d *Driver) Energy(params []float64) float64 {
 	if d.opts.Backend != nil {
 		panic(fmt.Errorf("%w: vqe: Energy cannot report a backend failure; call EnergyContext", core.ErrInvalidArgument))
 	}
-	start := telemetry.Now()
-	d.stats.EnergyEvaluations++
+	start := d.beginEnergy()
 	var e float64
 	switch d.opts.Mode {
 	case Direct:
@@ -268,12 +323,23 @@ func (d *Driver) Energy(params []float64) float64 {
 	default:
 		panic(fmt.Errorf("%w: unknown energy mode %v", core.ErrInvalidArgument, d.opts.Mode))
 	}
+	endEnergy(start)
+	return e
+}
+
+// beginEnergy and endEnergy bracket one in-process energy evaluation: the
+// evaluation count and the vqe.energy timers.
+func (d *Driver) beginEnergy() int64 {
+	d.stats.EnergyEvaluations++
+	return telemetry.Now()
+}
+
+func endEnergy(start int64) {
 	if start != 0 {
 		elapsed := time.Now().UnixNano() - start
 		mEnergyEval.Observe(elapsed)
 		mEnergyRecent.Observe(float64(elapsed))
 	}
-	return e
 }
 
 // EnergyContext evaluates ⟨H⟩ under a context, on Options.Backend when one

@@ -108,7 +108,7 @@ func TestAdjointGradientMatchesFiniteDifference(t *testing.T) {
 	d, _ := New(h, u, Options{Mode: Direct})
 	params := []float64{0.07, -0.21, 0.13}
 	g := make([]float64, 3)
-	d.adjointGradient(u, params, g)
+	d.adjointGradient(params, g)
 	fd := make([]float64, 3)
 	opt.FiniteDifference(d.Energy, 1e-6)(params, fd)
 	for i := range g {
@@ -132,7 +132,7 @@ func TestAdjointGradientLargerSystem(t *testing.T) {
 		params[i] = 0.1 * rng.NormFloat64()
 	}
 	g := make([]float64, len(params))
-	d.adjointGradient(u, params, g)
+	d.adjointGradient(params, g)
 	fd := make([]float64, len(params))
 	opt.FiniteDifference(d.Energy, 1e-6)(params, fd)
 	for i := range g {
@@ -189,7 +189,22 @@ func TestTranspiledEnergyMatches(t *testing.T) {
 	if math.Abs(e1-e2) > 1e-9 {
 		t.Errorf("transpiled energy %v vs plain %v", e2, e1)
 	}
-	// Fusion must reduce executed gates.
+	// Fusion must reduce executed gates where there are gates to fuse: a
+	// hardware-efficient ansatz (an exponential one runs as one sweep per
+	// generator either way).
+	hea, err := ansatz.NewHardwareEfficient(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta := make([]float64, hea.NumParameters())
+	for i := range theta {
+		theta[i] = 0.1 * float64(i+1)
+	}
+	plain, _ = New(h, hea, Options{Mode: Direct})
+	fused, _ = New(h, hea, Options{Mode: Direct, Transpile: true})
+	if e1, e2 := plain.Energy(theta), fused.Energy(theta); math.Abs(e1-e2) > 1e-9 {
+		t.Errorf("HEA transpiled energy %v vs plain %v", e2, e1)
+	}
 	if fused.Stats().GatesApplied >= plain.Stats().GatesApplied {
 		t.Errorf("fusion did not reduce gates: %d vs %d",
 			fused.Stats().GatesApplied, plain.Stats().GatesApplied)
@@ -331,13 +346,13 @@ func stateFor(a ansatz.Ansatz, params []float64) *state.State {
 
 func TestVQEWithAlternativeEncodings(t *testing.T) {
 	// UCCSD built under BK/parity must reach FCI against the matching
-	// observable — and with fewer applied gates than JW thanks to lower
-	// Pauli weights.
+	// observable — and its circuit has fewer gates than JW's thanks to
+	// lower Pauli weights.
 	m := chem.H2()
 	fci, _ := chem.FCI(m)
 	fh := chem.FermionicHamiltonian(m)
 
-	gates := map[string]uint64{}
+	gates := map[string]int{}
 	for name, mk := range map[string]func(int) (*fermion.Encoding, error){
 		"jw":     fermion.JordanWignerEncoding,
 		"bk":     fermion.BravyiKitaevEncoding,
@@ -366,7 +381,7 @@ func TestVQEWithAlternativeEncodings(t *testing.T) {
 		if math.Abs(res.Energy-fci.Energy) > 1e-6 {
 			t.Errorf("%s: VQE %v vs FCI %v", name, res.Energy, fci.Energy)
 		}
-		gates[name] = res.Stats.GatesApplied
+		gates[name] = u.Circuit(res.Params).GateCount()
 	}
 	if gates["bk"] >= gates["jw"] {
 		t.Errorf("BK used %d gates, JW %d — expected fewer under BK", gates["bk"], gates["jw"])
