@@ -1,0 +1,364 @@
+package vqe
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/ansatz"
+	"repro/internal/chem"
+	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/fermion"
+	"repro/internal/opt"
+	"repro/internal/pauli"
+	"repro/internal/state"
+)
+
+var updateRoutes = flag.Bool("update-routes", false, "rewrite testdata/routes.json from the 2ⁿ route")
+
+// routeCase is one fixed point of the in-process exponential route: an
+// observable, an exponential ansatz at a seeded θ, and the Adapt pool that
+// would be scanned from the state it prepares.
+type routeCase struct {
+	name  string
+	h     *pauli.Op
+	a     Exponential
+	pool  []ansatz.Excitation
+	theta []float64
+	exact float64 // FCI energy: the variational floor
+}
+
+// routeGolden is what testdata/routes.json holds per case, recorded from
+// the 2ⁿ route at the commit before the subspace route existed.
+type routeGolden struct {
+	Energy        float64   `json:"energy"`
+	Gradient      []float64 `json:"gradient"`
+	PoolGradients []float64 `json:"pool_gradients"`
+}
+
+// recordedRoutes is testdata/routes.json: the exponential route's values,
+// held to 1e-10, and the bit patterns of energies from runs that never
+// take the subspace route, held to the bit.
+type recordedRoutes struct {
+	Routes    map[string]routeGolden `json:"routes"`
+	Fallbacks map[string]string      `json:"fallbacks"`
+}
+
+const routesPath = "testdata/routes.json"
+
+func loadRecorded(t *testing.T) recordedRoutes {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.FromSlash(routesPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec recordedRoutes
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// record rewrites one section of testdata/routes.json under -update-routes.
+func record(t *testing.T, edit func(*recordedRoutes)) {
+	t.Helper()
+	if !*updateRoutes {
+		return
+	}
+	var rec recordedRoutes
+	if raw, err := os.ReadFile(filepath.FromSlash(routesPath)); err == nil {
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(&rec)
+	raw, err := json.MarshalIndent(rec, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.FromSlash(routesPath), append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func seededTheta(n int, seed uint64) []float64 {
+	rng := core.NewRNG(seed)
+	theta := make([]float64, n)
+	for k := range theta {
+		theta[k] = 0.2 * rng.NormFloat64()
+	}
+	return theta
+}
+
+func routeCases(t testing.TB) []routeCase {
+	t.Helper()
+	var cases []routeCase
+
+	h2 := chem.H2()
+	fciH2, err := chem.FCI(h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := chem.FermionicHamiltonian(h2)
+	for _, e := range []struct {
+		name string
+		mk   func(int) (*fermion.Encoding, error)
+	}{
+		{"jw", fermion.JordanWignerEncoding},
+		{"bk", fermion.BravyiKitaevEncoding},
+		{"parity", fermion.ParityEncoding},
+	} {
+		enc, err := e.mk(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := enc.Transform(fh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := ansatz.NewUCCSDWithEncoding(4, 2, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, routeCase{
+			name:  "h2/" + e.name,
+			h:     h.HermitianPart(),
+			a:     u,
+			pool:  append(ansatz.SinglesWithEncoding(4, 2, enc), ansatz.DoublesWithEncoding(4, 2, enc)...),
+			theta: seededTheta(u.NumParameters(), 41),
+			exact: fciH2.Energy,
+		})
+	}
+
+	hub := chem.Hubbard(3, 1, 4, 3)
+	fciHub, err := chem.FCI(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uHub, err := ansatz.NewUCCSD(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolHub, err := ansatz.NewPool(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, routeCase{
+		name:  "hubbard3",
+		h:     chem.QubitHamiltonian(hub),
+		a:     uHub,
+		pool:  poolHub.Ops,
+		theta: seededTheta(uHub.NumParameters(), 43),
+		exact: fciHub.Energy,
+	})
+
+	if !testing.Short() {
+		water := chem.WaterLike()
+		fciWater, err := chem.FCI(water)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hW, aW, thetaW := waterAdaptAnsatz(t)
+		poolW, err := ansatz.NewPool(12, water.NumElectrons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, routeCase{name: "water12", h: hW, a: aW, pool: poolW.Ops, theta: thetaW, exact: fciWater.Energy})
+	}
+	return cases
+}
+
+// denseRoute evaluates a case on the 2ⁿ route: the driver's one-pass
+// energy and adjoint gradient, and the exported pool scan on a state the
+// generator kernels prepared.
+func denseRoute(t testing.TB, tc routeCase) routeGolden {
+	t.Helper()
+	d, err := New(tc.h, tc.a, Options{Mode: Direct, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := routeGolden{Gradient: make([]float64, len(tc.theta))}
+	got.Energy = d.forward(tc.theta)
+	d.adjointGradient(tc.theta, got.Gradient)
+	s := state.New(tc.a.NumQubits(), state.Options{Workers: 2})
+	prepareExponential(s, tc.a.Reference(), tc.a.Operators(), tc.theta)
+	got.PoolGradients = PoolGradients(s, tc.h, tc.pool)
+	return got
+}
+
+func compareRoute(t *testing.T, name, route string, got, want routeGolden) {
+	t.Helper()
+	if math.Abs(got.Energy-want.Energy) > 1e-10 {
+		t.Errorf("%s: %s energy %.15f, recorded %.15f", name, route, got.Energy, want.Energy)
+	}
+	for label, pair := range map[string][2][]float64{
+		"gradient":      {got.Gradient, want.Gradient},
+		"pool gradient": {got.PoolGradients, want.PoolGradients},
+	} {
+		if len(pair[0]) != len(pair[1]) {
+			t.Errorf("%s: %s %s has %d entries, recorded %d", name, route, label, len(pair[0]), len(pair[1]))
+			continue
+		}
+		for k := range pair[0] {
+			if math.Abs(pair[0][k]-pair[1][k]) > 1e-9 {
+				t.Errorf("%s: %s %s[%d] = %.15f, recorded %.15f", name, route, label, k, pair[0][k], pair[1][k])
+			}
+		}
+	}
+}
+
+// TestExponentialRoutesMatchRecorded holds every in-process route for an
+// exponential ansatz to the energy, adjoint gradient and Adapt
+// pool-gradient vector recorded in testdata/routes.json: H2 under three
+// encodings, the 3-site Hubbard chain at U = 4, and 12-qubit water with
+// the twelve operators the Fig. 5 solve selects.
+func TestExponentialRoutesMatchRecorded(t *testing.T) {
+	cases := routeCases(t)
+	record(t, func(rec *recordedRoutes) {
+		rec.Routes = map[string]routeGolden{}
+		for _, tc := range cases {
+			rec.Routes[tc.name] = denseRoute(t, tc)
+		}
+	})
+	recorded := loadRecorded(t).Routes
+	for _, tc := range cases {
+		want, ok := recorded[tc.name]
+		if !ok {
+			t.Errorf("%s: no recorded values; run with -update-routes at a commit whose 2ⁿ route is trusted", tc.name)
+			continue
+		}
+		got := denseRoute(t, tc)
+		compareRoute(t, tc.name, "2ⁿ route", got, want)
+		if got.Energy < tc.exact-1e-9 {
+			t.Errorf("%s: energy %.12f below the exact ground state %.12f", tc.name, got.Energy, tc.exact)
+		}
+	}
+}
+
+// expAnsatz is an exponential ansatz assembled by hand: any reference
+// circuit, any generators.
+type expAnsatz struct {
+	n   int
+	ref *circuit.Circuit
+	ops []ansatz.Excitation
+}
+
+func (a *expAnsatz) NumQubits() int                 { return a.n }
+func (a *expAnsatz) NumParameters() int             { return len(a.ops) }
+func (a *expAnsatz) Reference() *circuit.Circuit    { return a.ref.Clone() }
+func (a *expAnsatz) Operators() []ansatz.Excitation { return a.ops }
+func (a *expAnsatz) Circuit(params []float64) *circuit.Circuit {
+	c := a.ref.Clone()
+	for k, ex := range a.ops {
+		ex.AppendExp(c, params[k])
+	}
+	return c
+}
+
+// fallbackCase is a run on H2 that must not take the subspace route: its
+// energy is the 2ⁿ route's (or the backend's) to the bit.
+type fallbackCase struct {
+	name string
+	a    ansatz.Ansatz // nil: Adapt over pool
+	pool *ansatz.Pool
+	opts Options
+	how  string // "energy" at a seeded θ, "lbfgs" or "nelder-mead" for a few iterations
+}
+
+func fallbackCases(t testing.TB) (*pauli.Op, []fallbackCase) {
+	t.Helper()
+	h := chem.QubitHamiltonian(chem.H2())
+	u, err := ansatz.NewUCCSD(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hea, err := ansatz.NewHardwareEfficient(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := ansatz.NewPool(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One-qubit rotations conserve nothing: with them in the pool the
+	// closure of the reference is all sixteen basis states.
+	breaking := &ansatz.Pool{Ops: append([]ansatz.Excitation(nil), pool.Ops...)}
+	for q := 0; q < 4; q++ {
+		p, err := pauli.Single('Y', q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		breaking.Ops = append(breaking.Ops, ansatz.Excitation{Label: "i·" + p.Compact(), Paulis: []pauli.Term{{Coeff: 1i, P: p}}})
+	}
+	diagonal := ansatz.Excitation{Label: "i·ZZ", Paulis: []pauli.Term{{Coeff: 0.5i, P: pauli.MustParse("ZZII")}}}
+	return h, []fallbackCase{
+		{name: "hea/direct", a: hea, opts: Options{Mode: Direct}, how: "energy"},
+		{name: "hea/nelder-mead", a: hea, opts: Options{Mode: Direct}, how: "nelder-mead"},
+		{name: "uccsd/nelder-mead", a: u, opts: Options{Mode: Direct}, how: "nelder-mead"},
+		{name: "uccsd/backend", a: u, opts: Options{Backend: &scriptedBackend{}}, how: "lbfgs"},
+		{name: "uccsd/rotated", a: u, opts: Options{Mode: Rotated}, how: "energy"},
+		{name: "uccsd/rotated-lbfgs", a: u, opts: Options{Mode: Rotated, Caching: true}, how: "lbfgs"},
+		{name: "uccsd/sampled", a: u, opts: Options{Mode: Sampled, Shots: 2048, Seed: 7}, how: "energy"},
+		{name: "reference/non-x", a: &expAnsatz{n: 4, ref: circuit.New(4).X(0).X(1).H(3), ops: u.Operators()}, opts: Options{Mode: Direct}, how: "lbfgs"},
+		{name: "generator/diagonal", a: &expAnsatz{n: 4, ref: u.Reference(), ops: append(u.Operators()[:3:3], diagonal)}, opts: Options{Mode: Direct}, how: "lbfgs"},
+		{name: "pool/symmetry-breaking", pool: breaking, how: "adapt"},
+	}
+}
+
+// run executes the case and returns its energy.
+func (fc fallbackCase) run(t testing.TB, h *pauli.Op) float64 {
+	t.Helper()
+	if fc.a == nil {
+		res, err := Adapt(h, fc.pool, 4, 2, AdaptOptions{MaxIterations: 4, Reference: math.NaN()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Energy
+	}
+	d, err := New(h, fc.a, fc.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta := seededTheta(fc.a.NumParameters(), 47)
+	var res Result
+	switch fc.how {
+	case "energy":
+		return d.Energy(theta)
+	case "lbfgs":
+		res, err = d.MinimizeLBFGS(context.Background(), theta, opt.LBFGSOptions{MaxIter: 5}, ResilienceOptions{})
+	case "nelder-mead":
+		res, err = d.Minimize(context.Background(), theta, opt.NelderMeadOptions{MaxIter: 40}, ResilienceOptions{})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Energy
+}
+
+// TestFallbackRoutesBitEqualRecorded: every run the subspace route's
+// preconditions exclude — a circuit ansatz, a backend, a measurement mode,
+// Nelder–Mead's Energy calls, a reference that is not one basis state, a
+// generator with a phase group, a pool that breaks the symmetries — lands
+// on the bits recorded before that route existed.
+func TestFallbackRoutesBitEqualRecorded(t *testing.T) {
+	h, cases := fallbackCases(t)
+	record(t, func(rec *recordedRoutes) {
+		rec.Fallbacks = map[string]string{}
+		for _, fc := range cases {
+			rec.Fallbacks[fc.name] = fmt.Sprintf("%#x", math.Float64bits(fc.run(t, h)))
+		}
+	})
+	recorded := loadRecorded(t).Fallbacks
+	for _, fc := range cases {
+		e := fc.run(t, h)
+		if got := fmt.Sprintf("%#x", math.Float64bits(e)); got != recorded[fc.name] {
+			t.Errorf("%s: energy %v has bits %s, recorded %q", fc.name, e, got, recorded[fc.name])
+		}
+	}
+}
