@@ -150,34 +150,60 @@ func TestNewGeneratorRejects(t *testing.T) {
 // TestExpKeepsSectorZeros: a number-conserving ansatz prepared through the
 // kernels never writes outside its particle-number sector — not a 1e-17
 // residue, an exact zero — which is what the zero-skips of Plan.MatVec and
-// Plan.Evaluate key on.
+// Plan.Evaluate key on. Under every encoding the support stays inside the
+// closure of the reference under the generators (pauli.NewSubspace), the
+// set the subspace route keeps amplitudes for.
 func TestExpKeepsSectorZeros(t *testing.T) {
 	const n, ne = 8, 4
-	u, err := NewUCCSD(n, ne)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := core.NewRNG(5)
-	s := state.New(n, state.Options{Workers: 1})
-	s.Run(u.Reference())
-	for _, ex := range u.Operators() {
-		ex.Plan().Exp(s, nil, 0.3*rng.NormFloat64())
-	}
-	inside := 0
-	for i, a := range s.Amplitudes() {
-		switch {
-		case bits.OnesCount64(uint64(i)) != ne:
-			if a != 0 {
-				t.Fatalf("amplitude %#b outside the %d-electron sector is %v, want exactly 0", i, ne, a)
-			}
-		case a != 0:
-			inside++
+	for name, mk := range map[string]func(int) (*fermion.Encoding, error){
+		"jw": fermion.JordanWignerEncoding, "bk": fermion.BravyiKitaevEncoding, "parity": fermion.ParityEncoding,
+	} {
+		enc, err := mk(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if inside < 2 {
-		t.Fatalf("only %d nonzero amplitudes: the ansatz did not spread inside the sector", inside)
-	}
-	if math.Abs(s.Norm()-1) > 1e-12 {
-		t.Errorf("norm drifted to %v", s.Norm())
+		u, err := NewUCCSDWithEncoding(n, ne, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref uint64
+		for _, g := range u.Reference().Gates {
+			ref |= 1 << uint(g.Qubits[0])
+		}
+		var plans []*pauli.Plan
+		for _, ex := range u.Operators() {
+			plans = append(plans, ex.Plan())
+		}
+		sp := pauli.NewSubspace(ref, 1<<(n-1), plans...)
+		if sp == nil || sp.Dim() > 70 {
+			t.Fatalf("%s: closure %v, want at most the C(8,4) = 70 states of the sector", name, sp)
+		}
+		rng := core.NewRNG(5)
+		s := state.New(n, state.Options{Workers: 1})
+		s.Run(u.Reference())
+		for _, ex := range u.Operators() {
+			ex.Plan().Exp(s, nil, 0.3*rng.NormFloat64())
+		}
+		inside := 0
+		for i, a := range s.Amplitudes() {
+			_, in := sp.Position(uint64(i))
+			if name == "jw" && in && bits.OnesCount64(uint64(i)) != ne {
+				t.Fatalf("jw: closure holds %#b, outside the %d-electron sector", i, ne)
+			}
+			switch {
+			case !in:
+				if a != 0 {
+					t.Fatalf("%s: amplitude %#b outside the closure is %v, want exactly 0", name, i, a)
+				}
+			case a != 0:
+				inside++
+			}
+		}
+		if inside < 2 {
+			t.Fatalf("%s: only %d nonzero amplitudes: the ansatz did not spread inside the sector", name, inside)
+		}
+		if math.Abs(s.Norm()-1) > 1e-12 {
+			t.Errorf("%s: norm drifted to %v", name, s.Norm())
+		}
 	}
 }

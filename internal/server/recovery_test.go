@@ -672,13 +672,23 @@ func TestJournalAppendsPerOperation(t *testing.T) {
 	t.Cleanup(func() { telemetry.Disable(); telemetry.Reset() })
 	appends := telemetry.GetCounter("journal.appends")
 	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	// A poll can see the terminal status before settleFamily, which
+	// publishes it first, has appended the terminal record: give the
+	// count a moment to reach what is expected before reading it.
+	var before int64
+	since := func(want int64) int64 {
+		for deadline := time.Now().Add(2 * time.Second); appends.Value()-before < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return appends.Value() - before
+	}
 
-	before := appends.Value()
+	before = appends.Value()
 	miss := submitSpec(t, ts, `{"molecule": {"kind": "h2"}}`)
 	if v := pollDone(t, ts, miss.ID, 30*time.Second); v.Status != StatusDone || v.CacheHit {
 		t.Fatalf("cold job %+v", v)
 	}
-	if got := appends.Value() - before; got != 2 {
+	if got := since(2); got != 2 {
 		t.Errorf("cache-miss job took %d appends, want 2", got)
 	}
 
@@ -686,7 +696,7 @@ func TestJournalAppendsPerOperation(t *testing.T) {
 	if hit := submitSpec(t, ts, `{"molecule": {"kind": "h2"}}`); !hit.CacheHit {
 		t.Fatalf("resubmission missed the cache: %+v", hit)
 	}
-	if got := appends.Value() - before; got != 2 {
+	if got := since(2); got != 2 {
 		t.Errorf("cache-hit job took %d appends, want 2", got)
 	}
 
@@ -695,7 +705,7 @@ func TestJournalAppendsPerOperation(t *testing.T) {
 	if done := pollSweepDone(t, ts, v.ID, 60*time.Second); done.Status != StatusDone || done.CacheHits != 0 {
 		t.Fatalf("cold family %+v", done)
 	}
-	if got := appends.Value() - before; got != 3+2 {
+	if got := since(3 + 2); got != 3+2 {
 		t.Errorf("cold 3-point family took %d appends, want 5", got)
 	}
 }

@@ -81,7 +81,7 @@ func rotatePairs(phi, lam []complex128, x uint64, zs []uint64, cs []complex128, 
 			if p == 0 && l == 0 {
 				continue
 			}
-			d := imag(pairCoeff(i, zs, cs)) // a(i) = i·d
+			d := imag(PairCoeff(i, zs, cs)) // a(i) = i·d
 			if d == 0 {
 				continue
 			}
@@ -105,52 +105,93 @@ func rotatePairs(phi, lam []complex128, x uint64, zs []uint64, cs []complex128, 
 		return 2 * bracket
 	}
 	q := bits.TrailingZeros64(x)
+	r := rotor{theta: theta, lastMag2: -1}
 	for rest := lo; rest < hi; rest++ {
 		i := core.InsertZeroBit(rest, q)
 		j := i ^ x
-		pi, pj := phi[i], phi[j]
-		var li, lj complex128
-		if lam != nil {
-			li, lj = lam[i], lam[j]
-		}
-		if pi == 0 && pj == 0 && li == 0 && lj == 0 {
+		if phi[i] == 0 && phi[j] == 0 && (lam == nil || lam[i] == 0 && lam[j] == 0) {
 			continue
 		}
-		a := pairCoeff(i, zs, cs)
+		a := PairCoeff(i, zs, cs)
 		if a == 0 {
 			continue
 		}
-		ar, ai := real(a), imag(a)
-		// ⟨lam|A|φ⟩ on the pair: conj(lⱼ)·a·φᵢ − conj(lᵢ)·ā·φⱼ, real part.
-		bracket += ar*(real(lj)*real(pi)+imag(lj)*imag(pi)-real(li)*real(pj)-imag(li)*imag(pj)) -
-			ai*(real(lj)*imag(pi)-imag(lj)*real(pi)+real(li)*imag(pj)-imag(li)*real(pj))
-		if theta == 0 {
-			continue
-		}
-		//vqelint:ignore floatcompare memo key: recompute sin/cos exactly when |a|² is a different value
-		if m2 := ar*ar + ai*ai; m2 != lastMag2 {
-			lastMag2 = m2
-			mag := math.Sqrt(m2)
-			sin, c := math.Sincos(theta * mag)
-			cos, sinOverMag = c, sin/mag
-		}
-		u := complex(sinOverMag*ar, sinOverMag*ai) // sin(θ|a|)·a/|a|
-		uc := complex(real(u), -imag(u))
-		c := complex(cos, 0)
-		phi[i] = c*pi - uc*pj
-		phi[j] = c*pj + u*pi
-		if lam != nil {
-			lam[i] = c*li - uc*lj
-			lam[j] = c*lj + u*li
-		}
+		bracket += r.rotate(a, phi, lam, i, j)
 	}
 	return 2 * bracket
 }
 
-// pairCoeff evaluates a(i) = Σₜ cₜ·(−1)^{|i∧zₜ|}.
+// Pair is one 2×2 block of an anti-Hermitian generator between positions P
+// and Q of an amplitude vector of any length: A|P⟩ = A·|Q⟩ and
+// A|Q⟩ = −conj(A)·|P⟩ (pauli.Plan.RestrictPairs enumerates them).
+type Pair struct {
+	P, Q int32
+	A    complex128
+}
+
+// RotatePairList is RotatePairs on an explicit pair list; at θ = 0 it is
+// PairBracket, reading both vectors. A rotation counts as one in telemetry
+// (there is no State to count a gate on), a bracket as none.
 //
 //vqesim:hotpath
-func pairCoeff(i uint64, zs []uint64, cs []complex128) complex128 {
+func RotatePairList(phi, lam []complex128, pairs []Pair, theta float64) float64 {
+	if theta != 0 {
+		mGatePairs.Inc()
+	}
+	bracket := 0.0
+	r := rotor{theta: theta, lastMag2: -1}
+	for _, p := range pairs {
+		bracket += r.rotate(p.A, phi, lam, uint64(p.P), uint64(p.Q))
+	}
+	return 2 * bracket
+}
+
+// rotor is the 2×2 arithmetic of one pair sweep at angle theta, sine and
+// cosine memoized on |a|²: the one copy behind both sweeps.
+type rotor struct {
+	theta, lastMag2, cos, sinOverMag float64
+}
+
+// rotate returns Re⟨lam|A|phi⟩ on the pair (i, j) with A|i⟩ = a·|j⟩ and,
+// when θ ≠ 0, applies the block's exponential to phi and to a non-nil lam.
+//
+//vqesim:hotpath
+func (r *rotor) rotate(a complex128, phi, lam []complex128, i, j uint64) float64 {
+	pi, pj := phi[i], phi[j]
+	var li, lj complex128
+	if lam != nil {
+		li, lj = lam[i], lam[j]
+	}
+	ar, ai := real(a), imag(a)
+	// ⟨lam|A|φ⟩ on the pair: conj(lⱼ)·a·φᵢ − conj(lᵢ)·ā·φⱼ, real part.
+	bracket := ar*(real(lj)*real(pi)+imag(lj)*imag(pi)-real(li)*real(pj)-imag(li)*imag(pj)) -
+		ai*(real(lj)*imag(pi)-imag(lj)*real(pi)+real(li)*imag(pj)-imag(li)*real(pj))
+	if r.theta == 0 {
+		return bracket
+	}
+	//vqelint:ignore floatcompare memo key: recompute sin/cos exactly when |a|² is a different value
+	if m2 := ar*ar + ai*ai; m2 != r.lastMag2 {
+		r.lastMag2 = m2
+		mag := math.Sqrt(m2)
+		sin, c := math.Sincos(r.theta * mag)
+		r.cos, r.sinOverMag = c, sin/mag
+	}
+	u := complex(r.sinOverMag*ar, r.sinOverMag*ai) // sin(θ|a|)·a/|a|
+	uc := complex(real(u), -imag(u))
+	c := complex(r.cos, 0)
+	phi[i] = c*pi - uc*pj
+	phi[j] = c*pj + u*pi
+	if lam != nil {
+		lam[i] = c*li - uc*lj
+		lam[j] = c*lj + u*li
+	}
+	return bracket
+}
+
+// PairCoeff evaluates a(i) = Σₜ cₜ·(−1)^{|i∧zₜ|}.
+//
+//vqesim:hotpath
+func PairCoeff(i uint64, zs []uint64, cs []complex128) complex128 {
 	// Signs by multiplication (±1 is exact), not branches: the parity of
 	// i∧z is as good as random to the predictor.
 	var ar, ai float64

@@ -125,13 +125,36 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 		})
 	}
 
-	// Pool-scan simulator created once: every outer iteration resets it in
-	// place, so its persistent worker pool serves all gradient scans. H is
-	// compiled once too, for every scan and every inner driver.
-	s := state.New(n, state.Options{Workers: o.Workers, Pool: o.Pool})
+	// H is compiled once, for every scan and every inner driver, and so is
+	// the block H and the pool confine the state to; the scan then runs
+	// there, and otherwise on a 2ⁿ simulator created once and reset in place.
+	// Either way one worker pool serves the scans and every inner driver.
 	plan := pauli.NewPlan(h)
-	hPsi := make([]complex128, s.Dim())
-	ref := adapt.Reference()
+	scan, err := compileSubspace(n, adapt.Reference(), plan, pool.Ops, o.Workers, o.Pool)
+	if err != nil {
+		return nil, err
+	}
+	var workers *state.Pool
+	var poolScan func() []float64
+	if scan != nil {
+		workers = scan.pool
+		phi, hPhi := make([]complex128, scan.h.Dim()), make([]complex128, scan.h.Dim())
+		poolScan = func() []float64 {
+			scan.with(selected).prepare(phi, params)
+			return scan.poolGradients(phi, hPhi)
+		}
+	} else {
+		s := state.New(n, state.Options{Workers: o.Workers, Pool: o.Pool})
+		workers = s.WorkerPool()
+		ref, hPsi := adapt.Reference(), make([]complex128, s.Dim())
+		poolScan = func() []float64 {
+			prepareExponential(s, ref, adapt.Operators(), params)
+			return poolGradients(s, plan, hPsi, pool.Ops)
+		}
+	}
+	if o.Pool == nil && workers != nil {
+		defer workers.Close() // started above, for this solve alone
+	}
 	// observerHalted distinguishes a deliberate post-iteration halt (the
 	// iteration completed; checkpoint covers it) from a deadline hit
 	// mid-iteration (partial work unwound; checkpoint excludes it).
@@ -152,8 +175,7 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			// or a full iteration — observes the timer.
 			defer mAdaptIter.Since(telemetry.Now())
 			// Prepare current optimal state and scan the pool.
-			prepareExponential(s, ref, adapt.Operators(), params)
-			grads := poolGradients(s, plan, hPsi, pool.Ops)
+			grads := poolScan()
 			best, bestAbs := -1, 0.0
 			for k, g := range grads {
 				if a := math.Abs(g); a > bestAbs {
@@ -168,7 +190,7 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			selected = append(selected, best)
 			params = append(params, 0)
 
-			drv, err := newDriver(h, plan, adapt, Options{Mode: Direct, Workers: o.Workers, Pool: o.Pool})
+			drv, err := newDriver(h, plan, scan.with(selected), adapt, Options{Mode: Direct, Workers: o.Workers, Pool: workers})
 			if err != nil {
 				return false, err
 			}

@@ -4,23 +4,35 @@ import (
 	"slices"
 
 	"repro/internal/ansatz"
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/pauli"
 	"repro/internal/state"
 	"repro/internal/telemetry"
 )
 
-// forward leaves φ = U(θ)|ref⟩ in the simulator and λ = H·φ in the
-// driver's buffer and returns E = Re⟨φ|λ⟩: the energy, and the two vectors
-// the adjoint gradient at the same θ starts from.
+// forward leaves φ = U(θ)|ref⟩ in the simulator — or, on the subspace
+// route, in the driver's block-long phi — and λ = H·φ in the driver's
+// buffer and returns E = Re⟨φ|λ⟩: the energy, and the two vectors the
+// adjoint gradient at the same θ starts from.
 func (d *Driver) forward(params []float64) float64 {
-	d.prepareAnsatz(d.sim, params)
-	readStart := telemetry.Now()
-	if d.lambda == nil {
-		d.lambda = make([]complex128, d.sim.Dim())
+	var phi []complex128
+	if d.sub != nil {
+		phi = d.prepareSubspace(params)
+	} else {
+		d.prepareAnsatz(d.simulator(), params)
+		phi = d.sim.Amplitudes()
 	}
-	d.plan.MatVec(d.lambda, d.sim.Amplitudes(), d.sim.WorkerPool())
-	e := real(linalg.VecDot(d.sim.Amplitudes(), d.lambda))
+	readStart := telemetry.Now()
+	if len(d.lambda) != len(phi) {
+		d.lambda = make([]complex128, len(phi))
+	}
+	if d.sub != nil {
+		d.sub.h.MatVec(d.lambda, phi, d.sub.pool)
+	} else {
+		d.plan.MatVec(d.lambda, phi, d.sim.WorkerPool())
+	}
+	e := real(linalg.VecDot(phi, d.lambda))
 	mPhaseExpect.Since(readStart)
 	d.lambdaAt = append(d.lambdaAt[:0], params...)
 	d.lambdaValid = true
@@ -38,11 +50,36 @@ func (d *Driver) adjointGradient(params, g []float64) {
 	if !d.lambdaValid || !slices.Equal(d.lambdaAt, params) {
 		d.forward(params)
 	}
-	ops := d.exp.Operators()
-	for k := len(ops) - 1; k >= 0; k-- {
-		g[k] = ops[k].Plan().Exp(d.sim, d.lambda, -params[k])
+	if d.sub != nil {
+		for k := len(d.sub.ops) - 1; k >= 0; k-- {
+			g[k] = d.sub.ops[k].Exp(d.phi, d.lambda, -params[k])
+			d.stats.GatesApplied += uint64(d.sub.ops[k].NumGroups())
+		}
+	} else {
+		ops := d.exp.Operators()
+		for k := len(ops) - 1; k >= 0; k-- {
+			g[k] = ops[k].Plan().Exp(d.sim, d.lambda, -params[k])
+		}
 	}
 	d.lambdaValid = false // φ and λ are unwound to the reference
+}
+
+// prepareSubspace is prepareAnsatz on the subspace route: it leaves
+// U(θ)|ref⟩ in d.phi, counted as one ansatz execution of the reference
+// circuit's gates plus one sweep per generator group.
+func (d *Driver) prepareSubspace(params []float64) []complex128 {
+	start := telemetry.Now()
+	d.lambdaValid = false
+	if len(params) != len(d.sub.ops) {
+		panic(core.ErrDimensionMismatch)
+	}
+	if d.phi == nil {
+		d.phi = make([]complex128, d.sub.h.Dim())
+	}
+	d.stats.GatesApplied += uint64(d.ref.GateCount() + d.sub.prepare(d.phi, params))
+	d.stats.AnsatzExecutions++
+	mPhasePrepare.Since(start)
+	return d.phi
 }
 
 // PoolGradients returns ∂E/∂θ at θ=0 for appending each pool operator to

@@ -48,13 +48,15 @@ func waterAdaptAnsatz(t testing.TB) (*pauli.Op, *ansatz.AdaptAnsatz, []float64) 
 // Plan.Evaluate's, the gradient that consumes its buffers is the
 // derivative of that energy and the same as one computed from scratch,
 // one preparation is one kernel per operator, and the pair allocates
-// nothing the size of the state.
+// nothing the size of the state. This is the 2ⁿ route, the reference the
+// subspace route is held to (TestSubspaceRouteCounts is its counterpart).
 func TestValueAndGradientOnePass(t *testing.T) {
 	h, a, theta := waterAdaptAnsatz(t)
 	d, err := New(h, a, Options{Mode: Direct, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.sub = nil
 	m := len(theta)
 
 	gatesBefore := d.Stats().GatesApplied
@@ -88,6 +90,7 @@ func TestValueAndGradientOnePass(t *testing.T) {
 	// Two calls: a gradient with nothing, or something stale, in the
 	// buffers runs its own forward pass and lands on the same numbers.
 	fresh, _ := New(h, a, Options{Mode: Direct, Workers: 2})
+	fresh.sub = nil
 	g2 := make([]float64, m)
 	fresh.adjointGradient(theta, g2)
 	other := append([]float64(nil), theta...)

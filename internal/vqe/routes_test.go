@@ -174,21 +174,48 @@ func routeCases(t testing.TB) []routeCase {
 	return cases
 }
 
-// denseRoute evaluates a case on the 2ⁿ route: the driver's one-pass
-// energy and adjoint gradient, and the exported pool scan on a state the
-// generator kernels prepared.
-func denseRoute(t testing.TB, tc routeCase) routeGolden {
+// evalRoute evaluates a case on one of the two in-process routes. The 2ⁿ
+// route is the driver with its block cleared and the exported pool scan on
+// a state the generator kernels prepared; the subspace route is the driver
+// as New built it and the scan Adapt runs, over a block compiled for the
+// ansatz and the pool together.
+func evalRoute(t testing.TB, tc routeCase, subspaceRoute bool) routeGolden {
 	t.Helper()
 	d, err := New(tc.h, tc.a, Options{Mode: Direct, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d.sub == nil {
+		t.Fatalf("%s: the driver did not take the subspace route", tc.name)
+	}
+	if !subspaceRoute {
+		d.sub = nil
+	}
 	got := routeGolden{Gradient: make([]float64, len(tc.theta))}
 	got.Energy = d.forward(tc.theta)
 	d.adjointGradient(tc.theta, got.Gradient)
-	s := state.New(tc.a.NumQubits(), state.Options{Workers: 2})
-	prepareExponential(s, tc.a.Reference(), tc.a.Operators(), tc.theta)
-	got.PoolGradients = PoolGradients(s, tc.h, tc.pool)
+	if !subspaceRoute {
+		s := state.New(tc.a.NumQubits(), state.Options{Workers: 2})
+		prepareExponential(s, tc.a.Reference(), tc.a.Operators(), tc.theta)
+		got.PoolGradients = PoolGradients(s, tc.h, tc.pool)
+		return got
+	}
+	if len(tc.pool) == 0 {
+		return got
+	}
+	m := len(tc.theta)
+	all := append(append([]ansatz.Excitation(nil), tc.a.Operators()...), tc.pool...)
+	block, err := compileSubspace(tc.a.NumQubits(), tc.a.Reference(), pauli.NewPlan(tc.h), all, 2, nil)
+	if err != nil || block == nil {
+		t.Fatalf("%s: no block for ansatz and pool together (err %v)", tc.name, err)
+	}
+	at := make([]int, len(all))
+	for k := range at {
+		at[k] = k
+	}
+	phi, hPhi := make([]complex128, block.h.Dim()), make([]complex128, block.h.Dim())
+	block.with(at[:m]).prepare(phi, tc.theta)
+	got.PoolGradients = block.with(at[m:]).poolGradients(phi, hPhi)
 	return got
 }
 
@@ -223,7 +250,7 @@ func TestExponentialRoutesMatchRecorded(t *testing.T) {
 	record(t, func(rec *recordedRoutes) {
 		rec.Routes = map[string]routeGolden{}
 		for _, tc := range cases {
-			rec.Routes[tc.name] = denseRoute(t, tc)
+			rec.Routes[tc.name] = evalRoute(t, tc, false)
 		}
 	})
 	recorded := loadRecorded(t).Routes
@@ -233,10 +260,12 @@ func TestExponentialRoutesMatchRecorded(t *testing.T) {
 			t.Errorf("%s: no recorded values; run with -update-routes at a commit whose 2ⁿ route is trusted", tc.name)
 			continue
 		}
-		got := denseRoute(t, tc)
-		compareRoute(t, tc.name, "2ⁿ route", got, want)
-		if got.Energy < tc.exact-1e-9 {
-			t.Errorf("%s: energy %.12f below the exact ground state %.12f", tc.name, got.Energy, tc.exact)
+		for route, sub := range map[string]bool{"2ⁿ route": false, "subspace route": true} {
+			got := evalRoute(t, tc, sub)
+			compareRoute(t, tc.name, route, got, want)
+			if got.Energy < tc.exact-1e-9 {
+				t.Errorf("%s: %s energy %.12f below the exact ground state %.12f", tc.name, route, got.Energy, tc.exact)
+			}
 		}
 	}
 }
@@ -286,16 +315,7 @@ func fallbackCases(t testing.TB) (*pauli.Op, []fallbackCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One-qubit rotations conserve nothing: with them in the pool the
-	// closure of the reference is all sixteen basis states.
-	breaking := &ansatz.Pool{Ops: append([]ansatz.Excitation(nil), pool.Ops...)}
-	for q := 0; q < 4; q++ {
-		p, err := pauli.Single('Y', q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		breaking.Ops = append(breaking.Ops, ansatz.Excitation{Label: "i·" + p.Compact(), Paulis: []pauli.Term{{Coeff: 1i, P: p}}})
-	}
+	breaking := symmetryBreakingPool(t, pool, 4)
 	diagonal := ansatz.Excitation{Label: "i·ZZ", Paulis: []pauli.Term{{Coeff: 0.5i, P: pauli.MustParse("ZZII")}}}
 	return h, []fallbackCase{
 		{name: "hea/direct", a: hea, opts: Options{Mode: Direct}, how: "energy"},
@@ -309,6 +329,22 @@ func fallbackCases(t testing.TB) (*pauli.Op, []fallbackCase) {
 		{name: "generator/diagonal", a: &expAnsatz{n: 4, ref: u.Reference(), ops: append(u.Operators()[:3:3], diagonal)}, opts: Options{Mode: Direct}, how: "lbfgs"},
 		{name: "pool/symmetry-breaking", pool: breaking, how: "adapt"},
 	}
+}
+
+// symmetryBreakingPool is pool plus a rotation i·Y on every qubit. Those
+// conserve nothing: the closure of any reference under them is the whole
+// space.
+func symmetryBreakingPool(t testing.TB, pool *ansatz.Pool, n int) *ansatz.Pool {
+	t.Helper()
+	out := &ansatz.Pool{Ops: append([]ansatz.Excitation(nil), pool.Ops...)}
+	for q := 0; q < n; q++ {
+		p, err := pauli.Single('Y', q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Ops = append(out.Ops, ansatz.Excitation{Label: "i·" + p.Compact(), Paulis: []pauli.Term{{Coeff: 1i, P: p}}})
+	}
+	return out
 }
 
 // run executes the case and returns its energy.

@@ -22,4 +22,12 @@ var (
 	// rotate-then-read walk.
 	mRotatedFused   = telemetry.GetCounter("vqe.rotated.fused_evals")
 	mRotatedClassic = telemetry.GetCounter("vqe.rotated.classic_evals")
+
+	// Subspace route: blocks compiled (one per solve), the size and
+	// stored coefficients of the latest, and in-process drivers whose
+	// ansatz was exponential but stayed on the 2ⁿ route.
+	mSubspaceCompiles  = telemetry.GetCounter("vqe.subspace.compiles")
+	mSubspaceFallbacks = telemetry.GetCounter("vqe.subspace.fallbacks")
+	mSubspaceDim       = telemetry.GetGauge("vqe.subspace.dim")
+	mSubspaceNNZ       = telemetry.GetGauge("vqe.subspace.nnz")
 )

@@ -122,10 +122,16 @@ type Driver struct {
 	opts   Options
 
 	n int
-	// sim and plan are the in-process engine: nil when a Backend is set.
+	// sim and plan are the in-process engine: nil when a Backend is set,
+	// and sim, on the subspace route, until a 2ⁿ entry point asks (simulator).
 	sim     *state.State
 	scratch *state.State
 	plan    *pauli.Plan // batched X-mask-grouped evaluation plan for H
+	// sub, when set, is where forward and adjointGradient run, on phi (their
+	// sweeps go straight into stats.GatesApplied). Tests clear it to reach
+	// the 2ⁿ route.
+	sub *subspace
+	phi []complex128
 	// exp is Ansatz when it has exponential structure, and ref its
 	// reference circuit, built once: the in-process engine then prepares
 	// it with generator kernels (prepareExponential), not Ansatz.Circuit.
@@ -153,13 +159,13 @@ type Driver struct {
 
 // New builds a driver for observable h over the given ansatz.
 func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
-	return newDriver(h, nil, a, opts)
+	return newDriver(h, nil, nil, a, opts)
 }
 
-// newDriver is New with h's evaluation plan supplied by a caller that
-// already compiled it (Adapt builds one per solve, not one per inner
-// driver); nil compiles it here.
-func newDriver(h *pauli.Op, plan *pauli.Plan, a ansatz.Ansatz, opts Options) (*Driver, error) {
+// newDriver is New with h's evaluation plan, and the subspace block if the
+// run has one, supplied by a caller that already compiled them (Adapt, once
+// per solve, not once per inner driver); a nil plan compiles both here.
+func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	n := a.NumQubits()
 	if h.MaxQubit() >= n {
 		return nil, core.QubitError(h.MaxQubit(), n)
@@ -178,13 +184,26 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, a ansatz.Ansatz, opts Options) (*D
 		cache:  state.NewCache(opts.DeviceCapacityBytes),
 	}
 	if opts.Backend == nil {
-		d.sim = state.New(n, state.Options{Workers: opts.Workers, Seed: opts.Seed, Pool: opts.Pool})
-		if plan == nil {
-			plan = pauli.NewPlan(h)
-		}
-		d.plan = plan
 		if exp, ok := a.(Exponential); ok {
 			d.exp, d.ref = exp, exp.Reference()
+		}
+		if plan == nil {
+			plan = pauli.NewPlan(h)
+			if d.exp != nil && opts.Mode == Direct {
+				var err error
+				if sub, err = compileSubspace(n, d.ref, plan, d.exp.Operators(), opts.Workers, opts.Pool); err != nil {
+					return nil, err
+				}
+			}
+		}
+		d.plan, d.sub = plan, sub
+		if sub == nil {
+			d.simulator()
+			if d.exp != nil {
+				mSubspaceFallbacks.Inc()
+			}
+		} else if opts.Pool == nil {
+			d.opts.Pool = sub.pool // a simulator allocated later shares it
 		}
 	}
 	if opts.Mode != Direct {
@@ -223,11 +242,19 @@ func perTermBases(h *pauli.Op, n int) []pauli.MeasurementBasis {
 // energy evaluation uses (terms in per-term mode, QWC groups otherwise).
 func (d *Driver) NumMeasurementBases() int { return len(d.groups) }
 
+// simulator returns the 2ⁿ state vector, allocating it on first use.
+func (d *Driver) simulator() *state.State {
+	if d.sim == nil {
+		d.sim = state.New(d.n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed, Pool: d.opts.Pool})
+	}
+	return d.sim
+}
+
 // Stats returns a copy of the accounting counters.
 func (d *Driver) Stats() Stats {
 	s := d.stats
 	if d.sim != nil {
-		s.GatesApplied = d.sim.GatesApplied()
+		s.GatesApplied += d.sim.GatesApplied()
 	}
 	if d.scratch != nil {
 		s.GatesApplied += d.scratch.GatesApplied()
@@ -306,7 +333,7 @@ func (d *Driver) Energy(params []float64) float64 {
 		// One ansatz execution; expectation read directly from the
 		// amplitudes through the batched engine (the X-mask grouping is
 		// built once per driver, amortized over every evaluation).
-		d.prepareAnsatz(d.sim, params)
+		d.prepareAnsatz(d.simulator(), params)
 		readStart := telemetry.Now()
 		e = d.plan.Evaluate(d.sim, pauli.ExpectationOptions{Workers: d.opts.Workers})
 		mPhaseExpect.Since(readStart)
