@@ -15,6 +15,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fermion"
+	"repro/internal/noise"
 	"repro/internal/opt"
 	"repro/internal/pauli"
 	"repro/internal/state"
@@ -48,6 +49,16 @@ type routeGolden struct {
 type recordedRoutes struct {
 	Routes    map[string]routeGolden `json:"routes"`
 	Fallbacks map[string]string      `json:"fallbacks"`
+	Grid      map[string]gridRow     `json:"grid"`
+}
+
+// gridRow is what one run of the mode × fusion × entry-point grid leaves
+// behind: the energy's bit pattern and the driver's execution accounting.
+type gridRow struct {
+	Energy           string `json:"energy_bits"`
+	AnsatzExecutions int    `json:"ansatz_executions"`
+	CacheRestores    int    `json:"cache_restores"`
+	GatesApplied     uint64 `json:"gates_applied"`
 }
 
 const routesPath = "testdata/routes.json"
@@ -294,6 +305,7 @@ func (a *expAnsatz) Circuit(params []float64) *circuit.Circuit {
 // energy is the 2ⁿ route's (or the backend's) to the bit.
 type fallbackCase struct {
 	name string
+	h    *pauli.Op     // nil: the H2 Hamiltonian run is handed
 	a    ansatz.Ansatz // nil: Adapt over pool
 	pool *ansatz.Pool
 	opts Options
@@ -347,15 +359,18 @@ func symmetryBreakingPool(t testing.TB, pool *ansatz.Pool, n int) *ansatz.Pool {
 	return out
 }
 
-// run executes the case and returns its energy.
-func (fc fallbackCase) run(t testing.TB, h *pauli.Op) float64 {
+// run executes the case and returns its energy and execution accounting.
+func (fc fallbackCase) run(t testing.TB, h *pauli.Op) (float64, Stats) {
 	t.Helper()
+	if fc.h != nil {
+		h = fc.h
+	}
 	if fc.a == nil {
 		res, err := Adapt(h, fc.pool, 4, 2, AdaptOptions{MaxIterations: 4, Reference: math.NaN()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Energy
+		return res.Energy, res.TotalStats
 	}
 	d, err := New(h, fc.a, fc.opts)
 	if err != nil {
@@ -365,7 +380,8 @@ func (fc fallbackCase) run(t testing.TB, h *pauli.Op) float64 {
 	var res Result
 	switch fc.how {
 	case "energy":
-		return d.Energy(theta)
+		e := d.Energy(theta)
+		return e, d.Stats()
 	case "lbfgs":
 		res, err = d.MinimizeLBFGS(context.Background(), theta, opt.LBFGSOptions{MaxIter: 5}, ResilienceOptions{})
 	case "nelder-mead":
@@ -374,7 +390,7 @@ func (fc fallbackCase) run(t testing.TB, h *pauli.Op) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Energy
+	return res.Energy, res.Stats
 }
 
 // TestFallbackRoutesBitEqualRecorded: every run the subspace route's
@@ -387,14 +403,101 @@ func TestFallbackRoutesBitEqualRecorded(t *testing.T) {
 	record(t, func(rec *recordedRoutes) {
 		rec.Fallbacks = map[string]string{}
 		for _, fc := range cases {
-			rec.Fallbacks[fc.name] = fmt.Sprintf("%#x", math.Float64bits(fc.run(t, h)))
+			e, _ := fc.run(t, h)
+			rec.Fallbacks[fc.name] = fmt.Sprintf("%#x", math.Float64bits(e))
 		}
 	})
 	recorded := loadRecorded(t).Fallbacks
 	for _, fc := range cases {
-		e := fc.run(t, h)
+		e, _ := fc.run(t, h)
 		if got := fmt.Sprintf("%#x", math.Float64bits(e)); got != recorded[fc.name] {
 			t.Errorf("%s: energy %v has bits %s, recorded %q", fc.name, e, got, recorded[fc.name])
+		}
+	}
+}
+
+// gridCases is every way a spec can ask the in-process driver for an H2
+// energy — mode and its measurement options × fusion × entry point, for
+// UCCSD and (where it applies) the hardware-efficient ansatz — plus one
+// UCCSD energy on 12-qubit water per exact route.
+func gridCases(t testing.TB) []fallbackCase {
+	t.Helper()
+	u, err := ansatz.NewUCCSD(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hea, err := ansatz.NewHardwareEfficient(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readout := noise.UniformReadout(4, 0.04, 0.06)
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"direct", Options{Mode: Direct}},
+		{"rotated", Options{Mode: Rotated}},
+		{"rotated+caching", Options{Mode: Rotated, Caching: true}},
+		{"rotated+per-term", Options{Mode: Rotated, PerTermMeasurement: true}},
+		{"sampled", Options{Mode: Sampled, Shots: 2048, Seed: 7}},
+		{"sampled+readout", Options{Mode: Sampled, Shots: 2048, Seed: 7, Readout: &readout}},
+	}
+	var cases []fallbackCase
+	for _, m := range modes {
+		for _, fusion := range []string{"plain", "fused"} {
+			o := m.opts
+			o.Transpile = fusion == "fused"
+			for _, how := range []string{"energy", "nelder-mead", "lbfgs"} {
+				cases = append(cases, fallbackCase{name: "h2/uccsd/" + m.name + "/" + fusion + "/" + how, a: u, opts: o, how: how})
+			}
+			if o.Mode != Sampled && !o.PerTermMeasurement {
+				for _, how := range []string{"energy", "nelder-mead"} { // no adjoint gradient for a circuit ansatz
+					cases = append(cases, fallbackCase{name: "h2/hea/" + m.name + "/" + fusion + "/" + how, a: hea, opts: o, how: how})
+				}
+			}
+		}
+	}
+	if !testing.Short() {
+		water := chem.WaterLike()
+		hW := chem.QubitHamiltonian(water)
+		uW, err := ansatz.NewUCCSD(12, water.NumElectrons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range modes[:3] {
+			o := m.opts
+			o.Workers = 1
+			cases = append(cases, fallbackCase{name: "water12/uccsd/" + m.name + "/plain/energy", h: hW, a: uW, opts: o, how: "energy"})
+		}
+	}
+	return cases
+}
+
+// TestEnergyGridBitEqualRecorded holds every row of gridCases to the energy
+// bits and the execution accounting recorded in testdata/routes.json.
+func TestEnergyGridBitEqualRecorded(t *testing.T) {
+	h := chem.QubitHamiltonian(chem.H2())
+	cases := gridCases(t)
+	row := func(fc fallbackCase) gridRow {
+		e, st := fc.run(t, h)
+		return gridRow{Energy: fmt.Sprintf("%#x", math.Float64bits(e)), AnsatzExecutions: st.AnsatzExecutions,
+			CacheRestores: st.CacheRestores, GatesApplied: st.GatesApplied}
+	}
+	record(t, func(rec *recordedRoutes) {
+		rec.Grid = map[string]gridRow{}
+		for _, fc := range cases {
+			rec.Grid[fc.name] = row(fc)
+		}
+	})
+	recorded := loadRecorded(t).Grid
+	for _, fc := range cases {
+		want, ok := recorded[fc.name]
+		if !ok {
+			t.Errorf("%s: no recorded row; run with -update-routes (without -short) at a trusted commit", fc.name)
+			continue
+		}
+		if got := row(fc); got != want {
+			t.Errorf("%s: %+v, recorded %+v", fc.name, got, want)
 		}
 	}
 }
