@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test bench-test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test loc bench-test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
 
 all: check
 
@@ -20,6 +20,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# loc prints the size every simplicity PR and ROADMAP re-anchor quotes:
+# non-test Go lines outside bench/, in total and per directory. Not a gate.
+loc:
+	@for d in internal/* cmd/* examples; do \
+		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d  %s\n' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) "."
+	@printf '%6d  %s\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l) "total (non-test, non-bench)"
 
 # bench-test vets and tests the benchmark module. bench/ is its own Go
 # module (see bench/README.md), so build/test/vet above never compile

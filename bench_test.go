@@ -392,7 +392,7 @@ func BenchmarkBatchedExpectation(b *testing.B) {
 		}
 		s.Run(prep)
 		plan := pauli.NewPlan(h)
-		naive := pauli.ExpectationNaive(s, h, pauli.ExpectationOptions{Workers: 1})
+		naive := pauli.ExpectationNaive(s, h)
 		batched := plan.Evaluate(s, pauli.ExpectationOptions{Workers: 1})
 		if math.Abs(naive-batched) > 1e-10 {
 			b.Fatalf("batched energy deviates from naive: %v vs %v", batched, naive)
@@ -403,7 +403,7 @@ func BenchmarkBatchedExpectation(b *testing.B) {
 					if eng == "batched" {
 						plan.Evaluate(s, pauli.ExpectationOptions{Workers: 1})
 					} else {
-						pauli.ExpectationNaive(s, h, pauli.ExpectationOptions{Workers: 1})
+						pauli.ExpectationNaive(s, h)
 					}
 				}
 				b.ReportMetric(float64(h.NumTerms()), "terms")

@@ -91,7 +91,7 @@ func Add(fs *flag.FlagSet, g Groups) *Set {
 		s.mode = fs.String("mode", "direct", "energy evaluation: direct | rotated | sampled")
 		s.shots = fs.Int("shots", 8192, "shots per group in sampled mode")
 		s.caching = fs.Bool("caching", true, "post-ansatz state caching (rotated/sampled modes)")
-		s.fusion = fs.Bool("fusion", false, "transpile ansatz circuits with gate fusion")
+		s.fusion = fs.Bool("fusion", false, "run circuit (hea) ansätze through the fused executor; a no-op for uccsd and adapt")
 		s.optimizer = fs.String("optimizer", "lbfgs", "lbfgs | nelder-mead")
 		s.adapt = fs.Bool("adapt", false, "run Adapt-VQE instead of fixed UCCSD")
 		s.runQPE = fs.Bool("qpe", false, "run quantum phase estimation instead of VQE")

@@ -1,7 +1,6 @@
 // Package tuning holds the kernel-choice thresholds shared by the
 // execution engine: which amplitude count engages the worker pool for a
-// gate sweep or a reduction, where the per-term evaluator hands over to
-// the batched X-mask plan, and the cache-tile geometry of the fused
+// gate sweep or a reduction, and the cache-tile geometry of the fused
 // sweep. They are constants: every measured run of this repository
 // (the benchmark refuses anything else) used exactly these values, and
 // comparing kernels means holding the kernel configuration fixed.
@@ -19,10 +18,6 @@ const (
 	// GateParallel because a reduction touches every amplitude of every
 	// term group, amortizing the handoff better than one gate does.
 	ReduceParallel = 1 << 12
-	// NaiveMaxTerms is the largest term count for which the per-term
-	// evaluator beats the batched X-mask plan (plan construction is
-	// O(terms) but not free; tiny observables don't repay it).
-	NaiveMaxTerms = 1
 	// TileBits is log2 of the amplitudes per cache tile in the fused
 	// layer sweep: ops of a layer whose qubits all fall below TileBits
 	// are applied back-to-back on one resident tile. 2^11 amplitudes =
@@ -35,7 +30,6 @@ const (
 type T struct {
 	GateParallel   int `json:"gate_parallel"`
 	ReduceParallel int `json:"reduce_parallel"`
-	NaiveMaxTerms  int `json:"naive_max_terms"`
 	TileBits       int `json:"tile_bits"`
 }
 
@@ -44,7 +38,6 @@ func Defaults() T {
 	return T{
 		GateParallel:   GateParallel,
 		ReduceParallel: ReduceParallel,
-		NaiveMaxTerms:  NaiveMaxTerms,
 		TileBits:       TileBits,
 	}
 }
@@ -63,7 +56,6 @@ func Snapshot() map[string]any {
 		"source":          Source(),
 		"gate_parallel":   GateParallel,
 		"reduce_parallel": ReduceParallel,
-		"naive_max_terms": NaiveMaxTerms,
 		"tile_bits":       TileBits,
 	}
 }

@@ -3,7 +3,7 @@ package tuning
 import "testing"
 
 func TestDefaultsMatchLegacyHardcodedThresholds(t *testing.T) {
-	want := T{GateParallel: 1 << 14, ReduceParallel: 1 << 12, NaiveMaxTerms: 1, TileBits: 11}
+	want := T{GateParallel: 1 << 14, ReduceParallel: 1 << 12, TileBits: 11}
 	if d := Defaults(); d != want {
 		t.Errorf("Defaults() = %+v, want %+v", d, want)
 	}
@@ -19,7 +19,7 @@ func TestDefaultsMatchLegacyHardcodedThresholds(t *testing.T) {
 // cluster's pool cutoff) /v1/capabilities publish.
 func TestSnapshotKeys(t *testing.T) {
 	snap := Snapshot()
-	keys := []string{"source", "gate_parallel", "reduce_parallel", "naive_max_terms", "tile_bits"}
+	keys := []string{"source", "gate_parallel", "reduce_parallel", "tile_bits"}
 	for _, k := range keys {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("Snapshot missing %q", k)

@@ -68,13 +68,9 @@ func NewPlan(op *Op) *Plan {
 }
 
 // NewPlanFromTerms compiles an explicit term list (in the caller's
-// order, which must be deterministic for reproducible summation). This
-// is how a qubit-wise-commuting measurement group becomes a batched
-// pair-sweep: evaluating the group's original terms directly on the
-// post-ansatz state is mathematically identical to rotating into the
-// group's measurement basis and reading the diagonal expectations, but
-// fuses the whole basis-change layer into the sweep — no rotation
-// circuit pass, no probability vector (see MeasurementBasis.Plan).
+// order, which must be deterministic for reproducible summation): a
+// generator's strings, or a measurement group's diagonal readout (see
+// MeasurementBasis.Plan).
 func NewPlanFromTerms(terms []Term) *Plan {
 	start := telemetry.Now()
 	pl := &Plan{maxQubit: -1, nTerms: len(terms)}

@@ -50,14 +50,14 @@ func randomWideState(rng *core.RNG, n int, opts state.Options) *state.State {
 // TestBatchedMatchesNaiveRandomized is the engine's property test: on
 // randomized observables (random X/Z masks, complex coefficients, 2–10
 // qubits) the batched X-mask-grouped evaluation must agree with the naive
-// per-term ExpectationString sum to near machine precision.
+// per-term expectationString sum to near machine precision.
 func TestBatchedMatchesNaiveRandomized(t *testing.T) {
 	rng := core.NewRNG(0xBA7C4)
 	for n := 2; n <= 10; n++ {
 		for trial := 0; trial < 4; trial++ {
 			op := randomOp(rng, n, 5+n*4)
 			s := randomWideState(rng, n, state.Options{})
-			naive := ExpectationNaive(s, op, ExpectationOptions{Workers: 1})
+			naive := ExpectationNaive(s, op)
 			batched := Expectation(s, op, ExpectationOptions{Workers: 1})
 			if math.Abs(naive-batched) > 1e-10 {
 				t.Errorf("n=%d trial=%d: batched %v vs naive %v (Δ=%g)",
@@ -101,7 +101,7 @@ func TestPlanReusedAcrossStates(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		s := randomWideState(rng, 6, state.Options{})
 		got := pl.Evaluate(s, ExpectationOptions{Workers: 1})
-		want := ExpectationNaive(s, op, ExpectationOptions{Workers: 1})
+		want := ExpectationNaive(s, op)
 		if math.Abs(got-want) > 1e-10 {
 			t.Errorf("trial %d: plan %v vs naive %v", trial, got, want)
 		}
@@ -229,22 +229,13 @@ func TestPlanMatVecBitEqualToGroupScatter(t *testing.T) {
 	}
 }
 
-// TestNaiveWorkersDefaultParallel pins the satellite fix: the zero-value
-// options must resolve Workers to GOMAXPROCS on both engines and still
-// produce the serial answer.
+// TestNaiveWorkersDefaultParallel pins how expectation options resolve
+// Workers: the zero value means GOMAXPROCS, 1 forces serial.
 func TestNaiveWorkersDefaultParallel(t *testing.T) {
 	if (ExpectationOptions{}).resolveWorkers() < 1 {
 		t.Fatal("resolveWorkers returned < 1")
 	}
 	if w := (ExpectationOptions{Workers: 1}).resolveWorkers(); w != 1 {
 		t.Fatalf("Workers 1 must force serial, resolved to %d", w)
-	}
-	rng := core.NewRNG(0xD1F)
-	op := randomOp(rng, 13, 50)
-	s := randomWideState(rng, 13, state.Options{})
-	serial := ExpectationNaive(s, op, ExpectationOptions{Workers: 1})
-	par := ExpectationNaive(s, op, ExpectationOptions{})
-	if math.Abs(serial-par) > 1e-10 {
-		t.Errorf("naive default-workers %v vs serial %v", par, serial)
 	}
 }

@@ -1,23 +1,21 @@
 package pauli
 
 import (
-	"math/bits"
 	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/kernel/tuning"
 	"repro/internal/state"
 	"repro/internal/telemetry"
 )
 
-// ExpectationString computes ⟨ψ|P|ψ⟩ for one Pauli string directly from
+// expectationString computes ⟨ψ|P|ψ⟩ for one Pauli string directly from
 // the amplitudes (the paper's deterministic method, §4.2.2): the nested
 // double sum collapses to a single pass because P maps each basis state to
 // exactly one basis state.
 //
 //vqesim:hotpath
-func ExpectationString(s *state.State, p String) complex128 {
+func expectationString(s *state.State, p String) complex128 {
 	amps := s.Amplitudes()
 	var acc complex128
 	for i := uint64(0); i < uint64(len(amps)); i++ {
@@ -30,28 +28,6 @@ func ExpectationString(s *state.State, p String) complex128 {
 		acc += complex(real(aj), -imag(aj)) * ph * ai
 	}
 	return acc
-}
-
-// expectationStringParallel chunks the amplitude loop over the state's
-// persistent worker pool (paper §4.2.3 parallelizes the same reduction
-// over GPU cores). Each chunk accumulates locally and writes its partial
-// once into a cache-line-padded slot — workers never share a line.
-//
-//vqesim:hotpath
-func expectationStringParallel(amps []complex128, p String, pool *state.Pool, chunks int) complex128 {
-	return pool.ReduceComplex(uint64(len(amps)), chunks, func(lo, hi uint64) complex128 {
-		var acc complex128
-		for i := lo; i < hi; i++ {
-			ai := amps[i]
-			if ai == 0 {
-				continue
-			}
-			j, ph := p.ApplyToBasis(i)
-			aj := amps[j]
-			acc += complex(real(aj), -imag(aj)) * ph * ai
-		}
-		return acc
-	})
 }
 
 // ExpectationOptions tunes direct expectation evaluation.
@@ -68,44 +44,29 @@ func (o ExpectationOptions) resolveWorkers() int {
 }
 
 // Expectation computes ⟨ψ|H|ψ⟩ for a Pauli-sum observable using the
-// direct method. The strategy is chosen by term count against the
-// tuning.NaiveMaxTerms constant: observables at or below it run
-// the per-term evaluator (plan construction doesn't repay itself for a
-// handful of strings), everything larger is batched by X mask so every
-// group of terms sharing an index permutation is scored during one pass
-// over the amplitudes (see batched.go). The result is real for
-// Hermitian H; the real part is returned. Callers that evaluate the
-// same observable repeatedly should build the Plan once with NewPlan
-// and call Evaluate to amortize the grouping.
+// direct method: the terms are batched by X mask so every group sharing an
+// index permutation is scored during one pass over the amplitudes (see
+// batched.go). The result is real for Hermitian H; the real part is
+// returned. Callers that evaluate the same observable repeatedly should
+// build the Plan once with NewPlan and call Evaluate to amortize the
+// grouping.
 func Expectation(s *state.State, op *Op, opts ExpectationOptions) float64 {
-	checkWidth(s, op)
-	if op.NumTerms() <= tuning.NaiveMaxTerms {
-		mChoiceNaive.Inc()
-		return ExpectationNaive(s, op, opts)
-	}
-	mChoiceBatched.Inc()
 	return NewPlan(op).Evaluate(s, opts)
 }
 
-// ExpectationNaive evaluates term by term, one full amplitude sweep per
-// Pauli string — the pre-batching engine, kept as the reference
+// ExpectationNaive evaluates term by term, one full serial amplitude sweep
+// per Pauli string — the pre-batching engine, kept as the reference
 // implementation for property tests and the batched-vs-per-term
 // benchmarks.
-func ExpectationNaive(s *state.State, op *Op, opts ExpectationOptions) float64 {
-	checkWidth(s, op)
+func ExpectationNaive(s *state.State, op *Op) float64 {
+	if op.MaxQubit() >= s.NumQubits() {
+		panic(core.QubitError(op.MaxQubit(), s.NumQubits()))
+	}
 	start := telemetry.Now()
 	defer mNaiveEval.Since(start)
-	amps := s.Amplitudes()
-	pool, chunks := expectationPool(s, opts, len(amps))
 	total := 0.0
 	for p, c := range op.terms {
-		var e complex128
-		if pool != nil {
-			e = expectationStringParallel(amps, p, pool, chunks)
-		} else {
-			e = ExpectationString(s, p)
-		}
-		total += real(c * e)
+		total += real(c * expectationString(s, p))
 	}
 	return total
 }
@@ -121,21 +82,18 @@ type MeasurementBasis struct {
 	Terms  []Term
 }
 
-// Plan compiles the group's terms (identity excluded, matching the
-// rotated readout which skips it) into a batched pair-sweep plan. For a
-// qubit-wise-commuting group, evaluating this plan on the post-ansatz
-// state equals rotating a state copy with mb.Rotation and reading the
-// diagonal ZMasks expectations — the basis-change layer is fused into
-// the sweep, so a rotated-measurement evaluation costs one pass per
-// X mask instead of a rotation circuit plus a probability pass per
-// group (TestGroupPlanMatchesRotatedSweep pins the equivalence).
+// Plan compiles the group's readout: on a state mb.Rotation has been
+// applied to, term i is the Z-string ZMasks[i] with a real coefficient, so
+// the group's contribution to ⟨H⟩ is one diagonal plan evaluated on the
+// rotated amplitudes. The identity is left out; its coefficient needs no
+// state.
 func (mb *MeasurementBasis) Plan() *Plan {
 	terms := make([]Term, 0, len(mb.Terms))
-	for _, t := range mb.Terms {
+	for i, t := range mb.Terms {
 		if t.P.IsIdentity() {
 			continue
 		}
-		terms = append(terms, t)
+		terms = append(terms, Term{P: String{Z: mb.ZMasks[i]}, Coeff: complex(real(t.Coeff), 0)})
 	}
 	return NewPlanFromTerms(terms)
 }
@@ -200,77 +158,10 @@ outer:
 	return out
 }
 
-// ExpectationSampled estimates ⟨H⟩ by the traditional repeated-measurement
-// workflow the paper contrasts against (§4.2.1): for every QWC group,
-// rotate a copy of the state into the measurement basis, draw shots
-// samples, and average parity eigenvalues. The identity term contributes
-// its coefficient exactly.
-func ExpectationSampled(s *state.State, op *Op, n, shots int) float64 {
-	checkWidth(s, op)
-	total := real(op.Coeff(Identity))
-	for _, mb := range GroupQWC(op, n) {
-		work := s.Clone()
-		work.Run(mb.Rotation)
-		counts := work.SampleCounts(shots)
-		for i, t := range mb.Terms {
-			if t.P.IsIdentity() {
-				continue
-			}
-			zm := mb.ZMasks[i]
-			acc := 0
-			for outcome, c := range counts {
-				if bits.OnesCount64(outcome&zm)%2 == 0 {
-					acc += c
-				} else {
-					acc -= c
-				}
-			}
-			total += real(t.Coeff) * float64(acc) / float64(shots)
-		}
-	}
-	return total
-}
-
-// ExpectationViaRotation computes ⟨H⟩ exactly but through the basis-
-// rotation route: rotate a state copy per group, then read diagonal
-// expectations from probabilities. This is what caching accelerates — the
-// ansatz state is restored (not re-prepared) before each rotation.
-func ExpectationViaRotation(s *state.State, op *Op, n int) float64 {
-	total := real(op.Coeff(Identity))
-	for _, mb := range GroupQWC(op, n) {
-		work := s.Clone()
-		work.Run(mb.Rotation)
-		probs := work.Probabilities()
-		for i, t := range mb.Terms {
-			if t.P.IsIdentity() {
-				continue
-			}
-			zm := mb.ZMasks[i]
-			e := 0.0
-			for idx, pr := range probs {
-				if bits.OnesCount64(uint64(idx)&zm)%2 == 0 {
-					e += pr
-				} else {
-					e -= pr
-				}
-			}
-			total += real(t.Coeff) * e
-		}
-	}
-	return total
-}
-
 // Variance computes ⟨H²⟩ − ⟨H⟩², useful for convergence diagnostics
 // (vanishes on eigenstates).
 func Variance(s *state.State, op *Op, opts ExpectationOptions) float64 {
 	h2 := op.Mul(op)
 	e := Expectation(s, op, opts)
 	return Expectation(s, h2, opts) - e*e
-}
-
-// Dim guard shared by callers that mix ops and states.
-func checkWidth(s *state.State, op *Op) {
-	if op.MaxQubit() >= s.NumQubits() {
-		panic(core.QubitError(op.MaxQubit(), s.NumQubits()))
-	}
 }

@@ -12,9 +12,4 @@ var (
 	mPlanEval   = telemetry.GetTimer("pauli.plan.evaluate")
 	mPlanMatVec = telemetry.GetTimer("pauli.plan.matvec")
 	mNaiveEval  = telemetry.GetTimer("pauli.naive.evaluate")
-
-	// Strategy-choice counters: which evaluator Expectation picked per
-	// call.
-	mChoiceNaive   = telemetry.GetCounter("pauli.choice.naive")
-	mChoiceBatched = telemetry.GetCounter("pauli.choice.batched")
 )

@@ -145,7 +145,8 @@ type RunSpec struct {
 	// DisableCaching turns off the post-ansatz state cache (rotated and
 	// sampled modes; irrelevant in direct mode).
 	DisableCaching bool `json:"disable_caching,omitempty"`
-	// Fusion transpiles ansatz circuits with 2-qubit gate fusion.
+	// Fusion runs circuit (hardware-efficient) ansätze through the fused
+	// executor; a no-op for uccsd and adapt, which have no gates to fuse.
 	Fusion     bool           `json:"fusion,omitempty"`
 	Optimizer  OptimizerSpec  `json:"optimizer,omitempty"`
 	Adapt      AdaptSpec      `json:"adapt,omitempty"`

@@ -156,9 +156,10 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 		t.Errorf("capabilities missing nwq-sv: %+v", caps)
 	}
 	// kernel_tuning keeps the keys clients saw before the thresholds
-	// became constants, less the fusion cutoff that no longer exists.
+	// became constants, less the fusion cutoff and the per-term/batched
+	// expectation cutoff that no longer exist.
 	want := map[string]any{"source": "default", "gate_parallel": 16384.0, "reduce_parallel": 4096.0,
-		"naive_max_terms": 1.0, "cluster_pool_min": 2048.0, "tile_bits": 11.0}
+		"cluster_pool_min": 2048.0, "tile_bits": 11.0}
 	if !reflect.DeepEqual(caps.KernelTuning, want) {
 		t.Errorf("capabilities kernel_tuning = %v, want %v", caps.KernelTuning, want)
 	}

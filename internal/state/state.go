@@ -392,7 +392,7 @@ func (s *State) Run(c *circuit.Circuit) {
 
 // Probability returns P(qubit q = 1). The reduction runs on the worker
 // pool above the parallel threshold (this is a hot loop on the
-// ExpectationViaRotation and sampling paths).
+// measurement and sampling paths).
 //
 //vqesim:hotpath
 func (s *State) Probability(q int) float64 {

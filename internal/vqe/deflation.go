@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/linalg"
@@ -61,8 +62,9 @@ func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptio
 	}
 	rng := core.NewRNG(seed)
 
-	// Converged states are cached as raw amplitude vectors for the
-	// overlap penalties.
+	// Converged states are cached as raw amplitude vectors — in the
+	// driver's own vector space, which every state it prepares shares —
+	// for the overlap penalties.
 	var found []DeflationState
 	var foundAmps [][]complex128
 
@@ -76,7 +78,7 @@ func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptio
 	objective := func(_ context.Context, params []float64) (float64, error) {
 		e := drv.Energy(params)
 		for _, prev := range foundAmps {
-			ov := linalg.VecDot(prev, drv.sim.Amplitudes())
+			ov := linalg.VecDot(prev, drv.amplitudes())
 			e += o.Beta * (real(ov)*real(ov) + imag(ov)*imag(ov))
 		}
 		return e, nil
@@ -104,7 +106,7 @@ func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptio
 		}
 		// Report ⟨H⟩ alone; the minimized value still carries the penalty.
 		found = append(found, DeflationState{Index: k, Energy: drv.Energy(best.Params), Params: best.Params})
-		foundAmps = append(foundAmps, drv.sim.AmplitudesCopy())
+		foundAmps = append(foundAmps, slices.Clone(drv.amplitudes()))
 	}
 	return found, nil
 }

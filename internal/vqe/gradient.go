@@ -16,13 +16,12 @@ import (
 // buffer and returns E = Re⟨φ|λ⟩: the energy, and the two vectors the
 // adjoint gradient at the same θ starts from.
 func (d *Driver) forward(params []float64) float64 {
-	var phi []complex128
 	if d.sub != nil {
-		phi = d.prepareSubspace(params)
+		d.prepareSubspace(params)
 	} else {
 		d.prepareAnsatz(d.simulator(), params)
-		phi = d.sim.Amplitudes()
 	}
+	phi := d.amplitudes()
 	readStart := telemetry.Now()
 	if len(d.lambda) != len(phi) {
 		d.lambda = make([]complex128, len(phi))
@@ -37,6 +36,15 @@ func (d *Driver) forward(params []float64) float64 {
 	d.lambdaAt = append(d.lambdaAt[:0], params...)
 	d.lambdaValid = true
 	return e
+}
+
+// amplitudes is the vector the last preparation left: block-long on the
+// subspace route, the simulator's 2ⁿ otherwise.
+func (d *Driver) amplitudes() []complex128 {
+	if d.sub != nil {
+		return d.phi
+	}
+	return d.sim.Amplitudes()
 }
 
 // adjointGradient fills g with ∂E/∂θ by the adjoint (reverse-sweep)
@@ -67,7 +75,7 @@ func (d *Driver) adjointGradient(params, g []float64) {
 // prepareSubspace is prepareAnsatz on the subspace route: it leaves
 // U(θ)|ref⟩ in d.phi, counted as one ansatz execution of the reference
 // circuit's gates plus one sweep per generator group.
-func (d *Driver) prepareSubspace(params []float64) []complex128 {
+func (d *Driver) prepareSubspace(params []float64) {
 	start := telemetry.Now()
 	d.lambdaValid = false
 	if len(params) != len(d.sub.ops) {
@@ -79,7 +87,6 @@ func (d *Driver) prepareSubspace(params []float64) []complex128 {
 	d.stats.GatesApplied += uint64(d.ref.GateCount() + d.sub.prepare(d.phi, params))
 	d.stats.AnsatzExecutions++
 	mPhasePrepare.Since(start)
-	return d.phi
 }
 
 // PoolGradients returns ∂E/∂θ at θ=0 for appending each pool operator to

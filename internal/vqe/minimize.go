@@ -101,9 +101,9 @@ func (d *Driver) Minimize(ctx context.Context, x0 []float64, o opt.NelderMeadOpt
 // MinimizeLBFGS is the L-BFGS counterpart of Minimize. In process it uses
 // adjoint analytic gradients, so the ansatz must have exponential structure
 // (UCCSD or Adapt); with a Backend it takes central finite differences.
-// In Direct mode energy and gradient are one pass over the ansatz: the
-// objective leaves φ and H·φ behind (forward) and the gradient L-BFGS asks
-// for next, at the same θ, only sweeps backward from them.
+// Where Energy is forward, energy and gradient are one pass over the
+// ansatz: the objective leaves φ and H·φ behind and the gradient L-BFGS
+// asks for next, at the same θ, only sweeps backward from them.
 func (d *Driver) MinimizeLBFGS(ctx context.Context, x0 []float64, o opt.LBFGSOptions, ro ResilienceOptions) (Result, error) {
 	if d.opts.Backend != nil {
 		return d.lbfgs(ctx, d.evaluate, nil, x0, o, ro)
@@ -111,20 +111,11 @@ func (d *Driver) MinimizeLBFGS(ctx context.Context, x0 []float64, o opt.LBFGSOpt
 	if d.exp == nil {
 		return Result{}, fmt.Errorf("%w: ansatz does not expose exponential structure", core.ErrInvalidArgument)
 	}
-	eval := d.evaluate
-	if d.opts.Mode == Direct {
-		eval = func(_ context.Context, x []float64) (float64, error) {
-			start := d.beginEnergy()
-			e := d.forward(x)
-			endEnergy(start)
-			return e, nil
-		}
-	}
 	grad := func(x, g []float64) {
 		defer mPhaseGradient.Since(telemetry.Now())
 		d.adjointGradient(x, g)
 	}
-	return d.lbfgs(ctx, eval, grad, x0, o, ro)
+	return d.lbfgs(ctx, d.evaluate, grad, x0, o, ro)
 }
 
 // lbfgs runs L-BFGS on eval; a nil grad means central finite differences.

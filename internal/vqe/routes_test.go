@@ -3,11 +3,13 @@ package vqe
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/ansatz"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/pauli"
 	"repro/internal/state"
+	"repro/internal/telemetry"
 )
 
 var updateRoutes = flag.Bool("update-routes", false, "rewrite testdata/routes.json from the 2ⁿ route")
@@ -332,7 +335,6 @@ func fallbackCases(t testing.TB) (*pauli.Op, []fallbackCase) {
 	return h, []fallbackCase{
 		{name: "hea/direct", a: hea, opts: Options{Mode: Direct}, how: "energy"},
 		{name: "hea/nelder-mead", a: hea, opts: Options{Mode: Direct}, how: "nelder-mead"},
-		{name: "uccsd/nelder-mead", a: u, opts: Options{Mode: Direct}, how: "nelder-mead"},
 		{name: "uccsd/backend", a: u, opts: Options{Backend: &scriptedBackend{}}, how: "lbfgs"},
 		{name: "uccsd/rotated", a: u, opts: Options{Mode: Rotated}, how: "energy"},
 		{name: "uccsd/rotated-lbfgs", a: u, opts: Options{Mode: Rotated, Caching: true}, how: "lbfgs"},
@@ -395,9 +397,9 @@ func (fc fallbackCase) run(t testing.TB, h *pauli.Op) (float64, Stats) {
 
 // TestFallbackRoutesBitEqualRecorded: every run the subspace route's
 // preconditions exclude — a circuit ansatz, a backend, a measurement mode,
-// Nelder–Mead's Energy calls, a reference that is not one basis state, a
-// generator with a phase group, a pool that breaks the symmetries — lands
-// on the bits recorded before that route existed.
+// a reference that is not one basis state, a generator with a phase group,
+// a pool that breaks the symmetries — lands on the bits recorded before
+// that route existed.
 func TestFallbackRoutesBitEqualRecorded(t *testing.T) {
 	h, cases := fallbackCases(t)
 	record(t, func(rec *recordedRoutes) {
@@ -498,6 +500,74 @@ func TestEnergyGridBitEqualRecorded(t *testing.T) {
 		}
 		if got := row(fc); got != want {
 			t.Errorf("%s: %+v, recorded %+v", fc.name, got, want)
+		}
+	}
+}
+
+// TestEnergyIsOneRoutePerAnsatz: what a Direct-mode driver answers at θ does
+// not depend on who asks. Energy, EnergyContext and the first objective value
+// of Minimize and of MinimizeLBFGS from θ are the same bits — on the block
+// (UCCSD), on the 2ⁿ forward pass (the exponential fallbacks) and through
+// Plan.Evaluate (a circuit ansatz) — and none of them dips below FCI. The
+// block a UCCSD driver compiles is the only vector space it ever allocates.
+func TestEnergyIsOneRoutePerAnsatz(t *testing.T) {
+	h, u, fci := h2Setup(t)
+	cases := []fallbackCase{{name: "uccsd", a: u}}
+	_, fallbacks := fallbackCases(t)
+	for _, fc := range fallbacks {
+		switch fc.name {
+		case "reference/non-x", "generator/diagonal", "hea/direct":
+			cases = append(cases, fc)
+		}
+	}
+	ctx := context.Background()
+	halt := errors.New("first objective value read")
+	for _, fc := range cases {
+		withTelemetry(t)
+		d, err := New(h, fc.a, Options{Mode: Direct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		theta := seededTheta(fc.a.NumParameters(), 47)
+		want := d.Energy(theta)
+		if want < fci-1e-9 {
+			t.Errorf("%s: energy %.12f below the exact ground state %.12f", fc.name, want, fci)
+		}
+		got := map[string]float64{}
+		if got["EnergyContext"], err = d.EnergyContext(ctx, theta); err != nil {
+			t.Fatal(err)
+		}
+		_, err = d.Minimize(ctx, theta, opt.NelderMeadOptions{Observer: func(s *opt.NelderMeadState) error {
+			for i, x := range s.Simplex {
+				if slices.Equal(x, theta) {
+					got["Minimize"] = s.Values[i]
+				}
+			}
+			return halt
+		}}, ResilienceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, exponential := fc.a.(Exponential); exponential {
+			res, err := d.MinimizeLBFGS(ctx, theta, opt.LBFGSOptions{Observer: func(*opt.LBFGSState) error { return halt }}, ResilienceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got["MinimizeLBFGS"] = res.Energy
+		}
+		for who, e := range got {
+			if math.Float64bits(e) != math.Float64bits(want) {
+				t.Errorf("%s: %s answers %v (%#x), Energy %v (%#x)", fc.name, who, e, math.Float64bits(e), want, math.Float64bits(want))
+			}
+		}
+		if fc.name != "uccsd" {
+			continue
+		}
+		if d.sub == nil || d.sim != nil {
+			t.Errorf("uccsd: block %v, 2ⁿ simulator %v: want every entry point on the block and no simulator", d.sub != nil, d.sim != nil)
+		}
+		if compiles := telemetry.Capture().Counters["vqe.subspace.compiles"]; compiles != 1 {
+			t.Errorf("uccsd: %d blocks compiled, want 1", compiles)
 		}
 	}
 }

@@ -96,13 +96,6 @@ func TestFallbacksStayOnFullSpace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fc.name == "uccsd/nelder-mead" {
-				// Eligible: only its Energy entry point is the 2ⁿ route's.
-				if d.sub == nil || d.sim != nil {
-					t.Errorf("%s: sub %v sim %v, want a block and no simulator until Energy asks", fc.name, d.sub, d.sim)
-				}
-				continue
-			}
 			if d.sub != nil {
 				t.Errorf("%s: driver took the subspace route", fc.name)
 			}

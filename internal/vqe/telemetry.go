@@ -17,12 +17,6 @@ var (
 	mEnergyRecent  = telemetry.GetRing("vqe.energy.recent_ns", 256)
 	mAdaptIter     = telemetry.GetTimer("vqe.adapt.iteration")
 
-	// Rotated-mode strategy counters: fused group-plan sweeps (the
-	// basis-change layer folded into the pair sweep) vs the classic
-	// rotate-then-read walk.
-	mRotatedFused   = telemetry.GetCounter("vqe.rotated.fused_evals")
-	mRotatedClassic = telemetry.GetCounter("vqe.rotated.classic_evals")
-
 	// Subspace route: blocks compiled (one per solve), the size and
 	// stored coefficients of the latest, and in-process drivers whose
 	// ansatz was exponential but stayed on the 2ⁿ route.

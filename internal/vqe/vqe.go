@@ -66,9 +66,9 @@ type Options struct {
 	Backend Backend
 	// Shots per measurement group in Sampled mode (default 8192).
 	Shots int
-	// Caching enables the post-ansatz state cache: the ansatz circuit is
-	// executed once per parameter set and restored (not re-prepared) for
-	// every measurement basis.
+	// Caching enables the post-ansatz state cache in Rotated and Sampled
+	// mode: the ansatz is executed once per parameter set and restored (not
+	// re-prepared) for every measurement basis.
 	Caching bool
 	// DeviceCapacityBytes bounds the simulated device tier of the cache
 	// (0 = unlimited; spills go to the host tier, §4.1.4).
@@ -82,7 +82,9 @@ type Options struct {
 	// nil keeps the per-driver pool behavior. Overrides Workers with the
 	// pool's width.
 	Pool *state.Pool
-	// Transpile applies gate fusion to ansatz circuits before execution.
+	// Transpile executes circuit (hardware-efficient) ansätze through the
+	// fused executor, in every mode; a no-op for exponential ones (UCCSD,
+	// Adapt), which run as one sweep per generator.
 	Transpile bool
 	// PerTermMeasurement disables qubit-wise-commuting grouping and
 	// measures every Hamiltonian term in its own basis — the workflow the
@@ -123,13 +125,13 @@ type Driver struct {
 
 	n int
 	// sim and plan are the in-process engine: nil when a Backend is set,
-	// and sim, on the subspace route, until a 2ⁿ entry point asks (simulator).
+	// and sim on the subspace route, which never asks for it (simulator).
 	sim     *state.State
 	scratch *state.State
 	plan    *pauli.Plan // batched X-mask-grouped evaluation plan for H
-	// sub, when set, is where forward and adjointGradient run, on phi (their
-	// sweeps go straight into stats.GatesApplied). Tests clear it to reach
-	// the 2ⁿ route.
+	// sub, when set, is where an exponential ansatz runs in Direct mode:
+	// forward and adjointGradient work on phi (their sweeps go straight into
+	// stats.GatesApplied). Tests clear it to reach the 2ⁿ route.
 	sub *subspace
 	phi []complex128
 	// exp is Ansatz when it has exponential structure, and ref its
@@ -137,23 +139,21 @@ type Driver struct {
 	// it with generator kernels (prepareExponential), not Ansatz.Circuit.
 	exp Exponential
 	ref *circuit.Circuit
-	// lambda is H·φ for the φ the simulator holds, valid while
+	// lambda is H·φ for the φ forward left behind, valid while
 	// lambdaValid and for the parameters lambdaAt: the hand-over from
 	// an L-BFGS energy evaluation to the gradient that follows it.
 	lambda      []complex128
 	lambdaAt    []float64
 	lambdaValid bool
-	// groupPlans (Rotated mode with Transpile) holds one batched plan
-	// per measurement group, built once: the group's basis-change layer
-	// is fused into the pair sweep, so an energy evaluation reads every
-	// group directly off the post-ansatz amplitudes — no per-group
-	// clone, rotation circuit, or probability vector.
-	groupPlans []*pauli.Plan
+	// groups are the measurement bases of Rotated and Sampled mode, and
+	// readouts (Rotated) each group's diagonal plan, read on the rotated
+	// scratch state.
+	groups     []pauli.MeasurementBasis
+	readouts   []*pauli.Plan
 	shotPlan   []int
 	groupSD    []float64
 	readoutRNG *core.RNG
 	cache      *state.Cache
-	groups     []pauli.MeasurementBasis
 	stats      Stats
 }
 
@@ -213,10 +213,10 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, op
 			d.groups = pauli.GroupQWC(h, n)
 		}
 	}
-	if opts.Mode == Rotated && opts.Transpile {
-		d.groupPlans = make([]*pauli.Plan, len(d.groups))
+	if opts.Mode == Rotated {
+		d.readouts = make([]*pauli.Plan, len(d.groups))
 		for i := range d.groups {
-			d.groupPlans[i] = d.groups[i].Plan()
+			d.readouts[i] = d.groups[i].Plan()
 		}
 	}
 	return d, nil
@@ -314,59 +314,42 @@ func prepareExponential(s *state.State, ref *circuit.Circuit, ops []ansatz.Excit
 	}
 }
 
-// paramKey builds the cache key for a parameter vector.
-func paramKey(params []float64) string {
-	return fmt.Sprintf("%x", params)
-}
-
-// Energy evaluates ⟨H⟩ at params on the driver's own state vector,
-// according to the configured mode and caching policy. It has no context
-// or error for a Backend; a driver built with one answers EnergyContext.
+// Energy evaluates ⟨H⟩ at params on the driver's own state vector: the
+// one in-process route of the driver's mode and ansatz kind, whichever
+// optimizer or caller asks. It has no context or error for a Backend; a
+// driver built with one answers EnergyContext.
 func (d *Driver) Energy(params []float64) float64 {
 	if d.opts.Backend != nil {
 		panic(fmt.Errorf("%w: vqe: Energy cannot report a backend failure; call EnergyContext", core.ErrInvalidArgument))
 	}
-	start := d.beginEnergy()
+	d.stats.EnergyEvaluations++
+	start := telemetry.Now()
 	var e float64
 	switch d.opts.Mode {
 	case Direct:
-		// One ansatz execution; expectation read directly from the
-		// amplitudes through the batched engine (the X-mask grouping is
-		// built once per driver, amortized over every evaluation).
-		d.prepareAnsatz(d.simulator(), params)
-		readStart := telemetry.Now()
-		e = d.plan.Evaluate(d.sim, pauli.ExpectationOptions{Workers: d.opts.Workers})
-		mPhaseExpect.Since(readStart)
-	case Rotated, Sampled:
-		if d.groupPlans != nil {
-			mRotatedFused.Inc()
-			e = d.energyViaGroupPlans(params)
+		if d.exp != nil {
+			// E = Re⟨φ|Hφ⟩, leaving φ and H·φ for a gradient at the same θ.
+			e = d.forward(params)
 		} else {
-			if d.opts.Mode == Rotated {
-				mRotatedClassic.Inc()
-			}
-			e = d.energyViaGroups(params)
+			// One circuit execution; expectation read directly from the
+			// amplitudes through the batched engine (the X-mask grouping is
+			// built once per driver, amortized over every evaluation).
+			d.prepareAnsatz(d.sim, params)
+			readStart := telemetry.Now()
+			e = d.plan.Evaluate(d.sim, pauli.ExpectationOptions{Workers: d.opts.Workers})
+			mPhaseExpect.Since(readStart)
 		}
+	case Rotated, Sampled:
+		e = d.energyViaGroups(params)
 	default:
 		panic(fmt.Errorf("%w: unknown energy mode %v", core.ErrInvalidArgument, d.opts.Mode))
 	}
-	endEnergy(start)
-	return e
-}
-
-// beginEnergy and endEnergy bracket one in-process energy evaluation: the
-// evaluation count and the vqe.energy timers.
-func (d *Driver) beginEnergy() int64 {
-	d.stats.EnergyEvaluations++
-	return telemetry.Now()
-}
-
-func endEnergy(start int64) {
 	if start != 0 {
 		elapsed := time.Now().UnixNano() - start
 		mEnergyEval.Observe(elapsed)
 		mEnergyRecent.Observe(float64(elapsed))
 	}
+	return e
 }
 
 // EnergyContext evaluates ⟨H⟩ under a context, on Options.Backend when one
@@ -395,29 +378,16 @@ func (d *Driver) evaluate(ctx context.Context, params []float64) (float64, error
 	return e, nil
 }
 
-// energyViaGroupPlans is the fused Rotated path: one ansatz execution,
-// then every measurement group's plan sweeps the post-ansatz amplitudes
-// directly. Mathematically identical to the rotate-then-read walk
-// (pauli.TestGroupPlanMatchesRotatedSweep), but the basis-change layers
-// never execute — the rotation is folded into the X-mask pair sweep.
-func (d *Driver) energyViaGroupPlans(params []float64) float64 {
-	d.prepareAnsatz(d.sim, params)
-	readStart := telemetry.Now()
-	total := real(d.H.Coeff(pauli.Identity))
-	for _, pl := range d.groupPlans {
-		total += pl.Evaluate(d.sim, pauli.ExpectationOptions{Workers: d.opts.Workers})
-	}
-	mPhaseExpect.Since(readStart)
-	return total
-}
-
-// energyViaGroups walks the measurement groups, re-preparing or restoring
-// the post-ansatz state before each basis rotation.
+// energyViaGroups is the measurement walk of Rotated and Sampled mode: for
+// every group, re-prepare or restore the post-ansatz state, rotate into the
+// group's basis, read.
 func (d *Driver) energyViaGroups(params []float64) float64 {
 	if d.scratch == nil {
 		d.scratch = state.New(d.n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed + 1, Pool: d.opts.Pool})
 	}
-	key := paramKey(params)
+	// The cache's one entry: a snapshot serves the evaluation that stored
+	// it and no later one, so each Put replaces the last.
+	const key = "post-ansatz"
 	if d.opts.Caching {
 		d.prepareAnsatz(d.sim, params)
 		d.cache.Put(key, d.sim)
@@ -440,7 +410,7 @@ func (d *Driver) energyViaGroups(params []float64) float64 {
 		if d.opts.AdaptiveShots && d.opts.Mode == Sampled && d.shotPlan == nil {
 			d.recordGroupSD(i)
 		}
-		total += d.readGroup(mb, d.groupShots(i))
+		total += d.readGroup(i)
 		mPhaseExpect.Since(readStart)
 	}
 	if d.opts.AdaptiveShots && d.opts.Mode == Sampled && d.shotPlan == nil {
@@ -512,39 +482,24 @@ func (d *Driver) groupShots(i int) int {
 	return d.shotPlan[i]
 }
 
-// readGroup extracts the group's weighted expectation from the rotated
-// scratch state, exactly (Rotated) or from counts (Sampled).
-func (d *Driver) readGroup(mb pauli.MeasurementBasis, shots int) float64 {
+// readGroup extracts group i's weighted expectation from the rotated
+// scratch state: exactly, through the group's diagonal plan (Rotated), or
+// from counts (Sampled).
+func (d *Driver) readGroup(i int) float64 {
+	if d.opts.Mode == Rotated {
+		return d.readouts[i].Evaluate(d.scratch, pauli.ExpectationOptions{Workers: d.opts.Workers})
+	}
+	dist, err := d.sampleDistribution(d.groupShots(i))
+	if err != nil {
+		panic(fmt.Errorf("vqe: sampling measurement distribution: %w", err))
+	}
+	mb := d.groups[i]
 	total := 0.0
-	switch d.opts.Mode {
-	case Rotated:
-		probs := d.scratch.Probabilities()
-		for i, t := range mb.Terms {
-			if t.P.IsIdentity() {
-				continue
-			}
-			zm := mb.ZMasks[i]
-			e := 0.0
-			for idx, pr := range probs {
-				if core.Parity(uint64(idx)&zm) == 0 {
-					e += pr
-				} else {
-					e -= pr
-				}
-			}
-			total += real(t.Coeff) * e
+	for k, t := range mb.Terms {
+		if t.P.IsIdentity() {
+			continue
 		}
-	case Sampled:
-		dist, err := d.sampleDistribution(shots)
-		if err != nil {
-			panic(fmt.Errorf("vqe: sampling measurement distribution: %w", err))
-		}
-		for i, t := range mb.Terms {
-			if t.P.IsIdentity() {
-				continue
-			}
-			total += real(t.Coeff) * noise.ZExpectation(dist, mb.ZMasks[i])
-		}
+		total += real(t.Coeff) * noise.ZExpectation(dist, mb.ZMasks[k])
 	}
 	return total
 }

@@ -180,6 +180,24 @@ func TestCachingSpillsToHostTier(t *testing.T) {
 	}
 }
 
+// TestCachingKeepsOneSnapshot: a snapshot can only serve the evaluation that
+// stored it, so the cache holds the current one and nothing older.
+func TestCachingKeepsOneSnapshot(t *testing.T) {
+	h, u, _ := h2Setup(t)
+	d, _ := New(h, u, Options{Mode: Rotated, Caching: true})
+	const evaluations = 50
+	for i := 0; i < evaluations; i++ {
+		d.Energy([]float64{0.05, -0.03, 0.001 * float64(i)})
+	}
+	cs := d.CacheStats()
+	if cs.Puts != evaluations {
+		t.Errorf("%d snapshots stored over %d evaluations", cs.Puts, evaluations)
+	}
+	if oneState := uint64(16 * state.BytesPerAmp); cs.BytesStored != oneState {
+		t.Errorf("cache retains %d bytes after %d evaluations, want one 4-qubit state = %d", cs.BytesStored, evaluations, oneState)
+	}
+}
+
 func TestTranspiledEnergyMatches(t *testing.T) {
 	h, u, _ := h2Setup(t)
 	params := []float64{0.05, -0.03, 0.1}
@@ -542,37 +560,5 @@ func TestReadoutErrorBiasesAndMitigationRecovers(t *testing.T) {
 	}
 	if mitErr >= rawErr/2 {
 		t.Errorf("mitigation weak: raw bias %v, mitigated %v", rawErr, mitErr)
-	}
-}
-
-func TestRotatedFusedGroupPlansMatchClassic(t *testing.T) {
-	// Rotated mode with Transpile evaluates every measurement group as a
-	// fused pair-sweep plan on the post-ansatz state; it must agree with
-	// the classic rotate-then-read walk to 1e-10.
-	h, u, _ := h2Setup(t)
-	params := []float64{0.07, -0.02, 0.11}
-	classic, _ := New(h, u, Options{Mode: Rotated})
-	fused, _ := New(h, u, Options{Mode: Rotated, Transpile: true})
-	e1, e2 := classic.Energy(params), fused.Energy(params)
-	if math.Abs(e1-e2) > 1e-10 {
-		t.Fatalf("fused rotated %v vs classic %v", e2, e1)
-	}
-	// The fused path runs the ansatz once per evaluation and never
-	// executes rotation circuits.
-	if fused.Stats().AnsatzExecutions != 1 {
-		t.Errorf("fused rotated ran ansatz %d times, want 1", fused.Stats().AnsatzExecutions)
-	}
-	if classic.Stats().AnsatzExecutions <= 1 {
-		t.Errorf("classic rotated should re-prepare per group, got %d", classic.Stats().AnsatzExecutions)
-	}
-}
-
-func TestRotatedFusedPerTermMatches(t *testing.T) {
-	h, u, _ := h2Setup(t)
-	params := []float64{0.03, 0.09, -0.04}
-	classic, _ := New(h, u, Options{Mode: Rotated, PerTermMeasurement: true})
-	fused, _ := New(h, u, Options{Mode: Rotated, PerTermMeasurement: true, Transpile: true})
-	if e1, e2 := classic.Energy(params), fused.Energy(params); math.Abs(e1-e2) > 1e-10 {
-		t.Fatalf("per-term fused rotated %v vs classic %v", e2, e1)
 	}
 }
