@@ -110,39 +110,47 @@ func seededTheta(n int, seed uint64) []float64 {
 	return theta
 }
 
+// encodings are the fermion-to-qubit maps a spec can name.
+var encodings = []struct {
+	name string
+	mk   func(int) (*fermion.Encoding, error)
+}{
+	{"jw", fermion.JordanWignerEncoding},
+	{"bk", fermion.BravyiKitaevEncoding},
+	{"parity", fermion.ParityEncoding},
+}
+
+// h2Encoded is H2's Hamiltonian and UCCSD ansatz under one encoding.
+func h2Encoded(t testing.TB, mk func(int) (*fermion.Encoding, error)) (*pauli.Op, *ansatz.UCCSD, *fermion.Encoding) {
+	t.Helper()
+	enc, err := mk(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := enc.Transform(chem.FermionicHamiltonian(chem.H2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := ansatz.NewUCCSDWithEncoding(4, 2, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.HermitianPart(), u, enc
+}
+
 func routeCases(t testing.TB) []routeCase {
 	t.Helper()
 	var cases []routeCase
 
-	h2 := chem.H2()
-	fciH2, err := chem.FCI(h2)
+	fciH2, err := chem.FCI(chem.H2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh := chem.FermionicHamiltonian(h2)
-	for _, e := range []struct {
-		name string
-		mk   func(int) (*fermion.Encoding, error)
-	}{
-		{"jw", fermion.JordanWignerEncoding},
-		{"bk", fermion.BravyiKitaevEncoding},
-		{"parity", fermion.ParityEncoding},
-	} {
-		enc, err := e.mk(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := enc.Transform(fh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := ansatz.NewUCCSDWithEncoding(4, 2, enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range encodings {
+		h, u, enc := h2Encoded(t, e.mk)
 		cases = append(cases, routeCase{
 			name:  "h2/" + e.name,
-			h:     h.HermitianPart(),
+			h:     h,
 			a:     u,
 			pool:  append(ansatz.SinglesWithEncoding(4, 2, enc), ansatz.DoublesWithEncoding(4, 2, enc)...),
 			theta: seededTheta(u.NumParameters(), 41),
@@ -420,8 +428,9 @@ func TestFallbackRoutesBitEqualRecorded(t *testing.T) {
 
 // gridCases is every way a spec can ask the in-process driver for an H2
 // energy — mode and its measurement options × fusion × entry point, for
-// UCCSD and (where it applies) the hardware-efficient ansatz — plus one
-// UCCSD energy on 12-qubit water per exact route.
+// UCCSD and (where it applies) the hardware-efficient ansatz — plus UCCSD
+// energies under the other two encodings, and one UCCSD energy on 12-qubit
+// water per exact route and sampled.
 func gridCases(t testing.TB) []fallbackCase {
 	t.Helper()
 	u, err := ansatz.NewUCCSD(4, 2)
@@ -459,6 +468,14 @@ func gridCases(t testing.TB) []fallbackCase {
 			}
 		}
 	}
+	// Bravyi–Kitaev and parity references and excitations, in every mode
+	// that prepares a 2ⁿ state to rotate or sample.
+	for _, e := range encodings[1:] {
+		hE, uE, _ := h2Encoded(t, e.mk)
+		for _, m := range []int{1, 2, 4} {
+			cases = append(cases, fallbackCase{name: "h2/uccsd-" + e.name + "/" + modes[m].name + "/plain/energy", h: hE, a: uE, opts: modes[m].opts, how: "energy"})
+		}
+	}
 	if !testing.Short() {
 		water := chem.WaterLike()
 		hW := chem.QubitHamiltonian(water)
@@ -466,7 +483,7 @@ func gridCases(t testing.TB) []fallbackCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range modes[:3] {
+		for _, m := range append(modes[:3:3], modes[4]) {
 			o := m.opts
 			o.Workers = 1
 			cases = append(cases, fallbackCase{name: "water12/uccsd/" + m.name + "/plain/energy", h: hW, a: uW, opts: o, how: "energy"})
