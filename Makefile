@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test loc bench-test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test loc bench-test bench-run vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
 
 all: check
 
@@ -37,6 +37,20 @@ loc:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# bench-run runs every workload of BENCHMARK.json for a few seconds, built
+# and driven the way the benchmark is, and fails unless each run's final
+# JSON line reports "correct":true and "failed":0 — the local check that a
+# change still passes its benchmark, before anyone measures it.
+BENCH_WORKLOADS = adapt12 wide20 serve_mix serve_sweep
+bench-run:
+	@for w in $(BENCH_WORKLOADS); do \
+		line=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-run: $$w did not report \"correct\":true and \"failed\":0" >&2; exit 1 ;; \
+		esac; \
+	done
+
 vet:
 	$(GO) vet ./...
 
@@ -57,10 +71,12 @@ lint-baseline:
 	$(GO) build -o bin/vqelint ./cmd/vqelint
 	./bin/vqelint -update-baseline ./...
 
-# lint runs go vet, the vqelint suite, and staticcheck. Fetching
-# staticcheck needs network access; without it (air-gapped dev boxes) the
-# target degrades to a warning locally but stays a hard failure in CI.
+# lint checks gofmt, then runs go vet, the vqelint suite, and staticcheck.
+# Fetching staticcheck needs network access; without it (air-gapped dev
+# boxes) the target degrades to a warning locally but stays a hard failure
+# in CI.
 lint: vet vqelint
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:" >&2; gofmt -l . >&2; exit 1; }
 	@if $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; then \
 		echo "staticcheck: ok"; \
 	elif [ -n "$$CI" ]; then \
@@ -176,7 +192,7 @@ figures:
 
 check: build vet test race bench figures
 
-# ci mirrors the GitHub Actions workflow jobs (test, bench-test, lint,
-# vqelint, vuln, coverage, bench-smoke, chaos-smoke, chaos-recovery,
+# ci mirrors the GitHub Actions workflow jobs (test, bench-test, bench-run,
+# lint, vqelint, vuln, coverage, bench-smoke, chaos-smoke, chaos-recovery,
 # vqed-smoke, load-smoke, sweep-smoke) so `make ci` locally means green CI.
-ci: build lint vuln test bench-test race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke
+ci: build lint vuln test bench-test bench-run race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke

@@ -217,10 +217,7 @@ func fig5(fast bool) {
 	for _, ex := range pool16.Ops {
 		plans = append(plans, ex.Plan())
 	}
-	block := pauli.NewSubspace(1<<uint(m16.NumElectrons)-1, 1<<15, plans...)
-	if block == nil {
-		fail(fmt.Errorf("the 16-qubit model has no reachable subspace within 2^15 states"))
-	}
+	block := pauli.NewSubspace(1<<uint(m16.NumElectrons)-1, plans...)
 	hBlock, err := h16.Restrict(block)
 	if err != nil {
 		fail(err)

@@ -69,7 +69,7 @@ type Excitation struct {
 	// Paulis is the Jordan–Wigner image: Σ i·c_k·P_k with real c_k; the
 	// imaginary coefficients make the operator anti-Hermitian.
 	Paulis []pauli.Term
-	// plan is Paulis compiled for pauli.Plan.Exp, once, by the pool and
+	// plan is Paulis compiled by pauli.NewGenerator, once, by the pool and
 	// ansatz constructors; copies of the Excitation share it.
 	plan *pauli.Plan
 }
@@ -85,11 +85,11 @@ func compileGenerator(label string, terms []pauli.Term) *pauli.Plan {
 	return pl
 }
 
-// Plan returns A compiled for in-place exponentiation (pauli.Plan.Exp):
-// exp(θ·A) as one amplitude sweep per X-mask group (one, for a fermionic
-// excitation under Jordan–Wigner) instead of the AppendExp gate ladder.
-// An Excitation assembled by hand rather than by this package's
-// constructors is compiled on each call.
+// Plan returns A compiled as a generator (pauli.NewGenerator): restricted
+// to a subspace (Plan.RestrictPairs), exp(θ·A) is one pair sweep per X-mask
+// group (one, for a fermionic excitation under Jordan–Wigner) instead of
+// the AppendExp gate ladder. An Excitation assembled by hand rather than by
+// this package's constructors is compiled on each call.
 func (e Excitation) Plan() *pauli.Plan {
 	if e.plan != nil {
 		return e.plan

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -28,6 +29,26 @@ func randomAmplitudes(n int, rng *core.RNG) []complex128 {
 	return amps
 }
 
+// fullSpace is all of n qubits' basis as a pauli.Subspace — the closure of
+// |0⟩ under a transverse field — in which a position is its basis state, so
+// pairs restricted to it act on 2ⁿ-long vectors as they are.
+func fullSpace(t *testing.T, n int) *pauli.Subspace {
+	t.Helper()
+	field := pauli.NewOp()
+	for q := 0; q < n; q++ {
+		x, err := pauli.Single('X', q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field.Add(x, 1)
+	}
+	sp := pauli.NewSubspace(0, pauli.NewPlan(field))
+	if sp.Dim() != 1<<uint(n) {
+		t.Fatalf("transverse-field closure has %d states, want %d", sp.Dim(), 1<<uint(n))
+	}
+	return sp
+}
+
 func maxDiff(a, b []complex128) float64 {
 	d := 0.0
 	for i := range a {
@@ -38,9 +59,10 @@ func maxDiff(a, b []complex128) float64 {
 
 // TestPlanExpMatchesCircuit holds the generator-exponential kernel to the
 // gate ladder it replaces: for every excitation the pools and encodings
-// produce, exp(θ·A) as pair sweeps equals State.Run of the AppendExp
-// circuit on a random state, serial and pooled, with a second vector
-// carried along and the bracket it returns equal to 2·Re⟨λ|A|φ⟩.
+// produce, exp(θ·A) as pair sweeps over the full space (Pairs.Exp) equals
+// State.Run of the AppendExp circuit on a random state, with a second
+// vector carried along and the bracket it returns equal to 2·Re⟨λ|A|φ⟩;
+// Plan.Bracket on a 2ⁿ state, serial and pooled, returns the same.
 func TestPlanExpMatchesCircuit(t *testing.T) {
 	type named struct {
 		name string
@@ -65,15 +87,14 @@ func TestPlanExpMatchesCircuit(t *testing.T) {
 		}
 		cases = append(cases, named{"qubit-pool", n, qp.Ops})
 	}
-	zz := []pauli.Term{{Coeff: 0.7i, P: pauli.MustParse("ZZII")}, {Coeff: -0.2i, P: pauli.MustParse("IZIZ")}}
-	cases = append(cases, named{"diagonal", 4, []Excitation{{Label: "i·ZZ", Paulis: zz}}})
 	// Three X masks in one generator: the groups commute, so their sweeps compose.
-	mixed := []pauli.Term{{Coeff: 0.4i, P: pauli.MustParse("XXII")}, {Coeff: 0.3i, P: pauli.MustParse("ZZII")},
+	mixed := []pauli.Term{{Coeff: 0.4i, P: pauli.MustParse("XXII")},
 		{Coeff: -0.6i, P: pauli.MustParse("IIXY")}, {Coeff: 0.25i, P: pauli.MustParse("YYXY")}}
-	cases = append(cases, named{"mixed-masks", 4, []Excitation{{Label: "i·(XX+ZZ+XY+YYXY)", Paulis: mixed}}})
+	cases = append(cases, named{"mixed-masks", 4, []Excitation{{Label: "i·(XX+XY+YYXY)", Paulis: mixed}}})
 
 	pool := state.NewPool(2)
 	defer pool.Close()
+	full := map[int]*pauli.Subspace{4: fullSpace(t, 4), 6: fullSpace(t, 6)}
 	rng := core.NewRNG(20231112)
 	for _, tc := range cases {
 		for _, ex := range tc.ops {
@@ -103,27 +124,30 @@ func TestPlanExpMatchesCircuit(t *testing.T) {
 				"pooled": {Workers: 2, ParallelThreshold: 1, Pool: pool},
 			} {
 				s, _ := state.FromAmplitudes(start, opts)
-				lam := append([]complex128(nil), lam0...)
-				if got := ex.Plan().Bracket(s, lam); math.Abs(got-wantBracket) > 1e-12 {
+				if got := ex.Plan().Bracket(s, lam0); math.Abs(got-wantBracket) > 1e-12 {
 					t.Errorf("%s n=%d %s %s: Bracket %v, want %v", tc.name, tc.n, ex.Label, mode, got, wantBracket)
 				}
-				before := s.GatesApplied()
-				if got := ex.Plan().Exp(s, lam, theta); math.Abs(got-wantBracket) > 1e-12 {
-					t.Errorf("%s n=%d %s %s: Exp returned bracket %v, want %v", tc.name, tc.n, ex.Label, mode, got, wantBracket)
-				}
-				if d := maxDiff(s.Amplitudes(), ref.Amplitudes()); d > 1e-12 {
-					t.Errorf("%s n=%d %s %s: kernel vs circuit differ by %g", tc.name, tc.n, ex.Label, mode, d)
-				}
-				if d := maxDiff(lam, refLam.Amplitudes()); d > 1e-12 {
-					t.Errorf("%s n=%d %s %s: second vector differs by %g", tc.name, tc.n, ex.Label, mode, d)
-				}
-				if tc.name == "jw" && s.GatesApplied()-before != 1 {
-					t.Errorf("%s n=%d %s: %d sweeps for one JW excitation, want 1", tc.name, tc.n, ex.Label, s.GatesApplied()-before)
-				}
-				ex.Plan().Exp(s, nil, -theta)
-				if d := maxDiff(s.Amplitudes(), start); d > 1e-12 {
-					t.Errorf("%s n=%d %s %s: exp(θ)·exp(−θ) off identity by %g", tc.name, tc.n, ex.Label, mode, d)
-				}
+			}
+			pairs, err := ex.Plan().RestrictPairs(full[tc.n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "jw" && pairs.NumGroups() != 1 {
+				t.Errorf("%s n=%d %s: %d sweeps for one JW excitation, want 1", tc.name, tc.n, ex.Label, pairs.NumGroups())
+			}
+			phi, lam := slices.Clone(start), slices.Clone(lam0)
+			if got := pairs.Exp(phi, lam, theta); math.Abs(got-wantBracket) > 1e-12 {
+				t.Errorf("%s n=%d %s: Exp returned bracket %v, want %v", tc.name, tc.n, ex.Label, got, wantBracket)
+			}
+			if d := maxDiff(phi, ref.Amplitudes()); d > 1e-12 {
+				t.Errorf("%s n=%d %s: kernel vs circuit differ by %g", tc.name, tc.n, ex.Label, d)
+			}
+			if d := maxDiff(lam, refLam.Amplitudes()); d > 1e-12 {
+				t.Errorf("%s n=%d %s: second vector differs by %g", tc.name, tc.n, ex.Label, d)
+			}
+			pairs.Exp(phi, nil, -theta)
+			if d := maxDiff(phi, start); d > 1e-12 {
+				t.Errorf("%s n=%d %s: exp(θ)·exp(−θ) off identity by %g", tc.name, tc.n, ex.Label, d)
 			}
 		}
 	}
@@ -133,6 +157,8 @@ func TestNewGeneratorRejects(t *testing.T) {
 	for name, terms := range map[string][]pauli.Term{
 		"hermitian":     {{Coeff: 0.5, P: pauli.MustParse("XY")}},
 		"non-commuting": {{Coeff: 0.5i, P: pauli.MustParse("XI")}, {Coeff: 0.5i, P: pauli.MustParse("ZI")}},
+		"diagonal":      {{Coeff: 0.7i, P: pauli.MustParse("ZZII")}, {Coeff: -0.2i, P: pauli.MustParse("IZIZ")}},
+		"diagonal term": {{Coeff: 0.4i, P: pauli.MustParse("XXII")}, {Coeff: 0.3i, P: pauli.MustParse("ZZII")}},
 	} {
 		if _, err := pauli.NewGenerator(terms); !errors.Is(err, core.ErrInvalidArgument) {
 			t.Errorf("%s generator: got %v, want ErrInvalidArgument", name, err)
@@ -141,20 +167,21 @@ func TestNewGeneratorRejects(t *testing.T) {
 	h := pauli.NewPlan(pauli.NewOp().Add(pauli.MustParse("ZZ"), 1))
 	defer func() {
 		if err, _ := recover().(error); !errors.Is(err, core.ErrInvalidArgument) {
-			t.Errorf("Exp on an observable plan: recovered %v, want ErrInvalidArgument", err)
+			t.Errorf("Bracket on an observable plan: recovered %v, want ErrInvalidArgument", err)
 		}
 	}()
-	h.Exp(state.New(2, state.Options{}), nil, 0.1)
+	h.Bracket(state.New(2, state.Options{}), make([]complex128, 4))
 }
 
 // TestExpKeepsSectorZeros: a number-conserving ansatz prepared through the
-// kernels never writes outside its particle-number sector — not a 1e-17
-// residue, an exact zero — which is what the zero-skips of Plan.MatVec and
-// Plan.Evaluate key on. Under every encoding the support stays inside the
-// closure of the reference under the generators (pauli.NewSubspace), the
-// set the subspace route keeps amplitudes for.
+// pair sweeps over the full space never writes outside its particle-number
+// sector — not a 1e-17 residue, an exact zero — which is what the
+// zero-skips of Plan.MatVec and Plan.Evaluate key on. Under every encoding
+// the support stays inside the closure of the reference under the
+// generators (pauli.NewSubspace), the set the driver keeps amplitudes for.
 func TestExpKeepsSectorZeros(t *testing.T) {
 	const n, ne = 8, 4
+	full := fullSpace(t, n)
 	for name, mk := range map[string]func(int) (*fermion.Encoding, error){
 		"jw": fermion.JordanWignerEncoding, "bk": fermion.BravyiKitaevEncoding, "parity": fermion.ParityEncoding,
 	} {
@@ -174,18 +201,23 @@ func TestExpKeepsSectorZeros(t *testing.T) {
 		for _, ex := range u.Operators() {
 			plans = append(plans, ex.Plan())
 		}
-		sp := pauli.NewSubspace(ref, 1<<(n-1), plans...)
-		if sp == nil || sp.Dim() > 70 {
-			t.Fatalf("%s: closure %v, want at most the C(8,4) = 70 states of the sector", name, sp)
+		sp := pauli.NewSubspace(ref, plans...)
+		if sp.Dim() > 70 {
+			t.Fatalf("%s: closure of %d states, want at most the C(8,4) = 70 states of the sector", name, sp.Dim())
 		}
 		rng := core.NewRNG(5)
 		s := state.New(n, state.Options{Workers: 1})
 		s.Run(u.Reference())
+		amps := s.Amplitudes()
 		for _, ex := range u.Operators() {
-			ex.Plan().Exp(s, nil, 0.3*rng.NormFloat64())
+			pairs, err := ex.Plan().RestrictPairs(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs.Exp(amps, nil, 0.3*rng.NormFloat64())
 		}
 		inside := 0
-		for i, a := range s.Amplitudes() {
+		for i, a := range amps {
 			_, in := sp.Position(uint64(i))
 			if name == "jw" && in && bits.OnesCount64(uint64(i)) != ne {
 				t.Fatalf("jw: closure holds %#b, outside the %d-electron sector", i, ne)

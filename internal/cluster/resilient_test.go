@@ -19,8 +19,8 @@ import (
 // run exercises the pairwise exchange (and thus the fault) path.
 func globalHeavy(n int) *circuit.Circuit {
 	c := circuit.New(n)
-	c.H(n - 1).H(n - 2).CX(n-2, n-1).RZ(0.3, n-1)
-	c.CX(0, n-1).H(n - 2).RZZ(0.7, n-2, n-1)
+	c.H(n-1).H(n-2).CX(n-2, n-1).RZ(0.3, n-1)
+	c.CX(0, n-1).H(n-2).RZZ(0.7, n-2, n-1)
 	return c
 }
 

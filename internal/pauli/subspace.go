@@ -26,7 +26,7 @@ import (
 // lies between 1e-14 and that.
 const subspaceZeroTol = 1e-12
 
-// coupling evaluates a(i), summed as MatVec and RotatePairs sum it, and
+// coupling evaluates a(i), summed as MatVec and PairBracket sum it, and
 // reports whether the group moves basis state i at all.
 func (g *xGroup) coupling(i uint64) (complex128, bool) {
 	a := state.PairCoeff(i, g.zs, g.cs)
@@ -43,16 +43,8 @@ type Subspace struct {
 
 // NewSubspace closes {ref} under the nonzero transitions of every X-mask
 // group of plans (breadth first: the basis under construction is the
-// queue). It returns nil when the caller should keep the full vector: the
-// closure outgrows limit states, so the operators do not confine the
-// state, or a generator among plans has a diagonal (x = 0) group, which is
-// a phase and not the pair rotation Pairs represents.
-func NewSubspace(ref uint64, limit int, plans ...*Plan) *Subspace {
-	for _, pl := range plans {
-		if pl.generator && len(pl.groups) > 0 && pl.groups[0].x == 0 {
-			return nil
-		}
-	}
+// queue). Operators that conserve nothing close it over the whole space.
+func NewSubspace(ref uint64, plans ...*Plan) *Subspace {
 	sp := &Subspace{basis: []uint64{ref}, pos: map[uint64]int32{ref: 0}}
 	for head := 0; head < len(sp.basis); head++ {
 		i := sp.basis[head]
@@ -65,9 +57,6 @@ func NewSubspace(ref uint64, limit int, plans ...*Plan) *Subspace {
 				}
 				if _, moves := g.coupling(i); !moves {
 					continue
-				}
-				if len(sp.basis) >= limit {
-					return nil
 				}
 				sp.pos[j] = 0
 				sp.basis = append(sp.basis, j)
@@ -88,6 +77,15 @@ func (sp *Subspace) Dim() int { return len(sp.basis) }
 func (sp *Subspace) Position(i uint64) (int, bool) {
 	p, ok := sp.pos[i]
 	return int(p), ok
+}
+
+// Scatter writes v, a vector over the subspace, into the full-space vector
+// dst by basis state: dst[i] = v[Position(i)] inside, 0 outside.
+func (sp *Subspace) Scatter(dst, v []complex128) {
+	clear(dst)
+	for p, i := range sp.basis {
+		dst[i] = v[p]
+	}
 }
 
 // leak is the error of restricting a plan that maps the subspace outside itself.
@@ -165,9 +163,8 @@ type Pairs struct {
 }
 
 // RestrictPairs compiles a NewGenerator plan on sp. Within a group the
-// pairs keep the order RotatePairs visits them in. A generator that maps a
-// state of sp outside sp, or has a diagonal (x = 0) group — a phase, not a
-// pair rotation — is rejected with core.ErrInvalidArgument.
+// pairs keep the order PairBracket visits them in. A generator that maps a
+// state of sp outside sp is rejected with core.ErrInvalidArgument.
 func (pl *Plan) RestrictPairs(sp *Subspace) (*Pairs, error) {
 	if !pl.generator {
 		return nil, fmt.Errorf("%w: pauli: plan was not built by NewGenerator", core.ErrInvalidArgument)
@@ -175,9 +172,6 @@ func (pl *Plan) RestrictPairs(sp *Subspace) (*Pairs, error) {
 	out := &Pairs{groups: make([][]state.Pair, len(pl.groups))}
 	for gi := range pl.groups {
 		g := &pl.groups[gi]
-		if g.x == 0 {
-			return nil, fmt.Errorf("%w: pauli: generator has a diagonal group", core.ErrInvalidArgument)
-		}
 		for p, i := range sp.basis {
 			a, moves := g.coupling(i)
 			if !moves {
@@ -198,9 +192,11 @@ func (pl *Plan) RestrictPairs(sp *Subspace) (*Pairs, error) {
 // NumGroups is the number of pair sweeps one Exp costs.
 func (ps *Pairs) NumGroups() int { return len(ps.groups) }
 
-// Exp is Plan.Exp over the subspace: phi and a non-nil lam are multiplied
-// by exp(θ·A) in place and the return value is 2·Re⟨lam|A|phi⟩. At θ = 0 it
-// is Plan.Bracket: both vectors are read and neither written.
+// Exp multiplies phi, and a non-nil lam, by exp(θ·A) in place, one pair
+// sweep per X-mask group, and returns 2·Re⟨lam|A|phi⟩, the derivative of
+// Re⟨lam|exp(θ·A)|phi⟩ in θ, which the rotation leaves unchanged: one step
+// of the adjoint gradient's backward pass. At θ = 0 it is Plan.Bracket over
+// the subspace: both vectors are read and neither written.
 func (ps *Pairs) Exp(phi, lam []complex128, theta float64) float64 {
 	total := 0.0
 	for _, g := range ps.groups {

@@ -49,10 +49,29 @@ func hoppingModel(t *testing.T, rng *core.RNG, n int) (*Plan, []*Plan) {
 // embed scatters a vector over sp into the full space.
 func embed(sp *Subspace, n int, v []complex128) []complex128 {
 	out := make([]complex128, 1<<uint(n))
-	for p, i := range sp.basis {
-		out[i] = v[p]
-	}
+	sp.Scatter(out, v)
 	return out
+}
+
+// fullSpace is all of n qubits' basis as a Subspace — the closure of |0⟩
+// under a transverse field — in which a position is its basis state.
+func fullSpace(t *testing.T, n int) *Subspace {
+	t.Helper()
+	field := NewOp()
+	for q := 0; q < n; q++ {
+		x, err := Single('X', q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field.Add(x, 1)
+	}
+	sp := NewSubspace(0, NewPlan(field))
+	for p, i := range sp.basis {
+		if uint64(p) != i {
+			t.Fatalf("full space: position %d holds %#b", p, i)
+		}
+	}
+	return sp
 }
 
 // randomOver returns a normalized random vector.
@@ -72,13 +91,15 @@ func randomOver(rng *core.RNG, dim int) []complex128 {
 // TestSubspaceIsTheNumberSector: the closure of a determinant under a
 // number-conserving observable and rotations is its particle-number
 // sector, in ascending order, and restricted to it H·φ, exp(θ·A) and the
-// brackets are the full-space ones entry for entry.
+// brackets are the full-space ones entry for entry: H·φ and the bracket
+// against Plan.MatVec and Plan.Bracket on 2ⁿ, exp(θ·A) against the same
+// generator's pairs over all 2ⁿ states.
 func TestSubspaceIsTheNumberSector(t *testing.T) {
 	const n, ref = 6, 0b000111
 	rng := core.NewRNG(26)
 	h, gens := hoppingModel(t, rng, n)
-	sp := NewSubspace(ref, 1<<(n-1), append(gens, h)...)
-	if sp == nil || sp.Dim() != 20 {
+	sp := NewSubspace(ref, append(gens, h)...)
+	if sp.Dim() != 20 {
 		t.Fatalf("closure %v, want the C(6,3) = 20 three-particle states", sp)
 	}
 	for p, i := range sp.basis {
@@ -91,9 +112,6 @@ func TestSubspaceIsTheNumberSector(t *testing.T) {
 	}
 	if _, ok := sp.Position(0b001111); ok {
 		t.Error("a four-particle state has a position")
-	}
-	if NewSubspace(ref, 19, append(gens, h)...) != nil {
-		t.Error("a closure of 20 states fit a limit of 19")
 	}
 
 	hs, err := h.Restrict(sp)
@@ -113,8 +131,13 @@ func TestSubspaceIsTheNumberSector(t *testing.T) {
 		}
 	}
 
+	full := fullSpace(t, n)
 	for k, g := range gens {
 		ps, err := g.RestrictPairs(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := g.RestrictPairs(full)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,13 +153,18 @@ func TestSubspaceIsTheNumberSector(t *testing.T) {
 		if got, want := ps.Exp(phi, lam, 0), g.Bracket(s, fullLam); got != want {
 			t.Errorf("generator %d: bracket %v restricted, %v in full", k, got, want)
 		}
-		if got, want := ps.Exp(phi, lam, theta), g.Exp(s, fullLam, theta); got != want {
+		fullPhi := s.Amplitudes()
+		if got, want := ps.Exp(phi, lam, theta), pf.Exp(fullPhi, fullLam, theta); got != want {
 			t.Errorf("generator %d: Exp returned %v restricted, %v in full", k, got, want)
 		}
-		for p, i := range sp.basis {
-			if phi[p] != s.Amplitudes()[i] || lam[p] != fullLam[i] {
+		for i := range fullPhi {
+			p, inside := sp.Position(uint64(i))
+			if !inside && (fullPhi[i] != 0 || fullLam[i] != 0) {
+				t.Fatalf("generator %d: exp(θ·A) leaves the sector at %#b", k, i)
+			}
+			if inside && (phi[p] != fullPhi[i] || lam[p] != fullLam[i]) {
 				t.Fatalf("generator %d: exp(θ·A) differs at %#b: φ %v vs %v, λ %v vs %v",
-					k, i, phi[p], s.Amplitudes()[i], lam[p], fullLam[i])
+					k, i, phi[p], fullPhi[i], lam[p], fullLam[i])
 			}
 		}
 	}
@@ -147,8 +175,8 @@ func TestSubspaceIsTheNumberSector(t *testing.T) {
 func TestRestrictRejectsLeaks(t *testing.T) {
 	const n, ref = 4, 0b0011
 	h, gens := hoppingModel(t, core.NewRNG(7), n)
-	sp := NewSubspace(ref, 1<<(n-1), append(gens, h)...)
-	if sp == nil || sp.Dim() != 6 {
+	sp := NewSubspace(ref, append(gens, h)...)
+	if sp.Dim() != 6 {
 		t.Fatalf("closure %v, want 6 states", sp)
 	}
 	field := NewPlan(NewOp().Add(MustParse("XIII"), 0.3).Add(MustParse("ZZII"), 1))
@@ -165,19 +193,9 @@ func TestRestrictRejectsLeaks(t *testing.T) {
 	if _, err := h.RestrictPairs(sp); !errors.Is(err, core.ErrInvalidArgument) {
 		t.Errorf("RestrictPairs of an observable plan: %v, want ErrInvalidArgument", err)
 	}
-	// Closed under them instead, the space is no longer small.
-	if got := NewSubspace(ref, 1<<(n-1), h, flip, field); got != nil {
-		t.Errorf("closure under symmetry-breaking terms has %d states, want none within 2ⁿ⁻¹", got.Dim())
-	}
-	phase, err := NewGenerator([]Term{{Coeff: 0.5i, P: MustParse("ZZII")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if NewSubspace(ref, 1<<(n-1), h, phase) != nil {
-		t.Error("a generator with a diagonal group got a subspace")
-	}
-	if _, err := phase.RestrictPairs(sp); !errors.Is(err, core.ErrInvalidArgument) {
-		t.Errorf("RestrictPairs of a diagonal generator: %v, want ErrInvalidArgument", err)
+	// Closed under them instead, the space is all of it.
+	if got := NewSubspace(ref, h, flip, field).Dim(); got != 1<<n {
+		t.Errorf("closure under symmetry-breaking terms has %d states, want all %d", got, 1<<n)
 	}
 }
 
@@ -187,8 +205,8 @@ func TestSubMatrixMatVecPartitionIndependent(t *testing.T) {
 	const n, ref = 15, 0b000000001111111
 	rng := core.NewRNG(15)
 	h, _ := hoppingModel(t, rng, n)
-	sp := NewSubspace(ref, 1<<(n-1), h)
-	if sp == nil || sp.Dim() != 6435 {
+	sp := NewSubspace(ref, h)
+	if sp.Dim() != 6435 {
 		t.Fatalf("closure %v, want C(15,7) = 6435 states", sp)
 	}
 	hs, err := h.Restrict(sp)

@@ -264,6 +264,12 @@ func (s *RunSpec) Validate() error {
 	default:
 		return fmt.Errorf("%w: runspec: unknown algorithm %q", core.ErrInvalidArgument, c.Algorithm)
 	}
+	if c.Algorithm != AlgorithmVQE && c.Encoding != "jw" {
+		// Adapt's pool and Hartree–Fock reference, and QPE's Hartree–Fock
+		// preparation, are built under Jordan–Wigner: against an H in
+		// another encoding they leave the electron sector.
+		return fmt.Errorf("%w: runspec: algorithm %q runs under encoding jw only (got %q)", core.ErrInvalidArgument, c.Algorithm, c.Encoding)
+	}
 	switch c.Mode {
 	case "direct", "rotated", "sampled":
 	default:

@@ -151,6 +151,11 @@ func TestValidateErrors(t *testing.T) {
 		{"adapt off nwq-sv", RunSpec{Algorithm: "adapt", Backend: BackendSpec{Accelerator: "nwq-cluster"}}},
 		{"adapt on unknown accelerator", RunSpec{Algorithm: "adapt", Backend: BackendSpec{Accelerator: "bogus"}}},
 		{"qpe off nwq-sv", RunSpec{Algorithm: "qpe", Backend: BackendSpec{Accelerator: "nwq-sv-serial"}}},
+		{"h2 adapt bk", RunSpec{Algorithm: "adapt", Encoding: "bk"}},
+		{"h2 adapt parity", RunSpec{Algorithm: "adapt", Encoding: "parity"}},
+		{"water adapt bk", RunSpec{Molecule: MoleculeSpec{Kind: "water"}, Algorithm: "adapt", Encoding: "bk"}},
+		{"h2 qpe bk", RunSpec{Algorithm: "qpe", Encoding: "bk"}},
+		{"h2 qpe parity", RunSpec{Algorithm: "qpe", Encoding: "parity"}},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

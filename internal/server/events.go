@@ -176,9 +176,24 @@ func (h *eventHub) unsubscribe(ch chan Event) {
 	h.mu.Unlock()
 }
 
+// since returns the history after sequence number seq.
+func (h *eventHub) since(seq int) []Event {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []Event
+	for _, se := range h.history {
+		if int(se.seq) > seq {
+			out = append(out, se.expand())
+		}
+	}
+	return out
+}
+
 // streamEvents serves one SSE connection: the family's event history
 // replays first, then live events until a terminal frame or client
-// disconnect.
+// disconnect. A subscriber that fell more than its buffer behind has lost
+// live frames, possibly the terminal one; once the family is terminal the
+// rest of the stream comes from the history, which holds that frame.
 func streamEvents(w http.ResponseWriter, r *http.Request, f *family) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -192,7 +207,9 @@ func streamEvents(w http.ResponseWriter, r *http.Request, f *family) {
 
 	replay, live := f.subscribe()
 	defer f.unsubscribe(live)
+	written := 0 // the highest seq written: concurrent publishes may hand frames over out of order
 	writeEvent := func(e Event) bool {
+		written = max(written, e.Seq)
 		data, err := json.Marshal(e)
 		if err != nil {
 			return false
@@ -216,6 +233,13 @@ func streamEvents(w http.ResponseWriter, r *http.Request, f *family) {
 			if !writeEvent(e) {
 				return
 			}
+		case <-f.done:
+			for _, e := range f.since(written) {
+				if !writeEvent(e) {
+					return
+				}
+			}
+			return
 		}
 	}
 }

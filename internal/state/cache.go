@@ -1,9 +1,6 @@
 package state
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Tier identifies where a cached state's amplitudes live in the simulated
 // memory hierarchy. The paper (§4.1.4) caches the post-ansatz state in GPU
@@ -34,124 +31,62 @@ type CacheStats struct {
 	Misses      int
 	DeviceHits  int
 	HostHits    int
-	HostSpills  int    // states that had to be placed on the host tier
-	Evictions   int    // device-tier entries displaced to host
-	BytesStored uint64 // current total across both tiers
+	HostSpills  int    // snapshots that had to be placed on the host tier
+	BytesStored uint64 // size of the snapshot held
 }
 
-// Cache stores post-ansatz state snapshots keyed by an arbitrary string
-// (typically a hash of the ansatz parameters). Device capacity is a
-// simulated budget: entries beyond it live on the host tier. The zero
-// value is not usable; call NewCache.
+// Cache holds one post-ansatz snapshot: a snapshot serves the energy
+// evaluation that stored it and no later one, so each Put replaces the
+// last. Device capacity is a simulated budget: a snapshot larger than it
+// lives on the host tier. The zero value is not usable; call NewCache.
 type Cache struct {
 	mu             sync.Mutex
-	deviceCapacity uint64 // bytes; 0 = unlimited device tier
-	deviceUsed     uint64
-	entries        map[string]*cacheEntry
+	deviceCapacity uint64       // bytes; 0 = unlimited device tier
+	amps           []complex128 // the snapshot; empty until the first Put
+	tier           Tier
 	stats          CacheStats
-}
-
-type cacheEntry struct {
-	amps []complex128
-	tier Tier
-	seq  int // insertion order for eviction policy
 }
 
 // NewCache creates a cache with the given simulated device capacity in
 // bytes (0 = unlimited).
 func NewCache(deviceCapacityBytes uint64) *Cache {
-	return &Cache{deviceCapacity: deviceCapacityBytes, entries: map[string]*cacheEntry{}}
+	return &Cache{deviceCapacity: deviceCapacityBytes}
 }
 
-// Put snapshots the state's amplitudes under key. If the snapshot fits in
-// the remaining device budget it is placed on the device tier; otherwise
-// the oldest device entries are displaced to host until it fits, or the
-// snapshot itself goes to host if it alone exceeds capacity.
-func (c *Cache) Put(key string, s *State) {
+// Put snapshots the state's amplitudes in place of the previous snapshot,
+// on the device tier if they fit its capacity and on the host tier if not.
+func (c *Cache) Put(s *State) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.amps = append(c.amps[:0], s.amps...)
 	size := uint64(len(s.amps)) * BytesPerAmp
-	if old, ok := c.entries[key]; ok {
-		c.stats.BytesStored -= uint64(len(old.amps)) * BytesPerAmp
-		if old.tier == TierDevice {
-			c.deviceUsed -= uint64(len(old.amps)) * BytesPerAmp
-		}
-		delete(c.entries, key)
-	}
-	e := &cacheEntry{amps: s.AmplitudesCopy(), seq: c.stats.Puts}
 	c.stats.Puts++
-	c.stats.BytesStored += size
-	switch {
-	case c.deviceCapacity == 0 || size <= c.deviceCapacity:
-		// Evict oldest device entries until this one fits.
-		for c.deviceCapacity != 0 && c.deviceUsed+size > c.deviceCapacity {
-			c.evictOldestDevice()
-		}
-		e.tier = TierDevice
-		c.deviceUsed += size
-	default:
-		e.tier = TierHost
+	c.stats.BytesStored = size
+	c.tier = TierDevice
+	if c.deviceCapacity != 0 && size > c.deviceCapacity {
+		c.tier = TierHost
 		c.stats.HostSpills++
 	}
-	c.entries[key] = e
 }
 
-// evictOldestDevice moves the lowest-seq device entry to the host tier.
-// Caller holds the lock.
-func (c *Cache) evictOldestDevice() {
-	var keys []string
-	for k, e := range c.entries {
-		if e.tier == TierDevice {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return
-	}
-	sort.Slice(keys, func(i, j int) bool { return c.entries[keys[i]].seq < c.entries[keys[j]].seq })
-	e := c.entries[keys[0]]
-	e.tier = TierHost
-	c.deviceUsed -= uint64(len(e.amps)) * BytesPerAmp
-	c.stats.Evictions++
-}
-
-// Restore copies the cached snapshot into dst and returns the tier it was
-// served from. ok is false on a miss (dst untouched).
-func (c *Cache) Restore(key string, dst *State) (Tier, bool) {
+// Restore copies the snapshot into dst and returns the tier it was served
+// from. ok is false on a miss — nothing stored, or a snapshot of another
+// width — and dst is then untouched.
+func (c *Cache) Restore(dst *State) (Tier, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
+	if len(c.amps) != len(dst.amps) {
 		c.stats.Misses++
 		return TierDevice, false
 	}
-	if len(e.amps) != len(dst.amps) {
-		c.stats.Misses++
-		return TierDevice, false
-	}
-	copy(dst.amps, e.amps)
+	copy(dst.amps, c.amps)
 	c.stats.Hits++
-	if e.tier == TierDevice {
+	if c.tier == TierDevice {
 		c.stats.DeviceHits++
 	} else {
 		c.stats.HostHits++
 	}
-	return e.tier, true
-}
-
-// Contains reports whether key is cached without touching stats.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
-// Len returns the number of cached snapshots.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.tier, true
 }
 
 // Stats returns a copy of the traffic counters.
@@ -159,13 +94,4 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Clear drops all entries (stats are retained).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*cacheEntry{}
-	c.deviceUsed = 0
-	c.stats.BytesStored = 0
 }

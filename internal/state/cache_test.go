@@ -1,7 +1,6 @@
 package state
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
@@ -14,26 +13,33 @@ func preparedState(seed uint64) *State {
 	return s
 }
 
+// TestCachePutRestore: a restore returns the last snapshot put, each Put
+// replacing the one before.
 func TestCachePutRestore(t *testing.T) {
 	c := NewCache(0)
-	src := preparedState(3)
-	c.Put("k", src)
 	dst := New(4, Options{})
-	tier, ok := c.Restore("k", dst)
-	if !ok || tier != TierDevice {
-		t.Fatalf("restore failed: %v %v", tier, ok)
-	}
-	for i := range src.amps {
-		if !core.AlmostEqualC(dst.amps[i], src.amps[i], 1e-15) {
-			t.Fatal("restored amplitudes differ")
+	for _, seed := range []uint64{3, 9} {
+		src := preparedState(seed)
+		c.Put(src)
+		tier, ok := c.Restore(dst)
+		if !ok || tier != TierDevice {
+			t.Fatalf("restore failed: %v %v", tier, ok)
 		}
+		for i := range src.amps {
+			if !core.AlmostEqualC(dst.amps[i], src.amps[i], 1e-15) {
+				t.Fatalf("snapshot %d: restored amplitudes differ", seed)
+			}
+		}
+	}
+	if st := c.Stats(); st.Puts != 2 || st.BytesStored != 16*BytesPerAmp {
+		t.Errorf("stats %+v, want 2 puts and one 4-qubit snapshot stored", st)
 	}
 }
 
 func TestCacheMiss(t *testing.T) {
 	c := NewCache(0)
 	dst := New(4, Options{})
-	if _, ok := c.Restore("absent", dst); ok {
+	if _, ok := c.Restore(dst); ok {
 		t.Error("hit on empty cache")
 	}
 	if c.Stats().Misses != 1 {
@@ -44,10 +50,10 @@ func TestCacheMiss(t *testing.T) {
 func TestCacheSnapshotIsolation(t *testing.T) {
 	c := NewCache(0)
 	src := preparedState(1)
-	c.Put("k", src)
+	c.Put(src)
 	src.ResetZero() // mutate after Put
 	dst := New(4, Options{})
-	c.Restore("k", dst)
+	c.Restore(dst)
 	if core.AlmostEqualC(dst.amps[3], 0, 1e-18) && core.AlmostEqualC(dst.amps[0], 1, 1e-18) {
 		t.Error("cache shares storage with source state")
 	}
@@ -56,9 +62,9 @@ func TestCacheSnapshotIsolation(t *testing.T) {
 func TestCacheHostSpill(t *testing.T) {
 	// Device capacity below one 4-qubit snapshot (16 amps × 16 B = 256 B).
 	c := NewCache(128)
-	c.Put("big", preparedState(2))
+	c.Put(preparedState(2))
 	dst := New(4, Options{})
-	tier, ok := c.Restore("big", dst)
+	tier, ok := c.Restore(dst)
 	if !ok {
 		t.Fatal("restore failed")
 	}
@@ -71,61 +77,11 @@ func TestCacheHostSpill(t *testing.T) {
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	// Device fits exactly two snapshots; inserting a third displaces the
-	// oldest to host.
-	c := NewCache(512)
-	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("k%d", i), preparedState(uint64(i)))
-	}
-	dst := New(4, Options{})
-	tier0, _ := c.Restore("k0", dst)
-	tier2, _ := c.Restore("k2", dst)
-	if tier0 != TierHost {
-		t.Errorf("oldest entry tier %v, want host", tier0)
-	}
-	if tier2 != TierDevice {
-		t.Errorf("newest entry tier %v, want device", tier2)
-	}
-	if c.Stats().Evictions != 1 {
-		t.Errorf("evictions %d", c.Stats().Evictions)
-	}
-}
-
-func TestCacheOverwrite(t *testing.T) {
-	c := NewCache(0)
-	c.Put("k", preparedState(1))
-	newer := preparedState(9)
-	c.Put("k", newer)
-	if c.Len() != 1 {
-		t.Error("overwrite duplicated entry")
-	}
-	dst := New(4, Options{})
-	c.Restore("k", dst)
-	for i := range newer.amps {
-		if !core.AlmostEqualC(dst.amps[i], newer.amps[i], 1e-15) {
-			t.Fatal("overwrite kept stale data")
-		}
-	}
-}
-
 func TestCacheWidthMismatchIsMiss(t *testing.T) {
 	c := NewCache(0)
-	c.Put("k", preparedState(1))
+	c.Put(preparedState(1))
 	dst := New(2, Options{})
-	if _, ok := c.Restore("k", dst); ok {
+	if _, ok := c.Restore(dst); ok {
 		t.Error("restored into wrong-width state")
-	}
-}
-
-func TestCacheClear(t *testing.T) {
-	c := NewCache(0)
-	c.Put("k", preparedState(1))
-	c.Clear()
-	if c.Len() != 0 || c.Stats().BytesStored != 0 {
-		t.Error("clear incomplete")
-	}
-	if c.Contains("k") {
-		t.Error("contains after clear")
 	}
 }

@@ -126,35 +126,17 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 	}
 
 	// H is compiled once, for every scan and every inner driver, and so is
-	// the block H and the pool confine the state to; the scan then runs
-	// there, and otherwise on a 2ⁿ simulator created once and reset in place.
-	// Either way one worker pool serves the scans and every inner driver.
+	// the block H and the pool confine the state to: the scans run there,
+	// and every inner driver on a view of it, on one worker pool.
 	plan := pauli.NewPlan(h)
-	scan, err := compileSubspace(n, adapt.Reference(), plan, pool.Ops, o.Workers, o.Pool)
+	scan, err := compileSubspace(adapt.Reference(), plan, pool.Ops, o.Workers, o.Pool)
 	if err != nil {
 		return nil, err
 	}
-	var workers *state.Pool
-	var poolScan func() []float64
-	if scan != nil {
-		workers = scan.pool
-		phi, hPhi := make([]complex128, scan.h.Dim()), make([]complex128, scan.h.Dim())
-		poolScan = func() []float64 {
-			scan.with(selected).prepare(phi, params)
-			return scan.poolGradients(phi, hPhi)
-		}
-	} else {
-		s := state.New(n, state.Options{Workers: o.Workers, Pool: o.Pool})
-		workers = s.WorkerPool()
-		ref, hPsi := adapt.Reference(), make([]complex128, s.Dim())
-		poolScan = func() []float64 {
-			prepareExponential(s, ref, adapt.Operators(), params)
-			return poolGradients(s, plan, hPsi, pool.Ops)
-		}
+	if o.Pool == nil && scan.pool != nil {
+		defer scan.pool.Close() // started above, for this solve alone
 	}
-	if o.Pool == nil && workers != nil {
-		defer workers.Close() // started above, for this solve alone
-	}
+	phi, hPhi := make([]complex128, scan.h.Dim()), make([]complex128, scan.h.Dim())
 	// observerHalted distinguishes a deliberate post-iteration halt (the
 	// iteration completed; checkpoint covers it) from a deadline hit
 	// mid-iteration (partial work unwound; checkpoint excludes it).
@@ -175,7 +157,8 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			// or a full iteration — observes the timer.
 			defer mAdaptIter.Since(telemetry.Now())
 			// Prepare current optimal state and scan the pool.
-			grads := poolScan()
+			scan.with(selected).prepare(phi, params)
+			grads := scan.poolGradients(phi, hPhi)
 			best, bestAbs := -1, 0.0
 			for k, g := range grads {
 				if a := math.Abs(g); a > bestAbs {
@@ -190,7 +173,7 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			selected = append(selected, best)
 			params = append(params, 0)
 
-			drv, err := newDriver(h, plan, scan.with(selected), adapt, Options{Mode: Direct, Workers: o.Workers, Pool: workers})
+			drv, err := newDriver(h, plan, scan.with(selected), adapt, Options{Mode: Direct, Workers: o.Workers, Pool: scan.pool})
 			if err != nil {
 				return false, err
 			}

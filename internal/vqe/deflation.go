@@ -63,13 +63,13 @@ func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptio
 	rng := core.NewRNG(seed)
 
 	// Converged states are cached as raw amplitude vectors — in the
-	// driver's own vector space, which every state it prepares shares —
-	// for the overlap penalties.
+	// driver's block, which every state it prepares shares — for the
+	// overlap penalties.
 	var found []DeflationState
 	var foundAmps [][]complex128
 
 	// One driver serves every evaluation across all states and restarts:
-	// the same plan, simulator and optimizer loop as plain VQE. The penalty
+	// the same plan, block and optimizer loop as plain VQE. The penalty
 	// has no adjoint gradient, so the loop differentiates numerically.
 	drv, err := New(h, a, Options{Mode: Direct, Workers: o.Workers})
 	if err != nil {
@@ -78,7 +78,7 @@ func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptio
 	objective := func(_ context.Context, params []float64) (float64, error) {
 		e := drv.Energy(params)
 		for _, prev := range foundAmps {
-			ov := linalg.VecDot(prev, drv.amplitudes())
+			ov := linalg.VecDot(prev, drv.phi)
 			e += o.Beta * (real(ov)*real(ov) + imag(ov)*imag(ov))
 		}
 		return e, nil
@@ -106,7 +106,7 @@ func Deflation(ctx context.Context, h *pauli.Op, a Exponential, o DeflationOptio
 		}
 		// Report ⟨H⟩ alone; the minimized value still carries the penalty.
 		found = append(found, DeflationState{Index: k, Energy: drv.Energy(best.Params), Params: best.Params})
-		foundAmps = append(foundAmps, slices.Clone(drv.amplitudes()))
+		foundAmps = append(foundAmps, slices.Clone(drv.phi))
 	}
 	return found, nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/pauli"
+	"repro/internal/state"
 	"repro/internal/telemetry"
 )
 
@@ -45,18 +46,17 @@ func waterAdaptAnsatz(t testing.TB) (*pauli.Op, *ansatz.AdaptAnsatz, []float64) 
 }
 
 // TestValueAndGradientOnePass: the energy the L-BFGS objective returns is
-// Plan.Evaluate's, the gradient that consumes its buffers is the
-// derivative of that energy and the same as one computed from scratch,
-// one preparation is one kernel per operator, and the pair allocates
-// nothing the size of the state. This is the 2ⁿ route, the reference the
-// subspace route is held to (TestSubspaceRouteCounts is its counterpart).
+// Plan.Evaluate's on the 2ⁿ state the block scatters into, the gradient
+// that consumes its buffers is the derivative of that energy and the same
+// as one computed from scratch, one preparation is one sweep per operator,
+// and the pair allocates nothing (TestSubspaceRouteCounts pins the same at
+// the end of the Fig. 5 solve).
 func TestValueAndGradientOnePass(t *testing.T) {
 	h, a, theta := waterAdaptAnsatz(t)
 	d, err := New(h, a, Options{Mode: Direct, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.sub = nil
 	m := len(theta)
 
 	gatesBefore := d.Stats().GatesApplied
@@ -65,7 +65,9 @@ func TestValueAndGradientOnePass(t *testing.T) {
 		t.Errorf("one preparation applied %d gates, want %d reference gates + one sweep per operator = %d",
 			got, d.ref.GateCount(), want)
 	}
-	if want := d.plan.Evaluate(d.sim, pauli.ExpectationOptions{Workers: 2}); math.Abs(e-want) > 1e-12 {
+	s := state.New(d.n, state.Options{Workers: 2})
+	d.sub.space.Scatter(s.Amplitudes(), d.phi)
+	if want := d.plan.Evaluate(s, pauli.ExpectationOptions{Workers: 2}); math.Abs(e-want) > 1e-12 {
 		t.Errorf("Re⟨φ|Hφ⟩ = %.15f, Plan.Evaluate = %.15f", e, want)
 	}
 	if want := d.Energy(theta); math.Abs(e-want) > 1e-12 {
@@ -90,7 +92,6 @@ func TestValueAndGradientOnePass(t *testing.T) {
 	// Two calls: a gradient with nothing, or something stale, in the
 	// buffers runs its own forward pass and lands on the same numbers.
 	fresh, _ := New(h, a, Options{Mode: Direct, Workers: 2})
-	fresh.sub = nil
 	g2 := make([]float64, m)
 	fresh.adjointGradient(theta, g2)
 	other := append([]float64(nil), theta...)
@@ -104,16 +105,14 @@ func TestValueAndGradientOnePass(t *testing.T) {
 		}
 	}
 
-	// Allocation: the reference circuit's eight X gates through the
-	// interpreter (a matrix each) and the pooled MatVec's dispatch — no
-	// state, circuit or 2ⁿ-sized vector per evaluation.
+	// Allocation: none — no state, circuit or vector per evaluation.
 	pair := func() {
 		d.forward(theta)
 		d.adjointGradient(theta, g)
 	}
 	pair()
-	if allocs := testing.AllocsPerRun(20, pair); allocs > 26 {
-		t.Errorf("one evaluate+gradient pair allocates %v objects, pinned at 26", allocs)
+	if allocs := testing.AllocsPerRun(20, pair); allocs != 0 {
+		t.Errorf("one evaluate+gradient pair allocates %v objects, want 0", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -121,7 +120,7 @@ func TestValueAndGradientOnePass(t *testing.T) {
 		pair()
 	}
 	runtime.ReadMemStats(&after)
-	if perPair, vector := (after.TotalAlloc-before.TotalAlloc)/20, uint64(16*d.sim.Dim()); perPair >= vector {
+	if perPair, vector := (after.TotalAlloc-before.TotalAlloc)/20, uint64(16*len(d.phi)); perPair >= vector {
 		t.Errorf("one pair allocates %d bytes: room for a %d-byte amplitude vector", perPair, vector)
 	}
 }
@@ -157,8 +156,8 @@ func TestAdaptCompilesHamiltonianOnce(t *testing.T) {
 
 // TestExactRoutesAgreeWithCircuitOnH2: every exact in-process route —
 // direct, rotated with and without the post-ansatz cache, fusion on and
-// off — prepares the ansatz with generator kernels and must land on the
-// energy of the gate-ladder circuit the backends run.
+// off — prepares the ansatz with pair sweeps in its block and must land on
+// the energy of the gate-ladder circuit the backends run.
 func TestExactRoutesAgreeWithCircuitOnH2(t *testing.T) {
 	h, u, _ := h2Setup(t)
 	params := []float64{0.07, -0.21, 0.13}

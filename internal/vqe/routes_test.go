@@ -196,40 +196,34 @@ func routeCases(t testing.TB) []routeCase {
 	return cases
 }
 
-// evalRoute evaluates a case on one of the two in-process routes. The 2ⁿ
-// route is the driver with its block cleared and the exported pool scan on
-// a state the generator kernels prepared; the subspace route is the driver
-// as New built it and the scan Adapt runs, over a block compiled for the
-// ansatz and the pool together.
+// evalRoute evaluates a case on the driver New builds: the energy and
+// adjoint gradient on its block, and the Adapt pool gradients on one of two
+// routes — the exported PoolGradients on a 2ⁿ state the driver prepared,
+// or the scan Adapt runs, over a block compiled for the ansatz and the pool
+// together.
 func evalRoute(t testing.TB, tc routeCase, subspaceRoute bool) routeGolden {
 	t.Helper()
 	d, err := New(tc.h, tc.a, Options{Mode: Direct, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.sub == nil {
-		t.Fatalf("%s: the driver did not take the subspace route", tc.name)
-	}
-	if !subspaceRoute {
-		d.sub = nil
-	}
 	got := routeGolden{Gradient: make([]float64, len(tc.theta))}
 	got.Energy = d.forward(tc.theta)
 	d.adjointGradient(tc.theta, got.Gradient)
-	if !subspaceRoute {
-		s := state.New(tc.a.NumQubits(), state.Options{Workers: 2})
-		prepareExponential(s, tc.a.Reference(), tc.a.Operators(), tc.theta)
-		got.PoolGradients = PoolGradients(s, tc.h, tc.pool)
+	if len(tc.pool) == 0 {
 		return got
 	}
-	if len(tc.pool) == 0 {
+	if !subspaceRoute {
+		s := state.New(tc.a.NumQubits(), state.Options{Workers: 2})
+		d.prepareAnsatz(s, tc.theta)
+		got.PoolGradients = PoolGradients(s, tc.h, tc.pool)
 		return got
 	}
 	m := len(tc.theta)
 	all := append(append([]ansatz.Excitation(nil), tc.a.Operators()...), tc.pool...)
-	block, err := compileSubspace(tc.a.NumQubits(), tc.a.Reference(), pauli.NewPlan(tc.h), all, 2, nil)
-	if err != nil || block == nil {
-		t.Fatalf("%s: no block for ansatz and pool together (err %v)", tc.name, err)
+	block, err := compileSubspace(tc.a.Reference(), pauli.NewPlan(tc.h), all, 2, nil)
+	if err != nil {
+		t.Fatalf("%s: no block for ansatz and pool together: %v", tc.name, err)
 	}
 	at := make([]int, len(all))
 	for k := range at {
@@ -262,11 +256,11 @@ func compareRoute(t *testing.T, name, route string, got, want routeGolden) {
 	}
 }
 
-// TestExponentialRoutesMatchRecorded holds every in-process route for an
-// exponential ansatz to the energy, adjoint gradient and Adapt
-// pool-gradient vector recorded in testdata/routes.json: H2 under three
-// encodings, the 3-site Hubbard chain at U = 4, and 12-qubit water with
-// the twelve operators the Fig. 5 solve selects.
+// TestExponentialRoutesMatchRecorded holds the block route for an
+// exponential ansatz, and both pool scans, to the energy, adjoint gradient
+// and Adapt pool-gradient vector recorded in testdata/routes.json: H2
+// under three encodings, the 3-site Hubbard chain at U = 4, and 12-qubit
+// water with the twelve operators the Fig. 5 solve selects.
 func TestExponentialRoutesMatchRecorded(t *testing.T) {
 	cases := routeCases(t)
 	record(t, func(rec *recordedRoutes) {
@@ -282,7 +276,7 @@ func TestExponentialRoutesMatchRecorded(t *testing.T) {
 			t.Errorf("%s: no recorded values; run with -update-routes at a commit whose 2ⁿ route is trusted", tc.name)
 			continue
 		}
-		for route, sub := range map[string]bool{"2ⁿ route": false, "subspace route": true} {
+		for route, sub := range map[string]bool{"2ⁿ pool scan": false, "block pool scan": true} {
 			got := evalRoute(t, tc, sub)
 			compareRoute(t, tc.name, route, got, want)
 			if got.Energy < tc.exact-1e-9 {
@@ -293,7 +287,7 @@ func TestExponentialRoutesMatchRecorded(t *testing.T) {
 }
 
 // expAnsatz is an exponential ansatz assembled by hand: any reference
-// circuit, any generators.
+// circuit, any generators — including those vqe.New must reject.
 type expAnsatz struct {
 	n   int
 	ref *circuit.Circuit
@@ -312,8 +306,9 @@ func (a *expAnsatz) Circuit(params []float64) *circuit.Circuit {
 	return c
 }
 
-// fallbackCase is a run on H2 that must not take the subspace route: its
-// energy is the 2ⁿ route's (or the backend's) to the bit.
+// fallbackCase is a run on H2 whose energy was recorded before the block
+// served every exponential driver (or that runs on a backend or a circuit
+// ansatz): it must land on those bits.
 type fallbackCase struct {
 	name string
 	h    *pauli.Op     // nil: the H2 Hamiltonian run is handed
@@ -339,7 +334,6 @@ func fallbackCases(t testing.TB) (*pauli.Op, []fallbackCase) {
 		t.Fatal(err)
 	}
 	breaking := symmetryBreakingPool(t, pool, 4)
-	diagonal := ansatz.Excitation{Label: "i·ZZ", Paulis: []pauli.Term{{Coeff: 0.5i, P: pauli.MustParse("ZZII")}}}
 	return h, []fallbackCase{
 		{name: "hea/direct", a: hea, opts: Options{Mode: Direct}, how: "energy"},
 		{name: "hea/nelder-mead", a: hea, opts: Options{Mode: Direct}, how: "nelder-mead"},
@@ -347,15 +341,13 @@ func fallbackCases(t testing.TB) (*pauli.Op, []fallbackCase) {
 		{name: "uccsd/rotated", a: u, opts: Options{Mode: Rotated}, how: "energy"},
 		{name: "uccsd/rotated-lbfgs", a: u, opts: Options{Mode: Rotated, Caching: true}, how: "lbfgs"},
 		{name: "uccsd/sampled", a: u, opts: Options{Mode: Sampled, Shots: 2048, Seed: 7}, how: "energy"},
-		{name: "reference/non-x", a: &expAnsatz{n: 4, ref: circuit.New(4).X(0).X(1).H(3), ops: u.Operators()}, opts: Options{Mode: Direct}, how: "lbfgs"},
-		{name: "generator/diagonal", a: &expAnsatz{n: 4, ref: u.Reference(), ops: append(u.Operators()[:3:3], diagonal)}, opts: Options{Mode: Direct}, how: "lbfgs"},
 		{name: "pool/symmetry-breaking", pool: breaking, how: "adapt"},
 	}
 }
 
 // symmetryBreakingPool is pool plus a rotation i·Y on every qubit. Those
-// conserve nothing: the closure of any reference under them is the whole
-// space.
+// conserve nothing: the closure of any reference under them, the block an
+// Adapt solve over this pool runs in, is the whole space.
 func symmetryBreakingPool(t testing.TB, pool *ansatz.Pool, n int) *ansatz.Pool {
 	t.Helper()
 	out := &ansatz.Pool{Ops: append([]ansatz.Excitation(nil), pool.Ops...)}
@@ -403,11 +395,10 @@ func (fc fallbackCase) run(t testing.TB, h *pauli.Op) (float64, Stats) {
 	return res.Energy, res.Stats
 }
 
-// TestFallbackRoutesBitEqualRecorded: every run the subspace route's
-// preconditions exclude — a circuit ansatz, a backend, a measurement mode,
-// a reference that is not one basis state, a generator with a phase group,
-// a pool that breaks the symmetries — lands on the bits recorded before
-// that route existed.
+// TestFallbackRoutesBitEqualRecorded: the runs that once stayed off the
+// block — a circuit ansatz, a backend, Rotated and Sampled mode, a pool
+// that breaks the symmetries — land on the bits recorded before the block
+// route existed; the exponential ones now prepare in a block.
 func TestFallbackRoutesBitEqualRecorded(t *testing.T) {
 	h, cases := fallbackCases(t)
 	record(t, func(rec *recordedRoutes) {
@@ -524,16 +515,16 @@ func TestEnergyGridBitEqualRecorded(t *testing.T) {
 // TestEnergyIsOneRoutePerAnsatz: what a Direct-mode driver answers at θ does
 // not depend on who asks. Energy, EnergyContext and the first objective value
 // of Minimize and of MinimizeLBFGS from θ are the same bits — on the block
-// (UCCSD), on the 2ⁿ forward pass (the exponential fallbacks) and through
-// Plan.Evaluate (a circuit ansatz) — and none of them dips below FCI. The
-// block a UCCSD driver compiles is the only vector space it ever allocates.
+// (UCCSD) and through Plan.Evaluate (a circuit ansatz) — and none of them
+// dips below FCI. The block a UCCSD driver compiles is the only vector space
+// it ever allocates.
 func TestEnergyIsOneRoutePerAnsatz(t *testing.T) {
 	h, u, fci := h2Setup(t)
 	cases := []fallbackCase{{name: "uccsd", a: u}}
 	_, fallbacks := fallbackCases(t)
 	for _, fc := range fallbacks {
 		switch fc.name {
-		case "reference/non-x", "generator/diagonal", "hea/direct":
+		case "hea/direct":
 			cases = append(cases, fc)
 		}
 	}

@@ -1,8 +1,11 @@
 package vqe
 
 import (
+	"fmt"
+
 	"repro/internal/ansatz"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/kernel/tuning"
 	"repro/internal/pauli"
@@ -15,23 +18,22 @@ import (
 // it: φ, H·φ and the adjoint brackets are block-long vectors. Compiled once
 // per solve; Adapt hands each inner driver a view (with).
 type subspace struct {
-	h    *pauli.SubMatrix
-	ref  int            // position of the reference determinant
-	ops  []*pauli.Pairs // the generators this holder applies, in order
-	pool *state.Pool    // row-partitions H·φ on large blocks; nil = inline
+	space *pauli.Subspace
+	h     *pauli.SubMatrix
+	ref   int            // position of the reference determinant
+	ops   []*pauli.Pairs // the generators this holder applies, in order
+	pool  *state.Pool    // row-partitions H·φ on large blocks; nil = inline
 }
 
 // compileSubspace builds the block for reference circuit ref, observable
-// plan h and generators ops on n qubits, or returns nil when the 2ⁿ route
-// must serve: ref is not X gates alone (so not one basis state), a
-// generator has a diagonal group, or the closure exceeds half the full
-// space — symmetry-breaking operators, against which the compression buys
-// too little. workers and injected are the caller's Workers and Pool options.
-func compileSubspace(n int, ref *circuit.Circuit, h *pauli.Plan, ops []ansatz.Excitation, workers int, injected *state.Pool) (*subspace, error) {
+// plan h and generators ops. ref must be X gates alone — one
+// basis state — or the ansatz is rejected with core.ErrInvalidArgument.
+// workers and injected are the caller's Workers and Pool options.
+func compileSubspace(ref *circuit.Circuit, h *pauli.Plan, ops []ansatz.Excitation, workers int, injected *state.Pool) (*subspace, error) {
 	var refState uint64
 	for _, g := range ref.Gates {
 		if g.Kind != gate.X {
-			return nil, nil
+			return nil, fmt.Errorf("%w: vqe: reference circuit has a %v gate; an exponential ansatz starts from a basis state (X gates alone)", core.ErrInvalidArgument, g.Kind)
 		}
 		refState ^= 1 << uint(g.Qubits[0])
 	}
@@ -39,15 +41,12 @@ func compileSubspace(n int, ref *circuit.Circuit, h *pauli.Plan, ops []ansatz.Ex
 	for _, ex := range ops {
 		plans = append(plans, ex.Plan())
 	}
-	space := pauli.NewSubspace(refState, 1<<uint(n-1), append(plans, h)...)
-	if space == nil {
-		return nil, nil
-	}
+	space := pauli.NewSubspace(refState, append(plans, h)...)
 	hs, err := h.Restrict(space)
 	if err != nil {
 		return nil, err
 	}
-	sp := &subspace{h: hs, ops: make([]*pauli.Pairs, len(ops)), pool: injected}
+	sp := &subspace{space: space, h: hs, ops: make([]*pauli.Pairs, len(ops)), pool: injected}
 	sp.ref, _ = space.Position(refState)
 	for k := range ops {
 		if sp.ops[k], err = plans[k].RestrictPairs(space); err != nil {
@@ -66,11 +65,8 @@ func compileSubspace(n int, ref *circuit.Circuit, h *pauli.Plan, ops []ansatz.Ex
 
 // with is the same block applying, in order, the generators at the given
 // positions of sp.ops: Adapt's block holds the whole pool, and this is its
-// view for the operators selected so far. No block has no views.
+// view for the operators selected so far.
 func (sp *subspace) with(selected []int) *subspace {
-	if sp == nil {
-		return nil
-	}
 	view := *sp
 	view.ops = make([]*pauli.Pairs, len(selected))
 	for k, at := range selected {
@@ -79,8 +75,8 @@ func (sp *subspace) with(selected []int) *subspace {
 	return &view
 }
 
-// prepare leaves U(θ)|ref⟩ in phi — prepareExponential over the block —
-// and returns the pair sweeps it took.
+// prepare leaves U(θ)|ref⟩ in phi — the reference determinant, then one
+// pair sweep per generator group — and returns the sweeps it took.
 func (sp *subspace) prepare(phi []complex128, params []float64) (sweeps int) {
 	clear(phi)
 	phi[sp.ref] = 1
@@ -91,7 +87,7 @@ func (sp *subspace) prepare(phi []complex128, params []float64) (sweeps int) {
 	return sweeps
 }
 
-// poolGradients is poolGradients over the block: hPhi receives H·phi and
+// poolGradients is PoolGradients over the block: hPhi receives H·phi and
 // entry k is 2·Re⟨H·phi|A_k·phi⟩ for the holder's k-th operator.
 func (sp *subspace) poolGradients(phi, hPhi []complex128) []float64 {
 	sp.h.MatVec(hPhi, phi, sp.pool)

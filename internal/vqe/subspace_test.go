@@ -1,14 +1,18 @@
 package vqe
 
 import (
+	"errors"
 	"math"
+	"math/cmplx"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/ansatz"
 	"repro/internal/chem"
+	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/pauli"
 	"repro/internal/telemetry"
 )
 
@@ -23,10 +27,11 @@ func withTelemetry(t *testing.T) {
 }
 
 // TestSubspaceRouteBitEqualBelowGateParallel: up to the size at which the
-// 2ⁿ pair sweeps start chunking their bracket sums over the pool, the
-// subspace route is the 2ⁿ route with the zeros left out — the same
-// coefficients multiplied and summed in the same order — so the two agree
-// to the bit, not just to the 1e-10 the recorded values are held to.
+// 2ⁿ pair brackets start chunking their sums over the pool, the block's
+// pool scan is the exported 2ⁿ one (PoolGradients on the scattered state)
+// with the zeros left out — the same coefficients multiplied and summed in
+// the same order — so the two agree to the bit, not just to the 1e-10 the
+// recorded values are held to.
 func TestSubspaceRouteBitEqualBelowGateParallel(t *testing.T) {
 	for _, tc := range routeCases(t) {
 		dense, sub := evalRoute(t, tc, false), evalRoute(t, tc, true)
@@ -47,8 +52,8 @@ func TestSubspaceRouteBitEqualBelowGateParallel(t *testing.T) {
 }
 
 // TestSubspaceRouteSixteenQubits: one forward pass and one adjoint
-// gradient of UCCSD on the 16-qubit water-like model, 4 900 amplitudes
-// against 65 536, on both routes.
+// gradient of UCCSD on the 16-qubit water-like model, in a block of 4 900
+// amplitudes against 65 536.
 func TestSubspaceRouteSixteenQubits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-qubit Hamiltonian and UCCSD construction")
@@ -77,40 +82,130 @@ func TestSubspaceRouteSixteenQubits(t *testing.T) {
 	}
 }
 
-// TestFallbacksStayOnFullSpace: each excluded run is excluded at
-// construction, with no block compiled, and the in-process exponential ones
-// are counted.
-func TestFallbacksStayOnFullSpace(t *testing.T) {
+// TestExponentialDriversHaveABlock: every in-process driver of an
+// exponential ansatz — each fallback and grid case, in every mode, and an
+// Adapt solve's scans and inner drivers — runs on one compiled block, and
+// a 2ⁿ state exists only where a mode rotates or samples one. A reference
+// that is not X gates alone, and a generator with a diagonal string, are
+// rejected with core.ErrInvalidArgument.
+func TestExponentialDriversHaveABlock(t *testing.T) {
 	h, cases := fallbackCases(t)
-	for _, fc := range cases {
+	for _, fc := range append(cases, gridCases(t)...) {
+		if _, exponential := fc.a.(Exponential); fc.a != nil && (!exponential || fc.opts.Backend != nil) {
+			continue
+		}
 		withTelemetry(t)
-		wantFallback := int64(0)
 		if fc.a == nil {
-			res, err := Adapt(h, fc.pool, 4, 2, AdaptOptions{MaxIterations: 2, Reference: math.NaN()})
-			if err != nil {
+			if _, err := Adapt(h, fc.pool, 4, 2, AdaptOptions{MaxIterations: 2, Reference: math.NaN()}); err != nil {
 				t.Fatal(err)
 			}
-			wantFallback = int64(len(res.History)) // one inner driver per iteration
 		} else {
-			d, err := New(h, fc.a, fc.opts)
+			obs := h
+			if fc.h != nil {
+				obs = fc.h
+			}
+			d, err := New(obs, fc.a, fc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.sub != nil {
-				t.Errorf("%s: driver took the subspace route", fc.name)
+			if d.sub == nil {
+				t.Errorf("%s: driver has no block", fc.name)
 			}
-			if _, exponential := fc.a.(Exponential); exponential && fc.opts.Backend == nil {
-				wantFallback = 1
+			if wantSim := fc.opts.Mode != Direct; (d.sim != nil) != wantSim {
+				t.Errorf("%s: 2ⁿ simulator allocated %v, want %v", fc.name, d.sim != nil, wantSim)
 			}
 		}
-		snap := telemetry.Capture()
-		if got := snap.Counters["vqe.subspace.compiles"]; got != 0 {
-			t.Errorf("%s: %d blocks compiled, want 0", fc.name, got)
-		}
-		if got := snap.Counters["vqe.subspace.fallbacks"]; got != wantFallback {
-			t.Errorf("%s: %d fallbacks counted, want %d", fc.name, got, wantFallback)
+		if got := telemetry.Capture().Counters["vqe.subspace.compiles"]; got != 1 {
+			t.Errorf("%s: %d blocks compiled, want 1", fc.name, got)
 		}
 	}
+
+	u, err := ansatz.NewUCCSD(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonX := &expAnsatz{n: 4, ref: circuit.New(4).X(0).X(1).H(3), ops: u.Operators()}
+	for _, mode := range []EnergyMode{Direct, Rotated, Sampled} {
+		if _, err := New(h, nonX, Options{Mode: mode}); !errors.Is(err, core.ErrInvalidArgument) {
+			t.Errorf("%v: a reference with an H gate: %v, want ErrInvalidArgument", mode, err)
+		}
+	}
+	zz := []pauli.Term{{Coeff: 0.5i, P: pauli.MustParse("ZZII")}}
+	if _, err := pauli.NewGenerator(zz); !errors.Is(err, core.ErrInvalidArgument) {
+		t.Errorf("a diagonal generator: %v, want ErrInvalidArgument", err)
+	}
+	diagonal := &expAnsatz{n: 4, ref: u.Reference(), ops: append(u.Operators()[:3:3], ansatz.Excitation{Label: "i·ZZ", Paulis: zz})}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, core.ErrInvalidArgument) {
+				t.Errorf("a driver over a diagonal generator: recovered %v, want ErrInvalidArgument", err)
+			}
+		}()
+		_, _ = New(h, diagonal, Options{})
+	}()
+}
+
+// TestBlockEnergiesRespectFCI: UCCSD on H2 under every encoding, in Direct,
+// Rotated with and without the post-ansatz cache, and Sampled mode, and an
+// Adapt solve (Jordan–Wigner; it runs Direct whatever the mode), prepare
+// in a block and never answer below the exact ground state — Sampled not
+// by more than five standard deviations of its shot noise.
+func TestBlockEnergiesRespectFCI(t *testing.T) {
+	fci, err := chem.FCI(chem.H2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range encodings {
+		h, u, _ := h2Encoded(t, e.mk)
+		for _, o := range []Options{{Mode: Direct}, {Mode: Rotated}, {Mode: Rotated, Caching: true}, {Mode: Sampled, Shots: 2048, Seed: 7}} {
+			d, err := New(h, u, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.sub == nil {
+				t.Errorf("%s %+v: driver has no block", e.name, o)
+			}
+			floor := fci.Energy - 1e-9
+			if o.Mode == Sampled {
+				floor = fci.Energy - 5*shotNoiseBound(d)
+			}
+			if got := d.Energy(seededTheta(u.NumParameters(), 47)); got < floor {
+				t.Errorf("%s %+v: energy %.12f below %.12f (FCI %.12f)", e.name, o, got, floor, fci.Energy)
+			}
+		}
+	}
+	pool, err := ansatz.NewPool(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTelemetry(t)
+	res, err := Adapt(chem.QubitHamiltonian(chem.H2()), pool, 4, 2, AdaptOptions{MaxIterations: 3, Reference: math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiles := telemetry.Capture().Counters["vqe.subspace.compiles"]; compiles != 1 {
+		t.Errorf("adapt: %d blocks compiled, want 1", compiles)
+	}
+	if res.Energy < fci.Energy-1e-9 {
+		t.Errorf("adapt: energy %.12f below the exact ground state %.12f", res.Energy, fci.Energy)
+	}
+}
+
+// shotNoiseBound bounds the standard deviation of a Sampled driver's
+// energy: each group's estimate is a mean over Shots outcomes of a
+// variable no larger in magnitude than Σ|c| over the group's terms.
+func shotNoiseBound(d *Driver) float64 {
+	variance := 0.0
+	for _, mb := range d.groups {
+		w := 0.0
+		for _, term := range mb.Terms {
+			if !term.P.IsIdentity() {
+				w += cmplx.Abs(term.Coeff)
+			}
+		}
+		variance += w * w / float64(d.opts.Shots)
+	}
+	return math.Sqrt(variance)
 }
 
 // TestSubspaceRouteCounts pins what the Fig. 5 solve does on the subspace
@@ -142,7 +237,7 @@ func TestSubspaceRouteCounts(t *testing.T) {
 		t.Errorf("%d operators, %d evaluations; the solve is pinned at 12 and 161", len(res.History), res.TotalStats.EnergyEvaluations)
 	}
 	snap := telemetry.Capture()
-	for name, want := range map[string]int64{"vqe.subspace.compiles": 1, "vqe.subspace.fallbacks": 0} {
+	for name, want := range map[string]int64{"vqe.subspace.compiles": 1} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
@@ -185,12 +280,14 @@ func TestSubspaceRouteCounts(t *testing.T) {
 	}
 }
 
-// TestAdaptFallbackSharesOnePool: with no block to work in, a 12-qubit
-// Adapt solve runs its scans and every inner driver on one worker pool —
-// not one per outer iteration — and stops it on return.
+// TestAdaptFallbackSharesOnePool: a 12-qubit Adapt solve over a pool that
+// breaks every symmetry runs in a block as large as the whole space — past
+// tuning.ReduceParallel rows, so H·φ is split over workers — and its scans
+// and every inner driver share that block's one worker pool, not one per
+// outer iteration, which stops on return.
 func TestAdaptFallbackSharesOnePool(t *testing.T) {
 	if testing.Short() {
-		t.Skip("12-qubit Adapt iterations on the 2ⁿ route")
+		t.Skip("12-qubit Adapt iterations on a 4 096-state block")
 	}
 	water := chem.WaterLike()
 	pool, err := ansatz.NewPool(12, water.NumElectrons)
@@ -214,9 +311,8 @@ func TestAdaptFallbackSharesOnePool(t *testing.T) {
 		t.Fatalf("%d iterations, want 3", len(res.History))
 	}
 	snap := telemetry.Capture()
-	if snap.Counters["vqe.subspace.compiles"] != 0 || snap.Counters["vqe.subspace.fallbacks"] != 3 {
-		t.Errorf("compiles %d fallbacks %d, want a solve on the 2ⁿ route: 0 and 3",
-			snap.Counters["vqe.subspace.compiles"], snap.Counters["vqe.subspace.fallbacks"])
+	if compiles, dim := snap.Counters["vqe.subspace.compiles"], snap.Gauges["vqe.subspace.dim"]; compiles != 1 || dim != 1<<12 {
+		t.Errorf("%d blocks of %d states, want one of all %d", compiles, dim, 1<<12)
 	}
 	if peak > before+2 {
 		t.Errorf("%d goroutines during the solve against %d before: more than one 2-worker pool", peak, before)

@@ -17,11 +17,9 @@ var (
 	mEnergyRecent  = telemetry.GetRing("vqe.energy.recent_ns", 256)
 	mAdaptIter     = telemetry.GetTimer("vqe.adapt.iteration")
 
-	// Subspace route: blocks compiled (one per solve), the size and
-	// stored coefficients of the latest, and in-process drivers whose
-	// ansatz was exponential but stayed on the 2ⁿ route.
-	mSubspaceCompiles  = telemetry.GetCounter("vqe.subspace.compiles")
-	mSubspaceFallbacks = telemetry.GetCounter("vqe.subspace.fallbacks")
-	mSubspaceDim       = telemetry.GetGauge("vqe.subspace.dim")
-	mSubspaceNNZ       = telemetry.GetGauge("vqe.subspace.nnz")
+	// Blocks an exponential ansatz runs in: compiled (one per solve), and
+	// the size and stored coefficients of the latest.
+	mSubspaceCompiles = telemetry.GetCounter("vqe.subspace.compiles")
+	mSubspaceDim      = telemetry.GetGauge("vqe.subspace.dim")
+	mSubspaceNNZ      = telemetry.GetGauge("vqe.subspace.nnz")
 )

@@ -124,19 +124,20 @@ type Driver struct {
 	opts   Options
 
 	n int
-	// sim and plan are the in-process engine: nil when a Backend is set,
-	// and sim on the subspace route, which never asks for it (simulator).
+	// sim and plan are the in-process engine, nil when a Backend is set;
+	// sim is the 2ⁿ state a circuit ansatz runs on, or the one Rotated and
+	// Sampled mode rotate and read.
 	sim     *state.State
 	scratch *state.State
 	plan    *pauli.Plan // batched X-mask-grouped evaluation plan for H
-	// sub, when set, is where an exponential ansatz runs in Direct mode:
-	// forward and adjointGradient work on phi (their sweeps go straight into
-	// stats.GatesApplied). Tests clear it to reach the 2ⁿ route.
+	// sub is where an exponential ansatz runs in process, in every mode:
+	// it is prepared in phi (the sweeps go straight into
+	// stats.GatesApplied), and forward and adjointGradient never leave it.
 	sub *subspace
 	phi []complex128
 	// exp is Ansatz when it has exponential structure, and ref its
 	// reference circuit, built once: the in-process engine then prepares
-	// it with generator kernels (prepareExponential), not Ansatz.Circuit.
+	// it on the block, not through Ansatz.Circuit.
 	exp Exponential
 	ref *circuit.Circuit
 	// lambda is H·φ for the φ forward left behind, valid while
@@ -162,8 +163,8 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	return newDriver(h, nil, nil, a, opts)
 }
 
-// newDriver is New with h's evaluation plan, and the subspace block if the
-// run has one, supplied by a caller that already compiled them (Adapt, once
+// newDriver is New with h's evaluation plan, and for an exponential ansatz
+// its block, supplied by a caller that already compiled them (Adapt, once
 // per solve, not once per inner driver); a nil plan compiles both here.
 func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	n := a.NumQubits()
@@ -189,21 +190,22 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, op
 		}
 		if plan == nil {
 			plan = pauli.NewPlan(h)
-			if d.exp != nil && opts.Mode == Direct {
+			if d.exp != nil {
 				var err error
-				if sub, err = compileSubspace(n, d.ref, plan, d.exp.Operators(), opts.Workers, opts.Pool); err != nil {
+				if sub, err = compileSubspace(d.ref, plan, d.exp.Operators(), opts.Workers, opts.Pool); err != nil {
 					return nil, err
 				}
 			}
 		}
 		d.plan, d.sub = plan, sub
-		if sub == nil {
-			d.simulator()
-			if d.exp != nil {
-				mSubspaceFallbacks.Inc()
+		if sub != nil {
+			d.phi = make([]complex128, sub.h.Dim())
+			if opts.Pool == nil {
+				d.opts.Pool = sub.pool // the 2ⁿ states below share it
 			}
-		} else if opts.Pool == nil {
-			d.opts.Pool = sub.pool // a simulator allocated later shares it
+		}
+		if d.exp == nil || opts.Mode != Direct {
+			d.sim = state.New(n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed, Pool: d.opts.Pool})
 		}
 	}
 	if opts.Mode != Direct {
@@ -242,14 +244,6 @@ func perTermBases(h *pauli.Op, n int) []pauli.MeasurementBasis {
 // energy evaluation uses (terms in per-term mode, QWC groups otherwise).
 func (d *Driver) NumMeasurementBases() int { return len(d.groups) }
 
-// simulator returns the 2ⁿ state vector, allocating it on first use.
-func (d *Driver) simulator() *state.State {
-	if d.sim == nil {
-		d.sim = state.New(d.n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed, Pool: d.opts.Pool})
-	}
-	return d.sim
-}
-
 // Stats returns a copy of the accounting counters.
 func (d *Driver) Stats() Stats {
 	s := d.stats
@@ -267,17 +261,23 @@ func (d *Driver) CacheStats() state.CacheStats { return d.cache.Stats() }
 
 // prepareAnsatz runs U(θ) from |0…0⟩ on s (the simulator, or the scratch
 // state the uncached measurement walk re-prepares for every basis). An
-// exponential ansatz has no gates to fuse — each operator is already one
-// sweep — so Transpile only bears on circuit-shaped ansätze.
+// exponential ansatz is prepared in the block — d.phi, counted as the
+// reference circuit's gates plus one sweep per generator group — and then
+// scattered into s by basis state; forward, which reads only the block,
+// passes a nil s. It has no gates to fuse, so Transpile only bears on
+// circuit-shaped ansätze.
 func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 	start := telemetry.Now()
 	d.lambdaValid = false
 	switch {
 	case d.exp != nil:
-		if len(params) != d.exp.NumParameters() {
+		if len(params) != len(d.sub.ops) {
 			panic(core.ErrDimensionMismatch)
 		}
-		prepareExponential(s, d.ref, d.exp.Operators(), params)
+		d.stats.GatesApplied += uint64(d.ref.GateCount() + d.sub.prepare(d.phi, params))
+		if s != nil {
+			d.sub.space.Scatter(s.Amplitudes(), d.phi)
+		}
 	case d.opts.Transpile:
 		// Fused kernel path: compile through the transpiler and execute
 		// layered fused sweeps.
@@ -292,26 +292,14 @@ func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 }
 
 // Exponential is an ansatz of the form U(θ) = ∏ₖ exp(θₖ·Aₖ)·|ref⟩ whose
-// structure the in-process driver executes directly — one amplitude sweep
-// per generator — and differentiates by the adjoint method. UCCSD and the
-// Adapt ansatz satisfy it.
+// structure the in-process driver executes directly — one pair sweep per
+// generator group, in the block the reference basis state reaches — and
+// differentiates by the adjoint method. UCCSD and the Adapt ansatz satisfy
+// it; ref must be X gates alone.
 type Exponential interface {
 	ansatz.Ansatz
 	Reference() *circuit.Circuit
 	Operators() []ansatz.Excitation
-}
-
-// prepareExponential leaves U(θ)|ref⟩ in s: the reference circuit, then
-// one generator-exponential kernel per operator. This is how the driver
-// and the Adapt pool scan prepare an exponential ansatz in process;
-// Ansatz.Circuit, the gate-ladder form of the same unitary, is what
-// backends, QASM export and the gate-count figures consume.
-func prepareExponential(s *state.State, ref *circuit.Circuit, ops []ansatz.Excitation, params []float64) {
-	s.ResetZero()
-	s.Run(ref)
-	for k, ex := range ops {
-		ex.Plan().Exp(s, nil, params[k])
-	}
 }
 
 // Energy evaluates ⟨H⟩ at params on the driver's own state vector: the
@@ -385,18 +373,15 @@ func (d *Driver) energyViaGroups(params []float64) float64 {
 	if d.scratch == nil {
 		d.scratch = state.New(d.n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed + 1, Pool: d.opts.Pool})
 	}
-	// The cache's one entry: a snapshot serves the evaluation that stored
-	// it and no later one, so each Put replaces the last.
-	const key = "post-ansatz"
 	if d.opts.Caching {
 		d.prepareAnsatz(d.sim, params)
-		d.cache.Put(key, d.sim)
+		d.cache.Put(d.sim)
 	}
 	total := real(d.H.Coeff(pauli.Identity))
 	for i, mb := range d.groups {
 		if d.opts.Caching {
 			restoreStart := telemetry.Now()
-			if _, ok := d.cache.Restore(key, d.scratch); !ok {
+			if _, ok := d.cache.Restore(d.scratch); !ok {
 				panic("vqe: cache lost the post-ansatz state")
 			}
 			d.stats.CacheRestores++
