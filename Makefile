@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test loc bench-test bench-run vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test examples loc bench-test bench-run vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
 
 all: check
 
@@ -20,6 +20,24 @@ build:
 
 test:
 	$(GO) test ./...
+
+# examples builds each examples/* program and runs it under a timeout,
+# failing on a non-zero exit: `go build ./...` compiles them, but only this
+# target runs them. A failing example's output is printed; a passing one's
+# is kept in out/examples/.
+EXAMPLES_TIMEOUT = 120s
+examples:
+	@mkdir -p bin/examples out/examples
+	@for d in examples/*/; do \
+		name=$$(basename $$d); \
+		$(GO) build -o bin/examples/$$name ./$$d || exit 1; \
+		if timeout $(EXAMPLES_TIMEOUT) ./bin/examples/$$name > out/examples/$$name.log 2>&1; then \
+			echo "examples: $$name ok"; \
+		else \
+			status=$$?; cat out/examples/$$name.log; \
+			echo "examples: $$name exited $$status" >&2; exit 1; \
+		fi; \
+	done
 
 # loc prints the size every simplicity PR and ROADMAP re-anchor quotes:
 # non-test Go lines outside bench/, in total and per directory. Not a gate.
@@ -192,7 +210,8 @@ figures:
 
 check: build vet test race bench figures
 
-# ci mirrors the GitHub Actions workflow jobs (test, bench-test, bench-run,
-# lint, vqelint, vuln, coverage, bench-smoke, chaos-smoke, chaos-recovery,
-# vqed-smoke, load-smoke, sweep-smoke) so `make ci` locally means green CI.
-ci: build lint vuln test bench-test bench-run race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke
+# ci mirrors the GitHub Actions workflow jobs (test, examples, bench-test,
+# bench-run, lint, vqelint, vuln, coverage, bench-smoke, chaos-smoke,
+# chaos-recovery, vqed-smoke, load-smoke, sweep-smoke) so `make ci` locally
+# means green CI.
+ci: build lint vuln test examples bench-test bench-run race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke

@@ -105,9 +105,6 @@ func PopCount(x uint64) int {
 	return n
 }
 
-// Parity returns 1 if x has an odd number of set bits, else 0.
-func Parity(x uint64) int { return PopCount(x) & 1 }
-
 // RNG is a small, fast, deterministic splittable pseudo-random generator
 // (splitmix64 core). It is not cryptographically secure; it exists so that
 // simulations are reproducible across runs and so worker goroutines can

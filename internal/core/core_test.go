@@ -98,9 +98,6 @@ func TestPopCountParity(t *testing.T) {
 	if PopCount(0) != 0 || PopCount(0xFF) != 8 || PopCount(1<<63) != 1 {
 		t.Error("PopCount wrong")
 	}
-	if Parity(0b111) != 1 || Parity(0b11) != 0 {
-		t.Error("Parity wrong")
-	}
 }
 
 func TestAlmostEqual(t *testing.T) {

@@ -1,7 +1,9 @@
 package pauli
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -130,6 +132,36 @@ func (pl *Plan) Evaluate(s *state.State, opts ExpectationOptions) float64 {
 	}
 	mPlanEval.Since(start)
 	return total
+}
+
+// EvaluateCounts estimates a diagonal plan (a measurement group's readout,
+// MeasurementBasis.Plan) from a shot histogram: each term's Z-parity sign
+// weighted by count/total, outcomes visited in ascending order, folded as
+// Evaluate folds. A plan with an off-diagonal group has no reading on
+// counts.
+func (pl *Plan) EvaluateCounts(counts map[uint64]int) float64 {
+	if len(pl.groups) == 0 {
+		return 0
+	}
+	g := &pl.groups[0]
+	if len(pl.groups) > 1 || g.x != 0 {
+		panic(fmt.Errorf("%w: pauli: only a diagonal plan reads a shot histogram", core.ErrInvalidArgument))
+	}
+	outcomes := make([]uint64, 0, len(counts))
+	shots := 0
+	for o, c := range counts {
+		outcomes = append(outcomes, o)
+		shots += c
+	}
+	slices.Sort(outcomes)
+	acc := make([]float64, len(g.zsRe))
+	for _, o := range outcomes {
+		p := float64(counts[o]) / float64(shots)
+		for t, z := range g.zsRe {
+			acc[t] += (1 - 2*float64(bits.OnesCount64(o&z)&1)) * p
+		}
+	}
+	return g.fold(acc, len(acc), 1)
 }
 
 // expectationPool resolves the worker pool and chunk count for an

@@ -476,7 +476,14 @@ func (s *State) collapse(q, outcome int, p1 float64) {
 // collapsed — this models the repeated-preparation sampling workflow that
 // the paper's direct-expectation optimization replaces (§4.2.1).
 func (s *State) SampleCounts(shots int) map[uint64]int {
-	probs := s.Probabilities()
+	return SampleProbabilities(s.Probabilities(), shots, s.rng)
+}
+
+// SampleProbabilities draws shots outcomes from a probability vector (not
+// necessarily normalized) with rng: a binary search of the prefix sums per
+// shot. It is the sampler of both the state vector and the density-matrix
+// diagonal.
+func SampleProbabilities(probs []float64, shots int, rng *core.RNG) map[uint64]int {
 	// Prefix sums for binary search.
 	cum := make([]float64, len(probs)+1)
 	for i, p := range probs {
@@ -485,7 +492,7 @@ func (s *State) SampleCounts(shots int) map[uint64]int {
 	total := cum[len(probs)]
 	out := make(map[uint64]int)
 	for k := 0; k < shots; k++ {
-		r := s.rng.Float64() * total
+		r := rng.Float64() * total
 		lo, hi := 0, len(probs)
 		for lo < hi {
 			mid := (lo + hi) / 2

@@ -9,13 +9,11 @@ package vqe
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/ansatz"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/noise"
 	"repro/internal/opt"
 	"repro/internal/pauli"
 	"repro/internal/state"
@@ -91,18 +89,6 @@ type Options struct {
 	// paper describes and the Figure 3 cost model assumes. Grouping
 	// (default) needs fewer rotations.
 	PerTermMeasurement bool
-	// Readout attaches a classical measurement-error model to Sampled
-	// mode; outcomes are drawn from the confusion-matrix-distorted
-	// distribution.
-	Readout *noise.ReadoutModel
-	// MitigateReadout applies confusion-matrix inversion (unfolding) to
-	// the sampled distribution before expectations are computed.
-	MitigateReadout bool
-	// AdaptiveShots redistributes the total sampling budget
-	// (Shots × #groups) across measurement groups proportionally to their
-	// coefficient weight Σ|c| instead of uniformly — the standard
-	// variance-reduction heuristic for sampled VQE.
-	AdaptiveShots bool
 	// Seed for sampling.
 	Seed uint64
 }
@@ -147,15 +133,12 @@ type Driver struct {
 	lambdaAt    []float64
 	lambdaValid bool
 	// groups are the measurement bases of Rotated and Sampled mode, and
-	// readouts (Rotated) each group's diagonal plan, read on the rotated
-	// scratch state.
-	groups     []pauli.MeasurementBasis
-	readouts   []*pauli.Plan
-	shotPlan   []int
-	groupSD    []float64
-	readoutRNG *core.RNG
-	cache      *state.Cache
-	stats      Stats
+	// readouts each group's diagonal plan, read on the rotated scratch
+	// state (Rotated) or on counts sampled from it (Sampled).
+	groups   []pauli.MeasurementBasis
+	readouts []*pauli.Plan
+	cache    *state.Cache
+	stats    Stats
 }
 
 // New builds a driver for observable h over the given ansatz.
@@ -214,8 +197,6 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, op
 		} else {
 			d.groups = pauli.GroupQWC(h, n)
 		}
-	}
-	if opts.Mode == Rotated {
 		d.readouts = make([]*pauli.Plan, len(d.groups))
 		for i := range d.groups {
 			d.readouts[i] = d.groups[i].Plan()
@@ -368,7 +349,8 @@ func (d *Driver) evaluate(ctx context.Context, params []float64) (float64, error
 
 // energyViaGroups is the measurement walk of Rotated and Sampled mode: for
 // every group, re-prepare or restore the post-ansatz state, rotate into the
-// group's basis, read.
+// group's basis, and read the group's diagonal plan — on the rotated
+// amplitudes (Rotated) or on Shots outcomes sampled from them (Sampled).
 func (d *Driver) energyViaGroups(params []float64) float64 {
 	if d.scratch == nil {
 		d.scratch = state.New(d.n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed + 1, Pool: d.opts.Pool})
@@ -392,146 +374,14 @@ func (d *Driver) energyViaGroups(params []float64) float64 {
 		}
 		readStart := telemetry.Now()
 		d.scratch.Run(mb.Rotation)
-		if d.opts.AdaptiveShots && d.opts.Mode == Sampled && d.shotPlan == nil {
-			d.recordGroupSD(i)
+		if d.opts.Mode == Rotated {
+			total += d.readouts[i].Evaluate(d.scratch, pauli.ExpectationOptions{Workers: d.opts.Workers})
+		} else {
+			total += d.readouts[i].EvaluateCounts(d.scratch.SampleCounts(d.opts.Shots))
 		}
-		total += d.readGroup(i)
 		mPhaseExpect.Since(readStart)
 	}
-	if d.opts.AdaptiveShots && d.opts.Mode == Sampled && d.shotPlan == nil {
-		d.buildShotPlan()
-	}
 	return total
-}
-
-// recordGroupSD measures the exact standard deviation of group i's
-// estimator on the current (rotated) scratch state — the simulator-side
-// shortcut for the pilot sampling a hardware workflow would run.
-func (d *Driver) recordGroupSD(i int) {
-	if d.groupSD == nil {
-		d.groupSD = make([]float64, len(d.groups))
-	}
-	mb := d.groups[i]
-	probs := d.scratch.Probabilities()
-	mean, meanSq := 0.0, 0.0
-	for x, p := range probs {
-		v := 0.0
-		for tIdx, t := range mb.Terms {
-			if t.P.IsIdentity() {
-				continue
-			}
-			if core.Parity(uint64(x)&mb.ZMasks[tIdx]) == 0 {
-				v += real(t.Coeff)
-			} else {
-				v -= real(t.Coeff)
-			}
-		}
-		mean += p * v
-		meanSq += p * v * v
-	}
-	variance := meanSq - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	d.groupSD[i] = math.Sqrt(variance)
-}
-
-// buildShotPlan allocates the total budget ∝ group standard deviation
-// (Neyman allocation), with at least one shot per group.
-func (d *Driver) buildShotPlan() {
-	total := d.opts.Shots * len(d.groups)
-	sum := 0.0
-	for _, sd := range d.groupSD {
-		sum += sd
-	}
-	d.shotPlan = make([]int, len(d.groups))
-	for g := range d.shotPlan {
-		n := 1
-		if sum > 0 {
-			n = int(float64(total) * d.groupSD[g] / sum)
-		}
-		if n < 1 {
-			n = 1
-		}
-		d.shotPlan[g] = n
-	}
-}
-
-// groupShots returns the sampling budget for group i: uniform (Shots per
-// group) until the adaptive plan is built from first-pass group standard
-// deviations, then Neyman-weighted.
-func (d *Driver) groupShots(i int) int {
-	if d.shotPlan == nil {
-		return d.opts.Shots
-	}
-	return d.shotPlan[i]
-}
-
-// readGroup extracts group i's weighted expectation from the rotated
-// scratch state: exactly, through the group's diagonal plan (Rotated), or
-// from counts (Sampled).
-func (d *Driver) readGroup(i int) float64 {
-	if d.opts.Mode == Rotated {
-		return d.readouts[i].Evaluate(d.scratch, pauli.ExpectationOptions{Workers: d.opts.Workers})
-	}
-	dist, err := d.sampleDistribution(d.groupShots(i))
-	if err != nil {
-		panic(fmt.Errorf("vqe: sampling measurement distribution: %w", err))
-	}
-	mb := d.groups[i]
-	total := 0.0
-	for k, t := range mb.Terms {
-		if t.P.IsIdentity() {
-			continue
-		}
-		total += real(t.Coeff) * noise.ZExpectation(dist, mb.ZMasks[k])
-	}
-	return total
-}
-
-// sampleDistribution draws shots outcomes from the rotated scratch state,
-// routing through the readout-error model (and optional mitigation) when
-// configured.
-func (d *Driver) sampleDistribution(shots int) ([]float64, error) {
-	if d.opts.Readout == nil {
-		counts := d.scratch.SampleCounts(shots)
-		return noise.CountsToDistribution(counts, d.n), nil
-	}
-	truth := d.scratch.Probabilities()
-	noisy, err := d.opts.Readout.Apply(truth)
-	if err != nil {
-		return nil, err
-	}
-	// Sample the distorted distribution (phases are irrelevant to
-	// sampling, so a √p amplitude vector reuses the engine's sampler).
-	amps := make([]complex128, len(noisy))
-	for i, p := range noisy {
-		if p < 0 {
-			p = 0
-		}
-		amps[i] = complex(math.Sqrt(p), 0)
-	}
-	// Renormalize against rounding drift.
-	norm := 0.0
-	for _, a := range amps {
-		norm += real(a) * real(a)
-	}
-	norm = math.Sqrt(norm)
-	for i := range amps {
-		amps[i] /= complex(norm, 0)
-	}
-	if d.readoutRNG == nil {
-		d.readoutRNG = core.NewRNG(d.opts.Seed + 7)
-	}
-	sampler, err := state.FromAmplitudes(amps, state.Options{Seed: d.readoutRNG.Uint64() | 1})
-	if err != nil {
-		return nil, err
-	}
-	dist := noise.CountsToDistribution(sampler.SampleCounts(shots), d.n)
-	if d.opts.MitigateReadout {
-		return d.opts.Readout.Mitigate(dist)
-	}
-	return dist, nil
 }
 
 // Result reports a VQE minimization.

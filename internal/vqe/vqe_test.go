@@ -9,7 +9,6 @@ import (
 	"repro/internal/chem"
 	"repro/internal/core"
 	"repro/internal/fermion"
-	"repro/internal/noise"
 	"repro/internal/opt"
 	"repro/internal/pauli"
 	"repro/internal/state"
@@ -433,64 +432,6 @@ func TestQubitAdaptVQEH2(t *testing.T) {
 	}
 }
 
-func TestAdaptiveShotsReduceVariance(t *testing.T) {
-	// With the same total budget, weighting shots by group coefficient
-	// magnitude reduces the spread of the sampled energy estimator.
-	h, u, _ := h2Setup(t)
-	params := []float64{0.05, -0.03, 0.1}
-	variance := func(adaptive bool) float64 {
-		var vals []float64
-		for seed := uint64(1); seed <= 24; seed++ {
-			d, err := New(h, u, Options{
-				Mode: Sampled, Shots: 600, Caching: true,
-				AdaptiveShots: adaptive, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Energy(params) // warm-up pass builds the adaptive plan
-			vals = append(vals, d.Energy(params))
-		}
-		mean := 0.0
-		for _, v := range vals {
-			mean += v
-		}
-		mean /= float64(len(vals))
-		s := 0.0
-		for _, v := range vals {
-			s += (v - mean) * (v - mean)
-		}
-		return s / float64(len(vals)-1)
-	}
-	vUniform := variance(false)
-	vAdaptive := variance(true)
-	if vAdaptive >= vUniform {
-		t.Errorf("adaptive variance %v not below uniform %v", vAdaptive, vUniform)
-	}
-}
-
-func TestAdaptiveShotsBudgetConserved(t *testing.T) {
-	h, u, _ := h2Setup(t)
-	d, err := New(h, u, Options{Mode: Sampled, Shots: 1000, AdaptiveShots: true, Caching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Energy([]float64{0.05, -0.03, 0.1})
-	totalBudget := 1000 * d.NumMeasurementBases()
-	spent := 0
-	for i := 0; i < d.NumMeasurementBases(); i++ {
-		spent += d.groupShots(i)
-	}
-	// Rounding may drop a few shots but never exceed the budget by more
-	// than one per group.
-	if spent > totalBudget+d.NumMeasurementBases() {
-		t.Errorf("spent %d shots of %d budget", spent, totalBudget)
-	}
-	if spent < totalBudget/2 {
-		t.Errorf("spent only %d of %d", spent, totalBudget)
-	}
-}
-
 func TestUCCGSDAtLeastAsExpressive(t *testing.T) {
 	// On a 4-electron system where plain UCCSD is not exact, UCCGSD must
 	// do at least as well (its excitation set is a superset).
@@ -523,42 +464,5 @@ func TestUCCGSDAtLeastAsExpressive(t *testing.T) {
 	}
 	if eGen < fci.Energy-1e-8 {
 		t.Errorf("UCCGSD %v below FCI %v (variational violation)", eGen, fci.Energy)
-	}
-}
-
-func TestReadoutErrorBiasesAndMitigationRecovers(t *testing.T) {
-	h, u, _ := h2Setup(t)
-	params := []float64{0.05, -0.03, 0.1}
-	exactDrv, _ := New(h, u, Options{Mode: Direct})
-	exact := exactDrv.Energy(params)
-
-	model := noise.UniformReadout(4, 0.04, 0.06)
-	energy := func(mitigate bool, seed uint64) float64 {
-		d, err := New(h, u, Options{
-			Mode: Sampled, Shots: 40000, Caching: true,
-			Readout: &model, MitigateReadout: mitigate, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.Energy(params)
-	}
-	// Average a few seeds to separate bias from shot noise.
-	avg := func(mitigate bool) float64 {
-		s := 0.0
-		for seed := uint64(1); seed <= 6; seed++ {
-			s += energy(mitigate, seed)
-		}
-		return s / 6
-	}
-	raw := avg(false)
-	mitigated := avg(true)
-	rawErr := math.Abs(raw - exact)
-	mitErr := math.Abs(mitigated - exact)
-	if rawErr < 0.005 {
-		t.Fatalf("readout model produced no visible bias (%v)", rawErr)
-	}
-	if mitErr >= rawErr/2 {
-		t.Errorf("mitigation weak: raw bias %v, mitigated %v", rawErr, mitErr)
 	}
 }

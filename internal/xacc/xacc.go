@@ -196,7 +196,7 @@ func (a *DMAccelerator) Execute(ctx context.Context, c *circuit.Circuit, shots i
 	if shots > 0 {
 		// Sample from the diagonal.
 		rng := core.NewRNG(0x5eed)
-		res.Counts = sampleFromProbs(res.Probabilities, shots, rng)
+		res.Counts = state.SampleProbabilities(res.Probabilities, shots, rng)
 	}
 	return res, nil
 }
@@ -212,29 +212,4 @@ func (a *DMAccelerator) Expectation(ctx context.Context, prep *circuit.Circuit, 
 		return 0, err
 	}
 	return m.Expectation(obs), nil
-}
-
-func sampleFromProbs(probs []float64, shots int, rng *core.RNG) map[uint64]int {
-	cum := make([]float64, len(probs)+1)
-	for i, p := range probs {
-		cum[i+1] = cum[i] + p
-	}
-	out := map[uint64]int{}
-	for k := 0; k < shots; k++ {
-		r := rng.Float64() * cum[len(probs)]
-		lo, hi := 0, len(probs)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid+1] <= r {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= len(probs) {
-			lo = len(probs) - 1
-		}
-		out[uint64(lo)]++
-	}
-	return out
 }
