@@ -86,18 +86,9 @@ func (bc *BuildCache) observable(ms MoleculeSpec, m *chem.MolecularData, encodin
 			return e.h, e.n, nil
 		}
 	}
-	h, err := BuildObservable(m, encoding)
+	h, n, err := buildObservable(m, encoding, downfold)
 	if err != nil {
 		return nil, 0, err
-	}
-	n := m.NumSpinOrbitals()
-	if downfold > 0 {
-		dres, err := chem.Downfold(m, chem.DownfoldOptions{ActiveOrbitals: downfold, Order: 2})
-		if err != nil {
-			return nil, 0, err
-		}
-		h = dres.Qubit
-		n = 2 * downfold
 	}
 	if bc != nil {
 		bc.mu.Lock()
@@ -105,6 +96,29 @@ func (bc *BuildCache) observable(ms MoleculeSpec, m *chem.MolecularData, encodin
 		bc.mu.Unlock()
 	}
 	return h, n, nil
+}
+
+// buildObservable maps the molecule, or with downfold > 0 its downfolded
+// active space, to qubits under the encoding, and returns the qubit count.
+func buildObservable(m *chem.MolecularData, encoding string, downfold int) (*pauli.Op, int, error) {
+	if downfold <= 0 {
+		h, err := BuildObservable(m, encoding)
+		return h, m.NumSpinOrbitals(), err
+	}
+	dres, err := chem.Downfold(m, chem.DownfoldOptions{ActiveOrbitals: downfold, Order: 2})
+	if err != nil {
+		return nil, 0, err
+	}
+	n := 2 * downfold
+	enc, err := encodingFor(encoding, n)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case enc == nil: // Jordan–Wigner: the downfold already mapped it
+		return dres.Qubit, n, nil
+	}
+	h, err := encodeHermitian(enc, dres.Fermionic)
+	return h, n, err
 }
 
 // fciEnergy returns the molecule's FCI reference energy.

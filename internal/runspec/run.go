@@ -149,13 +149,19 @@ func BuildObservable(m *chem.MolecularData, encoding string) (*pauli.Op, error) 
 		if err != nil {
 			return nil, err
 		}
-		q, err := enc.Transform(chem.FermionicHamiltonian(m))
-		if err != nil {
-			return nil, err
-		}
-		return q.HermitianPart(), nil
+		return encodeHermitian(enc, chem.FermionicHamiltonian(m))
 	}
 	return nil, fmt.Errorf("%w: runspec: unknown encoding %q", core.ErrInvalidArgument, encoding)
+}
+
+// encodeHermitian maps a fermionic Hamiltonian under an explicit encoding
+// and keeps its Hermitian part.
+func encodeHermitian(enc *fermion.Encoding, h *fermion.Op) (*pauli.Op, error) {
+	q, err := enc.Transform(h)
+	if err != nil {
+		return nil, err
+	}
+	return q.HermitianPart(), nil
 }
 
 // encodingFor returns nil for JW (the ansatz default) or the explicit

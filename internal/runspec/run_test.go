@@ -51,6 +51,28 @@ func TestEqualHashEqualResult(t *testing.T) {
 	}
 }
 
+// TestDownfoldHonoursEncoding: a downfolded Hamiltonian is mapped under
+// the spec's encoding, the one the UCCSD ansatz is built in, so every
+// encoding finds the same active-space ground state.
+func TestDownfoldHonoursEncoding(t *testing.T) {
+	var energies []float64
+	for _, enc := range []string{"jw", "bk", "parity"} {
+		spec := &RunSpec{
+			Molecule: MoleculeSpec{Kind: "synthetic", Orbitals: 3, Electrons: 2, Seed: 3},
+			Downfold: 2,
+			Encoding: enc,
+		}
+		res, err := Run(context.Background(), spec, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", enc, err)
+		}
+		energies = append(energies, res.Energy)
+	}
+	if math.Abs(energies[1]-energies[0]) > 1e-6 || math.Abs(energies[2]-energies[0]) > 1e-6 {
+		t.Errorf("jw, bk, parity energies %v differ", energies)
+	}
+}
+
 func TestRunH2Progress(t *testing.T) {
 	var trace []Progress
 	spec := &RunSpec{Optimizer: OptimizerSpec{Method: "nelder-mead", MaxIter: 50}}
