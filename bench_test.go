@@ -346,6 +346,65 @@ func BenchmarkFusionSpeedup(b *testing.B) {
 	})
 }
 
+// wide20Workload is the benchmark's wide20 instance built in process: the
+// 20-qubit Hubbard chain (10 sites, 2 electrons) under Jordan–Wigner, its
+// batched plan, and the one-layer hardware-efficient circuit at a seeded
+// θ drawn from U(−π, π) (at θ = 0 the transpiler cancels the circuit).
+func wide20Workload(tb testing.TB) (*circuit.Circuit, *pauli.Plan) {
+	tb.Helper()
+	m, err := runspec.BuildMolecule(runspec.MoleculeSpec{Kind: "hubbard", Sites: 10, Electrons: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := runspec.BuildObservable(m, "jw")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := ansatz.NewHardwareEfficient(m.NumSpinOrbitals(), 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := core.NewRNG(20)
+	theta := make([]float64, a.NumParameters())
+	for i := range theta {
+		theta[i] = (2*rng.Float64() - 1) * math.Pi
+	}
+	return a.Circuit(theta), pauli.NewPlan(h)
+}
+
+// BenchmarkWide20Evaluation times the parts of one wide20 energy
+// evaluation on two workers, the way the driver runs it with fusion on:
+// exec is RunOptimized (compile and fused execution) from |0…0⟩,
+// evaluate is Plan.Evaluate on the prepared state, both is one after
+// the other. Pair it with scripts/benchpair.sh for before/after ratios.
+func BenchmarkWide20Evaluation(b *testing.B) {
+	c, plan := wide20Workload(b)
+	s := state.New(c.NumQubits, state.Options{Workers: 2})
+	opts := pauli.ExpectationOptions{Workers: 2}
+	s.RunOptimized(c)
+	b.Run("exec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.ResetZero()
+			s.RunOptimized(c)
+		}
+	})
+	b.Run("evaluate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			plan.Evaluate(s, opts)
+		}
+	})
+	b.Run("both", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.ResetZero()
+			s.RunOptimized(c)
+			plan.Evaluate(s, opts)
+		}
+	})
+}
+
 // BenchmarkFusionWidth ablates the fusion window (paper §4.3's design
 // choice to cap blocks at two qubits): width-1 versus width-2.
 func BenchmarkFusionWidth(b *testing.B) {

@@ -2,10 +2,10 @@ package ansatz
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/linalg"
 	"repro/internal/pauli"
@@ -149,7 +149,7 @@ func TestUCCSDPreservesParticleNumber(t *testing.T) {
 	}
 	// And every nonzero amplitude lies in the 2-electron sector.
 	for i, a := range s.Amplitudes() {
-		if real(a)*real(a)+imag(a)*imag(a) > 1e-18 && core.PopCount(uint64(i)) != 2 {
+		if real(a)*real(a)+imag(a)*imag(a) > 1e-18 && bits.OnesCount64(uint64(i)) != 2 {
 			t.Errorf("amplitude outside sector at %b", i)
 		}
 	}
@@ -332,7 +332,7 @@ func TestUCCGSDPreservesParticleNumber(t *testing.T) {
 	s := state.New(4, state.Options{})
 	s.Run(u.Circuit(params))
 	for i, a := range s.Amplitudes() {
-		if real(a)*real(a)+imag(a)*imag(a) > 1e-16 && core.PopCount(uint64(i)) != 2 {
+		if real(a)*real(a)+imag(a)*imag(a) > 1e-16 && bits.OnesCount64(uint64(i)) != 2 {
 			t.Fatalf("amplitude outside the 2-electron sector at %04b", i)
 		}
 	}

@@ -94,17 +94,6 @@ func InsertTwoZeroBits(rest uint64, p, q int) uint64 {
 	return InsertZeroBit(x, q)
 }
 
-// PopCount returns the number of set bits in x. Thin wrapper kept for call
-// sites that predate math/bits usage in this code base.
-func PopCount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
 // RNG is a small, fast, deterministic splittable pseudo-random generator
 // (splitmix64 core). It is not cryptographically secure; it exists so that
 // simulations are reproducible across runs and so worker goroutines can

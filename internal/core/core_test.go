@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -94,9 +95,12 @@ func TestInsertZeroBitProperty(t *testing.T) {
 	}
 }
 
+// TestPopCountParity pins the set-bit counts the engine reads Z-string
+// parities from (bits.OnesCount64; the package has no popcount of its
+// own).
 func TestPopCountParity(t *testing.T) {
-	if PopCount(0) != 0 || PopCount(0xFF) != 8 || PopCount(1<<63) != 1 {
-		t.Error("PopCount wrong")
+	if bits.OnesCount64(0) != 0 || bits.OnesCount64(0xFF) != 8 || bits.OnesCount64(1<<63) != 1 {
+		t.Error("bits.OnesCount64 wrong")
 	}
 }
 

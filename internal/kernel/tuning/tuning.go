@@ -19,9 +19,12 @@ const (
 	// term group, amortizing the handoff better than one gate does.
 	ReduceParallel = 1 << 12
 	// TileBits is log2 of the amplitudes per cache tile in the fused
-	// layer sweep: ops of a layer whose qubits all fall below TileBits
-	// are applied back-to-back on one resident tile. 2^11 amplitudes =
-	// 32 KiB, sized to a typical L1 data cache.
+	// sweep, and so the widest segment the compiler packs: consecutive
+	// ops whose qubits together number at most TileBits are applied
+	// back-to-back on one resident tile (the segment's qubits topped up
+	// with the lowest others, gathered when those are not the low bits),
+	// one pass over the state per segment. 2^11 amplitudes = 32 KiB,
+	// sized to a typical L1 data cache.
 	TileBits = 11
 )
 

@@ -2,9 +2,11 @@ package pauli
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/kernel/tuning"
@@ -30,16 +32,20 @@ import (
 //     when |x∧z| is even and P₀·s·2i·Im(conj(aⱼ)aᵢ) when odd (s the
 //     Z-parity sign), so each term reduces a *real* accumulator and every
 //     amplitude pair is loaded once instead of twice;
-//   - signs are applied by multiplication (±1.0), not branches, keeping
-//     the inner loop free of data-dependent branch mispredictions.
+//   - each chunk stages a tile of nonzero weights and their indices in a
+//     small buffer, then adds them into each term's sum in a register,
+//     four terms at a time; the Z-parity sign flips the weight's sign
+//     bit (exactly ×(−1)), not a branch, keeping the inner loop free of
+//     data-dependent branch mispredictions.
 
 // xGroup is the set of terms sharing one X mask, compiled for the sweep.
 // Terms are split by which real component of the pair product they reduce:
 // zsRe/csRe terms accumulate Re(w), zsIm/csIm terms accumulate Im(w)
 // (diagonal groups only populate the Re side — |aᵢ|² is real).
 type xGroup struct {
-	x uint64
-	q int // half-space qubit: lowest set bit of x (off-diagonal only)
+	x   uint64
+	q   int // half-space qubit: lowest set bit of x (off-diagonal only)
+	off int // the group's first accumulator in an evaluation's slot block
 	// Folded real weights: csRe[t] = Re(c·i^{|x∧z|}), csIm[t] = −Im(c·i^{|x∧z|}).
 	zsRe []uint64
 	csRe []float64
@@ -61,6 +67,9 @@ type Plan struct {
 	// generator marks a plan NewGenerator vetted as anti-Hermitian with
 	// commuting terms — the precondition of Exp and Bracket.
 	generator bool
+	// spare is the working set of a finished Evaluate, kept so the next
+	// one allocates nothing; concurrent evaluations each take their own.
+	spare atomic.Pointer[evaluation]
 }
 
 // NewPlan groups op's terms by X mask. The identity term needs no special
@@ -103,6 +112,11 @@ func NewPlanFromTerms(terms []Term) *Plan {
 		g.cs = append(g.cs, cP)
 	}
 	sort.Slice(pl.groups, func(i, j int) bool { return pl.groups[i].x < pl.groups[j].x })
+	off := 0
+	for gi := range pl.groups {
+		pl.groups[gi].off = off
+		off += len(pl.groups[gi].zs)
+	}
 	mPlanBuild.Since(start)
 	mPlanGroups.Set(int64(len(pl.groups)))
 	mPlanTerms.Set(int64(pl.nTerms))
@@ -124,14 +138,74 @@ func (pl *Plan) Evaluate(s *state.State, opts ExpectationOptions) float64 {
 		panic(core.QubitError(pl.maxQubit, s.NumQubits()))
 	}
 	start := telemetry.Now()
-	amps := s.Amplitudes()
-	pool, chunks := expectationPool(s, opts, len(amps))
+	pool, chunks := expectationPool(s, opts, s.Dim())
+	ev := pl.spare.Swap(nil)
+	if ev == nil {
+		ev = &evaluation{pl: pl, stride: padTo(pl.nTerms, 8)}
+		ev.body = ev.slot
+	}
+	ev.start(s.Amplitudes(), max(chunks, 1))
+	if pool == nil {
+		ev.slot(0, 0, 1)
+	} else {
+		pool.Run(uint64(chunks), chunks, ev.body)
+	}
 	total := 0.0
 	for gi := range pl.groups {
-		total += pl.groups[gi].eval(amps, pool, chunks)
+		g := &pl.groups[gi]
+		total += g.fold(ev.acc[g.off:], ev.stride, ev.chunks)
 	}
+	ev.amps = nil
+	pl.spare.Store(ev)
 	mPlanEval.Since(start)
 	return total
+}
+
+// evaluation is one Evaluate call's working set: a block of accumulators
+// per chunk slot — every group's terms, padded so slots never share a
+// cache line — and the pool body that fills them, bound once.
+type evaluation struct {
+	pl     *Plan
+	amps   []complex128
+	acc    []float64
+	stride int
+	chunks int
+	body   func(slot int, lo, hi uint64)
+}
+
+// start readies ev for amps split into chunks: zeroed accumulators.
+func (ev *evaluation) start(amps []complex128, chunks int) {
+	ev.amps, ev.chunks = amps, chunks
+	if need := chunks * ev.stride; cap(ev.acc) < need {
+		ev.acc = make([]float64, need)
+	} else {
+		ev.acc = ev.acc[:need]
+		clear(ev.acc)
+	}
+}
+
+// slot sweeps every group over chunk slot's share of its index range —
+// the range Pool.Run would hand that slot for the group alone — into the
+// slot's accumulator block. (lo and hi address slots, one per call.)
+//
+//vqesim:hotpath
+func (ev *evaluation) slot(slot int, _, _ uint64) {
+	blk := ev.acc[slot*ev.stride : (slot+1)*ev.stride]
+	for gi := range ev.pl.groups {
+		g := &ev.pl.groups[gi]
+		total := uint64(len(ev.amps))
+		if g.x != 0 {
+			total /= 2 // off-diagonal sweeps only the lower half-space of qubit q
+		}
+		chunk := (total + uint64(ev.chunks) - 1) / uint64(ev.chunks)
+		lo := uint64(slot) * chunk
+		if lo >= total {
+			continue
+		}
+		nRe := len(g.zsRe)
+		acc := blk[g.off : g.off+len(g.zs)]
+		g.sweep(ev.amps, lo, min(lo+chunk, total), acc[:nRe], acc[nRe:])
+	}
 }
 
 // EvaluateCounts estimates a diagonal plan (a measurement group's readout,
@@ -176,75 +250,109 @@ func expectationPool(s *state.State, opts ExpectationOptions, dim int) (*state.P
 	return s.EnsurePool(w), w
 }
 
-// eval scores every term of the group during one sweep. Per-chunk partial
-// accumulators live in cache-line-padded blocks of a shared slice, so
-// pool workers never contend on a line; each term's partials are folded
-// with its precomputed real weight at the end.
-func (g *xGroup) eval(amps []complex128, pool *state.Pool, chunks int) float64 {
-	nRe, nIm := len(g.zsRe), len(g.zsIm)
-	nt := nRe + nIm
-	total := uint64(len(amps))
-	if g.x != 0 {
-		total /= 2 // off-diagonal sweeps only the lower half-space of qubit q
-	}
-	if pool == nil {
-		acc := make([]float64, nt)
-		g.sweep(amps, 0, total, acc[:nRe], acc[nRe:])
-		return g.fold(acc, nt, 1)
-	}
-	stride := padTo(nt, 8) // 8 float64 per 64-byte cache line
-	acc := make([]float64, chunks*stride)
-	pool.Run(total, chunks, func(slot int, lo, hi uint64) {
-		blk := acc[slot*stride : slot*stride+nt]
-		g.sweep(amps, lo, hi, blk[:nRe], blk[nRe:])
-	})
-	return g.fold(acc, stride, chunks)
-}
+// sweepTile is how many indices a group sweep stages before adding
+// their weights into the terms' sums.
+const sweepTile = 128
 
 // sweep accumulates the group's parity-signed pair products over
 // [lo, hi). For the diagonal group the index range is the amplitudes
 // themselves; for off-diagonal groups it enumerates the half-space with
 // qubit q clear and scores both members of each (i, i⊕x) pair at once.
+// Each term's sum still takes the weights in ascending index order.
 //
 //vqesim:hotpath
 func (g *xGroup) sweep(amps []complex128, lo, hi uint64, accRe, accIm []float64) {
-	if g.x == 0 {
-		zs := g.zsRe
-		for i := lo; i < hi; i++ {
-			a := amps[i]
-			w := real(a)*real(a) + imag(a)*imag(a)
-			if w == 0 {
-				continue
-			}
-			for t, z := range zs {
-				s := 1 - 2*float64(bits.OnesCount64(i&z)&1)
-				accRe[t] += s * w
-			}
-		}
-		return
-	}
+	var idx [sweepTile]uint64
+	var wRe, wIm [sweepTile]float64
 	x, q := g.x, g.q
-	zsRe, zsIm := g.zsRe, g.zsIm
-	for rest := lo; rest < hi; rest++ {
-		i := core.InsertZeroBit(rest, q)
-		ai := amps[i]
-		aj := amps[i^x]
-		if ai == 0 && aj == 0 {
+	bit, im := uint64(1)<<uint(q), len(g.zsIm) > 0
+	for at := lo; at < hi; at += sweepTile {
+		end := min(hi, at+sweepTile)
+		n := 0
+		if x == 0 {
+			for i := at; i < end; i++ {
+				a := amps[i]
+				w := real(a)*real(a) + imag(a)*imag(a)
+				if w == 0 {
+					continue
+				}
+				idx[n], wRe[n] = i, w
+				n++
+			}
+			accumulate(accRe, g.zsRe, idx[:n], wRe[:n])
 			continue
 		}
-		// w = conj(aⱼ)·aᵢ; each pair contributes twice the chosen part.
-		wRe := 2 * (real(aj)*real(ai) + imag(aj)*imag(ai))
-		wIm := 2 * (real(aj)*imag(ai) - imag(aj)*real(ai))
-		for t, z := range zsRe {
-			s := 1 - 2*float64(bits.OnesCount64(i&z)&1)
-			accRe[t] += s * wRe
+		i := core.InsertZeroBit(at, q)
+		for rest := at; rest < end; rest, i = rest+1, next(i, bit) {
+			ai := amps[i]
+			aj := amps[i^x]
+			if ai == 0 && aj == 0 {
+				continue
+			}
+			// w = conj(aⱼ)·aᵢ; each pair contributes twice the chosen part.
+			idx[n] = i
+			wRe[n] = 2 * (real(aj)*real(ai) + imag(aj)*imag(ai))
+			if im {
+				wIm[n] = 2 * (real(aj)*imag(ai) - imag(aj)*real(ai))
+			}
+			n++
 		}
-		for t, z := range zsIm {
-			s := 1 - 2*float64(bits.OnesCount64(i&z)&1)
-			accIm[t] += s * wIm
-		}
+		accumulate(accRe, g.zsRe, idx[:n], wRe[:n])
+		accumulate(accIm, g.zsIm, idx[:n], wIm[:n])
 	}
 }
+
+// accumulate adds each weight ws[k], signed by the parity of idx[k]∧z,
+// into the sum of every term z of zs, in k order: four terms at a time
+// in registers, then two, then one.
+//
+//vqesim:hotpath
+func accumulate(acc []float64, zs, idx []uint64, ws []float64) {
+	ws = ws[:len(idx)]
+	t := 0
+	for ; t+4 <= len(zs); t += 4 {
+		z0, z1, z2, z3 := zs[t], zs[t+1], zs[t+2], zs[t+3]
+		a0, a1, a2, a3 := acc[t], acc[t+1], acc[t+2], acc[t+3]
+		for k, i := range idx {
+			w := math.Float64bits(ws[k])
+			a0 += math.Float64frombits(w ^ paritySign(i&z0))
+			a1 += math.Float64frombits(w ^ paritySign(i&z1))
+			a2 += math.Float64frombits(w ^ paritySign(i&z2))
+			a3 += math.Float64frombits(w ^ paritySign(i&z3))
+		}
+		acc[t], acc[t+1], acc[t+2], acc[t+3] = a0, a1, a2, a3
+	}
+	if t+2 <= len(zs) {
+		z0, z1 := zs[t], zs[t+1]
+		a0, a1 := acc[t], acc[t+1]
+		for k, i := range idx {
+			w := math.Float64bits(ws[k])
+			a0 += math.Float64frombits(w ^ paritySign(i&z0))
+			a1 += math.Float64frombits(w ^ paritySign(i&z1))
+		}
+		acc[t], acc[t+1] = a0, a1
+		t += 2
+	}
+	if t < len(zs) {
+		z0 := zs[t]
+		a0 := acc[t]
+		for k, i := range idx {
+			a0 += math.Float64frombits(math.Float64bits(ws[k]) ^ paritySign(i&z0))
+		}
+		acc[t] = a0
+	}
+}
+
+// next steps i, an index with the given bit clear, to the next such
+// index: InsertZeroBit of the next rest index.
+func next(i, bit uint64) uint64 {
+	i++
+	return i + i&bit
+}
+
+// paritySign is the sign bit of (−1)^popcount(m): flipping it in a
+// weight is exactly multiplying the weight by the parity sign.
+func paritySign(m uint64) uint64 { return uint64(bits.OnesCount64(m)&1) << 63 }
 
 // fold reduces the per-chunk accumulator blocks into the group's energy
 // contribution Σₜ weightₜ · parity-sumₜ.

@@ -2,6 +2,7 @@ package state
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/circuit"
@@ -34,7 +35,8 @@ func paramCount(k gate.Kind) int {
 }
 
 // randomCircuit builds a deterministic pseudo-random 1q/2q gate mix
-// (plus the occasional barrier, which splits fused layers).
+// (plus the occasional barrier, which flushes the transpiler's pending
+// fusion blocks).
 func randomCircuit(seed uint64, n, depth int) *circuit.Circuit {
 	rng := core.NewRNG(seed)
 	c := circuit.New(n)
@@ -110,34 +112,58 @@ func TestFusedMatchesUnfusedRandomCircuits(t *testing.T) {
 	}
 }
 
-// tiledLayers counts the layers RunFused executes as one cache-blocked
-// sweep on a state of n qubits.
-func tiledLayers(p *FusedProgram, n int) int {
-	count := 0
-	for i := range p.layers {
-		if p.layers[i].tiled(tuning.TileBits, 1<<uint(n)) {
-			count++
-		}
-	}
-	return count
+// tiled reports whether a segment runs on a state of amps amplitudes,
+// with tiles of 2^tileBits, as a blocked sweep in place: its tile
+// qubits are the low bits and the state holds more than one tile.
+func (sg *segment) tiled(tileBits, amps int) bool {
+	w, tm := tileGeometry(sg.mask, tileBits, bits.TrailingZeros(uint(amps)))
+	return tm == 1<<w-1 && amps > 1<<w
 }
 
-// TestFusedTiledSweep runs widths just above the tile size (2^TileBits
-// amplitudes), where the cache-blocked layer sweep rather than the
-// per-op fallback executes, and checks it against the unfused
-// reference. Width 10 is the other side of the constant: no layer tiles.
+// segmentKinds counts the segments RunFused executes in place and
+// gathered on a state of n qubits; a segment spanning the whole state
+// is neither.
+func segmentKinds(p *FusedProgram, n int) (inPlace, gathered int) {
+	for i := range p.layers {
+		sg := &p.layers[i]
+		w, tm := tileGeometry(sg.mask, tuning.TileBits, n)
+		switch {
+		case sg.ops[0].kind == fusedMarker || w == uint(n):
+		case tm == 1<<w-1:
+			inPlace++
+		default:
+			gathered++
+		}
+	}
+	return inPlace, gathered
+}
+
+// TestFusedTiledSweep runs widths above the tile size (2^TileBits
+// amplitudes), where segments run tile by tile both in place and
+// gathered, and checks them against the unfused reference. Width 10 is
+// the other side of the constant: every segment spans the whole state.
 func TestFusedTiledSweep(t *testing.T) {
-	if got := tiledLayers(CompileFused(randomCircuit(7010, 10, 100)), 10); got != 0 {
-		t.Fatalf("%d layers tile below the tile size", got)
+	if in, ga := segmentKinds(CompileFused(randomCircuit(7010, 10, 100)), 10); in+ga != 0 {
+		t.Fatalf("%d segments tile below the tile size", in+ga)
 	}
 	for _, n := range []int{12, 13} {
-		c := randomCircuit(uint64(7000+n), n, 10*n)
+		// A prefix below qubit TileBits, fenced by a barrier so no block
+		// fuses across it, makes an in-place segment; the random rest
+		// mostly gathers.
+		c := circuit.New(n)
+		for _, g := range randomCircuit(uint64(7100+n), tuning.TileBits, 40).Gates {
+			c.Append(g)
+		}
+		c.Append(gate.New(gate.Barrier))
+		for _, g := range randomCircuit(uint64(7000+n), n, 10*n).Gates {
+			c.Append(g)
+		}
 		ref := New(n, Options{Workers: 1})
 		ref.Run(c)
 		s := New(n, Options{Workers: 1})
 		p := CompileFused(c)
-		if tiledLayers(p, n) == 0 {
-			t.Fatalf("n=%d: no layer takes the tiled sweep", n)
+		if in, ga := segmentKinds(p, n); in == 0 || ga == 0 {
+			t.Fatalf("n=%d: %d segments in place, %d gathered; want both", n, in, ga)
 		}
 		s.RunFused(p)
 		if dev := maxAmpDeviation(ref.Amplitudes(), s.Amplitudes()); dev > 1e-12 {
@@ -232,19 +258,27 @@ func TestRunOptimizedFallback(t *testing.T) {
 	}
 }
 
-// TestFusedLayerPacking sanity-checks the greedy layering: disjoint ops
-// pack into one layer, overlapping ops split.
+// TestFusedLayerPacking sanity-checks segment packing: ops within the
+// tile width share one sweep, a marker runs alone, and more qubits than
+// the tile width split.
 func TestFusedLayerPacking(t *testing.T) {
 	c := circuit.New(4)
-	c.H(0).H(1).H(2).H(3) // disjoint: one layer
+	c.H(0).H(1).H(2).CX(0, 3) // four qubits: one segment
 	p := CompileFused(c)
-	if p.NumLayers() != 1 {
-		t.Fatalf("disjoint 1q gates packed into %d layers, want 1", p.NumLayers())
+	if p.NumSweeps() != 1 {
+		t.Fatalf("ops on 4 qubits packed into %d sweeps, want 1", p.NumSweeps())
 	}
 	c2 := circuit.New(2)
 	c2.H(0).CX(0, 1) // fuses into a single 2q block
 	p2 := CompileFused(c2)
 	if p2.GatesAfter() != 1 {
 		t.Fatalf("H+CX fused into %d gates, want 1", p2.GatesAfter())
+	}
+	c3 := circuit.New(4)
+	c3.CX(0, 1).CX(1, 2).CX(2, 3)
+	c3.Append(gate.New(gate.Measure, 3))
+	c3.CX(3, 2)
+	if got := compileFused(c3, 3).NumSweeps(); got != 4 {
+		t.Fatalf("3-qubit segments around a marker: %d sweeps, want 4 (CX01 CX12 | CX23 | measure | CX32)", got)
 	}
 }

@@ -172,8 +172,8 @@ func TestInterpreterAllocsPinned(t *testing.T) {
 func TestNoKernelForArityPanicsWithSentinel(t *testing.T) {
 	g := gate.Gate{Kind: gate.Fused2Q, Qubits: []int{0, 1, 2}}
 	for name, f := range map[string]func(){
-		"ApplyGate":          func() { New(3, Options{}).ApplyGate(g) },
-		"FusedProgram.lower": func() { new(FusedProgram).lower(g) },
+		"ApplyGate": func() { New(3, Options{}).ApplyGate(g) },
+		"lower":     func() { lower(g) },
 	} {
 		func() {
 			defer func() {

@@ -7,8 +7,9 @@ import "repro/internal/telemetry"
 // -metrics flag); the disabled check is one atomic load per event.
 var (
 	// Gate-kernel dispatch counters: which kernel served each apply. The
-	// 2q split distinguishes the sparse fused-staircase kernel (≤ 8
-	// nonzeros, the gate-fusion payoff path) from the dense 4×4 kernel.
+	// 2q split distinguishes the sparse fused-staircase kernel (≤ 2
+	// nonzeros per row, the gate-fusion payoff path) from the dense 4×4
+	// kernel.
 	mGate1Q       = telemetry.GetCounter("state.gate.1q")
 	mGateCX       = telemetry.GetCounter("state.gate.cx")
 	mGateCZ       = telemetry.GetCounter("state.gate.cz")
@@ -30,12 +31,11 @@ var (
 
 	// Fused-execution instruments: compile and run wall clock, source vs
 	// executed gate counts (the paper's Figure 4 reduction, now a runtime
-	// quantity) and layer/op tallies.
+	// quantity) and pass/op tallies: one sweep per segment or marker.
 	mFusionCompile     = telemetry.GetTimer("fusion.compile")
 	mFusionRun         = telemetry.GetTimer("fusion.run")
 	mFusionGatesBefore = telemetry.GetCounter("fusion.gates_before")
 	mFusionGatesAfter  = telemetry.GetCounter("fusion.gates_after")
-	mFusionLayers      = telemetry.GetCounter("fusion.layers")
-	mFusionTiledSweeps = telemetry.GetCounter("fusion.tiled_sweeps")
+	mFusionSweeps      = telemetry.GetCounter("fusion.sweeps")
 	mFusionOps         = telemetry.GetCounter("fusion.ops")
 )

@@ -261,7 +261,7 @@ func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 		}
 	case d.opts.Transpile:
 		// Fused kernel path: compile through the transpiler and execute
-		// layered fused sweeps.
+		// one fused sweep per segment.
 		s.ResetZero()
 		s.RunOptimized(d.Ansatz.Circuit(params))
 	default:
