@@ -405,6 +405,37 @@ func BenchmarkWide20Evaluation(b *testing.B) {
 	})
 }
 
+// BenchmarkHEAFusion times one fused execution of the hardware-efficient
+// ansatz from |0…0⟩ — RunOptimized, compile included, serial — at 4–16
+// qubits and 1 or 3 layers, θ seeded from U(−π, π): the shallow and deep
+// shapes wide20 sits between. Pair it with scripts/benchpair.sh for
+// before/after ratios.
+func BenchmarkHEAFusion(b *testing.B) {
+	for _, n := range []int{4, 6, 8, 12, 16} {
+		for _, layers := range []int{1, 3} {
+			b.Run(fmt.Sprintf("qubits=%d/layers=%d", n, layers), func(b *testing.B) {
+				a, err := ansatz.NewHardwareEfficient(n, layers, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := core.NewRNG(uint64(100*n + layers))
+				theta := make([]float64, a.NumParameters())
+				for i := range theta {
+					theta[i] = (2*rng.Float64() - 1) * math.Pi
+				}
+				c := a.Circuit(theta)
+				s := state.New(n, state.Options{Workers: 1})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.ResetZero()
+					s.RunOptimized(c)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkFusionWidth ablates the fusion window (paper §4.3's design
 // choice to cap blocks at two qubits): width-1 versus width-2.
 func BenchmarkFusionWidth(b *testing.B) {
