@@ -197,6 +197,14 @@ type fusionBlock struct {
 // Fuse merges adjacent gates into unitary blocks of at most maxWidth
 // qubits (1 or 2), the optimization of paper §4.3. Barriers and
 // non-unitary markers flush pending blocks and are preserved.
+//
+// A 1-qubit block that is flushed rather than absorbed into a 2-qubit
+// block folds into the last 2-qubit block emitted on its wire, provided
+// no gate, marker or barrier has touched the wire in between: nothing
+// emitted after that block acts on the wire, so the 1-qubit block
+// commutes with all of it. A ladder of 2-qubit blocks followed by a
+// rotation layer so keeps one block per rung instead of emitting every
+// rotation on its own.
 func Fuse(c *Circuit, maxWidth int) *Circuit {
 	if maxWidth < 1 {
 		maxWidth = 1
@@ -207,6 +215,18 @@ func Fuse(c *Circuit, maxWidth int) *Circuit {
 	out := New(c.NumQubits)
 	open := map[int]*fusionBlock{} // qubit → its open block
 	var order []*fusionBlock       // flush order
+	// emitted[q] is the index in out.Gates of the last 2-qubit block
+	// emitted on wire q, or -1 once anything else has touched q; an open
+	// 1-qubit block on q leaves it set, as the block's fold target.
+	emitted := make([]int, c.NumQubits)
+	for q := range emitted {
+		emitted[q] = -1
+	}
+	untouch := func(qs []int) {
+		for _, q := range qs {
+			emitted[q] = -1
+		}
+	}
 
 	flushBlock := func(b *fusionBlock) {
 		if b == nil {
@@ -223,7 +243,17 @@ func Fuse(c *Circuit, maxWidth int) *Circuit {
 				delete(open, q)
 			}
 		}
-		emitBlock(out, b)
+		if q := b.qubits[0]; len(b.qubits) == 1 && emitted[q] >= 0 {
+			last := &out.Gates[emitted[q]]
+			last.Matrix = lift1to2(b.mat, q, last.Qubits).Mul(last.Matrix)
+			return
+		}
+		untouch(b.qubits)
+		if emitBlock(out, b) && len(b.qubits) == 2 {
+			for _, q := range b.qubits {
+				emitted[q] = len(out.Gates) - 1
+			}
+		}
 	}
 	flushAll := func() {
 		for len(order) > 0 {
@@ -243,10 +273,14 @@ func Fuse(c *Circuit, maxWidth int) *Circuit {
 		if !g.IsUnitary() {
 			if g.Kind == gate.Barrier {
 				flushAll()
+				for q := range emitted {
+					emitted[q] = -1
+				}
 			} else {
 				for _, q := range g.Qubits {
 					flushBlock(open[q])
 				}
+				untouch(g.Qubits)
 			}
 			out.Append(g.Clone())
 			continue
@@ -272,6 +306,7 @@ func Fuse(c *Circuit, maxWidth int) *Circuit {
 				for _, q := range g.Qubits {
 					flushBlock(open[q])
 				}
+				untouch(g.Qubits)
 				out.Append(g.Clone())
 				continue
 			}
@@ -313,6 +348,7 @@ func Fuse(c *Circuit, maxWidth int) *Circuit {
 			}
 		default:
 			flushAll()
+			untouch(g.Qubits)
 			out.Append(g.Clone())
 		}
 	}
@@ -344,17 +380,19 @@ func lift1to2(u *linalg.Matrix, q int, blockQubits []int) *linalg.Matrix {
 	return linalg.Identity(2).Kron(u)
 }
 
-// emitBlock appends a block as a fused gate, collapsing trivial cases.
-func emitBlock(out *Circuit, b *fusionBlock) {
+// emitBlock appends a block as a fused gate, collapsing trivial cases,
+// and reports whether it appended one.
+func emitBlock(out *Circuit, b *fusionBlock) bool {
 	if len(b.qubits) == 1 {
 		if b.mat.EqualUpToPhase(linalg.Identity(2), 1e-12) {
-			return
+			return false
 		}
 		out.Append(gate.Gate{Kind: gate.Fused1Q, Qubits: []int{b.qubits[0]}, Matrix: b.mat})
-		return
+		return true
 	}
 	if b.mat.EqualUpToPhase(linalg.Identity(4), 1e-12) {
-		return
+		return false
 	}
 	out.Append(gate.Gate{Kind: gate.Fused2Q, Qubits: append([]int(nil), b.qubits...), Matrix: b.mat})
+	return true
 }

@@ -297,3 +297,94 @@ func TestFusionReductionOnStructuredCircuit(t *testing.T) {
 	}
 	assertEquivalent(t, c, f, "pauli exponential fusion")
 }
+
+// heaCircuit is the hardware-efficient ansatz's shape (internal/ansatz):
+// per layer RY·RZ on every qubit then a CX ladder, and a final RY·RZ
+// layer, angles drawn from the seed.
+func heaCircuit(n, layers int, seed uint64) *Circuit {
+	rng := core.NewRNG(seed)
+	c := New(n)
+	rot := func() {
+		for q := 0; q < n; q++ {
+			c.RY(rng.Float64()*6-3, q)
+			c.RZ(rng.Float64()*6-3, q)
+		}
+	}
+	for l := 0; l < layers; l++ {
+		rot()
+		for q := 0; q+1 < n; q++ {
+			c.CX(q, q+1)
+		}
+	}
+	rot()
+	return c
+}
+
+// TestFuseAbsorbsTrailingSingleQubitGates: 1q gates on a wire whose
+// block is closed fold into the last 2q block emitted on that wire, so
+// the hardware-efficient ansatz fuses to one block per CX of its ladders
+// — every rotation layer, the final one included, inside them — and
+// stays the same unitary. A barrier, a marker or a later 2q block on the
+// wire stops the fold into the older block.
+func TestFuseAbsorbsTrailingSingleQubitGates(t *testing.T) {
+	for _, n := range []int{4, 5, 6, 8, 12, 16, 20} {
+		for layers := 1; layers <= 3; layers++ {
+			c := heaCircuit(n, layers, uint64(10*n+layers))
+			f := Fuse(c, 2)
+			if got, want := f.GateCount(), layers*(n-1); got != want {
+				t.Errorf("n=%d layers=%d: GatesAfter %d, want %d", n, layers, got, want)
+			}
+			for _, g := range f.Gates {
+				if g.Kind != gate.Fused2Q {
+					t.Fatalf("n=%d layers=%d: emitted a %v, want only 2q blocks", n, layers, g.Kind)
+				}
+			}
+			if n <= 8 && !c.Unitary().Equal(f.Unitary(), 1e-12) {
+				t.Errorf("n=%d layers=%d: fused circuit is not the source unitary", n, layers)
+			}
+		}
+	}
+
+	ladder := func() *Circuit { return New(3).CX(0, 1).CX(1, 2) }
+	folds := map[string]*Circuit{
+		"at the end":         ladder().RY(0.3, 0).RZ(0.2, 0),
+		"before a barrier":   ladder().RY(0.3, 0).Barrier(),
+		"before its measure": ladder().RY(0.3, 0).Append(gate.New(gate.Measure, 0)),
+	}
+	for name, c := range folds {
+		if f := Fuse(c, 2); f.GateCount() != 2 {
+			t.Errorf("trailing RY on a closed wire, %s: %d gates, want 2", name, f.GateCount())
+		}
+	}
+	stops := map[string]*Circuit{
+		"barrier": ladder().Barrier().RY(0.3, 0),
+		"marker":  ladder().Append(gate.New(gate.Measure, 0)).RY(0.3, 0),
+	}
+	for name, c := range stops {
+		f := Fuse(c, 2)
+		if f.GateCount() != 3 {
+			t.Errorf("%s: %d gates, want 3 (the RY stays on its own)", name, f.GateCount())
+		}
+		if last := f.Gates[len(f.Gates)-1]; last.Kind != gate.Fused1Q {
+			t.Errorf("%s: last gate %v, want the RY as a 1q block", name, last.Kind)
+		}
+	}
+
+	// CX(0,2) is a later 2q block on wire 0: the RY folds into it, and
+	// the first block, (0,1), is left as it was.
+	base := New(3).CX(0, 1).CX(1, 2).CX(0, 2).CX(1, 2)
+	with := base.Clone().RY(0.3, 0)
+	fb, fw := Fuse(base, 2), Fuse(with, 2)
+	if fb.GateCount() != 4 || fw.GateCount() != 4 {
+		t.Fatalf("2q blocks on the wire: %d and %d gates, want 4 and 4", fb.GateCount(), fw.GateCount())
+	}
+	if !fw.Gates[0].Matrix.Equal(fb.Gates[0].Matrix, 1e-15) {
+		t.Error("the RY folded into the (0,1) block past the later (0,2) block")
+	}
+	if fw.Gates[2].Matrix.Equal(fb.Gates[2].Matrix, 1e-12) {
+		t.Error("the RY did not fold into the (0,2) block")
+	}
+	if !with.Unitary().Equal(fw.Unitary(), 1e-12) {
+		t.Error("fold past later blocks changed the unitary")
+	}
+}

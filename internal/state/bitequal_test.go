@@ -176,9 +176,9 @@ func refSweep(amps []complex128, op *fusedOp, base, lo, hi uint64) {
 // in program order, one pass over the whole state on the reference
 // kernels; markers through ApplyGate.
 func refRunPerOp(s *State, p *FusedProgram) {
-	for li := range p.layers {
-		for oi := range p.layers[li].ops {
-			op := &p.layers[li].ops[oi]
+	for li := range p.segs {
+		for oi := range p.segs[li].ops {
+			op := &p.segs[li].ops[oi]
 			if op.kind == fusedMarker {
 				s.ApplyGate(op.marker)
 				continue

@@ -80,6 +80,7 @@ func (c *Cache) Restore(dst *State) (Tier, bool) {
 		return TierDevice, false
 	}
 	copy(dst.amps, c.amps)
+	dst.dropSupport()
 	c.stats.Hits++
 	if c.tier == TierDevice {
 		c.stats.DeviceHits++

@@ -87,8 +87,8 @@ type FusedProgram struct {
 	n           int
 	gatesBefore int
 	gatesAfter  int
-	// layers holds the segments in program order: one state pass each.
-	layers []segment
+	// segs holds the segments in program order: one state pass each.
+	segs []segment
 }
 
 // NumQubits returns the register width the program was compiled for.
@@ -103,7 +103,7 @@ func (p *FusedProgram) GatesAfter() int { return p.gatesAfter }
 
 // NumSweeps reports how many passes over the state one run costs: one
 // per segment and one per marker.
-func (p *FusedProgram) NumSweeps() int { return len(p.layers) }
+func (p *FusedProgram) NumSweeps() int { return len(p.segs) }
 
 // CompileFused transpiles c with the default options (identity
 // dropping, inverse cancellation, width-2 fusion) and lowers the result
@@ -122,7 +122,7 @@ func compileFused(c *circuit.Circuit, tileBits int) *FusedProgram {
 			ops = append(ops, op)
 		}
 	}
-	p.layers = segments(ops, tileBits)
+	p.segs = segments(ops, tileBits)
 	mFusionGatesBefore.Add(int64(p.gatesBefore))
 	mFusionGatesAfter.Add(int64(p.gatesAfter))
 	mFusionCompile.Since(start)
@@ -282,15 +282,15 @@ func (s *State) runFused(p *FusedProgram, tileBits int) {
 		panic(core.ErrDimensionMismatch)
 	}
 	start := telemetry.Now()
-	for i := range p.layers {
-		sg := &p.layers[i]
+	for i := range p.segs {
+		sg := &p.segs[i]
 		if sg.ops[0].kind == fusedMarker {
 			s.ApplyGate(sg.ops[0].marker)
 			continue
 		}
 		s.runSegment(sg, tileBits)
 	}
-	mFusionSweeps.Add(int64(len(p.layers)))
+	mFusionSweeps.Add(int64(len(p.segs)))
 	mFusionRun.Since(start)
 }
 
@@ -309,28 +309,42 @@ func tileGeometry(mask uint64, tileBits, n int) (w uint, tm uint64) {
 }
 
 // runSegment applies every op of sg tile by tile, one pass over the
-// state; pool chunks take disjoint ranges of tiles.
+// state; pool chunks take disjoint ranges of tiles. It skips what the
+// state's support rules out: a tile with an outer bit outside the
+// support holds zeros before and after the segment (the tile qubits hold
+// all of the segment's), and each op, on the support it and the ops
+// before it leave, sweeps only the rest indices restLimit keeps. The
+// skipped amplitudes are zeros the kernels would only rewrite as ±0.
 //
 //vqesim:hotpath
 func (s *State) runSegment(sg *segment, tileBits int) {
 	amps := s.amps
 	ops := sg.ops
+	sup := s.support
 	w, tm := tileGeometry(sg.mask, tileBits, s.n)
-	tiles := uint64(len(amps)) >> w
+	outer := uint64(len(amps)-1) &^ tm & sup
+	tiles := uint64(1) << uint(bits.OnesCount64(outer))
 	var scratch []complex128
 	if tm != 1<<w-1 {
 		scratch = s.tileScratch(w)
 	}
 	if len(amps) < s.opts.ParallelThreshold || s.opts.Workers <= 1 || s.pool == nil || tiles < 2 {
 		mPoolInline.Inc()
-		sweepTiles(amps, scratch, 0, ops, w, tm, 0, tiles)
+		sweepTiles(amps, scratch, 0, ops, w, tm, outer, sup, 0, tiles)
 	} else {
 		s.pool.Run(tiles, s.opts.Workers, func(slot int, lo, hi uint64) {
-			sweepTiles(amps, scratch, slot, ops, w, tm, lo, hi)
+			sweepTiles(amps, scratch, slot, ops, w, tm, outer, sup, lo, hi)
 		})
 	}
+	var swept uint64
+	for i := range ops {
+		sup |= ops[i].mask
+		swept += ops[i].restLimit(tm, sup) << ops[i].arity()
+	}
+	s.support = sup
 	s.nGates += uint64(len(ops))
 	mFusionOps.Add(int64(len(ops)))
+	mFusionAmpsSwept.Add(int64(tiles * swept))
 }
 
 // tileScratch returns the state's gather buffer, one 2^w-amplitude tile
@@ -342,31 +356,33 @@ func (s *State) tileScratch(w uint) []complex128 {
 	return s.scratch
 }
 
-// sweepTiles runs ops over tiles [lo, hi) of geometry (w, tm). With no
-// scratch the tile qubits are the low w bits and tile t is the block
-// amps[t<<w:(t+1)<<w], updated in place. Otherwise each tile is gathered
-// into the slot's 2^w amplitudes of scratch, transformed and scattered
-// back, its indices and the tiles themselves walked by subset
-// enumeration: the next subset of mask m after s is ((s|^m)+1)&m.
+// sweepTiles runs ops over tiles [lo, hi) of geometry (w, tm), starting
+// from support sup. Tile t is the t-th subset of the outer qubits outer,
+// in ascending order, walked by subset enumeration: the next subset of
+// mask m after s is ((s|^m)+1)&m. With no scratch the tile qubits are
+// the low w bits and the tile is the block of 2^w amplitudes at its
+// outer bits, updated in place. Otherwise each tile is gathered into the
+// slot's 2^w amplitudes of scratch, its indices walked by the same
+// enumeration over tm, transformed and scattered back.
 //
 //vqesim:hotpath
-func sweepTiles(amps, scratch []complex128, slot int, ops []fusedOp, w uint, tm, lo, hi uint64) {
+func sweepTiles(amps, scratch []complex128, slot int, ops []fusedOp, w uint, tm, outer, sup, lo, hi uint64) {
+	o := deposit(lo, outer)
 	if scratch == nil {
 		for t := lo; t < hi; t++ {
-			applyTile(amps[t<<w:(t+1)<<w], ops, tm)
+			applyTile(amps[o:o+1<<w], ops, tm, sup)
+			o = ((o | ^outer) + 1) & outer
 		}
 		return
 	}
 	buf := scratch[uint64(slot)<<w : uint64(slot+1)<<w]
-	outer := uint64(len(amps)-1) &^ tm
-	o := deposit(lo, outer)
 	for t := lo; t < hi; t++ {
 		h := o
 		for l := range buf {
 			buf[l] = amps[h]
 			h = ((h|^tm)+1)&tm | o
 		}
-		applyTile(buf, ops, tm)
+		applyTile(buf, ops, tm, sup)
 		h = o
 		for l := range buf {
 			amps[h] = buf[l]
@@ -377,16 +393,33 @@ func sweepTiles(amps, scratch []complex128, slot int, ops []fusedOp, w uint, tm,
 }
 
 // applyTile runs every op on one tile, each at its qubits' positions
-// among the tile qubits tm.
+// among the tile qubits tm and over the rest indices the support it
+// leaves needs (sup grows by each op's qubits in turn).
 //
 //vqesim:hotpath
-func applyTile(tile []complex128, ops []fusedOp, tm uint64) {
+func applyTile(tile []complex128, ops []fusedOp, tm, sup uint64) {
 	for i := range ops {
 		op := &ops[i]
+		sup |= op.mask
 		a := bits.OnesCount64(tm & (1<<uint(op.a) - 1))
 		b := bits.OnesCount64(tm & (1<<uint(op.b) - 1))
-		op.sweep(tile, a, b, 0, uint64(len(tile))>>op.arity())
+		op.sweep(tile, a, b, 0, op.restLimit(tm, sup))
 	}
+}
+
+// restLimit returns the end of the range of rest indices op sweeps on a
+// tile of qubits tm when only the qubits of sup, op's own among them,
+// may be set in a nonzero amplitude. When the tile qubits of op's rest
+// index outside sup are its top bits, the k inside sup are its low bits
+// and [0, 2^k) holds every rest index that can address a nonzero;
+// otherwise the range is every rest index of the tile.
+func (op *fusedOp) restLimit(tm, sup uint64) uint64 {
+	rest := tm &^ op.mask
+	live := rest & sup
+	if live>>uint(bits.TrailingZeros64(rest&^sup)) != 0 {
+		return 1 << uint(bits.OnesCount64(rest))
+	}
+	return 1 << uint(bits.OnesCount64(live))
 }
 
 // deposit scatters the low bits of x into the set bits of mask, lowest

@@ -124,8 +124,8 @@ func (sg *segment) tiled(tileBits, amps int) bool {
 // gathered on a state of n qubits; a segment spanning the whole state
 // is neither.
 func segmentKinds(p *FusedProgram, n int) (inPlace, gathered int) {
-	for i := range p.layers {
-		sg := &p.layers[i]
+	for i := range p.segs {
+		sg := &p.segs[i]
 		w, tm := tileGeometry(sg.mask, tuning.TileBits, n)
 		switch {
 		case sg.ops[0].kind == fusedMarker || w == uint(n):

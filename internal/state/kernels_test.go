@@ -91,10 +91,10 @@ func TestKernelsMatchDenseUnitary(t *testing.T) {
 			two.Append(g)
 			two.H(free)
 			pOne, pTwo := CompileFused(one), CompileFused(two)
-			if got := pOne.layers[0].ops[0].kind; got != sh.kind {
+			if got := pOne.segs[0].ops[0].kind; got != sh.kind {
 				t.Fatalf("%s %s: lowered to kind %d, want %d", sh.name, pl.name, got, sh.kind)
 			}
-			if tiled := len(pTwo.layers) == 1 && pTwo.layers[0].tiled(tileBits, 1<<n); tiled != pl.below {
+			if tiled := len(pTwo.segs) == 1 && pTwo.segs[0].tiled(tileBits, 1<<n); tiled != pl.below {
 				t.Fatalf("%s %s: tiled = %v, want %v", sh.name, pl.name, tiled, pl.below)
 			}
 			entries := []struct {

@@ -79,6 +79,7 @@ func Load(r io.Reader, opts Options) (*State, error) {
 		im := math.Float64frombits(binary.LittleEndian.Uint64(buf[8:16]))
 		s.amps[i] = complex(re, im)
 	}
+	s.dropSupport()
 	if math.Abs(s.Norm()-1) > 1e-6 {
 		return nil, fmt.Errorf("state: %w: snapshot norm %v", core.ErrInvalidArgument, s.Norm())
 	}

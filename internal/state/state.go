@@ -73,6 +73,11 @@ type State struct {
 	// whose qubits are not the low bits (see runSegment). It is never
 	// shared with clones.
 	scratch []complex128
+	// support masks the qubits that may be 1 in a nonzero amplitude:
+	// every amplitude with a bit outside it is zero. New and ResetZero
+	// set it to 0 and RunFused grows it by each op's qubits, skipping
+	// what it rules out; every other writer drops it to all qubits.
+	support uint64
 }
 
 // ResolveWorkers normalizes a Workers option value to an actual worker
@@ -86,6 +91,10 @@ func ResolveWorkers(n int) int {
 	}
 	return n
 }
+
+// dropSupport records that any amplitude may be nonzero: every writer of
+// the amplitudes other than New, ResetZero and RunFused calls it.
+func (s *State) dropSupport() { s.support = uint64(len(s.amps) - 1) }
 
 // New allocates the |0…0⟩ state on n qubits.
 func New(n int, opts Options) *State {
@@ -158,6 +167,7 @@ func FromAmplitudes(amps []complex128, opts Options) (*State, error) {
 	}
 	s := New(n, opts)
 	copy(s.amps, amps)
+	s.dropSupport()
 	return s, nil
 }
 
@@ -168,8 +178,16 @@ func (s *State) NumQubits() int { return s.n }
 func (s *State) Dim() int { return len(s.amps) }
 
 // Amplitudes returns the live amplitude slice (not a copy). Callers must
-// not resize it; mutating it directly bypasses the gate counter.
-func (s *State) Amplitudes() []complex128 { return s.amps }
+// not resize it; mutating it directly bypasses the gate counter. Callers
+// may write through it, so the state stops assuming any amplitude is
+// zero; the support is written only when it changes, so concurrent
+// readers of an already dropped state do not race.
+func (s *State) Amplitudes() []complex128 {
+	if s.support != uint64(len(s.amps)-1) {
+		s.dropSupport()
+	}
+	return s.amps
+}
 
 // AmplitudesCopy returns a defensive copy.
 func (s *State) AmplitudesCopy() []complex128 {
@@ -187,7 +205,7 @@ func (s *State) ResetCounters() { s.nGates = 0 }
 // worker pool is shared, not duplicated: clones (scratch states, cache
 // restores) reuse the parent's persistent goroutines.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, amps: s.AmplitudesCopy(), opts: s.opts, rng: s.rng.Split(), nGates: s.nGates, pool: s.pool}
+	c := &State{n: s.n, amps: s.AmplitudesCopy(), opts: s.opts, rng: s.rng.Split(), nGates: s.nGates, pool: s.pool, support: s.support}
 	return c
 }
 
@@ -198,6 +216,7 @@ func (s *State) CopyFrom(src *State) {
 		panic(core.ErrDimensionMismatch)
 	}
 	copy(s.amps, src.amps)
+	s.dropSupport()
 }
 
 // ResetZero returns the state to |0…0⟩ without reallocating.
@@ -206,6 +225,7 @@ func (s *State) ResetZero() {
 		s.amps[i] = 0
 	}
 	s.amps[0] = 1
+	s.support = 0
 }
 
 // Norm returns ‖ψ‖ (should be 1 up to rounding).
@@ -257,6 +277,7 @@ func (s *State) Apply1Q(u *linalg.Matrix, q int) {
 	s.parallelFor(uint64(len(amps)/2), func(lo, hi uint64) {
 		dense1(amps, q, u00, u01, u10, u11, lo, hi)
 	})
+	s.dropSupport()
 	s.nGates++
 	mGate1Q.Inc()
 }
@@ -281,6 +302,7 @@ func (s *State) Apply2Q(u *linalg.Matrix, a, b int) {
 	kind := classify2Q(u, &m)
 	amps := s.amps
 	quarter := uint64(len(amps) / 4)
+	s.dropSupport()
 	s.nGates++
 	if kind == fusedDense2 {
 		s.parallelFor(quarter, func(lo, hi uint64) { dense2(amps, a, b, &m, lo, hi) })
@@ -313,6 +335,7 @@ func (s *State) applyCX(ctrl, tgt int) {
 			rest = end
 		}
 	})
+	s.dropSupport()
 	s.nGates++
 	mGateCX.Inc()
 }
@@ -332,6 +355,7 @@ func (s *State) applyCZ(a, b int) {
 			rest = end
 		}
 	})
+	s.dropSupport()
 	s.nGates++
 	mGateCZ.Inc()
 }
@@ -344,6 +368,7 @@ func (s *State) applyRZ(theta float64, q int) {
 	ep := cmplx.Exp(complex(0, theta/2))
 	amps := s.amps
 	s.parallelFor(uint64(len(amps)/2), func(lo, hi uint64) { diag1(amps, q, em, ep, lo, hi) })
+	s.dropSupport()
 	s.nGates++
 	mGateRZ.Inc()
 }
@@ -470,6 +495,7 @@ func (s *State) collapse(q, outcome int, p1 float64) {
 			s.amps[i0] *= scale
 		}
 	}
+	s.dropSupport()
 }
 
 // SampleCounts draws shots samples from the current distribution and

@@ -31,11 +31,14 @@ var (
 
 	// Fused-execution instruments: compile and run wall clock, source vs
 	// executed gate counts (the paper's Figure 4 reduction, now a runtime
-	// quantity) and pass/op tallies: one sweep per segment or marker.
+	// quantity) and pass/op tallies: one sweep per segment or marker, and
+	// the amplitudes the ops' kernels swept (each op counts the rest
+	// indices the state's support left it, times 2^arity, per tile).
 	mFusionCompile     = telemetry.GetTimer("fusion.compile")
 	mFusionRun         = telemetry.GetTimer("fusion.run")
 	mFusionGatesBefore = telemetry.GetCounter("fusion.gates_before")
 	mFusionGatesAfter  = telemetry.GetCounter("fusion.gates_after")
 	mFusionSweeps      = telemetry.GetCounter("fusion.sweeps")
 	mFusionOps         = telemetry.GetCounter("fusion.ops")
+	mFusionAmpsSwept   = telemetry.GetCounter("fusion.amps_swept")
 )

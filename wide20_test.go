@@ -6,20 +6,58 @@ import (
 
 	"repro/internal/pauli"
 	"repro/internal/state"
+	"repro/internal/telemetry"
 )
 
 // TestHEAProgramSweeps holds the wide20 circuit (20 qubits, one
-// hardware-efficient layer, seeded θ) to its fused shape: 37 ops after
-// transpilation, executed in at most 4 passes over the state instead of
-// one pass per op.
+// hardware-efficient layer, seeded θ) to its fused shape: 19 ops after
+// transpilation — one 2-qubit block per CX of the ladder, both rotation
+// layers folded in — executed in at most 2 passes over the state.
 func TestHEAProgramSweeps(t *testing.T) {
 	c, _ := wide20Workload(t)
 	p := state.CompileFused(c)
-	if got := p.GatesAfter(); got != 37 {
-		t.Errorf("GatesAfter = %d, want 37", got)
+	if got := p.GatesAfter(); got != 19 {
+		t.Errorf("GatesAfter = %d, want 19", got)
 	}
-	if got := p.NumSweeps(); got > 4 {
-		t.Errorf("%d sweeps over the state, want at most 4", got)
+	if got := p.NumSweeps(); got > 2 {
+		t.Errorf("%d sweeps over the state, want at most 2", got)
+	}
+}
+
+// wide20AmpsSwept is what the wide20 program's kernels sweep from
+// |0…0⟩: block (q, q+1) of the ladder runs on the support q+2 qubits
+// after the ones before it, so it sweeps 4·2^q amplitudes in the first
+// segment (q < 10, one tile) and 4·2^(q−9) in each of the second's 2^9
+// gathered tiles — 4 092 + 512 · 4 088, against 19 · 2^20 for full
+// sweeps.
+const wide20AmpsSwept = 4092 + 512*4088
+
+// TestWide20AmpsSwept counts the amplitudes the fused kernels sweep in
+// one wide20 run from |0…0⟩ (fusion.amps_swept), and again from a state
+// some other writer has touched, where every op sweeps the whole state.
+func TestWide20AmpsSwept(t *testing.T) {
+	c, _ := wide20Workload(t)
+	p := state.CompileFused(c)
+	s := state.New(c.NumQubits, state.Options{Workers: 2})
+	telemetry.Enable()
+	t.Cleanup(func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	})
+	for _, tc := range []struct {
+		name  string
+		prep  func()
+		swept int64
+	}{
+		{"from |0…0⟩", s.ResetZero, wide20AmpsSwept},
+		{"after CopyFrom", func() { s.CopyFrom(s) }, 19 << 20},
+	} {
+		tc.prep()
+		telemetry.Reset()
+		s.RunFused(p)
+		if got := telemetry.Capture().Counters["fusion.amps_swept"]; got != tc.swept {
+			t.Errorf("%s: fusion.amps_swept = %d, want %d", tc.name, got, tc.swept)
+		}
 	}
 }
 
