@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test examples loc bench-test bench-run vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test examples loc bench-test bench-run vet vqelint lint-baseline lint vuln race fuzz-smoke bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
 
 all: check
 
@@ -121,6 +121,15 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/load/...
 
+# fuzz-smoke runs each fuzz target for a fixed FUZZTIME on two workers,
+# starting from its committed corpus (testdata/fuzz/<target>/, which a
+# plain `go test` replays). A failing input is written there; commit it
+# with the fix. FuzzPlanEvaluate holds Plan.Evaluate to its references
+# on random observables and states up to 16 qubits.
+FUZZTIME = 30s
+fuzz-smoke:
+	$(GO) test ./internal/pauli -run '^$$' -fuzz '^FuzzPlanEvaluate$$' -fuzztime $(FUZZTIME) -parallel 2
+
 # chaos covers both resilience layers: the in-process fault/crash-resume
 # test suite (chaos-tests) and the kill-the-daemon recovery drill
 # (vqed-chaos). CI runs them as separate jobs; locally `make chaos` is
@@ -211,7 +220,7 @@ figures:
 check: build vet test race bench figures
 
 # ci mirrors the GitHub Actions workflow jobs (test, examples, bench-test,
-# bench-run, lint, vqelint, vuln, coverage, bench-smoke, chaos-smoke,
-# chaos-recovery, vqed-smoke, load-smoke, sweep-smoke) so `make ci` locally
-# means green CI.
-ci: build lint vuln test examples bench-test bench-run race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke
+# bench-run, lint, vqelint, vuln, fuzz-smoke, coverage, bench-smoke,
+# chaos-smoke, chaos-recovery, vqed-smoke, load-smoke, sweep-smoke) so
+# `make ci` locally means green CI.
+ci: build lint vuln test examples bench-test bench-run race fuzz-smoke cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke

@@ -24,6 +24,21 @@ func TestHEAProgramSweeps(t *testing.T) {
 	}
 }
 
+// TestWide20PlanWindows holds the wide20 observable's plan to its shape
+// at n = 20: 19 X-mask groups — the diagonal one and 18 hopping groups
+// with X on q and q+2 — read through 20 windows (2 for the diagonal
+// group, 1 per hopping group) with no term left over, so an evaluation
+// adds each amplitude pair's weight once per window: 2·2^20 + 18·2^19.
+func TestWide20PlanWindows(t *testing.T) {
+	_, plan := wide20Workload(t)
+	if got := plan.NumGroups(); got != 19 {
+		t.Errorf("NumGroups = %d, want 19", got)
+	}
+	if wins, left := plan.NumWindows(20); wins != 20 || left != 0 {
+		t.Errorf("NumWindows(20) = %d windows, %d leftover terms; want 20 and 0", wins, left)
+	}
+}
+
 // wide20AmpsSwept is what the wide20 program's kernels sweep from
 // |0…0⟩: block (q, q+1) of the ladder runs on the support q+2 qubits
 // after the ones before it, so it sweeps 4·2^q amplitudes in the first
