@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -300,12 +301,28 @@ func TestQueueFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var env errorEnvelope
+		decodeErr := json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusAccepted:
 			okCount++
 		case http.StatusServiceUnavailable:
 			fullCount++
+			// Every rejection carries the wait quote, in the header and
+			// in the envelope.
+			if decodeErr != nil {
+				t.Fatalf("503 body: %v", decodeErr)
+			}
+			if env.Error.Code != codeQueueFull {
+				t.Errorf("503 code = %q, want %q", env.Error.Code, codeQueueFull)
+			}
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+				t.Errorf("503 Retry-After = %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
+			}
+			if env.Error.RetryAfterMs <= 0 {
+				t.Errorf("503 retry_after_ms = %d, want > 0", env.Error.RetryAfterMs)
+			}
 		default:
 			t.Fatalf("unexpected status %d", resp.StatusCode)
 		}
