@@ -9,10 +9,8 @@
 // address is printed on the "serving on" log line so scripts (and
 // vqeload) can discover it without racing other processes for a port.
 //
-// With `-costmodel <profile.json>` the daemon quotes Retry-After on
-// queue-full 503s from a calibrated per-spec runtime model (see
-// internal/load/costmodel); without it the quote falls back to an EWMA of
-// observed run times.
+// A queue-full 503 quotes Retry-After as the backlog divided across the
+// fleet, priced by an EWMA of observed run times.
 //
 // The daemon is crash-safe: every accepted job is recorded in a
 // write-ahead journal (journal.wal in the spool) before the client sees
@@ -43,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/load/costmodel"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -59,7 +56,6 @@ func main() {
 	metrics := flag.Bool("metrics", true, "record scheduler telemetry for /v1/metrics")
 	retries := flag.Int("retries", 2, "retry budget for panicked/stalled jobs before they fail")
 	stall := flag.Duration("stall-timeout", 2*time.Minute, "no-progress deadline before the watchdog kills a running job (0 disables)")
-	costModel := flag.String("costmodel", "", "cost-model profile for Retry-After quoting (from `vqeload probe`)")
 	sweepPoints := flag.Int("sweep-points", 256, "maximum points one sweep family may expand to")
 	flag.Parse()
 
@@ -85,15 +81,6 @@ func main() {
 		}
 		cfg.FaultHook = hook
 		log.Printf("vqed: fault injection armed (VQED_FAULTS=%s)", spec)
-	}
-	if *costModel != "" {
-		model, err := costmodel.Load(*costModel)
-		if err != nil {
-			log.Fatalf("vqed: %v", err)
-		}
-		cfg.Estimator = model.Estimator()
-		log.Printf("vqed: wait quotes from cost model %s (rmsle %.3f, %d samples)",
-			*costModel, model.RMSLE, model.Samples)
 	}
 
 	srv, err := server.New(cfg)

@@ -1,25 +1,20 @@
-// Command vqeload is the serving-scale load harness and capacity planner
-// for vqed. It drives a live daemon with open-loop (poisson, mmpp,
-// diurnal) or closed-loop (fixed concurrency) traffic over weighted
-// RunSpec mixes, records per-job latency/queue/SLO outcomes plus periodic
-// /v1/metrics snapshots, and writes a machine-readable load_report.json.
+// Command vqeload is the serving-scale load harness for vqed. It drives
+// a live daemon with open-loop (poisson, mmpp, diurnal) or closed-loop
+// (fixed concurrency) traffic over weighted RunSpec mixes, records
+// per-job latency/queue/SLO outcomes plus periodic /v1/metrics
+// snapshots, and writes a machine-readable load_report.json.
 //
 //	vqeload run   -self -mode closed -concurrency 4 -duration 30s -mix smoke -report load_report.json
 //	vqeload run   -addr http://127.0.0.1:8931 -mode open -arrival poisson -rate 20 -duration 60s -mix serving
 //	vqeload chaos -addr http://127.0.0.1:8931 -duration 30s -expect-restarts 3 -out chaos_report.json
-//	vqeload probe -out costmodel.json
-//	vqeload plan  -model costmodel.json -rate 50 -p99 500ms -mix serving -validate
 //	vqeload report -in load_report.json -md
 //
 // `run` exits non-zero when -fail-p99 / -min-slo gates trip, which is how
-// CI turns a latency regression into a red build. `plan` answers "how
-// many workers for this rate and p99 target" from the calibrated cost
-// model via an M/G/c approximation; -validate replays the mix against a
-// real in-process fleet at the planned size and reports prediction error.
-// `chaos` drives closed-loop load while something else (scripts/
-// vqed_chaos.sh) SIGKILLs and restarts the daemon, then gates on zero
-// lost jobs, zero duplicates, and bit-equal energies versus local
-// control runs of the same specs.
+// CI turns a latency regression into a red build. `chaos` drives
+// closed-loop load while something else (scripts/vqed_chaos.sh) SIGKILLs
+// and restarts the daemon, then gates on zero lost jobs, zero
+// duplicates, and bit-equal energies versus local control runs of the
+// same specs.
 package main
 
 import (
@@ -32,10 +27,8 @@ import (
 	"time"
 
 	"repro/internal/load"
-	"repro/internal/load/costmodel"
 	"repro/internal/runspec"
 	"repro/internal/server"
-	"repro/internal/state"
 	"repro/internal/telemetry"
 )
 
@@ -55,10 +48,6 @@ func main() {
 		err = cmdChaos(ctx, os.Args[2:])
 	case "sweep":
 		err = cmdSweep(ctx, os.Args[2:])
-	case "probe":
-		err = cmdProbe(ctx, os.Args[2:])
-	case "plan":
-		err = cmdPlan(ctx, os.Args[2:])
 	case "report":
 		err = cmdReport(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -81,8 +70,6 @@ func usage() {
   run     generate load against a vqed and write a latency/SLO report
   chaos   drive load through daemon kills and gate on zero job loss
   sweep   submit or observe a sweep family and gate on its invariants
-  probe   calibrate the per-spec cost model from short measurement runs
-  plan    answer worker-count questions from the cost model (M/G/c)
   report  render an existing load_report.json as a table or markdown
 
 run 'vqeload <subcommand> -h' for flags.
@@ -222,173 +209,6 @@ func cmdChaos(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "vqeload: chaos report written to %s\n", *out)
 	}
 	return rep.Gate(*expectRestarts)
-}
-
-func cmdProbe(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("vqeload probe", flag.ExitOnError)
-	out := fs.String("out", "costmodel.json", "where to save the fitted model")
-	reps := fs.Int("reps", 3, "measurement repetitions per class (median kept)")
-	force := fs.Bool("force", false, "re-probe even if a valid profile exists")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if !*force {
-		if model, err := costmodel.Load(*out); err == nil {
-			fmt.Printf("existing profile %s is valid (rmsle %.3f, %d samples); use -force to re-probe\n",
-				*out, model.RMSLE, model.Samples)
-			return nil
-		}
-	}
-	entries, err := costmodel.DefaultProbeEntries()
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	samples, err := costmodel.Probe(ctx, entries, costmodel.ProbeOptions{Repetitions: *reps})
-	if err != nil {
-		return err
-	}
-	model, err := costmodel.Fit(samples)
-	if err != nil {
-		return err
-	}
-	if err := model.Save(*out); err != nil {
-		return err
-	}
-	fmt.Printf("probed %d classes in %s, fit rmsle %.3f, saved to %s\n",
-		len(samples), time.Since(start).Round(time.Millisecond), model.RMSLE, *out)
-	for _, s := range samples {
-		pred := model.PredictNs(s.Features)
-		fmt.Printf("  %-16s q=%-3d terms=%-5d iters=%-5d measured=%-10s predicted=%s\n",
-			s.Class, s.Features.Qubits, s.Features.Terms, s.Features.Iters,
-			time.Duration(s.RunNs).Round(time.Microsecond),
-			time.Duration(pred).Round(time.Microsecond))
-	}
-	return nil
-}
-
-func cmdPlan(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("vqeload plan", flag.ExitOnError)
-	modelPath := fs.String("model", "costmodel.json", "cost-model profile (from `vqeload probe`; probed on demand if absent)")
-	rate := fs.Float64("rate", 10, "offered arrival rate (jobs/s)")
-	p99 := fs.Duration("p99", 500*time.Millisecond, "end-to-end p99 objective")
-	mixName := fs.String("mix", runspec.MixServing, "spec mix the plan is for")
-	maxWorkers := fs.Int("max-workers", 256, "worker-count search ceiling")
-	validate := fs.Bool("validate", false, "replay the mix against an in-process fleet at the planned size")
-	validateFor := fs.Duration("validate-duration", 20*time.Second, "replay window for -validate")
-	reportPath := fs.String("report", "", "write the validation load report here")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	model, probed, err := costmodel.LoadOrProbe(ctx, *modelPath, costmodel.ProbeOptions{})
-	if err != nil {
-		return err
-	}
-	if probed {
-		fmt.Fprintf(os.Stderr, "vqeload: no valid profile at %s — probed and saved one (rmsle %.3f)\n", *modelPath, model.RMSLE)
-	}
-	mix, err := runspec.MixByName(*mixName)
-	if err != nil {
-		return err
-	}
-	svc, err := costmodel.MixService(model, mix)
-	if err != nil {
-		return err
-	}
-	res, err := costmodel.Plan(costmodel.PlanInput{
-		RatePerSec: *rate,
-		TargetP99:  *p99,
-		MaxWorkers: *maxWorkers,
-	}, svc)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("mix %q service: mean %s, scv %.2f, p99 %s\n", *mixName,
-		time.Duration(svc.MeanNs).Round(time.Microsecond), svc.SCV,
-		time.Duration(svc.P99Ns).Round(time.Microsecond))
-	if !res.Feasible {
-		fmt.Printf("INFEASIBLE: no worker count ≤ %d meets p99 ≤ %s at %.3g jobs/s", *maxWorkers, *p99, *rate)
-		//vqelint:ignore workerssemantics PlanResult.Workers is the planner's answer, not a pool-width sentinel
-		if res.Workers > 0 {
-			fmt.Printf(" (best: %d workers → predicted p99 %.1fms)", res.Workers, res.PredictedP99Ms)
-		}
-		fmt.Println()
-		return fmt.Errorf("plan infeasible")
-	}
-	fmt.Printf("plan: %d workers for %.3g jobs/s at p99 ≤ %s\n", res.Workers, *rate, *p99)
-	fmt.Printf("  utilization %.0f%%, P(wait) %.3f, mean wait %.2fms, p99 wait %.2fms, predicted e2e p99 %.1fms\n",
-		res.Utilization*100, res.PWait, res.MeanWaitMs, res.P99WaitMs, res.PredictedP99Ms)
-
-	if !*validate {
-		return nil
-	}
-
-	telemetry.Enable()
-	if cores := state.ResolveWorkers(0); res.Workers > cores {
-		fmt.Printf("note: %d workers exceed the %d-core process budget — a single-machine replay\n"+
-			"      timeshares the CPU, so measured service times will run above the solo-probe model\n",
-			res.Workers, cores)
-	}
-	// The planner models every job paying full service time, so the
-	// validation fleet runs cache-disabled — otherwise repeated specs
-	// answer from the result cache and the comparison means nothing. The
-	// queue is deep so shedding doesn't mask queueing delay.
-	queueDepth := 4 * res.Workers
-	if queueDepth < 256 {
-		queueDepth = 256
-	}
-	base, stop, err := load.StartLocal(server.Config{
-		MaxConcurrent: res.Workers,
-		QueueDepth:    queueDepth,
-		DisableCache:  true,
-	})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = stop() }()
-	arr, err := load.NewPoisson(*rate)
-	if err != nil {
-		return err
-	}
-	runner, err := load.NewRunner(load.Config{
-		BaseURL:      base,
-		Mode:         "open",
-		Arrival:      arr,
-		Duration:     *validateFor,
-		Mix:          mix,
-		SLOTarget:    *p99,
-		MetricsEvery: 5 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("validating: replaying %q at %.3g jobs/s for %s against %d in-process workers...\n",
-		*mixName, *rate, *validateFor, res.Workers)
-	rep, err := runner.Run(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Table())
-	if *reportPath != "" {
-		if err := rep.WriteFile(*reportPath); err != nil {
-			return err
-		}
-	}
-	if rep.Completed == 0 {
-		return fmt.Errorf("validation run completed zero jobs")
-	}
-	measured := rep.E2E.P99Ms
-	errPct := 100 * (res.PredictedP99Ms - measured) / measured
-	fmt.Printf("validation: measured e2e p99 %.1fms vs predicted %.1fms (%+.0f%% prediction error)\n",
-		measured, res.PredictedP99Ms, errPct)
-	if measured > float64(*p99)/1e6 {
-		fmt.Printf("validation: measured p99 misses the %s objective — the analytic plan was optimistic here\n", *p99)
-	} else {
-		fmt.Printf("validation: objective met at the planned size\n")
-	}
-	return nil
 }
 
 func cmdReport(args []string) error {

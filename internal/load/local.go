@@ -13,10 +13,9 @@ import (
 
 // StartLocal boots an in-process vqed daemon on an ephemeral loopback
 // port and returns its base URL plus a stop function. This is what lets
-// `vqeload run -self` and `vqeload plan -validate` characterize a
-// candidate configuration without an external daemon: the planner can
-// stand up "a fleet of c workers", replay the mix against it, and tear it
-// down, all inside one process.
+// `vqeload run -self` characterize a candidate configuration without an
+// external daemon: it stands up "a fleet of c workers", replays the mix
+// against it, and tears it down, all inside one process.
 func StartLocal(cfg server.Config) (string, func() error, error) {
 	return StartLocalAt("127.0.0.1:0", cfg)
 }

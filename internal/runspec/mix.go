@@ -2,11 +2,9 @@ package runspec
 
 // Spec-mix sampling: the workload side of a RunSpec. A Mix is a weighted
 // set of validated spec templates that a load generator (internal/load)
-// draws from and a capacity planner (internal/load/costmodel) enumerates.
-// Mixes live here rather than in the load harness because they are pure
-// spec data — the same presets parameterize probe runs, load runs, and
-// analytic planning, and keeping them beside the spec schema means a
-// schema change breaks the presets at compile time, not at replay time.
+// draws from. Mixes live here rather than in the load harness because
+// they are pure spec data, and keeping them beside the spec schema means
+// a schema change breaks the presets at compile time, not at replay time.
 
 import (
 	"fmt"
@@ -66,8 +64,8 @@ func NewMix(name string, entries []MixEntry) (*Mix, error) {
 // Name returns the mix label.
 func (m *Mix) Name() string { return m.name }
 
-// Entries returns the normalized entries — the planner enumerates these
-// with their weights instead of sampling.
+// Entries returns the normalized entries — the chaos drill enumerates
+// these to recompute every spec a run can draw.
 func (m *Mix) Entries() []MixEntry { return m.entries }
 
 // Sample draws one entry according to the weights using the caller's

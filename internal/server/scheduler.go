@@ -11,10 +11,10 @@ package server
 //
 // Fault isolation happens per point: a panicking evaluation is recovered
 // in its worker, a wedged one is cancelled by the no-progress watchdog,
-// and both are re-run on a bounded retry budget with RetryPolicy backoff
-// before the point settles terminally; a family continues past a failed
-// point. Every transition is journaled first, so the lifecycle survives a
-// daemon crash at any point.
+// and both are re-run on a bounded retry budget with the default
+// resilience.RetryPolicy backoff before the point settles terminally; a
+// family continues past a failed point. Every transition is journaled
+// first, so the lifecycle survives a daemon crash at any point.
 
 import (
 	"context"
@@ -48,9 +48,9 @@ var (
 	mJobsRunning       = telemetry.GetGauge("server.jobs.running")
 	mJobRun            = telemetry.GetTimer("server.job.run")
 
-	// Latency rings feed the load harness and capacity planner: recent
-	// per-family queue wait, execution time, and end-to-end latency in
-	// milliseconds, exported with percentiles through /v1/metrics.
+	// Latency rings feed the load harness: recent per-family queue wait,
+	// execution time, and end-to-end latency in milliseconds, exported
+	// with percentiles through /v1/metrics.
 	mQueueWaitMs = telemetry.GetRing("server.job.queue_wait_ms", 512)
 	mRunMs       = telemetry.GetRing("server.job.run_ms", 512)
 	mE2EMs       = telemetry.GetRing("server.job.e2e_ms", 512)
@@ -203,8 +203,7 @@ func (s *Server) cancelFamily(f *family) {
 }
 
 // observeRunTime folds one measured execution time into the EWMA
-// (α = 1/8) the admission controller falls back to for wait quoting when
-// no cost model is installed.
+// (α = 1/8) the admission controller prices its wait quote by.
 func (s *Server) observeRunTime(d time.Duration) {
 	for {
 		old := s.avgRunNs.Load()
@@ -220,21 +219,13 @@ func (s *Server) observeRunTime(d time.Duration) {
 
 // EstimateWait quotes how long a newly arriving submission would wait
 // before a worker picks it up: the queue backlog divided across the
-// fleet, priced per queue item by the installed cost model
-// (Config.Estimator) when present, else by the measured EWMA of recent
-// executions, else a nominal second. The admission controller sends this
-// as Retry-After on 503 rejections so clients back off proportionally to
-// actual load instead of thundering back on a fixed timer.
-func (s *Server) EstimateWait(spec *runspec.RunSpec) time.Duration {
-	var svc time.Duration
-	if s.cfg.Estimator != nil && spec != nil {
-		if d, ok := s.cfg.Estimator(spec); ok && d > 0 {
-			svc = d
-		}
-	}
-	if svc <= 0 {
-		svc = time.Duration(s.avgRunNs.Load())
-	}
+// fleet, priced per queue item by the measured EWMA of recent
+// executions, or a nominal second before anything has run. The admission
+// controller sends this as Retry-After on 503 rejections so clients back
+// off proportionally to actual load instead of thundering back on a
+// fixed timer.
+func (s *Server) EstimateWait() time.Duration {
+	svc := time.Duration(s.avgRunNs.Load())
 	if svc <= 0 {
 		svc = time.Second
 	}
@@ -613,7 +604,7 @@ func (s *Server) retry(f *family, p *point, res *runspec.Result, checkpoint, rea
 		f.publish(Event{Type: string(StatusQueued)})
 	}
 
-	t := time.NewTimer(s.cfg.RetryPolicy.Delay(attempt + 1))
+	t := time.NewTimer(resilience.RetryPolicy{}.Delay(attempt + 1))
 	defer t.Stop()
 	select {
 	case <-t.C:

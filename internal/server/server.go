@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/kernel/tuning"
-	"repro/internal/resilience"
 	"repro/internal/runspec"
 	"repro/internal/server/journal"
 	"repro/internal/state"
@@ -83,19 +82,13 @@ type Config struct {
 	// CacheCapacity bounds the result cache entries (default 256).
 	CacheCapacity int
 	// DisableCache turns the result cache off entirely, so repeated
-	// specs pay full service time — load validation uses this to measure
-	// cold-path latency the capacity planner can be scored against.
+	// specs pay full service time — load runs use this to measure
+	// cold-path latency.
 	DisableCache bool
-	// DisableJournal turns the write-ahead job journal off (tests that
-	// want a throwaway daemon without recovery semantics).
-	DisableJournal bool
 	// RetryBudget is how many times a retryably-failed job (worker panic,
 	// watchdog stall, transient engine fault) is re-queued before it
 	// settles terminally (default 2; negative = 0).
 	RetryBudget int
-	// RetryPolicy paces the backoff between retry attempts (zero value =
-	// resilience defaults: 100µs base, 10ms cap, 2x growth).
-	RetryPolicy resilience.RetryPolicy
 	// StallTimeout is the no-progress deadline: a running job that emits
 	// no engine heartbeat for this long is cancelled by the watchdog and
 	// retried (0 disables the watchdog).
@@ -107,10 +100,6 @@ type Config struct {
 	// Logf receives operational log lines (recovery, degradation,
 	// retries); nil discards them. The vqed CLI wires log.Printf.
 	Logf func(format string, args ...any)
-	// Estimator predicts a spec's runtime for admission-control wait
-	// quoting (nil falls back to a measured EWMA of recent jobs). The
-	// vqed CLI wires internal/load/costmodel here.
-	Estimator func(*runspec.RunSpec) (time.Duration, bool)
 	// MaxSweepPoints caps how many points one sweep family may expand to
 	// (default 256; the schema-level ceiling is runspec.MaxSweepPoints).
 	MaxSweepPoints int
@@ -135,8 +124,8 @@ type Server struct {
 	// the draining gate; Shutdown waits on it before closing the journal.
 	wg      sync.WaitGroup
 	running atomic.Int64
-	// avgRunNs is the EWMA of recent queue-item execution times backing
-	// EstimateWait when no cost model is configured.
+	// avgRunNs is the EWMA of recent queue-item execution times that
+	// EstimateWait prices the backlog by.
 	avgRunNs atomic.Int64
 	// spoolOK is false once the checkpoint spool proved unwritable;
 	// subsequent jobs run without checkpointing (degraded durability).
@@ -152,8 +141,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	// jn is the write-ahead journal; nil when journaling is disabled or
-	// has been shed after a disk error.
+	// jn is the write-ahead journal; nil when the spool or the journal
+	// was unusable at start or it has been shed after a disk error.
 	jn *journal.Journal
 	// degradedReason is non-empty once any durability surface has been
 	// shed; /healthz reports it.
@@ -229,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 		// not a dead daemon.
 		s.spoolOK.Store(false)
 		s.degrade(fmt.Sprintf("spool dir unusable: %v", err))
-	} else if !cfg.DisableJournal {
+	} else {
 		jn, replayed, err := journal.Open(filepath.Join(cfg.SpoolDir, journalFile))
 		if err != nil {
 			s.degrade(fmt.Sprintf("journal unusable: %v", err))
@@ -425,32 +414,29 @@ func (s *Server) register(f *family) {
 const maxSpecBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.serveAdmission(w, r, func(body []byte) (*family, *runspec.RunSpec, error) {
+	s.serveAdmission(w, r, func(body []byte) (*family, error) {
 		spec, err := runspec.Parse(body)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		f, err := s.Submit(spec)
-		return f, spec, err
+		return s.Submit(spec)
 	})
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	s.serveAdmission(w, r, func(body []byte) (*family, *runspec.RunSpec, error) {
+	s.serveAdmission(w, r, func(body []byte) (*family, error) {
 		ss, err := runspec.ParseSweep(body)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		f, err := s.SubmitSweep(ss)
-		return f, &ss.Base, err
+		return s.SubmitSweep(ss)
 	})
 }
 
 // serveAdmission is the POST handler behind both views: submit parses the
-// bounded body and admits it, also returning the spec a queue-full
-// rejection prices its Retry-After by.
+// bounded body and admits it.
 func (s *Server) serveAdmission(w http.ResponseWriter, r *http.Request,
-	submit func(body []byte) (*family, *runspec.RunSpec, error)) {
+	submit func(body []byte) (*family, error)) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -460,12 +446,12 @@ func (s *Server) serveAdmission(w http.ResponseWriter, r *http.Request,
 		writeError(w, http.StatusRequestEntityTooLarge, errors.New("spec document too large"))
 		return
 	}
-	f, spec, err := submit(body)
+	f, err := submit(body)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Quote a wait proportional to actual load: backlog ÷ fleet,
-		// priced by the cost model (or the measured run-time EWMA).
-		writeAPIError(w, http.StatusServiceUnavailable, codeQueueFull, err.Error(), s.EstimateWait(spec))
+		// priced by the measured run-time EWMA.
+		writeAPIError(w, http.StatusServiceUnavailable, codeQueueFull, err.Error(), s.EstimateWait())
 		return
 	case errors.Is(err, ErrShuttingDown):
 		writeAPIError(w, http.StatusServiceUnavailable, codeShuttingDown, err.Error(), 0)

@@ -107,7 +107,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	// A family is a queue item like any other: a daemon that has served
 	// nothing else still quotes Retry-After from its measured run time,
 	// not the nominal second.
-	if wait := srv.EstimateWait(nil); wait == time.Second || wait <= 0 {
+	if wait := srv.EstimateWait(); wait == time.Second || wait <= 0 {
 		t.Errorf("wait estimate after a sweep = %s, want the family's measured run time", wait)
 	}
 }
