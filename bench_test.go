@@ -172,7 +172,8 @@ const adapt12Spec = `{"molecule":{"kind":"water"},"algorithm":"adapt","backend":
 
 // BenchmarkAdaptWaterSolve times the adapt12 solve end to end, as the
 // benchmark harness runs it: molecule, observable, FCI reference and the
-// twelve Adapt iterations through Run.
+// twelve Adapt iterations through Run (runspec.Run), allocations
+// reported. Pair it with scripts/benchpair.sh for before/after ratios.
 func BenchmarkAdaptWaterSolve(b *testing.B) {
 	spec, err := runspec.Parse([]byte(adapt12Spec))
 	if err != nil {
@@ -376,7 +377,10 @@ func wide20Workload(tb testing.TB) (*circuit.Circuit, *pauli.Plan) {
 // evaluation on two workers, the way the driver runs it with fusion on:
 // exec is RunOptimized (compile and fused execution) from |0…0⟩,
 // evaluate is Plan.Evaluate on the prepared state, both is one after
-// the other. Pair it with scripts/benchpair.sh for before/after ratios.
+// the other. evaluate-workers=1 is evaluate on one worker: its ratio to
+// evaluate says whether the sweep is bound by compute (≈ 2× on two
+// cores) or by memory bandwidth (≈ 1×). Pair it with scripts/benchpair.sh
+// for before/after ratios.
 func BenchmarkWide20Evaluation(b *testing.B) {
 	c, plan := wide20Workload(b)
 	s := state.New(c.NumQubits, state.Options{Workers: 2})
@@ -393,6 +397,13 @@ func BenchmarkWide20Evaluation(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			plan.Evaluate(s, opts)
+		}
+	})
+	b.Run("evaluate-workers=1", func(b *testing.B) {
+		serial := pauli.ExpectationOptions{Workers: 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			plan.Evaluate(s, serial)
 		}
 	})
 	b.Run("both", func(b *testing.B) {

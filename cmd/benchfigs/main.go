@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -211,8 +212,7 @@ func fig5(fast bool) {
 	fmt.Println("#\n# The same solve on the 16-qubit model (chem.WaterLikeScaled(8)), in the reachable subspace")
 	fmt.Println("qubits\tamplitudes_2^n\tsubspace_dim\tH_nonzeros\tsolve_s\titerations\tevaluations\tfinal_delta_E_mHa\tconverged")
 	m16 := chem.WaterLikeScaled(8)
-	res16, fci16, seconds, op16, pool16 := adaptSolve(m16, 16, 100)
-	h16 := pauli.NewPlan(op16)
+	res16, fci16, seconds, h16, pool16 := adaptSolve(m16, 16, 100)
 	plans := []*pauli.Plan{h16}
 	for _, ex := range pool16.Ops {
 		plans = append(plans, ex.Plan())
@@ -228,10 +228,11 @@ func fig5(fast bool) {
 
 // adaptSolve runs Adapt-VQE with the singles+doubles pool on molecule m to
 // chemical accuracy against its own FCI energy and returns the result, that
-// energy, the seconds the solve took, and the observable and pool it ran on.
-func adaptSolve(m *chem.MolecularData, n, maxIter int) (*vqe.AdaptResult, float64, float64, *pauli.Op, *ansatz.Pool) {
-	h := chem.QubitHamiltonian(m)
-	fci, err := chem.FCI(m)
+// energy, the seconds the solve took, and the observable's plan and the
+// pool it ran on. The FCI energy is read off the same plan.
+func adaptSolve(m *chem.MolecularData, n, maxIter int) (*vqe.AdaptResult, float64, float64, *pauli.Plan, *ansatz.Pool) {
+	h := pauli.NewPlan(chem.QubitHamiltonian(m))
+	fci, err := chem.FCIofPlan(h, n, m.NumElectrons)
 	if err != nil {
 		fail(err)
 	}
@@ -240,11 +241,11 @@ func adaptSolve(m *chem.MolecularData, n, maxIter int) (*vqe.AdaptResult, float6
 		fail(err)
 	}
 	start := time.Now()
-	res, err := vqe.Adapt(h, pool, n, m.NumElectrons, vqe.AdaptOptions{
+	res, err := vqe.AdaptContext(context.Background(), h, pool, n, m.NumElectrons, vqe.AdaptOptions{
 		MaxIterations: maxIter,
 		Reference:     fci.Energy,
 		EnergyTol:     core.ChemicalAccuracy,
-	})
+	}, vqe.ResilienceOptions{})
 	if err != nil {
 		fail(err)
 	}

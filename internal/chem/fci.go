@@ -41,20 +41,14 @@ func enumerateDeterminants(nModes, ne int) []uint64 {
 
 // SectorMatrix builds the Hamiltonian matrix of a fermionic operator
 // restricted to the ne-electron sector of nModes spin orbitals: h's
-// Jordan–Wigner plan restricted to the C(nModes, ne) determinants, whose
-// occupation bitmasks are their basis indices under JW. An operator that
-// maps a sector determinant outside the sector (one that does not conserve
-// particle number) is rejected with core.ErrInvalidArgument.
+// Jordan–Wigner plan restricted to the C(nModes, ne) determinants (see
+// FCIofPlan).
 func SectorMatrix(h *fermion.Op, nModes, ne int) (*linalg.Sparse, []uint64, error) {
-	if h.MaxMode() >= nModes {
-		return nil, nil, fmt.Errorf("%w: operator touches mode %d of %d", core.ErrInvalidArgument, h.MaxMode(), nModes)
-	}
-	dets := enumerateDeterminants(nModes, ne)
-	sub, err := pauli.NewPlan(h.JordanWigner()).Restrict(pauli.SubspaceOf(dets))
+	plan, err := jwPlan(h, nModes)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sub.Sparse(), dets, nil
+	return sectorMatrix(plan, nModes, ne)
 }
 
 // FCI computes the exact ground state of the molecule's electronic
@@ -62,9 +56,27 @@ func SectorMatrix(h *fermion.Op, nModes, ne int) (*linalg.Sparse, []uint64, erro
 // determinant basis. This is the reference energy for every accuracy
 // claim in the reproduction (paper Figure 5's ΔE axis).
 func FCI(m *MolecularData) (*FCIResult, error) {
-	h := FermionicHamiltonian(m)
-	nModes := m.NumSpinOrbitals()
-	sp, dets, err := SectorMatrix(h, nModes, m.NumElectrons)
+	return FCIofPlan(pauli.NewPlan(QubitHamiltonian(m)), m.NumSpinOrbitals(), m.NumElectrons)
+}
+
+// FCIofOp is FCI for an arbitrary fermionic operator and sector.
+func FCIofOp(h *fermion.Op, nModes, ne int) (*FCIResult, error) {
+	plan, err := jwPlan(h, nModes)
+	if err != nil {
+		return nil, err
+	}
+	return FCIofPlan(plan, nModes, ne)
+}
+
+// FCIofPlan is the one sector routine every FCI runs: the ground state of
+// a Jordan–Wigner qubit operator's plan restricted to the ne-electron
+// sector of nModes spin orbitals, whose C(nModes, ne) determinants are
+// basis indices under JW. A caller that already compiled the observable
+// (runspec, per job) passes that plan, so H is built once. An operator
+// that maps a sector determinant outside the sector (one that does not
+// conserve particle number) is rejected with core.ErrInvalidArgument.
+func FCIofPlan(plan *pauli.Plan, nModes, ne int) (*FCIResult, error) {
+	sp, dets, err := sectorMatrix(plan, nModes, ne)
 	if err != nil {
 		return nil, err
 	}
@@ -75,17 +87,26 @@ func FCI(m *MolecularData) (*FCIResult, error) {
 	return &FCIResult{Energy: e, Determinants: dets, Ground: vec, NumModes: nModes}, nil
 }
 
-// FCIofOp is FCI for an arbitrary fermionic operator and sector.
-func FCIofOp(h *fermion.Op, nModes, ne int) (*FCIResult, error) {
-	sp, dets, err := SectorMatrix(h, nModes, ne)
-	if err != nil {
-		return nil, err
+// jwPlan compiles h's Jordan–Wigner image, rejecting a mode outside the
+// nModes the sector has.
+func jwPlan(h *fermion.Op, nModes int) (*pauli.Plan, error) {
+	if h.MaxMode() >= nModes {
+		return nil, fmt.Errorf("%w: operator touches mode %d of %d", core.ErrInvalidArgument, h.MaxMode(), nModes)
 	}
-	e, vec, err := lanczosOrDense(sp)
-	if err != nil {
-		return nil, err
+	return pauli.NewPlan(h.JordanWigner()), nil
+}
+
+// sectorMatrix restricts a JW plan to the C(nModes, ne) determinants.
+func sectorMatrix(plan *pauli.Plan, nModes, ne int) (*linalg.Sparse, []uint64, error) {
+	if q := plan.MaxQubit(); q >= nModes {
+		return nil, nil, fmt.Errorf("%w: operator touches qubit %d of %d", core.ErrInvalidArgument, q, nModes)
 	}
-	return &FCIResult{Energy: e, Determinants: dets, Ground: vec, NumModes: nModes}, nil
+	dets := enumerateDeterminants(nModes, ne)
+	sub, err := plan.Restrict(pauli.SubspaceOf(dets))
+	if err != nil {
+		return nil, nil, err
+	}
+	return sub.Sparse(), dets, nil
 }
 
 // lanczosOrDense picks the solver by size: Jacobi for tiny sectors (more

@@ -181,6 +181,9 @@ func (pl *Plan) NumGroups() int { return len(pl.groups) }
 // NumTerms reports how many Pauli strings the plan covers.
 func (pl *Plan) NumTerms() int { return pl.nTerms }
 
+// MaxQubit returns the highest qubit a term acts on, or -1.
+func (pl *Plan) MaxQubit() int { return pl.maxQubit }
+
 // windowQubits is the narrowest state whose terms read windows. A bin
 // of a TileBits-qubit window collects 2^(n−TileBits) weights of a serial
 // sweep, half that per chunk on two workers, and a term's fold reads

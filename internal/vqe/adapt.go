@@ -74,7 +74,7 @@ type AdaptResult struct {
 // energy gradient, append it to the ansatz, and re-optimize all
 // parameters. Ref: Grimsley et al. (paper refs [4, 16, 17]).
 func Adapt(h *pauli.Op, pool *ansatz.Pool, n, ne int, o AdaptOptions) (*AdaptResult, error) {
-	return AdaptContext(context.Background(), h, pool, n, ne, o, ResilienceOptions{})
+	return AdaptContext(context.Background(), pauli.NewPlan(h), pool, n, ne, o, ResilienceOptions{})
 }
 
 // AdaptContext is Adapt with deadline-aware cancellation and outer-loop
@@ -83,8 +83,13 @@ func Adapt(h *pauli.Op, pool *ansatz.Pool, n, ne int, o AdaptOptions) (*AdaptRes
 // discards only that iteration's partial work, and resuming replays the
 // recorded operator selections through ansatz.Grow before continuing.
 // Operator selection depends only on the restored parameters, so the
-// resumed run follows the identical growth trajectory.
-func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int, o AdaptOptions, ro ResilienceOptions) (*AdaptResult, error) {
+// resumed run follows the identical growth trajectory. plan is the
+// observable compiled by pauli.NewPlan; the caller may share it with other
+// readers, such as the FCI reference (chem.FCIofPlan).
+func AdaptContext(ctx context.Context, plan *pauli.Plan, pool *ansatz.Pool, n, ne int, o AdaptOptions, ro ResilienceOptions) (*AdaptResult, error) {
+	if plan.MaxQubit() >= n {
+		return nil, core.QubitError(plan.MaxQubit(), n)
+	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 30
 	}
@@ -125,10 +130,9 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 		})
 	}
 
-	// H is compiled once, for every scan and every inner driver, and so is
-	// the block H and the pool confine the state to: the scans run there,
-	// and every inner driver on a view of it, on one worker pool.
-	plan := pauli.NewPlan(h)
+	// One plan of H serves every scan and every inner driver, and one
+	// block H and the pool confine the state to: the scans run there, and
+	// every inner driver on a view of it, on one worker pool.
 	scan, err := compileSubspace(adapt.Reference(), plan, pool.Ops, o.Workers, o.Pool)
 	if err != nil {
 		return nil, err
@@ -173,7 +177,7 @@ func AdaptContext(ctx context.Context, h *pauli.Op, pool *ansatz.Pool, n, ne int
 			selected = append(selected, best)
 			params = append(params, 0)
 
-			drv, err := newDriver(h, plan, scan.with(selected), adapt, Options{Mode: Direct, Workers: o.Workers, Pool: scan.pool})
+			drv, err := newDriver(nil, plan, scan.with(selected), adapt, Options{Mode: Direct, Workers: o.Workers, Pool: scan.pool})
 			if err != nil {
 				return false, err
 			}

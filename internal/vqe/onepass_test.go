@@ -1,7 +1,6 @@
 package vqe
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -141,8 +140,7 @@ func TestAdaptCompilesHamiltonianOnce(t *testing.T) {
 		telemetry.Reset()
 	})
 	telemetry.Reset()
-	res, err := AdaptContext(context.Background(), h, pool, 6, 2,
-		AdaptOptions{MaxIterations: 3, Reference: math.NaN()}, ResilienceOptions{})
+	res, err := Adapt(h, pool, 6, 2, AdaptOptions{MaxIterations: 3, Reference: math.NaN()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ansatz"
 	"repro/internal/opt"
+	"repro/internal/pauli"
 	"repro/internal/resilience"
 )
 
@@ -215,7 +216,7 @@ func TestAdaptCheckpointResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "adapt.ckpt")
-	first, err := AdaptContext(context.Background(), h, pool, 4, 2,
+	first, err := AdaptContext(context.Background(), pauli.NewPlan(h), pool, 4, 2,
 		AdaptOptions{MaxIterations: 1, Reference: math.NaN()},
 		ResilienceOptions{CheckpointPath: path, CheckpointEvery: 1})
 	if err != nil {
@@ -224,7 +225,7 @@ func TestAdaptCheckpointResume(t *testing.T) {
 	if len(first.History) != 1 {
 		t.Fatalf("first leg ran %d iterations, want 1", len(first.History))
 	}
-	resumed, err := AdaptContext(context.Background(), h, pool, 4, 2, o,
+	resumed, err := AdaptContext(context.Background(), pauli.NewPlan(h), pool, 4, 2, o,
 		ResilienceOptions{CheckpointPath: path, CheckpointEvery: 1, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +257,7 @@ func TestAdaptDeadlineInterrupts(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AdaptContext(ctx, h, pool, 4, 2, AdaptOptions{MaxIterations: 3, Reference: math.NaN()}, ResilienceOptions{})
+	res, err := AdaptContext(ctx, pauli.NewPlan(h), pool, 4, 2, AdaptOptions{MaxIterations: 3, Reference: math.NaN()}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

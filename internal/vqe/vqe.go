@@ -149,9 +149,11 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 // newDriver is New with h's evaluation plan, and for an exponential ansatz
 // its block, supplied by a caller that already compiled them (Adapt, once
 // per solve, not once per inner driver); a nil plan compiles both here.
+// Adapt passes no h: its drivers run Direct in process, where only the
+// plan is read.
 func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	n := a.NumQubits()
-	if h.MaxQubit() >= n {
+	if h != nil && h.MaxQubit() >= n {
 		return nil, core.QubitError(h.MaxQubit(), n)
 	}
 	if opts.Backend != nil && opts.Mode != Direct {
