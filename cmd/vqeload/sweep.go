@@ -102,6 +102,10 @@ func cmdSweep(ctx context.Context, args []string) error {
 			// The daemon answered — with "never heard of it". After a
 			// restart this means the journal lost the family.
 			return fmt.Errorf("sweep LOST: %w", err)
+		case errors.Is(err, load.ErrSweepEvicted):
+			// The daemon settled the family and dropped it from its
+			// retained set before this observer saw the terminal state.
+			return fmt.Errorf("sweep evicted before it was seen settled: %w", err)
 		case ctx.Err() != nil:
 			return ctx.Err()
 		default:

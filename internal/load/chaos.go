@@ -8,6 +8,9 @@ package load
 //
 //   - zero job loss: every job the daemon acknowledged settles, and no
 //     restart makes it forget an ID (a 404 after acceptance is "lost");
+//     a 410 ("evicted") fails the drill too, because a closed-loop client
+//     polls its own job within milliseconds of it settling, long before
+//     the daemon's retention budget could reach it;
 //   - no duplicate results: one job ID per logical submission, and every
 //     job sharing a spec hash reports the bit-identical energy;
 //   - resume fidelity: energies match a locally computed uninterrupted
@@ -94,9 +97,11 @@ type ChaosJob struct {
 	JobID        string `json:"job_id,omitempty"`
 	SpecHash     string `json:"spec_hash,omitempty"`
 	// Status: the terminal daemon status, or "lost" (the daemon forgot an
-	// acknowledged ID after a restart), "unsettled" (no terminal state
-	// within SettleTimeout), or "unaccepted" (the window closed before the
-	// daemon ever acknowledged the submission — not a durability fault).
+	// acknowledged ID after a restart), "evicted" (the daemon answered 410:
+	// it dropped the settled job before the client read it), "unsettled"
+	// (no terminal state within SettleTimeout), or "unaccepted" (the
+	// window closed before the daemon ever acknowledged the submission —
+	// not a durability fault).
 	Status string `json:"status"`
 	// Attempts counts submission tries: rejections and connection failures
 	// during daemon restarts before the acceptance.
@@ -122,6 +127,7 @@ type ChaosReport struct {
 	Failed      int `json:"failed"`
 	Interrupted int `json:"interrupted"`
 	Lost        int `json:"lost"`
+	Evicted     int `json:"evicted"`
 	Unsettled   int `json:"unsettled"`
 	Unaccepted  int `json:"unaccepted"`
 	// DuplicateJobIDs counts daemon job IDs handed to more than one
@@ -286,6 +292,9 @@ func chaosSettle(ctx context.Context, client *Client, cfg ChaosConfig, j *ChaosJ
 		case errors.Is(err, ErrJobNotFound):
 			j.Status = "lost"
 			return
+		case errors.Is(err, ErrJobEvicted):
+			j.Status = "evicted"
+			return
 		case err != nil:
 			sleepUntil(ctx, time.Now().Add(cfg.PollInterval))
 		case v.terminal():
@@ -330,6 +339,8 @@ func buildChaosReport(jobs []ChaosJob, cfg ChaosConfig) *ChaosReport {
 			rep.Interrupted++
 		case "lost":
 			rep.Lost++
+		case "evicted":
+			rep.Evicted++
 		case "unsettled":
 			rep.Unsettled++
 		}
@@ -396,6 +407,9 @@ func (rep *ChaosReport) Gate(minRestarts int) error {
 	if rep.Lost > 0 {
 		faults = append(faults, fmt.Sprintf("%d job(s) LOST after restart", rep.Lost))
 	}
+	if rep.Evicted > 0 {
+		faults = append(faults, fmt.Sprintf("%d job(s) evicted before the client read them", rep.Evicted))
+	}
 	if rep.Unsettled > 0 {
 		faults = append(faults, fmt.Sprintf("%d job(s) never settled", rep.Unsettled))
 	}
@@ -436,8 +450,8 @@ func (rep *ChaosReport) Table() string {
 		rep.Target, rep.Mix, rep.Seed, rep.DurationS)
 	fmt.Fprintf(&b, "  submitted=%d accepted=%d done=%d failed=%d interrupted=%d unaccepted=%d\n",
 		rep.Submitted, rep.Accepted, rep.Done, rep.Failed, rep.Interrupted, rep.Unaccepted)
-	fmt.Fprintf(&b, "  lost=%d unsettled=%d duplicate_ids=%d restarts_observed=%d daemon_retries=%d\n",
-		rep.Lost, rep.Unsettled, rep.DuplicateJobIDs, rep.RestartsObserved, rep.DaemonRetries)
+	fmt.Fprintf(&b, "  lost=%d evicted=%d unsettled=%d duplicate_ids=%d restarts_observed=%d daemon_retries=%d\n",
+		rep.Lost, rep.Evicted, rep.Unsettled, rep.DuplicateJobIDs, rep.RestartsObserved, rep.DaemonRetries)
 	fmt.Fprintf(&b, "  control_checked=%d bit_mismatches=%d result_divergence=%d\n",
 		rep.ControlChecked, rep.BitMismatches, rep.ResultDivergence)
 	return b.String()

@@ -2,6 +2,9 @@ package load
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -101,5 +104,43 @@ func TestChaosDrillSurvivesRestarts(t *testing.T) {
 	}
 	if rep.ControlChecked == 0 {
 		t.Error("verification ran no control checks")
+	}
+}
+
+// TestChaosTellsLostFromEvicted: a 404 for an acknowledged job reads as
+// "lost", a 410 as "evicted", each counted apart, and the gate fails on
+// either.
+func TestChaosTellsLostFromEvicted(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/jobs/job-000001":
+			w.WriteHeader(http.StatusNotFound)
+		case "/v1/jobs/job-000002", "/v1/sweeps/sweep-000001":
+			w.WriteHeader(http.StatusGone)
+		}
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	cfg := ChaosConfig{BaseURL: ts.URL, Mix: &runspec.Mix{}, Duration: time.Second}
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	jobs := []ChaosJob{{JobID: "job-000001"}, {JobID: "job-000002"}, {JobID: "job-000003", Status: "done"}}
+	for i := range jobs[:2] {
+		chaosSettle(context.Background(), client, cfg, &jobs[i])
+	}
+	if jobs[0].Status != "lost" || jobs[1].Status != "evicted" {
+		t.Fatalf("404 settled as %q and 410 as %q, want lost and evicted", jobs[0].Status, jobs[1].Status)
+	}
+	if _, err := client.Sweep(context.Background(), "sweep-000001"); !errors.Is(err, ErrSweepEvicted) {
+		t.Errorf("410 on a sweep: %v, want ErrSweepEvicted", err)
+	}
+	rep := buildChaosReport(jobs, cfg)
+	if rep.Lost != 1 || rep.Evicted != 1 || rep.Done != 1 {
+		t.Fatalf("report counts lost=%d evicted=%d done=%d, want 1 each", rep.Lost, rep.Evicted, rep.Done)
+	}
+	err := rep.Gate(0)
+	if err == nil || !strings.Contains(err.Error(), "LOST") || !strings.Contains(err.Error(), "evicted") {
+		t.Errorf("gate: %v, want it to fail on both the lost and the evicted job", err)
 	}
 }

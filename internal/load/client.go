@@ -20,6 +20,11 @@ import (
 // know the job, as opposed to being temporarily unreachable.
 var ErrJobNotFound = errors.New("load: job not found")
 
+// ErrJobEvicted marks a 410 on a job-by-id lookup: the daemon issued the
+// id, the job settled, and it has since been evicted from the daemon's
+// bounded table of settled families.
+var ErrJobEvicted = errors.New("load: job evicted")
+
 // Client is a thin vqed HTTP client used by the harness: submit a spec,
 // poll a job to a terminal state, snapshot the daemon's metrics. It
 // deliberately decodes job views into a local struct mirroring
@@ -144,6 +149,9 @@ func (c *Client) Job(ctx context.Context, id string) (*JobView, error) {
 		// the drill exists to catch (vs. connection errors, which just
 		// mean the daemon is mid-restart).
 		return nil, fmt.Errorf("%w: job %s", ErrJobNotFound, id)
+	}
+	if resp.StatusCode == http.StatusGone {
+		return nil, fmt.Errorf("%w: job %s", ErrJobEvicted, id)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))

@@ -25,6 +25,11 @@ import (
 // which is the failure the sweep smoke drill exists to catch.
 var ErrSweepNotFound = errors.New("load: sweep not found")
 
+// ErrSweepEvicted marks a 410 on a sweep-by-id lookup: the family settled
+// and the daemon has since evicted it from its bounded table of settled
+// families.
+var ErrSweepEvicted = errors.New("load: sweep evicted")
+
 // SweepPointView mirrors server.SweepPointView's wire fields.
 type SweepPointView struct {
 	Point       int     `json:"point"`
@@ -142,6 +147,9 @@ func (c *Client) Sweep(ctx context.Context, id string) (*SweepView, error) {
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, fmt.Errorf("%w: sweep %s", ErrSweepNotFound, id)
 	}
+	if resp.StatusCode == http.StatusGone {
+		return nil, fmt.Errorf("%w: sweep %s", ErrSweepEvicted, id)
+	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("load: sweep %s: HTTP %d: %s", id, resp.StatusCode, strings.TrimSpace(string(msg)))
@@ -167,6 +175,9 @@ func (c *Client) CancelSweep(ctx context.Context, id string) (*SweepView, error)
 	defer drain(resp)
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, fmt.Errorf("%w: sweep %s", ErrSweepNotFound, id)
+	}
+	if resp.StatusCode == http.StatusGone {
+		return nil, fmt.Errorf("%w: sweep %s", ErrSweepEvicted, id)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))

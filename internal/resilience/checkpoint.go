@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -127,24 +128,40 @@ func CheckpointKind(path string) (string, error) {
 }
 
 // A Cadence decides when periodic checkpoints are due: every Interval
-// iterations (Interval <= 1 means every iteration). The zero Cadence is
-// usable and fires every iteration.
+// iterations (Interval <= 1 means every iteration), and with Gap > 0 only
+// once Gap of wall time has passed since the loop started (NewCadence) or
+// since the last write. The zero Cadence is usable and fires every
+// iteration.
 type Cadence struct {
 	Interval int
-	last     int
-	any      bool
+	// Gap floors the wall time between writes; 0 means no floor. A loop
+	// shorter than Gap writes no periodic snapshot at all.
+	Gap  time.Duration
+	last int
+	any  bool
+	// since is the loop's start, then the last write.
+	since time.Time
+}
+
+// NewCadence returns a Cadence whose first Gap is counted from now, the
+// start of the loop it paces.
+func NewCadence(interval int, gap time.Duration) *Cadence {
+	return &Cadence{Interval: interval, Gap: gap, since: time.Now()}
 }
 
 // Due reports whether a checkpoint should be written at this iteration,
 // and records the write when it returns true.
 func (c *Cadence) Due(iteration int) bool {
-	if c.Interval <= 1 {
-		return true
+	if c.Interval > 1 && c.any && iteration-c.last < c.Interval {
+		return false
 	}
-	if !c.any || iteration-c.last >= c.Interval {
-		c.last = iteration
-		c.any = true
-		return true
+	if c.Gap > 0 {
+		now := time.Now()
+		if now.Sub(c.since) < c.Gap {
+			return false
+		}
+		c.since = now
 	}
-	return false
+	c.last, c.any = iteration, true
+	return true
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 type fakeState struct {
@@ -149,5 +150,37 @@ func TestCadence(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
+	}
+}
+
+// TestCadenceGap: a wall-clock floor holds writes back until Gap has
+// passed since the loop started or since the last write, on top of the
+// iteration interval; a loop shorter than Gap writes nothing.
+func TestCadenceGap(t *testing.T) {
+	short := NewCadence(1, time.Hour)
+	for i := 1; i <= 100; i++ {
+		if short.Due(i) {
+			t.Fatalf("iteration %d due an hour before the floor", i)
+		}
+	}
+
+	const gap = 20 * time.Millisecond
+	c := NewCadence(3, gap)
+	if c.Due(1) {
+		t.Fatal("due before the floor had passed since the start")
+	}
+	time.Sleep(gap + 5*time.Millisecond)
+	if !c.Due(2) {
+		t.Fatal("not due once the floor had passed")
+	}
+	if c.Due(3) {
+		t.Fatal("due again right after a write")
+	}
+	time.Sleep(gap + 5*time.Millisecond)
+	if c.Due(4) {
+		t.Fatal("due before the interval had passed since the last write")
+	}
+	if !c.Due(5) {
+		t.Fatal("not due with both the interval and the floor met")
 	}
 }

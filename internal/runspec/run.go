@@ -50,6 +50,11 @@ type RunOptions struct {
 	// assigns each job a spool path). Checkpointing is honored by vqe on
 	// every backend and by adapt; qpe has no loop to snapshot.
 	CheckpointPath string
+	// CheckpointGap floors the wall time between periodic snapshots of a
+	// spec that leaves resilience.checkpoint_every at 0 (the daemon's
+	// served cadence); a spec that names a cadence gets exactly that one.
+	// A halt still writes its snapshot.
+	CheckpointGap time.Duration
 	// OnProgress, when set, receives one Progress per iteration. Called
 	// from the run's goroutine; keep it fast.
 	OnProgress func(Progress)
@@ -272,6 +277,9 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 	if opts.CheckpointPath != "" {
 		ro.CheckpointPath = opts.CheckpointPath
 	}
+	if c.Resilience.CheckpointEvery == 0 {
+		ro.CheckpointGap = opts.CheckpointGap
+	}
 
 	obs, err := opts.Shared.observable(c.Molecule, m, c.Encoding, c.Downfold)
 	if err != nil {
@@ -307,7 +315,7 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 	case AlgorithmAdapt:
 		err = runAdapt(ctx, c, obs.plan, n, ne, fciEnergy, ro, opts, res)
 	default:
-		err = runVQE(ctx, c, h, n, ne, ro, opts, res)
+		err = runVQE(ctx, c, h, obs.plan, n, ne, ro, opts, res)
 	}
 	if err != nil {
 		return nil, err
@@ -404,7 +412,7 @@ var energyModes = map[string]vqe.EnergyMode{"direct": vqe.Direct, "rotated": vqe
 
 // runVQE runs fixed-ansatz VQE through the one driver loop; the backend
 // section only decides where that loop gets ⟨H⟩ from.
-func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, n, ne int, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
+func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, plan *pauli.Plan, n, ne int, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
 	a, err := buildAnsatz(c, n, ne)
 	if err != nil {
 		return err
@@ -414,7 +422,7 @@ func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, n, ne int, ro vqe.Resi
 		return err
 	}
 	mode := energyModes[c.Mode]
-	drv, err := vqe.New(h, a, vqe.Options{
+	drv, err := vqe.NewWithPlan(h, plan, a, vqe.Options{
 		Mode:      mode,
 		Shots:     c.Shots,
 		Caching:   !c.DisableCaching && mode != vqe.Direct,

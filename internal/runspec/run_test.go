@@ -279,6 +279,36 @@ func TestAdaptRunBuildsHamiltonianOnce(t *testing.T) {
 	}
 }
 
+// TestVQERunCompilesHamiltonianOnce: a UCCSD job compiles H's plan once,
+// in the job's observable, and the driver evaluates that plan instead of
+// compiling a second one. The counter also counts the ansatz's
+// generators, one plan each. The job is one 6-qubit point of a served
+// Hubbard sweep family.
+func TestVQERunCompilesHamiltonianOnce(t *testing.T) {
+	spec, err := Parse([]byte(`{"molecule":{"kind":"hubbard","sites":3,"electrons":2,"u":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ansatz.NewUCCSD(6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generators := len(a.Operators())
+	telemetry.Enable()
+	t.Cleanup(func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	})
+	telemetry.Reset()
+	if _, err := Run(context.Background(), spec, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(1 + generators)
+	if n := telemetry.Capture().Timers["pauli.plan.build"].Count; n != want {
+		t.Errorf("%d plans compiled per job, want %d: H once and the %d generators", n, want, generators)
+	}
+}
+
 // TestAdaptRunAllocationBound is a count gate on one adaptWater1 job.
 // Building H twice, once for the observable and once for the FCI
 // reference, cost 65 391 allocations (84 148 under -race) with a

@@ -118,7 +118,10 @@ type ResilienceSpec struct {
 	// CheckpointPath is the snapshot file ("" disables; the daemon
 	// overrides this with a per-job spool path).
 	CheckpointPath string `json:"checkpoint_path,omitempty"`
-	// CheckpointEvery is the iteration cadence (≤1 = every iteration).
+	// CheckpointEvery is the iteration cadence (≤1 = every iteration). 0
+	// means every iteration in process; served by vqed, 0 means a snapshot
+	// at most once a second of wall time (and none for a point that ends
+	// sooner), while 1 still snapshots every iteration.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Resume loads CheckpointPath before starting.
 	Resume bool `json:"resume,omitempty"`

@@ -23,6 +23,7 @@ const (
 	codeInvalidArgument = "invalid_argument"
 	codeBadRequest      = "bad_request"
 	codeNotFound        = "not_found"
+	codeEvicted         = "evicted"
 	codeTooLarge        = "too_large"
 	codeQueueFull       = "queue_full"
 	codeShuttingDown    = "shutting_down"

@@ -29,8 +29,9 @@ func newEventHub() eventHub {
 }
 
 // storedEvent is an Event as the replay buffer keeps it — 40 bytes
-// against 104: a daemon retains every settled family, so what a family's
-// history costs is what a served job costs in resident memory. Type and
+// against 104: a daemon retains up to settledBudget points of settled
+// families per view, so a family's history is most of what the retained
+// set costs in resident memory. Type and
 // Phase come from small closed sets and are interned to a byte; Seq,
 // Iteration and Point fit 32 bits (a family publishing 2³² frames would
 // take hours at one per microsecond); Operator and Error, absent from

@@ -175,6 +175,10 @@ type family struct {
 	started   time.Time
 	finished  time.Time
 
+	// final is set, under Server.mu (not mu), once the family has settled
+	// for good and counts against settledBudget: eviction may drop it.
+	final bool
+
 	// lastBeat is the UnixNano of the running point's most recent engine
 	// progress heartbeat — what the stuck-job watchdog compares against
 	// its no-progress deadline. Atomic so the watchdog never contends

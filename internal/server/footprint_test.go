@@ -29,13 +29,13 @@ func TestStoredEventRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSettledFamilyFootprint bounds what a finished job keeps alive. The
-// daemon retains every settled family (404-after-eviction is a wire
-// decision it has not taken), so resident memory grows with jobs served
-// and this number is its slope.
+// TestSettledFamilyFootprint: once the jobs view holds settledBudget
+// settled jobs, each newly settled job evicts the oldest, so live heap is
+// flat in jobs served rather than a per-job slope (1 896 bytes a job, on
+// an H2 job, while the daemon retained every settled family).
 func TestSettledFamilyFootprint(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 1000 H2 solves")
+		t.Skip("runs 1600 H2 solves")
 	}
 	srv, _ := newTestServer(t, Config{MaxConcurrent: 2, SimWorkers: 1, QueueDepth: 64})
 	heap := func() uint64 {
@@ -70,12 +70,19 @@ func TestSettledFamilyFootprint(t *testing.T) {
 		}
 	}
 	const jobs = 1000
-	run(0, 100) // warm: pools, telemetry rings, map buckets
+	run(0, 100+settledBudget) // warm-up (pools, telemetry rings, map buckets) and a full table
 	before := heap()
-	run(100, 100+jobs)
-	perJob := float64(heap()-before) / jobs
-	t.Logf("live heap per settled job: %.0f bytes", perJob)
-	if perJob > 2048 {
-		t.Errorf("a settled job keeps %.0f bytes alive, want ≤ 2048", perJob)
+	run(100+settledBudget, 100+settledBudget+jobs)
+	after := heap()
+	perJob := (float64(after) - float64(before)) / jobs
+	t.Logf("live heap %d → %d bytes over %d jobs past the budget: %.0f bytes per job", before, after, jobs, perJob)
+	if perJob > 128 {
+		t.Errorf("live heap grows %.0f bytes per settled job past the budget, want flat (≤ 128)", perJob)
+	}
+	srv.mu.Lock()
+	retained := len(srv.order[kindJob])
+	srv.mu.Unlock()
+	if retained != settledBudget {
+		t.Errorf("the jobs view retains %d settled jobs, want the budget of %d", retained, settledBudget)
 	}
 }

@@ -1,19 +1,21 @@
 package server
 
 // Journal replay: how a restarted daemon rebuilds its family table. Every
-// accepted family reappears — settled points with their recorded results
-// (so clients polling across the restart still get answers, and the
-// result cache is warm again), unfinished families re-enqueued with only
-// their open points left to run, each resuming from its latest resilience
-// checkpoint when one validates. Compaction is the same thing backwards:
-// liveSnapshot writes the minimal record set that replays to the current
-// table.
+// family the journal holds reappears — settled points with their recorded
+// results (so clients polling across the restart still get answers, and
+// the result cache is warm again), unfinished families re-enqueued with
+// only their open points left to run, each resuming from its latest
+// resilience checkpoint when one validates; then the settledBudget a
+// running daemon keeps evicts the oldest settled ones. Compaction is the same
+// thing backwards: liveSnapshot writes the minimal record set that replays
+// to the current table, so eviction bounds the journal too.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -43,12 +45,14 @@ type fact struct {
 }
 
 // replayed is the merged outcome of a journal scan for one family: the
-// submitted document and the facts keyed by point number.
+// submitted document, the facts keyed by point number, and the index of
+// its last record — for a settled family, where it settled.
 type replayed struct {
 	id    string
 	hash  string
 	doc   json.RawMessage
 	facts map[int]*fact
+	last  int
 }
 
 // mergeRecords folds a replayed record stream into per-family outcomes,
@@ -56,7 +60,7 @@ type replayed struct {
 func mergeRecords(recs []journal.Record) []*replayed {
 	byID := map[string]*replayed{}
 	var order []*replayed
-	for _, rec := range recs {
+	for i, rec := range recs {
 		if rec.JobID == "" || rec.Point < 0 {
 			mRecoverDropped.Inc()
 			continue
@@ -67,6 +71,7 @@ func mergeRecords(recs []journal.Record) []*replayed {
 			byID[rec.JobID] = e
 			order = append(order, e)
 		}
+		e.last = i
 		if rec.Point == 0 && rec.SpecHash != "" {
 			e.hash = rec.SpecHash
 		}
@@ -102,11 +107,14 @@ func mergeRecords(recs []journal.Record) []*replayed {
 }
 
 // replay rebuilds the family table from the journal's records, returning
-// the families to re-enqueue. Called from New before the worker fleet
-// starts, so no locking is needed yet.
+// the families to re-enqueue, and bounds the settled ones as a running
+// daemon does (settledBudget). The sequences come from every record
+// first, so an id evicted here is still never reissued. Called from New
+// before the worker fleet starts, so no locking is needed yet.
 func (s *Server) replay(recs []journal.Record) []*family {
 	var pending []*family
-	for _, e := range mergeRecords(recs) {
+	merged := mergeRecords(recs)
+	for _, e := range merged {
 		f := s.rebuild(e)
 		s.register(f)
 		if n := seqOf(f.kind(), e.id); n > s.seq[f.kind()] {
@@ -118,6 +126,19 @@ func (s *Server) replay(recs []journal.Record) []*family {
 		}
 		pending = append(pending, f)
 		countersOf[f.kind()].recovered.Inc()
+	}
+	// Settled families enlist in the order they settled, which their last
+	// records keep (compaction writes them in that order too); listings go
+	// by id, which concurrent admissions may have journaled out of order.
+	sort.SliceStable(merged, func(a, b int) bool { return merged[a].last < merged[b].last })
+	for _, e := range merged {
+		if f := s.families[e.id]; f.status.Terminal() {
+			s.enlist(f)
+		}
+	}
+	for kind, ids := range s.order {
+		sort.SliceStable(ids, func(a, b int) bool { return seqOf(kind, ids[a]) < seqOf(kind, ids[b]) })
+		dropCheckpoints(s.evict(kind))
 	}
 	return pending
 }
@@ -293,10 +314,12 @@ func journalResult(res *runspec.Result) json.RawMessage {
 const compactThreshold = 512
 
 // liveSnapshot rebuilds the minimal record set that reproduces the
-// current family table: accepted (+document) for every family, the
+// current family table: accepted (+document) for every retained family
+// (an evicted one leaves the journal with the next compaction), the
 // terminal record (with result) for every settled point, the latest
 // attempt/checkpoint facts for open ones, and the terminal record of
-// every settled family.
+// every settled family. Settled families come first, in the order they
+// settled, so replay restores that order; open ones follow by id.
 func (s *Server) liveSnapshot() []journal.Record {
 	// Snapshot the family list under s.mu, then read each family under its
 	// own lock only after s.mu is released (same lock-order discipline as
@@ -304,8 +327,11 @@ func (s *Server) liveSnapshot() []journal.Record {
 	s.mu.Lock()
 	var families []*family
 	for _, kind := range []string{kindJob, kindSweep} {
+		families = append(families, s.retired[kind]...)
 		for _, id := range s.order[kind] {
-			families = append(families, s.families[id])
+			if f := s.families[id]; !f.final {
+				families = append(families, f)
+			}
 		}
 	}
 	s.mu.Unlock()

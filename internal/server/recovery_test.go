@@ -182,12 +182,7 @@ var pointFaults = map[string]pointFault{
 	// completes the point. An untimed stall is exactly what the watchdog
 	// exists to catch.
 	"stall": {cfg: Config{RetryBudget: 2, StallTimeout: 200 * time.Millisecond}, recovers: true,
-		hook: func() FaultHook {
-			var once sync.Once
-			return func(ctx context.Context, id string, p runspec.Progress) {
-				once.Do(func() { <-ctx.Done() })
-			}
-		}},
+		hook: holdFirstPoint},
 	// A point whose every attempt panics settles terminally once the
 	// budget is spent instead of looping forever.
 	"budget": {cfg: Config{RetryBudget: 1}, hook: panicTimes(2)},

@@ -533,6 +533,7 @@ func (s *Server) execute(ctx context.Context, f *family, p *point, shared *runsp
 	return runspec.Run(ctx, spec, runspec.RunOptions{
 		Pool:           s.pool,
 		CheckpointPath: checkpoint,
+		CheckpointGap:  servedCheckpointGap,
 		InitialParams:  warm,
 		Shared:         shared,
 		OnProgress: func(pr runspec.Progress) {
@@ -742,5 +743,6 @@ func (s *Server) settleFamily(f *family) {
 	}
 	countersOf[f.kind()].settled[status].Inc()
 	f.publish(Event{Type: string(status), Error: errMsg})
+	s.retire(f)
 	s.compactIfNeeded(false)
 }

@@ -108,6 +108,30 @@ type Config struct {
 // journalFile is the WAL's name under the spool dir.
 const journalFile = "journal.wal"
 
+// servedCheckpointGap is the wall-clock floor between periodic snapshots
+// of a point whose spec leaves resilience.checkpoint_every at 0. A served
+// 6-qubit sweep point runs for about half a millisecond of engine time,
+// and a snapshot on every optimizer iteration (marshal, fsync, rename)
+// cost it some thirty times that; a second of lost work is what a crash
+// may cost instead. A point
+// that ends within the floor writes no snapshot, so recovery cold-starts
+// it, which reproduces the same bits. A drain still snapshots every
+// running point.
+const servedCheckpointGap = time.Second
+
+// settledBudget bounds, per view (jobs, sweeps), the settled points the
+// family table and so the journal retain: the most recently settled
+// families up to this many points, the least recently settled evicted
+// first. Settlement order, not id order: a family that ran long settles
+// after hundreds of younger ones, and its client must still find it when
+// it polls. The last family to settle is kept even when it alone is
+// larger, and so is the view's highest id, so ids are never reused after
+// compaction and a restart. An evicted id answers 410. With the
+// checkpoint floor a daemon settles sweep families several times faster
+// than before; at 512 its resident memory stays below what it was, at
+// 1 024 it did not.
+const settledBudget = 512
+
 // Server is the daemon core: scheduler, family store, result cache,
 // journal, and the HTTP handler over them.
 type Server struct {
@@ -153,10 +177,15 @@ type Server struct {
 	// — enforces QueueDepth.
 	queued int
 	// families is the one table, keyed by ID; seq and order are the
-	// per-view (kindJob, kindSweep) id sequences and listing orders.
+	// per-view (kindJob, kindSweep) id sequences and listing orders (id
+	// ascending). retired lists each view's settled families in the order
+	// they settled, and settled counts their points, which settledBudget
+	// bounds.
 	families map[string]*family
 	seq      map[string]int
 	order    map[string][]string
+	retired  map[string][]*family
+	settled  map[string]int
 	// watch maps running family IDs to their heartbeat and cancel handles
 	// for the stuck-job watchdog.
 	watch      map[string]*watchEntry
@@ -206,6 +235,8 @@ func New(cfg Config) (*Server, error) {
 		families: map[string]*family{},
 		seq:      map[string]int{},
 		order:    map[string][]string{},
+		retired:  map[string][]*family{},
+		settled:  map[string]int{},
 		watch:    map[string]*watchEntry{},
 		cache:    map[string]*runspec.Result{},
 	}
@@ -410,6 +441,87 @@ func (s *Server) register(f *family) {
 	s.order[f.kind()] = append(s.order[f.kind()], f.ID)
 }
 
+// retire counts a family that has settled for good against its view's
+// settledBudget and evicts what no longer fits. Idempotent.
+func (s *Server) retire(f *family) {
+	s.mu.Lock()
+	if f.final {
+		s.mu.Unlock()
+		return
+	}
+	s.enlist(f)
+	gone := s.evict(f.kind())
+	s.mu.Unlock()
+	dropCheckpoints(gone)
+}
+
+// enlist appends a settled family to its view's settlement order. The
+// caller holds s.mu (or is recovery before the fleet starts).
+func (s *Server) enlist(f *family) {
+	f.final = true
+	s.retired[f.kind()] = append(s.retired[f.kind()], f)
+	s.settled[f.kind()] += len(f.points)
+}
+
+// evict drops one view's least recently settled families until its
+// settled points fit settledBudget, keeping the last to settle and the
+// view's highest id. A family that replay would re-enqueue (queued,
+// running, or parked by a drain) has not settled and is never a
+// candidate. The caller holds s.mu and removes the evicted families'
+// spool files (dropCheckpoints) after releasing it.
+func (s *Server) evict(kind string) []*family {
+	if s.settled[kind] <= settledBudget {
+		return nil
+	}
+	q, ids := s.retired[kind], s.order[kind]
+	highest := ids[len(ids)-1]
+	var gone []*family
+	kept := q[:0]
+	for i, f := range q {
+		if s.settled[kind] > settledBudget && i < len(q)-1 && f.ID != highest {
+			s.settled[kind] -= len(f.points)
+			delete(s.families, f.ID)
+			gone = append(gone, f)
+			continue
+		}
+		kept = append(kept, f)
+	}
+	clear(q[len(kept):])
+	s.retired[kind] = kept
+	listed := ids[:0]
+	for _, id := range ids {
+		if s.families[id] != nil {
+			listed = append(listed, id)
+		}
+	}
+	clear(ids[len(listed):])
+	s.order[kind] = listed
+	return gone
+}
+
+// dropCheckpoints deletes the spool snapshots evicted families still
+// own: a halted job's, or a failed or cancelled point's.
+func dropCheckpoints(gone []*family) {
+	for _, f := range gone {
+		f.mu.Lock()
+		for _, p := range f.points {
+			if p.checkpoint != "" {
+				os.Remove(p.checkpoint)
+			}
+		}
+		f.mu.Unlock()
+	}
+}
+
+// issued reports whether id is one this daemon handed out for the view:
+// canonical in form and no later than the view's sequence. Every admitted
+// family consumes a sequence number and nothing else does, so an issued id
+// missing from the table was evicted. Caller holds s.mu.
+func (s *Server) issued(kind, id string) bool {
+	n := seqOf(kind, id)
+	return n > 0 && n <= s.seq[kind] && id == fmt.Sprintf("%s-%06d", kind, n)
+}
+
 // maxSpecBytes bounds a submitted spec or sweep document.
 const maxSpecBytes = 1 << 20
 
@@ -488,18 +600,24 @@ func (s *Server) handleList(kind string) http.HandlerFunc {
 }
 
 // withFamily resolves the {id} path value to a family of the view the
-// route belongs to, answering 404 otherwise.
+// route belongs to, answering 410 for an id the view issued and has since
+// evicted (settledBudget) and 404 for any other unknown one.
 func (s *Server) withFamily(kind string, h func(http.ResponseWriter, *http.Request, *family)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		s.mu.Lock()
 		f := s.families[id]
+		evicted := f == nil && s.issued(kind, id)
 		s.mu.Unlock()
-		if f == nil || f.kind() != kind {
+		switch {
+		case evicted:
+			writeAPIError(w, http.StatusGone, codeEvicted,
+				fmt.Sprintf("%s %q settled and was evicted from the daemon's table", kind, id), 0)
+		case f == nil || f.kind() != kind:
 			writeError(w, http.StatusNotFound, fmt.Errorf("no %s %q", kind, id))
-			return
+		default:
+			h(w, r, f)
 		}
-		h(w, r, f)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,19 +397,28 @@ func TestSweepCacheCrossover(t *testing.T) {
 	}
 }
 
+// holdFirstPoint is a FaultHook that holds the first point to report
+// progress, at its first sample, until that point's context ends: a
+// running window that lasts exactly as long as a test needs it.
+func holdFirstPoint() FaultHook {
+	var once sync.Once
+	return func(ctx context.Context, id string, p runspec.Progress) {
+		once.Do(func() { <-ctx.Done() })
+	}
+}
+
 // TestSweepCancel covers both cancellation windows: a family still queued
 // settles immediately; a running family stops at the next point boundary,
 // keeping finished points and cancelling the rest. Both leave every point
 // terminal.
 func TestSweepCancel(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultHook: holdFirstPoint()})
 
-	// Pin the single worker so the family stays queued.
-	slow, err := srv.Submit(runspecMustParse(t, `{"molecule":{"kind":"water"}}`))
-	if err != nil {
+	// Pin the single worker so the family stays queued: the hook holds
+	// this job until shutdown cancels it.
+	if _, err := srv.Submit(runspecMustParse(t, `{"molecule":{"kind":"h2"}}`)); err != nil {
 		t.Fatal(err)
 	}
-	_ = slow
 	v, _ := submitSweep(t, ts, sweepBody)
 	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/sweeps/"+v.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -433,11 +444,9 @@ func TestSweepCancel(t *testing.T) {
 		t.Errorf("re-cancel status %d", resp.StatusCode)
 	}
 
-	// Running window: a fresh server — the worker above stays pinned until
-	// shutdown cancels its job, which under -race can take minutes — with
-	// slow points (Nelder–Mead, generous budget) so the DELETE lands
-	// mid-family.
-	_, ts2 := newTestServer(t, Config{MaxConcurrent: 1})
+	// Running window: a fresh server, whose hook holds point 1 until the
+	// DELETE cancels it, so the DELETE lands mid-family.
+	_, ts2 := newTestServer(t, Config{MaxConcurrent: 1, FaultHook: holdFirstPoint()})
 	running, _ := submitSweep(t, ts2,
 		`{"base":{"molecule":{"kind":"h2"},"optimizer":{"method":"nelder-mead","max_iter":400}},"axis":{"param":"distance","values":[0.5,0.7414,1.5,2.0]}}`)
 	deadline := time.Now().Add(30 * time.Second)
@@ -485,7 +494,15 @@ func TestSweepCancel(t *testing.T) {
 // duplicated points.
 func TestSweepRecoveryResumesCurve(t *testing.T) {
 	spool := t.TempDir()
-	srv, err := New(Config{MaxConcurrent: 1, SpoolDir: spool})
+	// The hook holds the second point to start until the drain cancels it,
+	// so the drain lands after point 1 settled and before the family ends.
+	var starts atomic.Int32
+	hold := func(ctx context.Context, id string, p runspec.Progress) {
+		if p.Phase == "setup" && p.Iteration == 0 && starts.Add(1) == 2 {
+			<-ctx.Done()
+		}
+	}
+	srv, err := New(Config{MaxConcurrent: 1, SpoolDir: spool, FaultHook: hold})
 	if err != nil {
 		t.Fatal(err)
 	}

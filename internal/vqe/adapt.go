@@ -119,7 +119,7 @@ func AdaptContext(ctx context.Context, plan *pauli.Plan, pool *ansatz.Pool, n, n
 		result.History = historyFromJSON(st.History)
 		startIter = st.Iter + 1
 	}
-	cad := resilience.Cadence{Interval: ro.CheckpointEvery}
+	cad := resilience.NewCadence(ro.CheckpointEvery, ro.CheckpointGap)
 	save := func(iter int) error {
 		return resilience.SaveCheckpoint(ro.CheckpointPath, KindAdapt, iter, &AdaptState{
 			Selected: selected,

@@ -46,7 +46,7 @@ func (l *loop) objective(x []float64) float64 {
 // halts the routine, and its state s (iteration count read by iter) is
 // snapshotted at that halt and on ro's cadence for a later Resume.
 func observer[S any](l *loop, prev func(*S) error, iter func(*S) int) func(*S) error {
-	cad := resilience.Cadence{Interval: l.ro.CheckpointEvery}
+	cad := resilience.NewCadence(l.ro.CheckpointEvery, l.ro.CheckpointGap)
 	return func(s *S) error {
 		if l.err != nil {
 			return l.err

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"time"
 
 	"repro/internal/resilience"
 )
@@ -33,6 +34,9 @@ type ResilienceOptions struct {
 	// CheckpointEvery is the iteration cadence between snapshot writes
 	// (≤1 = every iteration).
 	CheckpointEvery int
+	// CheckpointGap floors the wall time between periodic snapshot writes
+	// (resilience.Cadence.Gap; 0 = no floor). A halt always writes one.
+	CheckpointGap time.Duration
 	// Resume loads CheckpointPath before starting (a missing file is a
 	// cold start, not an error).
 	Resume bool

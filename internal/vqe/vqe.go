@@ -146,11 +146,18 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	return newDriver(h, nil, nil, a, opts)
 }
 
+// NewWithPlan is New for a caller that has already compiled h's plan
+// (pauli.NewPlan(h)), as runspec does once per job: the driver evaluates
+// that plan instead of compiling its own.
+func NewWithPlan(h *pauli.Op, plan *pauli.Plan, a ansatz.Ansatz, opts Options) (*Driver, error) {
+	return newDriver(h, plan, nil, a, opts)
+}
+
 // newDriver is New with h's evaluation plan, and for an exponential ansatz
 // its block, supplied by a caller that already compiled them (Adapt, once
-// per solve, not once per inner driver); a nil plan compiles both here.
-// Adapt passes no h: its drivers run Direct in process, where only the
-// plan is read.
+// per solve, not once per inner driver); a nil plan is compiled here, and
+// so is a nil block for an exponential ansatz. Adapt passes no h: its
+// drivers run Direct in process, where only the plan is read.
 func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	n := a.NumQubits()
 	if h != nil && h.MaxQubit() >= n {
@@ -175,11 +182,11 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, op
 		}
 		if plan == nil {
 			plan = pauli.NewPlan(h)
-			if d.exp != nil {
-				var err error
-				if sub, err = compileSubspace(d.ref, plan, d.exp.Operators(), opts.Workers, opts.Pool); err != nil {
-					return nil, err
-				}
+		}
+		if d.exp != nil && sub == nil {
+			var err error
+			if sub, err = compileSubspace(d.ref, plan, d.exp.Operators(), opts.Workers, opts.Pool); err != nil {
+				return nil, err
 			}
 		}
 		d.plan, d.sub = plan, sub

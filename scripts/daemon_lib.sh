@@ -67,14 +67,16 @@ start_vqed() {
 }
 
 stop_vqed() {
+    # sh has no locals: a caller's own $rc (the drill's exit status in
+    # vqed_chaos.sh) must survive this call, so the name is stop_rc.
     kill -TERM "$VQED_PID"
-    rc=0
-    wait "$VQED_PID" || rc=$?
+    stop_rc=0
+    wait "$VQED_PID" || stop_rc=$?
     pid_done=$VQED_PID
     VQED_PID=
-    if [ "$rc" -ne 0 ]; then
+    if [ "$stop_rc" -ne 0 ]; then
         VQED_PID=$pid_done
-        fail_with_log "vqed exited $rc on SIGTERM"
+        fail_with_log "vqed exited $stop_rc on SIGTERM"
     fi
     grep -q 'drained cleanly' "$VQED_LOG" || fail_with_log "missing clean-drain message"
 }

@@ -4,7 +4,8 @@
 # drive it with `vqeload chaos` closed-loop load, and SIGKILL + restart the
 # daemon on the same spool/port CHAOS_KILLS times mid-window. The drill
 # gate then requires zero lost jobs (every acked submission answers its
-# poll after recovery), zero duplicate job ids, at least CHAOS_KILLS
+# poll after recovery; a 404 is "lost", a 410 "evicted", and either
+# fails), zero duplicate job ids, at least CHAOS_KILLS
 # observed restarts, and energies bit-equal to uninterrupted in-process
 # control runs of the same specs. Writes out/chaos_report.json and
 # preserves the write-ahead journal as out/journal.wal (CI uploads both

@@ -15,9 +15,11 @@ VQED_BIN=${VQED_BIN:-bin/vqed}
 VQELOAD_BIN=${VQELOAD_BIN:-bin/vqeload}
 CURVE_OUT=${SWEEP_CURVE:-out/sweep_curve.json}
 mkdir -p "$(dirname "$CURVE_OUT")"
-# Nelder–Mead with a generous budget keeps each point slow enough
-# (~tens of ms) that the SIGKILL reliably lands mid-curve.
-SWEEP_SPEC='{"base":{"molecule":{"kind":"h2"},"optimizer":{"method":"nelder-mead","max_iter":400}},"axis":{"param":"distance","start":0.4,"stop":2.0,"step":0.01}}'
+# Nelder–Mead with a generous budget, snapshotting every iteration
+# (checkpoint_every 1 overrides the daemon's one-second floor), keeps each
+# point slow enough (~tens of ms) that the SIGKILL reliably lands
+# mid-curve, and leaves the point in flight a snapshot to resume from.
+SWEEP_SPEC='{"base":{"molecule":{"kind":"h2"},"optimizer":{"method":"nelder-mead","max_iter":400},"resilience":{"checkpoint_every":1}},"axis":{"param":"distance","start":0.4,"stop":2.0,"step":0.01}}'
 POINTS=161
 KILL_AFTER=${SWEEP_KILL_AFTER:-15}
 
