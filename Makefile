@@ -138,13 +138,13 @@ chaos: chaos-tests vqed-chaos
 
 # chaos-tests is the resilience smoke: the fault drills (seeded injectors
 # behind every cluster transfer), the crash/resume equivalence properties
-# (in process and through a registry backend), the backend-failure paths of
+# (in process and through a named backend), the backend-failure paths of
 # the VQE loop, and the watchdog recovery paths, all under the race
 # detector with a tight deadline so a hung retry loop fails fast instead
 # of stalling CI. `go test -run` succeeds when the pattern matches nothing,
 # so a drill that moves package would silently empty the gate: the target
 # fails if any listed package reports no tests to run.
-CHAOS_PKGS = ./internal/cluster/ ./internal/resilience/ ./internal/vqe/ ./internal/xacc/ ./internal/runspec/
+CHAOS_PKGS = ./internal/cluster/ ./internal/resilience/ ./internal/vqe/ ./internal/runspec/
 chaos-tests:
 	@out=$$($(GO) test -race -timeout 5m \
 		-run 'FaultDrill|Watchdog|CrashResume|Fallback|Walltime|Deadline|Checkpoint|StatsRace|BackendFailure|BackendPanic' \

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/ansatz"
-	"repro/internal/batch"
 	"repro/internal/chem"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
@@ -723,30 +722,6 @@ func BenchmarkTrajectoryNoise(b *testing.B) {
 			noise.Options{Trajectories: 100, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBatchThroughput measures the §6.2 batched-execution scheduler
-// evaluating many parameter sets concurrently versus sequentially.
-func BenchmarkBatchThroughput(b *testing.B) {
-	h := chem.QubitHamiltonian(chem.H2())
-	u, err := ansatz.NewUCCSD(4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sets := make([][]float64, 32)
-	for i := range sets {
-		sets[i] = []float64{0.01 * float64(i), -0.02 * float64(i), 0.005 * float64(i)}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := batch.NewPool(workers)
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Energies(h, u, sets); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -98,7 +98,7 @@ func Add(fs *flag.FlagSet, g Groups) *Set {
 		s.ancillas = fs.Int("ancillas", 7, "qpe: ancilla qubits")
 	}
 	if g&Backend != 0 {
-		s.backend = fs.String("backend", "nwq-sv", "accelerator registry name (see vqed /v1/capabilities)")
+		s.backend = fs.String("backend", "nwq-sv", "backend name (nwqsim -backends or vqed /v1/capabilities lists them)")
 		s.ranks = fs.Int("ranks", 4, "cluster backend: rank count (power of two)")
 		s.workers = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		s.faultSeed = fs.Uint64("fault-seed", 42, "cluster: fault injector seed")
@@ -162,8 +162,8 @@ func (s *Set) Spec() (*runspec.RunSpec, error) {
 		spec.Backend.Ranks = *s.ranks
 		spec.Backend.Workers = *s.workers
 		if *s.faultDrop > 0 || *s.faultCorrupt > 0 || *s.faultStall > 0 || *s.faultSilent > 0 {
-			if *s.backend != "nwq-cluster" && *s.backend != "nwq-resilient" {
-				return nil, fmt.Errorf("%w: -fault-* flags need -backend nwq-cluster or nwq-resilient (got %q)", core.ErrInvalidArgument, *s.backend)
+			if !spec.Backend.Distributed() {
+				return nil, fmt.Errorf("%w: -fault-* flags need a multi-rank -backend such as nwq-cluster (got %q)", core.ErrInvalidArgument, *s.backend)
 			}
 			spec.Backend.Fault = &runspec.FaultSpec{
 				Seed:        *s.faultSeed,

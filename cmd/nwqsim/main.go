@@ -1,8 +1,9 @@
-// Command nwqsim runs a QASM-lite circuit file on one of the registered
-// simulation backends (single-node state vector, simulated multi-rank
-// cluster, or density matrix) and prints the outcome distribution.
-// Backend selection and fault-drill flags are the shared specflags
-// vocabulary; the accelerator is resolved through the xacc registry.
+// Command nwqsim runs a QASM-lite circuit file on one of the simulation
+// backends a spec may name (single-node state vector, simulated
+// multi-rank cluster, or density matrix) and prints the outcome
+// distribution, sampling -shots from it. Backend selection and
+// fault-drill flags are the shared specflags vocabulary; -backends lists
+// runspec's backend table.
 //
 //	nwqsim circuit.qasm
 //	nwqsim -backend nwq-cluster -ranks 4 circuit.qasm
@@ -23,9 +24,12 @@ import (
 	"repro/cmd/internal/runreport"
 	"repro/cmd/internal/specflags"
 	"repro/internal/circuit"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/density"
 	"repro/internal/qasm"
-	"repro/internal/xacc"
+	"repro/internal/runspec"
+	"repro/internal/state"
 )
 
 func main() {
@@ -41,7 +45,7 @@ func main() {
 	obsFlags := runreport.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if *list {
-		for _, info := range xacc.DefaultRegistry.List() {
+		for _, info := range runspec.Backends() {
 			fmt.Printf("%-16s ≤%2d qubits  %s\n", info.Name, info.QubitLimit, info.Description)
 		}
 		return
@@ -85,33 +89,75 @@ func main() {
 		fail(err)
 	}
 	spec.ApplyDefaults()
-	name := spec.Backend.Accelerator
-	opts := spec.Backend.AcceleratorOptions()
+	b := spec.Backend
+	var noiseModel *density.NoiseModel
 	if *noise > 0 {
-		name = "nwq-dm"
-		opts.Noise = density.DepolarizingModel(*noise, 2**noise)
+		b.Accelerator = "nwq-dm"
+		noiseModel = density.DepolarizingModel(*noise, 2**noise)
 	}
-	acc, err := xacc.DefaultRegistry.New(name, opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("backend: %s\n", acc.Name())
+	copts := b.ClusterOptions()
+	fmt.Printf("backend: %s\n", label(b.Accelerator))
 
 	start := time.Now()
-	out, err := acc.Execute(context.Background(), c, *shots)
+	probs, err := simulate(context.Background(), c, b, copts, noiseModel)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("executed in %v\n\n", time.Since(start).Round(time.Microsecond))
 
-	printDistribution(out, c.NumQubits, *shots, *top)
-	if f := opts.Resilience.Fault; f != nil {
+	var counts map[uint64]int
+	if *shots > 0 {
+		// Every backend samples with the state vector's default seed.
+		counts = state.SampleProbabilities(probs, *shots, core.NewRNG(0x5eed))
+	}
+	printDistribution(probs, counts, c.NumQubits, *shots, *top)
+	if f := copts.Fault; f != nil {
 		fmt.Printf("\nfaults injected: %d (%v) — all recovered\n",
 			f.Injected(), f.InjectedByKind())
 	}
 	if err := rep.Finish(); err != nil {
 		fail(err)
 	}
+}
+
+// label names the engine that serves a backend, as the backend line
+// prints it.
+func label(name string) string {
+	switch name {
+	case "nwq-sv-serial":
+		return "nwq-sv"
+	case "nwq-resilient":
+		return "fallback(nwq-cluster→nwq-sv)"
+	}
+	return name
+}
+
+// simulate runs c from |0…0⟩ on the named backend and returns its outcome
+// probabilities. nwq-resilient degrades to the single-node engine when the
+// cluster fails.
+func simulate(ctx context.Context, c *circuit.Circuit, b runspec.BackendSpec, copts cluster.Options, noise *density.NoiseModel) ([]float64, error) {
+	workers := b.Workers
+	switch b.Accelerator {
+	case "nwq-dm":
+		m := density.New(c.NumQubits)
+		if err := m.Run(c, noise); err != nil {
+			return nil, err
+		}
+		return m.Probabilities(), nil
+	case "nwq-cluster", "nwq-resilient":
+		s, err := cluster.Simulate(ctx, c, b.Ranks, copts)
+		if err == nil {
+			return s.Probabilities(), nil
+		}
+		if b.Accelerator == "nwq-cluster" {
+			return nil, err
+		}
+	case "nwq-sv-serial":
+		workers = 1
+	}
+	s := state.New(c.NumQubits, state.Options{Workers: workers})
+	s.Run(c)
+	return s.Probabilities(), nil
 }
 
 func load(path string) (*circuit.Circuit, error) {
@@ -126,13 +172,13 @@ func load(path string) (*circuit.Circuit, error) {
 	return qasm.Parse(f)
 }
 
-func printDistribution(res *xacc.ExecutionResult, n, shots, top int) {
+func printDistribution(probs []float64, counts map[uint64]int, n, shots, top int) {
 	type row struct {
 		idx  int
 		prob float64
 	}
 	var rows []row
-	for i, p := range res.Probabilities {
+	for i, p := range probs {
 		if p > 1e-12 {
 			rows = append(rows, row{i, p})
 		}
@@ -145,7 +191,7 @@ func printDistribution(res *xacc.ExecutionResult, n, shots, top int) {
 	for _, r := range rows {
 		line := fmt.Sprintf("|%0*b⟩  p = %.6f", n, r.idx, r.prob)
 		if shots > 0 {
-			line += fmt.Sprintf("   counts = %d", res.Counts[uint64(r.idx)])
+			line += fmt.Sprintf("   counts = %d", counts[uint64(r.idx)])
 		}
 		fmt.Println(line)
 	}

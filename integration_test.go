@@ -19,7 +19,6 @@ import (
 	"repro/internal/qpe"
 	"repro/internal/state"
 	"repro/internal/vqe"
-	"repro/internal/xacc"
 )
 
 func TestIntegrationDownfoldThenVQE(t *testing.T) {
@@ -115,12 +114,11 @@ func TestIntegrationFusedCircuitOnClusterMatchesDirect(t *testing.T) {
 	s.Run(c)
 	want := pauli.Expectation(s, h, pauli.ExpectationOptions{})
 
-	acc := &xacc.ClusterAccelerator{Ranks: 4}
-	got, err := acc.Expectation(context.Background(), c, h)
+	s4, err := cluster.Simulate(context.Background(), c, 4, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-want) > 1e-9 {
+	if got := pauli.NewPlan(h).Evaluate(s4, pauli.ExpectationOptions{}); math.Abs(got-want) > 1e-9 {
 		t.Errorf("cluster %v vs direct %v", got, want)
 	}
 

@@ -554,6 +554,26 @@ func (c *Cluster) ToState() (*state.State, error) {
 	return state.FromAmplitudes(c.Gather(), state.Options{})
 }
 
+// Simulate runs circ from |0…0⟩ on a fresh cluster and gathers the result
+// into a single-node State. The rank count is clamped so that every rank
+// keeps at least two local qubits: small circuits run on fewer ranks.
+func Simulate(ctx context.Context, circ *circuit.Circuit, ranks int, opts Options) (*state.State, error) {
+	if ranks < 1 {
+		ranks = 1
+	}
+	for ranks > 1 && ranks > 1<<uint(circ.NumQubits-2) {
+		ranks /= 2
+	}
+	c, err := NewWithOptions(circ.NumQubits, ranks, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.RunContext(ctx, circ); err != nil {
+		return nil, err
+	}
+	return c.ToState()
+}
+
 // Norm returns ‖ψ‖ computed as a distributed reduction.
 func (c *Cluster) Norm() float64 {
 	partial := make([]float64, len(c.blocks))

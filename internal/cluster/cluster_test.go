@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -163,6 +164,34 @@ func TestToState(t *testing.T) {
 	}
 	if math.Abs(s.Probability(3)-0.5) > 1e-9 {
 		t.Error("gathered state wrong")
+	}
+}
+
+// TestSimulateClampsRanks: Simulate halves a rank count that would leave
+// a rank fewer than two local qubits instead of failing, so a Bell pair
+// runs on four (or zero) requested ranks, and it agrees with the
+// single-node engine to the bit.
+func TestSimulateClampsRanks(t *testing.T) {
+	for _, tc := range []struct {
+		circ  *circuit.Circuit
+		ranks int
+	}{
+		{circuit.New(2).H(0).CX(0, 1), 4},
+		{circuit.New(2).H(0).CX(0, 1), 0},
+		{circuit.New(5).H(0).CX(0, 4).RY(0.3, 2).CX(2, 3), 16},
+	} {
+		s, err := Simulate(context.Background(), tc.circ, tc.ranks, Options{})
+		if err != nil {
+			t.Fatalf("%d qubits on %d ranks: %v", tc.circ.NumQubits, tc.ranks, err)
+		}
+		ref := state.New(tc.circ.NumQubits, state.Options{Workers: 1})
+		ref.Run(tc.circ)
+		for i, a := range ref.Amplitudes() {
+			if s.Amplitudes()[i] != a {
+				t.Fatalf("%d qubits on %d ranks: amplitude %d = %v, single node %v",
+					tc.circ.NumQubits, tc.ranks, i, s.Amplitudes()[i], a)
+			}
+		}
 	}
 }
 

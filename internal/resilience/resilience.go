@@ -9,7 +9,7 @@
 // opaque payload, how to decide that a simulated transfer failed, and how
 // to pace retries — the policies (what goes in a checkpoint, which
 // transfers are guarded) live with the subsystems that use it
-// (internal/opt, internal/vqe, internal/cluster, internal/xacc).
+// (internal/opt, internal/vqe, internal/cluster, internal/runspec).
 package resilience
 
 import (

@@ -22,7 +22,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/state"
 	"repro/internal/vqe"
-	"repro/internal/xacc"
 )
 
 // Progress is one per-iteration notification delivered to
@@ -181,28 +180,6 @@ func encodingFor(name string, n int) (*fermion.Encoding, error) {
 		return fermion.ParityEncoding(n)
 	}
 	return nil, fmt.Errorf("%w: runspec: unknown encoding %q", core.ErrInvalidArgument, name)
-}
-
-// AcceleratorOptions translates the backend section into registry
-// lookup options, including the serialized fault-injection drill.
-func (b BackendSpec) AcceleratorOptions() xacc.AcceleratorOptions {
-	o := xacc.AcceleratorOptions{Workers: b.Workers, Ranks: b.Ranks}
-	if b.Fault.enabled() {
-		o.Resilience.Fault = resilience.NewFaultInjector(resilience.FaultConfig{
-			Seed:        b.Fault.Seed,
-			DropProb:    b.Fault.DropProb,
-			CorruptProb: b.Fault.CorruptProb,
-			StallProb:   b.Fault.StallProb,
-			SilentProb:  b.Fault.SilentProb,
-			MaxFaults:   b.Fault.MaxFaults,
-		})
-		if b.Fault.SilentProb > 0 {
-			// Silent corruption sails past the checksums; only the
-			// norm-drift watchdog catches it.
-			o.Resilience.NormCheckEvery = 8
-		}
-	}
-	return o
 }
 
 // Run validates and executes a spec: molecule construction, observable
@@ -387,24 +364,6 @@ func runAdapt(ctx context.Context, c *RunSpec, plan *pauli.Plan, n, ne int, fciE
 		}
 	}
 	return nil
-}
-
-// backend resolves the section to what the driver loop asks for ⟨H⟩ on n
-// qubits: nil (the driver's own state vector, with every mode, caching and
-// adjoint gradients) for nwq-sv, the registry's accelerator otherwise.
-func (b BackendSpec) backend(n int) (vqe.Backend, error) {
-	if b.Accelerator == "nwq-sv" {
-		return nil, nil
-	}
-	acc, err := xacc.DefaultRegistry.New(b.Accelerator, b.AcceleratorOptions())
-	if err != nil {
-		return nil, err
-	}
-	if n > acc.NumQubitsLimit() {
-		return nil, fmt.Errorf("%w: runspec: %d qubits exceed backend %q limit of %d",
-			core.ErrInvalidArgument, n, b.Accelerator, acc.NumQubitsLimit())
-	}
-	return acc, nil
 }
 
 // energyModes maps the validated spec mode onto the driver's.

@@ -20,11 +20,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/xacc"
 )
 
 // Enum values accepted by Validate. Everything is lowercase in canonical
@@ -99,10 +97,10 @@ func (f *FaultSpec) enabled() bool {
 	return f != nil && (f.DropProb > 0 || f.CorruptProb > 0 || f.StallProb > 0 || f.SilentProb > 0)
 }
 
-// BackendSpec picks the simulation backend from the xacc registry and its
-// construction options.
+// BackendSpec picks the simulation backend from the backend table
+// (backend.go) and its construction options.
 type BackendSpec struct {
-	// Accelerator is a registry name (default nwq-sv).
+	// Accelerator names a backend-table row (default nwq-sv).
 	Accelerator string `json:"accelerator,omitempty"`
 	// Ranks for the cluster backend (default 4).
 	Ranks int `json:"ranks,omitempty"`
@@ -219,10 +217,8 @@ func (s *RunSpec) ApplyDefaults() {
 		}
 	}
 	s.Backend.Accelerator = lowerDefault(s.Backend.Accelerator, "nwq-sv")
-	if s.Backend.Accelerator == "nwq-cluster" || s.Backend.Accelerator == "nwq-resilient" {
-		if s.Backend.Ranks == 0 {
-			s.Backend.Ranks = 4
-		}
+	if s.Backend.Distributed() && s.Backend.Ranks == 0 {
+		s.Backend.Ranks = 4
 	}
 }
 
@@ -236,7 +232,7 @@ func lowerDefault(v, def string) string {
 
 // Validate checks the spec after defaulting, wrapping every failure in
 // core.ErrInvalidArgument so callers can errors.Is against the engine's
-// sentinel. It consults the accelerator registry: a spec the daemon has
+// sentinel. It consults the backend table: a spec the daemon has
 // acknowledged must not be one that can only fail, or run on a backend
 // other than the one its hash names.
 func (s *RunSpec) Validate() error {
@@ -300,10 +296,11 @@ func (s *RunSpec) Validate() error {
 		return fmt.Errorf("%w: runspec: ansatz hea requires optimizer.method nelder-mead", core.ErrInvalidArgument)
 	}
 	if acc := c.Backend.Accelerator; acc != "nwq-sv" {
+		if _, ok := lookupBackend(acc); !ok {
+			return unknownBackend(acc)
+		}
 		// Anything but direct-mode VQE needs the in-process amplitudes.
 		switch {
-		case !slices.Contains(xacc.DefaultRegistry.Names(), acc):
-			return fmt.Errorf("%w: runspec: unknown backend.accelerator %q (have %v)", core.ErrInvalidArgument, acc, xacc.DefaultRegistry.Names())
 		case c.Algorithm != AlgorithmVQE:
 			return fmt.Errorf("%w: runspec: algorithm %q runs on backend nwq-sv only (got %q)", core.ErrInvalidArgument, c.Algorithm, acc)
 		case c.Mode != "direct":
@@ -363,7 +360,7 @@ func (s RunSpec) Canonical() RunSpec {
 	if c.Mode != "sampled" {
 		c.Shots = 0
 	}
-	if c.Backend.Accelerator != "nwq-cluster" && c.Backend.Accelerator != "nwq-resilient" {
+	if !c.Backend.Distributed() {
 		c.Backend.Ranks = 0
 		c.Backend.Fault = nil
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -11,58 +10,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
-	"repro/internal/pauli"
-	"repro/internal/resilience"
-	"repro/internal/xacc"
+	"repro/internal/runspec"
 )
 
-// trippingBackend is a registry backend for the tests below: the state-
-// vector accelerator, except that trip sees every Expectation call's
-// ordinal — counted across retry attempts — first and may fail or panic.
-type trippingBackend struct {
-	xacc.SVAccelerator
-	calls *atomic.Int64
-	trip  func(call int64) error
-}
-
-func (b *trippingBackend) Expectation(ctx context.Context, prep *circuit.Circuit, obs *pauli.Op) (float64, error) {
-	if err := b.trip(b.calls.Add(1)); err != nil {
-		return 0, err
-	}
-	return b.SVAccelerator.Expectation(ctx, prep, obs)
-}
-
-// registerTripping installs a trippingBackend under name and returns a
-// spec that runs H2 on it.
-func registerTripping(t *testing.T, name string, trip func(call int64) error) string {
-	t.Helper()
-	calls := new(atomic.Int64)
-	err := xacc.DefaultRegistry.Register(name, xacc.Entry{
-		Factory: func(xacc.AcceleratorOptions) xacc.Accelerator {
-			return &trippingBackend{calls: calls, trip: trip}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf(`{"optimizer":{"method":"nelder-mead","max_iter":60},"backend":{"accelerator":%q}}`, name)
-}
-
 // TestBackendPanicReachesIsolation: the VQE loop recovers nothing, so a
-// panic inside a backend arrives at the scheduler's per-point isolation
-// with the value it was raised with (no retry budget here, so the point
-// settles on it).
+// panic raised inside a backend run's optimizer loop (here by the fault
+// hook, on the fifth progress sample) arrives at the scheduler's per-point
+// isolation with the value it was raised with (no retry budget here, so
+// the point settles on it).
 func TestBackendPanicReachesIsolation(t *testing.T) {
 	const fuse = "cluster backend blew fuse 7"
-	spec := registerTripping(t, "test-panicking", func(call int64) error {
-		if call == 5 {
+	var samples atomic.Int64
+	hook := func(ctx context.Context, id string, p runspec.Progress) {
+		if samples.Add(1) == 5 {
 			panic(fuse)
 		}
-		return nil
-	})
+	}
 
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, FaultHook: hook})
+	spec := `{"optimizer":{"method":"nelder-mead","max_iter":60},"backend":{"accelerator":"nwq-sv-serial"}}`
 	failed := pollDone(t, ts, submitSpec(t, ts, spec).ID, 60*time.Second)
 	want := errJobPanicked.Error() + ": " + fuse
 	if failed.Status != StatusFailed || !strings.HasSuffix(failed.Error, want) {
@@ -71,29 +37,24 @@ func TestBackendPanicReachesIsolation(t *testing.T) {
 }
 
 // TestBackendFaultClassifiedThroughLoop: a backend error crosses the loop
-// with its chain intact, so an exhausted-retries fault is re-run (and the
-// re-run completes) while any other backend error is terminal.
+// with its chain intact, so a cluster whose every transfer drops (retries
+// exhausted) is re-run until the budget is spent, while a spec no backend
+// run can serve (14 qubits on the 12-qubit density matrix) fails on its
+// first attempt.
 func TestBackendFaultClassifiedThroughLoop(t *testing.T) {
-	transient := registerTripping(t, "test-flaky", func(call int64) error {
-		if call == 5 {
-			return fmt.Errorf("rank 2 unreachable: %w", resilience.ErrRetriesExhausted)
-		}
-		return nil
-	})
-	terminal := registerTripping(t, "test-broken", func(call int64) error {
-		if call == 5 {
-			return fmt.Errorf("rank 2 misconfigured")
-		}
-		return nil
-	})
+	const transient = `{"optimizer":{"method":"nelder-mead","max_iter":60},` +
+		`"backend":{"accelerator":"nwq-cluster","fault":{"seed":3,"drop_prob":1}}}`
+	const terminal = `{"molecule":{"kind":"hubbard","sites":7},"optimizer":{"method":"nelder-mead"},` +
+		`"backend":{"accelerator":"nwq-dm"}}`
 
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, RetryBudget: 2})
-	done := pollDone(t, ts, submitSpec(t, ts, transient).ID, 60*time.Second)
-	if done.Status != StatusDone || done.Attempt != 1 {
-		t.Errorf("transient fault: settled %s on attempt %d (%q), want done after one retry", done.Status, done.Attempt, done.Error)
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, RetryBudget: 1})
+	retried := pollDone(t, ts, submitSpec(t, ts, transient).ID, 60*time.Second)
+	if retried.Status != StatusFailed || retried.Attempt != 2 ||
+		!strings.Contains(retried.Error, "retry budget exhausted") || !strings.Contains(retried.Error, "retries exhausted") {
+		t.Errorf("transient fault: settled %s on attempt %d (%q), want failed once the one retry was spent", retried.Status, retried.Attempt, retried.Error)
 	}
 	failed := pollDone(t, ts, submitSpec(t, ts, terminal).ID, 60*time.Second)
-	if failed.Status != StatusFailed || failed.Attempt != 0 || !strings.Contains(failed.Error, "rank 2 misconfigured") {
+	if failed.Status != StatusFailed || failed.Attempt != 0 || !strings.Contains(failed.Error, "exceed backend") {
 		t.Errorf("terminal fault: settled %s on attempt %d (%q), want failed without a retry", failed.Status, failed.Attempt, failed.Error)
 	}
 }

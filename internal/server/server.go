@@ -63,7 +63,6 @@ import (
 	"repro/internal/server/journal"
 	"repro/internal/state"
 	"repro/internal/telemetry"
-	"repro/internal/xacc"
 )
 
 // Config sizes the daemon.
@@ -646,7 +645,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	kernelTuning := tuning.Snapshot()
 	kernelTuning["cluster_pool_min"] = cluster.PoolMinAmps
 	writeJSON(w, http.StatusOK, map[string]any{
-		"accelerators": xacc.DefaultRegistry.List(),
+		"accelerators": runspec.Backends(),
 		"algorithms":   []string{runspec.AlgorithmVQE, runspec.AlgorithmAdapt, runspec.AlgorithmQPE},
 		"spec_hash":    runspec.HashPrefix,
 		"sweep_hash":   runspec.SweepHashPrefix,

@@ -50,7 +50,8 @@ func (m EnergyMode) String() string {
 
 // Backend evaluates ⟨prep|obs|prep⟩ somewhere other than the driver's own
 // state vector — a simulated cluster, a density matrix, a fallback chain.
-// The driver owns the loop around it; every xacc.Accelerator satisfies it.
+// The driver owns the loop around it; runspec's backend table builds one
+// for every backend a spec may name.
 type Backend interface {
 	Expectation(ctx context.Context, prep *circuit.Circuit, obs *pauli.Op) (float64, error)
 }

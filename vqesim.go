@@ -21,9 +21,11 @@
 // spec against it with RunOnMolecule.
 //
 // The heavy lifting lives in the internal packages (state, circuit, pauli,
-// fermion, chem, ansatz, vqe, qpe, cluster, density, xacc); this package
-// re-exports the types a downstream application needs and wires together
-// the common workflows.
+// fermion, chem, ansatz, vqe, qpe, cluster, density), and the API over them
+// is runspec's: a spec names its backend from runspec's fixed table, whose
+// rows plug into vqe's one optimizer loop. This package re-exports the
+// types a downstream application needs and wires together the common
+// workflows.
 package vqesim
 
 import (
