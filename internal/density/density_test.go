@@ -155,6 +155,18 @@ func TestNoiseModelDegradesFidelity(t *testing.T) {
 	}
 }
 
+// TestNoisyBellCorrelator: depolarizing noise shrinks a Bell pair's ⟨ZZ⟩
+// strictly below 1, but not catastrophically.
+func TestNoisyBellCorrelator(t *testing.T) {
+	m := New(2)
+	if err := m.Run(circuit.New(2).H(0).CX(0, 1), DepolarizingModel(0.02, 0.05)); err != nil {
+		t.Fatal(err)
+	}
+	if e := m.Expectation(pauli.NewOp().Add(pauli.MustParse("ZZ"), 1)); e >= 1-1e-9 || e < 0.7 {
+		t.Errorf("noisy ⟨ZZ⟩ = %v, want in [0.7, 1)", e)
+	}
+}
+
 func TestNoiseScalingMonotone(t *testing.T) {
 	// Higher error rate → lower fidelity (ablation check).
 	c := circuit.New(2).H(0).CX(0, 1).H(0).CX(0, 1)

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,13 +340,21 @@ func TestQueueFull(t *testing.T) {
 // the same spool resumes the job from that checkpoint to completion.
 func TestShutdownCheckpointsInFlight(t *testing.T) {
 	spool := t.TempDir()
-	srv, err := New(Config{MaxConcurrent: 1, SpoolDir: spool, SimWorkers: 2})
+	// Water + L-BFGS emits a progress event every iteration (no simplex
+	// warm-up), but converges in a few tens of milliseconds: the hook
+	// holds it at its fourth iteration, after the three awaited below,
+	// until the drain cancels it, so the shutdown always interrupts it
+	// mid-run however the test goroutine is scheduled.
+	var iterations atomic.Int32
+	hold := func(ctx context.Context, id string, p runspec.Progress) {
+		if p.Phase != "setup" && iterations.Add(1) == 4 {
+			<-ctx.Done()
+		}
+	}
+	srv, err := New(Config{MaxConcurrent: 1, SpoolDir: spool, SimWorkers: 2, FaultHook: hold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Water + L-BFGS emits a progress event every iteration (no simplex
-	// warm-up) yet needs far more than the three iterations awaited below,
-	// so the shutdown always interrupts it mid-run.
 	spec := &runspec.RunSpec{Molecule: runspec.MoleculeSpec{Kind: "water"}}
 	job, err := srv.Submit(spec)
 	if err != nil {
