@@ -316,7 +316,9 @@ func BenchmarkClusterBackend(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cl.Run(c)
+				if err := cl.RunContext(context.Background(), c); err != nil {
+					b.Fatal(err)
+				}
 				moved = cl.Stats().BytesTransferred
 			}
 			b.ReportMetric(float64(moved)/(1<<20), "MiB_moved")

@@ -99,7 +99,7 @@ func main() {
 	fmt.Printf("backend: %s\n", label(b.Accelerator))
 
 	start := time.Now()
-	probs, err := simulate(context.Background(), c, b, copts, noiseModel)
+	probs, served, err := simulate(context.Background(), c, b, copts, noiseModel)
 	if err != nil {
 		fail(err)
 	}
@@ -112,8 +112,14 @@ func main() {
 	}
 	printDistribution(probs, counts, c.NumQubits, *shots, *top)
 	if f := copts.Fault; f != nil {
-		fmt.Printf("\nfaults injected: %d (%v) — all recovered\n",
-			f.Injected(), f.InjectedByKind())
+		// Faults need a cluster backend, so a run the single-node engine
+		// served is nwq-resilient's fallback.
+		outcome := "all recovered"
+		if served == "nwq-sv" {
+			outcome = "the cluster gave up and nwq-sv served the run"
+		}
+		fmt.Printf("\nfaults injected: %d (%v) — %s\n",
+			f.Injected(), f.InjectedByKind(), outcome)
 	}
 	if err := rep.Finish(); err != nil {
 		fail(err)
@@ -133,31 +139,31 @@ func label(name string) string {
 }
 
 // simulate runs c from |0…0⟩ on the named backend and returns its outcome
-// probabilities. nwq-resilient degrades to the single-node engine when the
-// cluster fails.
-func simulate(ctx context.Context, c *circuit.Circuit, b runspec.BackendSpec, copts cluster.Options, noise *density.NoiseModel) ([]float64, error) {
+// probabilities and the engine that served the run. nwq-resilient degrades
+// to the single-node engine when the cluster fails.
+func simulate(ctx context.Context, c *circuit.Circuit, b runspec.BackendSpec, copts cluster.Options, noise *density.NoiseModel) ([]float64, string, error) {
 	workers := b.Workers
 	switch b.Accelerator {
 	case "nwq-dm":
 		m := density.New(c.NumQubits)
 		if err := m.Run(c, noise); err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return m.Probabilities(), nil
+		return m.Probabilities(), "nwq-dm", nil
 	case "nwq-cluster", "nwq-resilient":
 		s, err := cluster.Simulate(ctx, c, b.Ranks, copts)
 		if err == nil {
-			return s.Probabilities(), nil
+			return s.Probabilities(), "nwq-cluster", nil
 		}
 		if b.Accelerator == "nwq-cluster" {
-			return nil, err
+			return nil, "", err
 		}
 	case "nwq-sv-serial":
 		workers = 1
 	}
 	s := state.New(c.NumQubits, state.Options{Workers: workers})
 	s.Run(c)
-	return s.Probabilities(), nil
+	return s.Probabilities(), "nwq-sv", nil
 }
 
 func load(path string) (*circuit.Circuit, error) {

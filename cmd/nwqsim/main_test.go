@@ -125,7 +125,8 @@ func TestNoisyBellOnEveryBackend(t *testing.T) {
 // TestClusterFaultDrill drives the cluster's seeded fault injector through
 // a four-rank GHZ state: recoverable drops leave the distribution as it
 // was, drops that exhaust the retries fail nwq-cluster and send
-// nwq-resilient to the single-node engine, with the same distribution.
+// nwq-resilient to the single-node engine, with the same distribution and
+// a fault line that says the cluster gave up.
 func TestClusterFaultDrill(t *testing.T) {
 	const ghz = "|0000⟩  p = 0.500000   counts = 265\n" +
 		"|1111⟩  p = 0.500000   counts = 235"
@@ -135,7 +136,7 @@ func TestClusterFaultDrill(t *testing.T) {
 		{"nwq-resilient", "0.3", "backend: fallback(nwq-cluster→nwq-sv)\n" + ghz +
 			"\nfaults injected: 11 (map[drop:11]) — all recovered"},
 		{"nwq-resilient", "1", "backend: fallback(nwq-cluster→nwq-sv)\n" + ghz +
-			"\nfaults injected: 8 (map[drop:8]) — all recovered"},
+			"\nfaults injected: 8 (map[drop:8]) — the cluster gave up and nwq-sv served the run"},
 	} {
 		out, stderr, err := nwqsim(t, ghz4QASM, "-backend", tc.backend, "-fault-drop", tc.drop, "-shots", "500")
 		if err != nil {

@@ -232,7 +232,8 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts optio
 		if baselinePath == "" {
 			baselinePath = baselineFile
 		}
-		out := &analysis.Baseline{Version: analysis.BaselineVersion}
+		// A clean tree writes "findings": [], not null.
+		out := &analysis.Baseline{Version: analysis.BaselineVersion, Findings: []analysis.BaselineEntry{}}
 		agg := map[string]*analysis.BaselineEntry{}
 		for _, f := range kept {
 			e := f.entry

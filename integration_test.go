@@ -126,7 +126,9 @@ func TestIntegrationFusedCircuitOnClusterMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Run(c)
+	if err := cl.RunContext(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
 	cs, err := cl.ToState()
 	if err != nil {
 		t.Fatal(err)

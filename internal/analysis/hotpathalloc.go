@@ -40,7 +40,6 @@ var poolSubmitters = map[string]bool{
 	"parallelReduce": true,
 	"Run":            true,
 	"ReduceFloat":    true,
-	"ReduceComplex":  true,
 }
 
 func runHotPathAlloc(pass *Pass) error {

@@ -646,34 +646,3 @@ func TestTaperedHamiltonianSynthetic(t *testing.T) {
 		t.Logf("note: HF sector ground %v vs FCI %v (global ground may sit in another sector)", e, fci.Energy)
 	}
 }
-
-func TestMP2BetweenHFAndFCI(t *testing.T) {
-	// For weakly correlated systems MP2 recovers part of the correlation
-	// energy: E_FCI ≤ E_MP2 < E_HF (the first inequality is not a strict
-	// theorem but holds for these systems).
-	for _, m := range []*MolecularData{
-		H2(),
-		Synthetic(SyntheticOptions{NumOrbitals: 3, NumElectrons: 2, Seed: 4, Correlation: 0.25, Decay: 1.2}),
-	} {
-		hf := HartreeFockEnergy(m)
-		mp2 := MP2Energy(m)
-		fci, err := FCI(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mp2 >= hf {
-			t.Errorf("%s: MP2 %v not below HF %v", m.Name, mp2, hf)
-		}
-		if mp2 < fci.Energy-0.05 {
-			t.Errorf("%s: MP2 %v far below FCI %v (overshoot)", m.Name, mp2, fci.Energy)
-		}
-	}
-}
-
-func TestMP2H2LiteratureValue(t *testing.T) {
-	// H2/STO-3G MP2 correlation ≈ −0.013 Ha → E_MP2 ≈ −1.130 Ha.
-	mp2 := MP2Energy(H2())
-	if math.Abs(mp2-(-1.1298)) > 2e-3 {
-		t.Errorf("MP2 = %v, want ≈ -1.1298", mp2)
-	}
-}

@@ -232,29 +232,3 @@ func H2AtDistance(rAngstrom float64) (*MolecularData, error) {
 	}
 	return m, nil
 }
-
-// H2DissociationCurve computes FCI and HF energies over a range of bond
-// distances (Ångström), the potential-energy-surface workload of the
-// downfolding literature.
-type CurvePoint struct {
-	R    float64 // Å
-	EHF  float64
-	EFCI float64
-}
-
-// H2DissociationCurve evaluates the curve at the given distances.
-func H2DissociationCurve(distances []float64) ([]CurvePoint, error) {
-	out := make([]CurvePoint, 0, len(distances))
-	for _, r := range distances {
-		m, err := H2AtDistance(r)
-		if err != nil {
-			return nil, err
-		}
-		fci, err := FCI(m)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CurvePoint{R: r, EHF: HartreeFockEnergy(m), EFCI: fci.Energy})
-	}
-	return out, nil
-}

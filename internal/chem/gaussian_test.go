@@ -114,38 +114,6 @@ func TestH2IntegralsValidate(t *testing.T) {
 	}
 }
 
-func TestH2DissociationCurveShape(t *testing.T) {
-	pts, err := H2DissociationCurve([]float64{0.4, 0.55, 0.7414, 1.0, 1.5, 2.5, 4.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FCI ≤ HF everywhere.
-	for _, p := range pts {
-		if p.EFCI > p.EHF+1e-10 {
-			t.Errorf("R=%v: FCI above HF", p.R)
-		}
-	}
-	// Minimum near equilibrium (0.7414) — energy at equilibrium below both
-	// compressed and stretched neighbours.
-	eq := pts[2]
-	if !(eq.EFCI < pts[0].EFCI && eq.EFCI < pts[4].EFCI) {
-		t.Errorf("no minimum near equilibrium: %+v", pts)
-	}
-	// Dissociation limit: FCI → 2·E(H) = −0.93316 Ha in this basis
-	// (2 × −0.46658), while RHF dissociates incorrectly (higher).
-	far := pts[len(pts)-1]
-	if math.Abs(far.EFCI-(-0.9333)) > 5e-3 {
-		t.Errorf("FCI dissociation limit %v, want ≈ -0.9333", far.EFCI)
-	}
-	if far.EHF < far.EFCI+0.1 {
-		t.Errorf("RHF should dissociate poorly: HF %v vs FCI %v", far.EHF, far.EFCI)
-	}
-	// Static correlation grows with stretch: |E_FCI − E_HF| increases.
-	if (pts[5].EHF - pts[5].EFCI) < (pts[2].EHF - pts[2].EFCI) {
-		t.Error("correlation energy did not grow with bond stretch")
-	}
-}
-
 func TestH2AtDistanceRejectsNonPositive(t *testing.T) {
 	if _, err := H2AtDistance(0); err == nil {
 		t.Error("R=0 accepted")

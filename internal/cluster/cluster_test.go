@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/gate"
 	"repro/internal/state"
 )
 
@@ -43,6 +42,14 @@ func randomCircuit(n, gates int, seed uint64) *circuit.Circuit {
 	return c
 }
 
+// mustRun applies c to cl and fails the test on an error.
+func mustRun(t *testing.T, cl *Cluster, c *circuit.Circuit) {
+	t.Helper()
+	if err := cl.RunContext(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // compare runs the circuit on the cluster and on the single-node engine.
 func compare(t *testing.T, n, ranks int, c *circuit.Circuit) *Cluster {
 	t.Helper()
@@ -50,7 +57,7 @@ func compare(t *testing.T, n, ranks int, c *circuit.Circuit) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Run(c)
+	mustRun(t, cl, c)
 	ref := state.New(n, state.Options{})
 	ref.Run(c)
 	got := cl.Gather()
@@ -135,7 +142,7 @@ func TestRandomCircuitsAllRankCounts(t *testing.T) {
 
 func TestNormPreserved(t *testing.T) {
 	cl, _ := New(6, 4)
-	cl.Run(randomCircuit(6, 40, 99))
+	mustRun(t, cl, randomCircuit(6, 40, 99))
 	if math.Abs(cl.Norm()-1) > 1e-9 {
 		t.Errorf("norm %v", cl.Norm())
 	}
@@ -157,7 +164,7 @@ func TestGHZAcrossRanks(t *testing.T) {
 
 func TestToState(t *testing.T) {
 	cl, _ := New(4, 2)
-	cl.Run(circuit.New(4).H(0).CX(0, 3))
+	mustRun(t, cl, circuit.New(4).H(0).CX(0, 3))
 	s, err := cl.ToState()
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +211,7 @@ func TestCommunicationScalesWithRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Run(c)
+		mustRun(t, cl, c)
 		msgs := cl.Stats().Messages
 		if msgs < prev {
 			t.Errorf("messages decreased with more ranks: %d → %d", prev, msgs)
@@ -220,12 +227,12 @@ func TestRejectsMeasurement(t *testing.T) {
 			t.Error("measurement accepted")
 		}
 	}()
-	cl.ApplyGate(gate.New(gate.Measure, 0))
+	mustRun(t, cl, circuit.New(4).Measure(0))
 }
 
 func TestBarrierIsNoop(t *testing.T) {
 	cl, _ := New(4, 2)
-	cl.ApplyGate(gate.New(gate.Barrier))
+	mustRun(t, cl, circuit.New(4).Barrier())
 	if cl.Stats().LocalGates != 0 {
 		t.Error("barrier counted as gate")
 	}
@@ -236,7 +243,7 @@ func TestFusedGatesOnCluster(t *testing.T) {
 	c := randomCircuit(6, 30, 7)
 	f := circuit.Transpile(c, circuit.DefaultTranspileOptions())
 	cl, _ := New(6, 4)
-	cl.Run(f)
+	mustRun(t, cl, f)
 	ref := state.New(6, state.Options{})
 	ref.Run(c)
 	got := cl.Gather()

@@ -47,7 +47,7 @@ func TestStatsRaceWithGlobalGate(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		cl.Run(globalHeavy(6))
+		mustRun(t, cl, globalHeavy(6))
 	}
 	close(done)
 	wg.Wait()
@@ -61,12 +61,12 @@ func TestStatsRaceWithGlobalGate(t *testing.T) {
 func TestVerifiedCommMatchesPlain(t *testing.T) {
 	c := randomCircuit(6, 30, 11)
 	plain, _ := New(6, 4)
-	plain.Run(c)
+	mustRun(t, plain, c)
 	verified, err := NewWithOptions(6, 4, Options{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified.Run(c)
+	mustRun(t, verified, c)
 	got, want := verified.Gather(), plain.Gather()
 	for i := range want {
 		if got[i] != want[i] {
@@ -97,7 +97,7 @@ func TestFaultDrillRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Run(c)
+		mustRun(t, cl, c)
 		if inj.Injected() == 0 {
 			t.Fatalf("ranks=%d: no faults injected", ranks)
 		}
@@ -125,7 +125,7 @@ func TestFaultDrillDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Run(globalHeavy(6))
+		mustRun(t, cl, globalHeavy(6))
 		return inj.InjectedByKind()
 	}
 	a, b := run(), run()

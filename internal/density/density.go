@@ -242,36 +242,6 @@ func DepolarizingKraus(p float64) []*linalg.Matrix {
 	return []*linalg.Matrix{k0, kx, ky, kz}
 }
 
-// AmplitudeDampingKraus returns T1 relaxation with decay probability γ.
-func AmplitudeDampingKraus(gamma float64) []*linalg.Matrix {
-	if gamma < 0 || gamma > 1 {
-		panic(core.ErrInvalidArgument)
-	}
-	k0 := linalg.MatrixFrom(2, 2, []complex128{1, 0, 0, complex(math.Sqrt(1-gamma), 0)})
-	k1 := linalg.MatrixFrom(2, 2, []complex128{0, complex(math.Sqrt(gamma), 0), 0, 0})
-	return []*linalg.Matrix{k0, k1}
-}
-
-// PhaseDampingKraus returns pure dephasing with probability λ.
-func PhaseDampingKraus(lambda float64) []*linalg.Matrix {
-	if lambda < 0 || lambda > 1 {
-		panic(core.ErrInvalidArgument)
-	}
-	k0 := linalg.MatrixFrom(2, 2, []complex128{1, 0, 0, complex(math.Sqrt(1-lambda), 0)})
-	k1 := linalg.MatrixFrom(2, 2, []complex128{0, 0, 0, complex(math.Sqrt(lambda), 0)})
-	return []*linalg.Matrix{k0, k1}
-}
-
-// BitFlipKraus returns the bit-flip channel with probability p.
-func BitFlipKraus(p float64) []*linalg.Matrix {
-	if p < 0 || p > 1 {
-		panic(core.ErrInvalidArgument)
-	}
-	k0 := linalg.Identity(2).Scale(complex(math.Sqrt(1-p), 0))
-	k1 := gate.New(gate.X).Matrix2().Scale(complex(math.Sqrt(p), 0))
-	return []*linalg.Matrix{k0, k1}
-}
-
 // NoiseModel attaches per-gate noise: after every 1-qubit gate each touched
 // qubit passes through OneQubit channels; after every 2-qubit gate,
 // TwoQubit channels (applied per touched qubit).

@@ -74,9 +74,6 @@ func TestAllChannelsTracePreserving(t *testing.T) {
 		}
 	}
 	check("depolarizing", DepolarizingKraus(0.2))
-	check("amplitude-damping", AmplitudeDampingKraus(0.3))
-	check("phase-damping", PhaseDampingKraus(0.25))
-	check("bit-flip", BitFlipKraus(0.15))
 }
 
 func TestDepolarizingReducesPurity(t *testing.T) {
@@ -101,35 +98,6 @@ func TestFullDepolarizationIsMaximallyMixed(t *testing.T) {
 		t.Errorf("purity %v, want 0.5", m.Purity())
 	}
 }
-
-func TestAmplitudeDampingRelaxesToGround(t *testing.T) {
-	m := New(1)
-	m.ApplyGate(gate.New(gate.X, 0)) // |1⟩
-	for i := 0; i < 60; i++ {
-		m.ApplyChannel(AmplitudeDampingKraus(0.2), 0)
-	}
-	if real(m.At(0, 0)) < 0.999 {
-		t.Errorf("did not relax to |0⟩: P0 = %v", real(m.At(0, 0)))
-	}
-}
-
-func TestPhaseDampingKillsCoherence(t *testing.T) {
-	m := New(1)
-	m.ApplyGate(gate.New(gate.H, 0))
-	offBefore := m.At(0, 1)
-	for i := 0; i < 50; i++ {
-		m.ApplyChannel(PhaseDampingKraus(0.3), 0)
-	}
-	if real(m.At(0, 0)) < 0.49 || real(m.At(1, 1)) < 0.49 {
-		t.Error("populations changed under pure dephasing")
-	}
-	// ρ01 decays by √(1−λ) per application: (0.7)^25 ≈ 1.3e-4 remains.
-	if cabs(m.At(0, 1)) > 1e-3*cabs(offBefore) {
-		t.Errorf("coherence survived: %v", m.At(0, 1))
-	}
-}
-
-func cabs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 func TestNoiseModelDegradesFidelity(t *testing.T) {
 	c := circuit.New(2).H(0).CX(0, 1)

@@ -160,61 +160,3 @@ func (c *Client) Sweep(ctx context.Context, id string) (*SweepView, error) {
 	}
 	return v, nil
 }
-
-// CancelSweep requests family cancellation (idempotent) and returns the
-// resulting view.
-func (c *Client) CancelSweep(ctx context.Context, id string) (*SweepView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/sweeps/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, fmt.Errorf("%w: sweep %s", ErrSweepNotFound, id)
-	}
-	if resp.StatusCode == http.StatusGone {
-		return nil, fmt.Errorf("%w: sweep %s", ErrSweepEvicted, id)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("load: cancel sweep %s: HTTP %d: %s", id, resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	v := new(SweepView)
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return nil, fmt.Errorf("load: decode sweep view: %w", err)
-	}
-	return v, nil
-}
-
-// WaitSweepTerminal polls a family until it settles, the context ends,
-// or the deadline passes.
-func (c *Client) WaitSweepTerminal(ctx context.Context, id string, poll, timeout time.Duration) (*SweepView, error) {
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	deadline := time.Now().Add(timeout)
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		v, err := c.Sweep(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if v.Terminal() {
-			return v, nil
-		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return v, fmt.Errorf("load: sweep %s not terminal after %s (status %s, %d/%d done)",
-				id, timeout, v.Status, v.Done, v.Points)
-		}
-		select {
-		case <-ctx.Done():
-			return v, ctx.Err()
-		case <-ticker.C:
-		}
-	}
-}

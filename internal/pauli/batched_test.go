@@ -121,28 +121,6 @@ func TestBatchedIdentityAndScalar(t *testing.T) {
 	}
 }
 
-// TestVarianceThroughBatchedPath is the Variance regression test: H² runs
-// through the batched engine and must vanish on an eigenstate and match
-// the dense calculation on a generic state.
-func TestVarianceThroughBatchedPath(t *testing.T) {
-	op := testHamiltonian()
-	// Eigenstate check: |0000⟩ is an eigenstate of Z-only pieces; use a
-	// pure-Z observable for the exact-zero property.
-	zOp := NewOp().Add(MustParse("ZZII"), 0.7).Add(MustParse("IIZZ"), -0.4)
-	s0 := state.New(4, state.Options{})
-	if v := Variance(s0, zOp, ExpectationOptions{}); math.Abs(v) > 1e-10 {
-		t.Errorf("variance on eigenstate through batched path: %v", v)
-	}
-	// Generic state: Var(H) = ⟨H²⟩ − ⟨H⟩² against the dense route.
-	s := randomState(17)
-	got := Variance(s, op, ExpectationOptions{})
-	h2 := op.Mul(op)
-	want := denseExpectation(s, h2) - math.Pow(denseExpectation(s, op), 2)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("batched variance %v vs dense %v", got, want)
-	}
-}
-
 // TestPlanMatVecMatchesOpMatVec checks the batched scatter pass against
 // the per-term Op.MatVec, serial and parallel.
 func TestPlanMatVecMatchesOpMatVec(t *testing.T) {

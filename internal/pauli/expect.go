@@ -157,11 +157,3 @@ outer:
 	}
 	return out
 }
-
-// Variance computes ⟨H²⟩ − ⟨H⟩², useful for convergence diagnostics
-// (vanishes on eigenstates).
-func Variance(s *state.State, op *Op, opts ExpectationOptions) float64 {
-	h2 := op.Mul(op)
-	e := Expectation(s, op, opts)
-	return Expectation(s, h2, opts) - e*e
-}

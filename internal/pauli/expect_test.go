@@ -238,20 +238,6 @@ func TestGroupQWCCoversAllTerms(t *testing.T) {
 	}
 }
 
-func TestVarianceVanishesOnEigenstate(t *testing.T) {
-	// |00⟩ is an eigenstate of Z0 Z1.
-	op := NewOp().Add(MustParse("ZZ"), 1.5)
-	s := state.New(2, state.Options{})
-	if v := Variance(s, op, ExpectationOptions{}); math.Abs(v) > 1e-10 {
-		t.Errorf("variance on eigenstate: %v", v)
-	}
-	// |+0⟩ is not.
-	s.Run(circuit.New(2).H(0))
-	if v := Variance(s, op, ExpectationOptions{}); v < 0.1 {
-		t.Errorf("variance should be positive: %v", v)
-	}
-}
-
 func TestExpectationWidthGuard(t *testing.T) {
 	defer func() {
 		if recover() == nil {

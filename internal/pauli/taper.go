@@ -2,12 +2,10 @@ package pauli
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
 )
 
 // This file implements Z₂-symmetry qubit tapering (Bravyi–Gambetta–
@@ -128,8 +126,7 @@ func conjugateByClifford(op *Op, tau String, q int) *Op {
 
 // Taper removes one qubit per Z₂ symmetry generator. sector[i] ∈ {+1, −1}
 // selects the symmetry eigenspace for generator i (same order as
-// FindZSymmetries). Use TaperAllSectors to scan sectors for the ground
-// state.
+// FindZSymmetries).
 func Taper(op *Op, n int, syms []String, sector []int) (*TaperResult, error) {
 	if len(sector) != len(syms) {
 		return nil, core.ErrDimensionMismatch
@@ -247,64 +244,4 @@ func compressBits(x, removeMask uint64) uint64 {
 		shift++
 	}
 	return out
-}
-
-// TaperAllSectors enumerates every ±1 sector assignment and returns the
-// tapering whose reduced Hamiltonian has the lowest ground-state energy
-// (computed by dense diagonalization of the reduced operator; the reduced
-// register must be small enough for that, which is the point of
-// tapering).
-func TaperAllSectors(op *Op, n int, syms []String) (*TaperResult, float64, error) {
-	if len(syms) == 0 {
-		return nil, 0, fmt.Errorf("%w: no symmetries to taper", core.ErrInvalidArgument)
-	}
-	bestE := math.Inf(1)
-	var best *TaperResult
-	total := 1 << uint(len(syms))
-	for mask := 0; mask < total; mask++ {
-		sector := make([]int, len(syms))
-		for i := range sector {
-			if mask>>uint(i)&1 == 1 {
-				sector[i] = -1
-			} else {
-				sector[i] = 1
-			}
-		}
-		res, err := Taper(op, n, syms, sector)
-		if err != nil {
-			return nil, 0, err
-		}
-		e, err := groundEnergy(res.Tapered, res.NumQubits)
-		if err != nil {
-			return nil, 0, err
-		}
-		if e < bestE {
-			bestE = e
-			best = res
-		}
-	}
-	return best, bestE, nil
-}
-
-// groundEnergy returns the smallest eigenvalue of the operator on n
-// qubits (dense; tapered registers are small).
-func groundEnergy(op *Op, n int) (float64, error) {
-	if n == 0 {
-		return real(op.Coeff(Identity)), nil
-	}
-	d := op.ToDense(n)
-	vals, err := denseEigenvalues(d)
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
-}
-
-// denseEigenvalues wraps the Jacobi solver for small tapered operators.
-func denseEigenvalues(m *linalg.Matrix) ([]float64, error) {
-	res, err := linalg.EighJacobi(m)
-	if err != nil {
-		return nil, err
-	}
-	return res.Values, nil
 }

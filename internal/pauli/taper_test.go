@@ -89,22 +89,6 @@ func groundOf(t *testing.T, op *Op, n int) float64 {
 	return res.Values[0]
 }
 
-func TestTaperH2To1Qubit(t *testing.T) {
-	h := h2Hamiltonian()
-	full := groundOf(t, h, 4)
-	syms := FindZSymmetries(h, 4)
-	res, e, err := TaperAllSectors(h, 4, syms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumQubits != 1 {
-		t.Fatalf("tapered to %d qubits, want 1", res.NumQubits)
-	}
-	if math.Abs(e-full) > 1e-9 {
-		t.Errorf("tapered ground %v vs full %v", e, full)
-	}
-}
-
 func TestTaperPreservesSpectrumSector(t *testing.T) {
 	// Every eigenvalue of the tapered operator (for every sector) must be
 	// an eigenvalue of the full operator — tapering block-diagonalizes.
@@ -254,9 +238,6 @@ func TestTaperValidation(t *testing.T) {
 	xSym := []String{{X: 1}}
 	if _, err := Taper(h, 4, xSym, []int{1}); err == nil {
 		t.Error("non-Z generator accepted")
-	}
-	if _, _, err := TaperAllSectors(h, 4, nil); err == nil {
-		t.Error("empty generator list accepted")
 	}
 }
 

@@ -33,14 +33,11 @@ type poolJob struct {
 	wg     *sync.WaitGroup
 }
 
-// floatStride/complexStride are per-slot strides (in elements) that keep
-// each chunk's partial-result slot on its own 64-byte cache line, so
-// workers never invalidate each other's lines while accumulating
-// (false-sharing fix; 8 float64 = 4 complex128 = 64 B).
-const (
-	floatStride   = 8
-	complexStride = 4
-)
+// floatStride is the per-slot stride (in elements) that keeps each
+// chunk's partial-result slot on its own 64-byte cache line, so workers
+// never invalidate each other's lines while accumulating (false-sharing
+// fix; 8 float64 = 64 B).
+const floatStride = 8
 
 // NewPool starts a pool of the given width (0 or negative means
 // GOMAXPROCS). The workers hold references only to the pool's channels,
@@ -140,22 +137,6 @@ func (p *Pool) ReduceFloat(total uint64, chunks int, body func(lo, hi uint64) fl
 	})
 	acc := 0.0
 	for i := 0; i < len(partial); i += floatStride {
-		acc += partial[i]
-	}
-	return acc
-}
-
-// ReduceComplex is ReduceFloat for complex128 partials.
-func (p *Pool) ReduceComplex(total uint64, chunks int, body func(lo, hi uint64) complex128) complex128 {
-	if chunks <= 0 {
-		chunks = p.workers
-	}
-	partial := make([]complex128, numChunks(total, chunks)*complexStride)
-	p.Run(total, chunks, func(slot int, lo, hi uint64) {
-		partial[slot*complexStride] = body(lo, hi)
-	})
-	var acc complex128
-	for i := 0; i < len(partial); i += complexStride {
 		acc += partial[i]
 	}
 	return acc

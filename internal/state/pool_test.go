@@ -50,21 +50,6 @@ func TestPoolRunReusedAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestPoolReduceComplex(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	got := p.ReduceComplex(64, 4, func(lo, hi uint64) complex128 {
-		var s complex128
-		for i := lo; i < hi; i++ {
-			s += complex(1, -1)
-		}
-		return s
-	})
-	if got != complex(64, -64) {
-		t.Fatalf("reduce = %v", got)
-	}
-}
-
 func TestPoolMoreChunksThanTotal(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()

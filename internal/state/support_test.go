@@ -1,7 +1,6 @@
 package state
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -196,17 +195,6 @@ func TestEveryWriterDropsSupport(t *testing.T) {
 		{"Clone", func(_ *testing.T, _, src *State) *State { return src.Clone() }},
 		{"FromAmplitudes", func(t *testing.T, _, src *State) *State {
 			out, err := FromAmplitudes(src.amps, src.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}},
-		{"Load", func(t *testing.T, _, src *State) *State {
-			var buf bytes.Buffer
-			if err := src.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			out, err := Load(&buf, src.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,27 +120,3 @@ func Error(h *pauli.Op, n int, initial *circuit.Circuit, opts Options) (float64,
 	}
 	return math.Sqrt(2 * (1 - mag)), nil
 }
-
-// EvolveObservable simulates ⟨O(t)⟩ on a grid of times with the given
-// step density, returning one sample per grid point — the dynamics
-// workflow (quench experiments).
-func EvolveObservable(h, obs *pauli.Op, n int, initial *circuit.Circuit, times []float64, stepsPerUnitTime int, order Order) ([]float64, error) {
-	if stepsPerUnitTime < 1 {
-		stepsPerUnitTime = 16
-	}
-	out := make([]float64, len(times))
-	for i, t := range times {
-		steps := int(math.Ceil(math.Abs(t)*float64(stepsPerUnitTime))) + 1
-		c, err := Circuit(h, n, Options{Time: t, Steps: steps, Order: order})
-		if err != nil {
-			return nil, err
-		}
-		s := state.New(n, state.Options{})
-		if initial != nil {
-			s.Run(initial)
-		}
-		s.Run(c)
-		out[i] = pauli.Expectation(s, obs, pauli.ExpectationOptions{})
-	}
-	return out, nil
-}

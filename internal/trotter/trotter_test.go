@@ -92,24 +92,6 @@ func TestSecondOrderBeatsFirst(t *testing.T) {
 	}
 }
 
-func TestEvolveObservableRabi(t *testing.T) {
-	// H = g·X on one qubit: ⟨Z(t)⟩ = cos(2gt) starting from |0⟩.
-	g := 0.8
-	h := pauli.NewOp().Add(pauli.MustParse("X"), complex(g, 0))
-	obs := pauli.NewOp().Add(pauli.MustParse("Z"), 1)
-	times := []float64{0, 0.3, 0.7, 1.2}
-	vals, err := EvolveObservable(h, obs, 1, nil, times, 64, Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tm := range times {
-		want := math.Cos(2 * g * tm)
-		if math.Abs(vals[i]-want) > 1e-3 {
-			t.Errorf("⟨Z(%v)⟩ = %v, want %v", tm, vals[i], want)
-		}
-	}
-}
-
 func TestH2EvolutionPreservesEnergy(t *testing.T) {
 	// Energy is conserved under its own evolution.
 	m := chem.H2()

@@ -1,9 +1,6 @@
 package vqe
 
-import (
-	"repro/internal/circuit"
-	"repro/internal/pauli"
-)
+import "repro/internal/pauli"
 
 // GateCost models the gate count of one VQE energy evaluation, the
 // quantity compared in the paper's Figure 3. Per Hamiltonian term the
@@ -53,12 +50,6 @@ func CostModel(h *pauli.Op, ansatzGates int) GateCost {
 	// Caching still pays one ansatz preparation.
 	gc.CachingTotal += uint64(ansatzGates)
 	return gc
-}
-
-// CostModelForAnsatz is CostModel with the ansatz gate count taken from a
-// materialized circuit.
-func CostModelForAnsatz(h *pauli.Op, c *circuit.Circuit) GateCost {
-	return CostModel(h, c.GateCount())
 }
 
 // SavingsFactor returns NonCaching/Caching — the orders-of-magnitude
