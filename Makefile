@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test examples loc bench-test bench-run vet vqelint lint-baseline lint vuln race fuzz-smoke bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test examples loc bench-test bench-run vet vqelint lint vuln race fuzz-smoke bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
 
 all: check
 
@@ -72,22 +72,15 @@ bench-run:
 vet:
 	$(GO) vet ./...
 
-# vqelint runs the repo's own analyzer suite (internal/analysis) twice:
-# through the go vet driver (so _test.go files are checked too) and
-# standalone against the committed baseline, which also reports stale
-# //vqelint:ignore directives. Self-contained: builds from this module,
-# no network needed.
+# vqelint runs the repo's own analyzer suite (internal/analysis) as a go
+# vet tool, so _test.go files are checked too and a //vqelint:ignore that
+# suppresses nothing fails the run, then the negative gate: injected
+# fixtures the suite must reject. Self-contained: builds from this
+# module, no network needed.
 vqelint:
 	$(GO) build -o bin/vqelint ./cmd/vqelint
 	$(GO) vet -vettool=$$(pwd)/bin/vqelint ./...
-	./bin/vqelint -baseline lint_baseline.json -unused-ignores ./...
-
-# lint-baseline regenerates lint_baseline.json from the current findings.
-# Use it when a PR deliberately accepts a pre-existing finding; new code
-# should fix or //vqelint:ignore instead of growing the baseline.
-lint-baseline:
-	$(GO) build -o bin/vqelint ./cmd/vqelint
-	./bin/vqelint -update-baseline ./...
+	VQELINT_BIN=bin/vqelint sh scripts/vqelint_negative.sh
 
 # lint checks gofmt, then runs go vet, the vqelint suite, and staticcheck.
 # Fetching staticcheck needs network access; without it (air-gapped dev
@@ -220,7 +213,7 @@ figures:
 check: build vet test race bench figures
 
 # ci mirrors the GitHub Actions workflow jobs (test, examples, bench-test,
-# bench-run, lint, vqelint, vuln, fuzz-smoke, coverage, bench-smoke,
+# bench-run, lint (which runs vqelint), vuln, fuzz-smoke, coverage, bench-smoke,
 # chaos-smoke, chaos-recovery, vqed-smoke, load-smoke, sweep-smoke) so
 # `make ci` locally means green CI.
 ci: build lint vuln test examples bench-test bench-run race fuzz-smoke cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke

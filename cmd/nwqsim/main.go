@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/cmd/internal/runreport"
@@ -55,6 +56,16 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	if *noise > 0 {
+		// -noise runs nwq-dm, which never reaches the fault injector: a
+		// drill asked for alongside it would report faults that never ran.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "fault-") {
+				fmt.Fprintf(os.Stderr, "nwqsim: -noise runs on nwq-dm, which has no fault drill; drop -%s\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 
 	rep, err := runreport.Start("nwqsim", obsFlags)
 	if err != nil {
@@ -71,7 +82,7 @@ func main() {
 		c.NumQubits, st.Total, st.OneQubit, st.TwoQubit, st.Depth)
 
 	if *fuse {
-		fused := circuit.Transpile(c, circuit.DefaultTranspileOptions())
+		fused := circuit.Transpile(c)
 		fst := fused.Stats()
 		fmt.Printf("fused:   %d gates (%.1f%% reduction), depth %d\n",
 			fst.Total, 100*(1-float64(fst.Total)/float64(st.Total)), fst.Depth)

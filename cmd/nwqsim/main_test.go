@@ -152,3 +152,17 @@ func TestClusterFaultDrill(t *testing.T) {
 		t.Errorf("nwq-cluster with every transfer dropped: %v, stderr %q; want exit 1 naming the exhausted retries", err, stderr)
 	}
 }
+
+// TestNoiseRejectsFaultDrill: -noise runs the density matrix, which has
+// no fault injector, so asking for a fault drill with it is a usage
+// error rather than a run that reports faults it never injected.
+func TestNoiseRejectsFaultDrill(t *testing.T) {
+	out, stderr, err := nwqsim(t, bellQASM, "-backend", "nwq-cluster", "-noise", "0.01", "-fault-drop", "0.3")
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 ||
+		!strings.Contains(stderr, "nwq-dm, which has no fault drill") || !strings.Contains(stderr, "-fault-drop") {
+		t.Errorf("-noise with -fault-drop: %v, stderr %q; want exit 2 saying nwq-dm has no fault drill", err, stderr)
+	}
+	if strings.Contains(out, "faults injected") {
+		t.Errorf("-noise with -fault-drop still printed a fault summary:\n%s", out)
+	}
+}

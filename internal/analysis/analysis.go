@@ -2,14 +2,13 @@
 // suite of project-specific analyzers enforcing the simulator's hot-path
 // and concurrency invariants (see the individual analyzer files). The
 // framework mirrors the golang.org/x/tools/go/analysis API surface the
-// suite needs — Analyzer, Pass, Diagnostic, SuggestedFix — but is built
+// suite needs — Analyzer, Pass, Diagnostic — but is built
 // on the standard library alone (go/ast, go/types, and export data
 // resolved through `go list -export`), so the module keeps its
 // zero-dependency property and the tools work on air-gapped machines.
 //
-// The suite is driven by cmd/vqelint, which runs standalone over package
-// patterns or as a `go vet -vettool` plugin, and by the analysistest
-// golden harness under internal/analysis/analysistest.
+// The suite is driven by cmd/vqelint, a `go vet -vettool` plugin, and by
+// the analysistest golden harness under internal/analysis/analysistest.
 package analysis
 
 import (
@@ -25,7 +24,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //vqelint:ignore directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description shown by `vqelint -list`.
+	// Doc is the one-paragraph description of what the analyzer checks.
 	Doc string
 	// Run applies the check to one package and reports findings through
 	// the pass. A non-nil error aborts the whole run (reserved for
@@ -52,24 +51,8 @@ type Pass struct {
 type Diagnostic struct {
 	Pos      token.Pos
 	End      token.Pos // or NoPos
-	Category string    // analyzer name
+	Category string    // analyzer name, or "unused-ignore"
 	Message  string
-	// SuggestedFixes, when non-empty, lets `vqelint -fix` rewrite the
-	// source. Fixes must be safe to apply without review.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one machine-applicable rewrite.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // Report records a finding.
@@ -102,34 +85,15 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Info.Defs[id]
 }
 
-// A RunResult carries one package's findings plus the suppression
-// accounting the CLI surfaces (-unused-ignores, summary counts).
-type RunResult struct {
-	// Diagnostics are the kept findings, sorted by position.
-	Diagnostics []Diagnostic
-	// Suppressed counts findings removed by //vqelint:ignore directives.
-	Suppressed int
-	// Stale lists ignore directives that suppressed nothing, judged
-	// against the set of analyzers that actually ran.
-	Stale []StaleIgnore
-}
-
-// Run type-checks nothing itself: it applies every analyzer to the
-// already-loaded package and returns the findings with ignore directives
-// filtered out, sorted by position.
+// Run applies every analyzer to the already-loaded package and returns
+// the findings sorted by position, with //vqelint:ignore directives
+// applied: a finding a directive covers is dropped, and a directive that
+// suppresses nothing is itself reported, as an unused-ignore finding. A
+// directive is judged only when every analyzer it names ran ("all" needs
+// the full suite), so a run of one analyzer never flags directives
+// written for another.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunDetailed(pkg, analyzers, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// RunDetailed is Run plus suppression accounting. complete must be true
-// when analyzers is the full suite; it gates staleness judgment of
-// `//vqelint:ignore all` directives.
-func RunDetailed(pkg *Package, analyzers []*Analyzer, complete bool) (*RunResult, error) {
-	res := &RunResult{}
+	var diags []Diagnostic
 	ig := collectIgnores(pkg.Fset, pkg.Files)
 	ran := map[string]bool{}
 	for _, a := range analyzers {
@@ -145,21 +109,19 @@ func RunDetailed(pkg *Package, analyzers []*Analyzer, complete bool) (*RunResult
 			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
 		}
 		for _, d := range pass.diagnostics {
-			if ig.ignored(pkg.Fset, d) {
-				res.Suppressed++
-			} else {
-				res.Diagnostics = append(res.Diagnostics, d)
+			if !ig.ignored(pkg.Fset, d) {
+				diags = append(diags, d)
 			}
 		}
 	}
-	sort.Slice(res.Diagnostics, func(i, j int) bool {
-		if res.Diagnostics[i].Pos != res.Diagnostics[j].Pos {
-			return res.Diagnostics[i].Pos < res.Diagnostics[j].Pos
+	diags = append(diags, ig.stale(ran)...)
+	sort.Slice(diags, func(i, j int) bool {
+		if diags[i].Pos != diags[j].Pos {
+			return diags[i].Pos < diags[j].Pos
 		}
-		return res.Diagnostics[i].Category < res.Diagnostics[j].Category
+		return diags[i].Category < diags[j].Category
 	})
-	res.Stale = ig.stale(ran, complete)
-	return res, nil
+	return diags, nil
 }
 
 // calleeObject resolves the object called by e's function expression

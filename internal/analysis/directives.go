@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -19,11 +18,11 @@ import (
 // offending statement. A reason after the analyzer list is encouraged
 // but not enforced.
 //
-// Directives that suppress nothing are stale; `vqelint -unused-ignores`
-// reports them so the suppression inventory never outlives the findings
-// it was written for. A directive is only judged stale when every
-// analyzer it names actually ran ("all" requires the full suite), so a
-// partial `-only` run cannot misreport.
+// Directives that suppress nothing are stale; Run reports them as
+// unused-ignore findings so the suppression inventory never outlives the
+// findings it was written for. A directive is only judged stale when
+// every analyzer it names actually ran ("all" requires the full suite),
+// so a run of a single analyzer cannot misreport.
 const ignorePrefix = "//vqelint:ignore"
 
 // hotpathDirective marks a function whose body must stay allocation-free;
@@ -36,13 +35,6 @@ type directive struct {
 	pos   token.Pos
 	names []string
 	used  bool
-}
-
-// A StaleIgnore reports a //vqelint:ignore directive that suppressed no
-// finding of any analyzer it names.
-type StaleIgnore struct {
-	Pos   token.Pos
-	Names []string
 }
 
 type ignoreSet struct {
@@ -111,27 +103,30 @@ func (ig *ignoreSet) ignored(fset *token.FileSet, d Diagnostic) bool {
 	return false
 }
 
-// stale returns the directives that suppressed nothing, restricted to
-// those whose every named analyzer ran (complete means the full suite
-// ran, which is what judging an "all" directive requires).
-func (ig *ignoreSet) stale(ran map[string]bool, complete bool) []StaleIgnore {
-	var out []StaleIgnore
+// stale reports, as unused-ignore findings, the directives that
+// suppressed nothing and whose every named analyzer ran ("all" is judged
+// only when every suite analyzer ran).
+func (ig *ignoreSet) stale(ran map[string]bool) []Diagnostic {
+	all := true
+	for _, a := range Suite() {
+		all = all && ran[a.Name]
+	}
+	var out []Diagnostic
 	for _, d := range ig.all {
 		if d.used {
 			continue
 		}
 		judgeable := true
 		for _, n := range d.names {
-			if n == "all" {
-				judgeable = judgeable && complete
-			} else {
-				judgeable = judgeable && ran[n]
-			}
+			judgeable = judgeable && (ran[n] || n == "all" && all)
 		}
 		if judgeable {
-			out = append(out, StaleIgnore{Pos: d.pos, Names: d.names})
+			out = append(out, Diagnostic{
+				Pos:      d.pos,
+				Category: "unused-ignore",
+				Message:  fmt.Sprintf("stale //vqelint:ignore %s: it suppresses nothing; delete it", strings.Join(d.names, ",")),
+			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out
 }

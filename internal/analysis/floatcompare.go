@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/printer"
@@ -23,9 +22,7 @@ import (
 //   - `cmplx.Abs(z) * cmplx.Abs(z)` is flagged: it pays two square
 //     roots to compute |z|², which `real(z)*real(z)+imag(z)*imag(z)`
 //     yields exactly with two multiplies — the form every hot sweep in
-//     internal/state and internal/pauli already uses. When z is a
-//     side-effect-free identifier or selector the rewrite is offered as
-//     a suggested fix.
+//     internal/state and internal/pauli already uses.
 var FloatCompare = &Analyzer{
 	Name: "floatcompare",
 	Doc: "flag ==/!= on float/complex values (except exact-zero sparsity guards) and " +
@@ -84,19 +81,11 @@ func checkAbsSquared(pass *Pass, be *ast.BinaryExpr) {
 	if lsrc != rsrc {
 		return
 	}
-	d := Diagnostic{
+	pass.Report(Diagnostic{
 		Pos: be.Pos(), End: be.End(),
 		Message: "cmplx.Abs(z)*cmplx.Abs(z) takes two square roots to compute |z|²; " +
 			"use real(z)*real(z)+imag(z)*imag(z)",
-	}
-	if sideEffectFree(lz) {
-		repl := fmt.Sprintf("real(%[1]s)*real(%[1]s)+imag(%[1]s)*imag(%[1]s)", lsrc)
-		d.SuggestedFixes = []SuggestedFix{{
-			Message:   "replace with real*real+imag*imag",
-			TextEdits: []TextEdit{{Pos: be.Pos(), End: be.End(), NewText: []byte(repl)}},
-		}}
-	}
-	pass.Report(d)
+	})
 }
 
 func cmplxAbsArg(pass *Pass, e ast.Expr) (ast.Expr, bool) {
@@ -105,21 +94,6 @@ func cmplxAbsArg(pass *Pass, e ast.Expr) (ast.Expr, bool) {
 		return nil, false
 	}
 	return call.Args[0], true
-}
-
-// sideEffectFree reports whether duplicating e from two evaluations to
-// four is safe and cheap: identifiers, selector chains, and constant
-// index expressions only.
-func sideEffectFree(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.BasicLit:
-		return true
-	case *ast.SelectorExpr:
-		return sideEffectFree(x.X)
-	case *ast.IndexExpr:
-		return sideEffectFree(x.X) && sideEffectFree(x.Index)
-	}
-	return false
 }
 
 func exprSource(fset *token.FileSet, e ast.Expr) string {

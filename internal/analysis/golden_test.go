@@ -1,7 +1,7 @@
 package analysis_test
 
 import (
-	"go/token"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -47,60 +47,37 @@ func TestSuiteNames(t *testing.T) {
 	}
 }
 
-// TestSuggestedFixes verifies that the analyzers advertised as
-// -fix-capable actually attach machine-applicable edits, so
-// `vqelint -fix` has something to apply.
-func TestSuggestedFixes(t *testing.T) {
-	loader := analysis.NewLoader("")
-	cases := []struct {
-		analyzer string
-		fixture  string
-		// wantEdit is a substring that must appear in some suggested
-		// fix's replacement text.
-		wantEdit string
-	}{
-		{"panicdiscipline", "panicdiscipline", `"panicdiscipline: negative dimension"`},
-		{"floatcompare", "floatcompare", "real(z)*real(z)+imag(z)*imag(z)"},
-		{"lockdiscipline", "lockdiscipline", "defer s.mu.Unlock()"},
+// TestUnusedIgnores checks how Run judges //vqelint:ignore directives
+// on a fixture with one used and one stale directive: the full suite
+// reports exactly the stale one, and a single analyzer judges only the
+// directives that name it.
+func TestUnusedIgnores(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "unusedignore")
+	pkg, err := analysis.NewLoader("").LoadFiles("repro/internal/unusedignore", dir,
+		[]string{filepath.Join(dir, "unusedignore.go")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.analyzer, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", tc.fixture)
-			files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-			if err != nil || len(files) == 0 {
-				t.Fatalf("globbing fixture %s: %v", dir, err)
-			}
-			pkg, err := loader.LoadFiles("repro/internal/"+tc.fixture, dir, files)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diags, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.ByName(tc.analyzer)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var edits []string
-			for _, d := range diags {
-				for _, fix := range d.SuggestedFixes {
-					for _, te := range fix.TextEdits {
-						if te.Pos == token.NoPos || te.End < te.Pos {
-							t.Errorf("fix %q has an invalid edit range", fix.Message)
-						}
-						edits = append(edits, string(te.NewText))
-					}
-				}
-			}
-			if len(edits) == 0 {
-				t.Fatalf("%s reported no suggested fixes on its fixture", tc.analyzer)
-			}
-			found := false
-			for _, e := range edits {
-				if strings.Contains(e, tc.wantEdit) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("no suggested edit contains %q; edits: %q", tc.wantEdit, edits)
-			}
-		})
+	for _, tc := range []struct {
+		name      string
+		analyzers []*analysis.Analyzer
+		want      []string // "line: category" of every diagnostic
+	}{
+		{"suite", analysis.Suite(), []string{"11: unused-ignore"}},
+		{"floatcompare", []*analysis.Analyzer{analysis.FloatCompare}, nil},
+		{"lockdiscipline", []*analysis.Analyzer{analysis.LockDiscipline}, []string{"11: unused-ignore"}},
+		{"ctxflow", []*analysis.Analyzer{analysis.CtxFlow}, nil},
+	} {
+		diags, err := analysis.Run(pkg, tc.analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range diags {
+			got = append(got, fmt.Sprintf("%d: %s", pkg.Fset.Position(d.Pos).Line, d.Category))
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s: diagnostics %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -13,8 +11,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -32,11 +28,10 @@ type Package struct {
 	TypeErrors []error
 }
 
-// A Loader resolves and type-checks packages without any dependency
-// beyond the go tool itself: package metadata comes from `go list -json`
-// and imported types from compiler export data located with
-// `go list -export` (built into the local build cache on demand), so the
-// loader works offline.
+// A Loader type-checks packages without any dependency beyond the go
+// tool itself: imported types come from compiler export data, located by
+// the vet driver's resolver or else with `go list -export` (built into
+// the local build cache on demand), so the loader works offline.
 type Loader struct {
 	// Dir is the working directory for go tool invocations (any
 	// directory inside the target module). Empty means the process cwd.
@@ -65,9 +60,6 @@ func NewLoader(dir string) *Loader {
 	return l
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // goList runs `go list` with the given arguments and returns stdout.
 func (l *Loader) goList(args ...string) ([]byte, error) {
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
@@ -80,28 +72,8 @@ func (l *Loader) goList(args ...string) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// primeExports batch-resolves export data for the packages matching
-// patterns and all their dependencies in a single go invocation.
-func (l *Loader) primeExports(patterns []string) error {
-	args := append([]string{"-e", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, patterns...)
-	out, err := l.goList(args...)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		path, file, ok := strings.Cut(sc.Text(), "\t")
-		if ok && file != "" {
-			l.exports[path] = file
-		}
-	}
-	return sc.Err()
-}
-
 // lookupExport opens the export data for one import path, resolving it
-// lazily when the priming pass did not cover it.
+// on first use.
 func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	l.mu.Lock()
 	file := l.exports[path]
@@ -125,64 +97,11 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
-// listedPackage is the subset of `go list -json` output the loader uses.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Standard   bool
-	GoFiles    []string
-	CgoFiles   []string
-}
-
-// Load lists, parses, and type-checks the packages matching the given
-// `go list` patterns (e.g. "./...").
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"."}
-	}
-	if err := l.primeExports(patterns); err != nil {
-		return nil, err
-	}
-	out, err := l.goList(append([]string{"-json=ImportPath,Dir,Standard,GoFiles,CgoFiles"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
-		}
-		if lp.Standard || len(lp.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, 0, len(lp.GoFiles)+len(lp.CgoFiles))
-		for _, f := range append(append([]string{}, lp.GoFiles...), lp.CgoFiles...) {
-			files = append(files, filepath.Join(lp.Dir, f))
-		}
-		pkg, err := l.check(lp.ImportPath, lp.Dir, files)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
-	return pkgs, nil
-}
-
 // LoadFiles parses and type-checks an explicit file list as one package —
 // the entry point used by the `go vet -vettool` driver (which receives
 // the file list from the go command) and by the analysistest harness
 // (which loads fixture directories outside the module proper).
 func (l *Loader) LoadFiles(importPath, dir string, files []string) (*Package, error) {
-	return l.check(importPath, dir, files)
-}
-
-// check parses and type-checks one package.
-func (l *Loader) check(importPath, dir string, files []string) (*Package, error) {
 	var asts []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)

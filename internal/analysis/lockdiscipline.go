@@ -4,7 +4,7 @@ package analysis
 // critical sections are well formed on every control-flow path:
 //
 //   - a lock acquired on some path but not released on every path to the
-//     function's exit is a leak (suggested fix: defer the unlock);
+//     function's exit is a leak;
 //   - locking a mutex that is already definitely held self-deadlocks;
 //   - acquiring a second mutex while one is definitely held risks
 //     lock-order inversion across goroutines;
@@ -29,9 +29,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis/cfg"
 )
@@ -46,9 +44,8 @@ var LockDiscipline = &Analyzer{
 // lockAcq records one Lock/RLock call site.
 type lockAcq struct {
 	call *ast.CallExpr
-	stmt ast.Node // enclosing statement, for the suggested-fix anchor
-	name string   // receiver rendered as source, e.g. "s.mu"
-	read bool     // RLock rather than Lock
+	name string // receiver rendered as source, e.g. "s.mu"
+	read bool   // RLock rather than Lock
 }
 
 // lockState is the dataflow state: held locks keyed by receiver object
@@ -158,13 +155,8 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt) {
 		return
 	}
 	hasAcquire := false
-	inlineUnlocks := map[string]int{}
 	for _, op := range ops {
-		if op.unlock {
-			inlineUnlocks[op.key]++
-		} else {
-			hasAcquire = true
-		}
+		hasAcquire = hasAcquire || !op.unlock
 	}
 	if !hasAcquire {
 		return // unlock-only helper: pairing lives in the callers
@@ -200,7 +192,7 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt) {
 					delete(st.may, op.key)
 					return
 				}
-				acq := &lockAcq{call: call, stmt: node, name: op.name, read: op.read}
+				acq := &lockAcq{call: call, name: op.name, read: op.read}
 				st.must[op.key] = acq
 				st.may[op.key] = acq
 			})
@@ -244,7 +236,7 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt) {
 						pass.Reportf(call.Pos(), "Lock of %s while %s is held: nested locks invite lock-order inversion; release %s first or document the ordering", op.name, held.name, held.name)
 					}
 				}
-				acq := &lockAcq{call: call, stmt: node, name: op.name, read: op.read}
+				acq := &lockAcq{call: call, name: op.name, read: op.read}
 				st.must[op.key] = acq
 				st.may[op.key] = acq
 			})
@@ -265,34 +257,13 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt) {
 	}
 
 	for _, acq := range sortedLeaks(pass, leaked) {
-		op := ops[acq.call]
-		unlockName := "Unlock"
-		if acq.read {
-			unlockName = "RUnlock"
-		}
-		diag := Diagnostic{
+		pass.Report(Diagnostic{
 			Pos:      acq.call.Pos(),
 			End:      acq.call.End(),
 			Category: "lockdiscipline",
 			Message: fmt.Sprintf("%s.%s is not released on every path to the function exit", acq.name,
 				lockVerb(acq.read)),
-		}
-		// Offer the defer fix only when no inline unlock for this lock
-		// exists at all — otherwise deferring would double-unlock.
-		if inlineUnlocks[op.key] == 0 {
-			if stmt, ok := acq.stmt.(*ast.ExprStmt); ok {
-				indent := indentAt(pass.Fset, stmt.Pos())
-				diag.SuggestedFixes = []SuggestedFix{{
-					Message: fmt.Sprintf("defer %s.%s() after acquiring", acq.name, unlockName),
-					TextEdits: []TextEdit{{
-						Pos:     stmt.End(),
-						End:     stmt.End(),
-						NewText: []byte("\n" + indent + "defer " + acq.name + "." + unlockName + "()"),
-					}},
-				}}
-			}
-		}
-		pass.Report(diag)
+		})
 	}
 }
 
@@ -401,14 +372,4 @@ func equalKeySet(a, b map[string]*lockAcq) bool {
 		}
 	}
 	return true
-}
-
-// indentAt reproduces the leading whitespace of the line containing pos,
-// assuming gofmt'd (tab-indented) source.
-func indentAt(fset *token.FileSet, pos token.Pos) string {
-	col := fset.Position(pos).Column
-	if col < 1 {
-		col = 1
-	}
-	return strings.Repeat("\t", col-1)
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -21,9 +20,7 @@ import (
 //
 // Bare strings, unwrapped foreign errors, and naked re-panics of an err
 // variable are flagged: they strand the caller with no errors.Is target
-// and no package attribution. The analyzer suggests the package-prefix
-// fix for plain string literals; sentinel wrapping needs a human choice
-// of sentinel and is reported without an autofix.
+// and no package attribution.
 var PanicDiscipline = &Analyzer{
 	Name: "panicdiscipline",
 	Doc: "in internal packages, panic only with core sentinel errors (optionally " +
@@ -69,17 +66,10 @@ func checkPanicArg(pass *Pass, arg ast.Expr, prefix string) {
 		if strings.HasPrefix(s, prefix) {
 			return
 		}
-		d := Diagnostic{
+		pass.Report(Diagnostic{
 			Pos: arg.Pos(), End: arg.End(),
 			Message: fmt.Sprintf("panic message %q lacks the %q package prefix", truncate(s, 40), prefix),
-		}
-		if lit, ok := arg.(*ast.BasicLit); ok {
-			d.SuggestedFixes = []SuggestedFix{{
-				Message:   fmt.Sprintf("prepend %q", prefix),
-				TextEdits: []TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: []byte(strconv.Quote(prefix + s))}},
-			}}
-		}
-		pass.Report(d)
+		})
 		return
 	}
 

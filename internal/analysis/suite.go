@@ -1,8 +1,7 @@
 package analysis
 
 // Suite returns the project's analyzers in reporting order. cmd/vqelint
-// runs all of them by default; individual analyzers can be selected with
-// its -only flag.
+// runs all of them on every package go vet hands it.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		HotPathAlloc,
@@ -14,14 +13,4 @@ func Suite() []*Analyzer {
 		CtxFlow,
 		GoroutineLife,
 	}
-}
-
-// ByName returns the named analyzer from the suite, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Suite() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

@@ -7,37 +7,14 @@ import (
 	"repro/internal/linalg"
 )
 
-// Transpiler options. The paper (§4.3) motivates capping fusion at
-// two-qubit blocks: a fused k-qubit gate costs 4^k amplitude work, so wide
-// fusion destroys the very savings it seeks.
-type TranspileOptions struct {
-	FuseWidth      int  // 0 = no fusion, 1 = 1-qubit chains, 2 = up to 2-qubit blocks
-	CancelInverses bool // remove adjacent gate/inverse pairs
-	DropIdentities bool // remove I gates and zero-angle rotations
-}
-
-// DefaultTranspileOptions mirrors NWQ-Sim's production configuration.
-func DefaultTranspileOptions() TranspileOptions {
-	return TranspileOptions{FuseWidth: 2, CancelInverses: true, DropIdentities: true}
-}
-
-// Transpile applies the configured optimization passes and returns a new
-// circuit. The input circuit is not modified.
-func Transpile(c *Circuit, opts TranspileOptions) *Circuit {
-	out := c.Clone()
-	if opts.DropIdentities {
-		out = DropIdentities(out)
-	}
-	if opts.CancelInverses {
-		out = CancelInverses(out)
-	}
-	switch {
-	case opts.FuseWidth >= 2:
-		out = Fuse(out, 2)
-	case opts.FuseWidth == 1:
-		out = Fuse(out, 1)
-	}
-	return out
+// Transpile runs the production pipeline — DropIdentities, then
+// CancelInverses, then Fuse at width 2 — and returns a new circuit; every
+// pass builds its own output, so the input is not modified. The paper
+// (§4.3) motivates capping fusion at two-qubit blocks: a fused k-qubit
+// gate costs 4^k amplitude work, so wide fusion destroys the very
+// savings it seeks.
+func Transpile(c *Circuit) *Circuit {
+	return Fuse(CancelInverses(DropIdentities(c)), 2)
 }
 
 // DropIdentities removes I gates and (near-)zero-angle single-parameter

@@ -251,16 +251,8 @@ func TestDropIdentities(t *testing.T) {
 func TestTranspilePipeline(t *testing.T) {
 	for seed := uint64(60); seed <= 66; seed++ {
 		c := randomCircuit(4, 30, seed)
-		out := Transpile(c, DefaultTranspileOptions())
+		out := Transpile(c)
 		assertEquivalent(t, c, out, "full pipeline")
-	}
-}
-
-func TestTranspileNoFusion(t *testing.T) {
-	c := New(1).H(0).T(0)
-	out := Transpile(c, TranspileOptions{FuseWidth: 0})
-	if out.GateCount() != 2 {
-		t.Fatal("no-fusion pipeline altered gates")
 	}
 }
 

@@ -241,7 +241,7 @@ func TestBarrierIsNoop(t *testing.T) {
 func TestFusedGatesOnCluster(t *testing.T) {
 	// Transpiled (fused) circuits must run identically on the cluster.
 	c := randomCircuit(6, 30, 7)
-	f := circuit.Transpile(c, circuit.DefaultTranspileOptions())
+	f := circuit.Transpile(c)
 	cl, _ := New(6, 4)
 	mustRun(t, cl, f)
 	ref := state.New(6, state.Options{})

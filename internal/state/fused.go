@@ -114,7 +114,7 @@ func CompileFused(c *circuit.Circuit) *FusedProgram { return compileFused(c, tun
 // narrow segments, and with them gathered tiles, on small registers.
 func compileFused(c *circuit.Circuit, tileBits int) *FusedProgram {
 	start := telemetry.Now()
-	t := circuit.Transpile(c, circuit.DefaultTranspileOptions())
+	t := circuit.Transpile(c)
 	p := &FusedProgram{n: c.NumQubits, gatesBefore: c.GateCount(), gatesAfter: t.GateCount()}
 	ops := make([]fusedOp, 0, len(t.Gates))
 	for _, g := range t.Gates {

@@ -208,7 +208,7 @@ func TestFusedOrderConvention(t *testing.T) {
 func TestFusedGateAccounting(t *testing.T) {
 	c := randomCircuit(42, 6, 60)
 	p := CompileFused(c)
-	tc := circuit.Transpile(c, circuit.DefaultTranspileOptions())
+	tc := circuit.Transpile(c)
 	if p.GatesAfter() != tc.GateCount() {
 		t.Fatalf("GatesAfter %d != transpiled count %d", p.GatesAfter(), tc.GateCount())
 	}

@@ -1,9 +1,12 @@
 #!/bin/sh
-# Negative test of the vqelint gate: inject a package with an unpaired
-# mutex Lock and assert the lockdiscipline analyzer fails the build with
-# exit code 2 (findings). Guards against the gate silently going soft —
-# a misloaded baseline or a broken analyzer would otherwise let real
+# Negative test of the vqelint gate: inject two packages the suite must
+# reject and assert `go vet -vettool` fails on each with the expected
+# message. Guards against the gate silently going soft — a broken
+# analyzer or a dropped stale-directive check would otherwise let real
 # findings through while CI stays green.
+#
+#   unlock:  a mutex Lock not released on an early return (lockdiscipline)
+#   stale:   a //vqelint:ignore that suppresses nothing (unused-ignore)
 #
 # Usage: VQELINT_BIN=bin/vqelint sh scripts/vqelint_negative.sh
 set -eu
@@ -15,16 +18,40 @@ if [ ! -x "$VQELINT_BIN" ]; then
     echo "vqelint_negative: $VQELINT_BIN not built" >&2
     exit 1
 fi
+case "$VQELINT_BIN" in
+/*) ;;
+*) VQELINT_BIN=$(pwd)/$VQELINT_BIN ;;
+esac
 
 cleanup() { rm -rf "$FIXTURE_DIR"; }
 trap cleanup EXIT INT TERM
 
-mkdir -p "$FIXTURE_DIR"
-cat > "$FIXTURE_DIR/fixture.go" <<'EOF'
-// Package fixture is an injected vqelint negative-gate fixture: the Lock
+# expect_failure <name> <message>: go vet must exit non-zero on the
+# fixture package <name> and print <message>.
+expect_failure() {
+    status=0
+    out=$(go vet -vettool="$VQELINT_BIN" "./$FIXTURE_DIR/$1/" 2>&1) || status=$?
+    if [ "$status" -eq 0 ]; then
+        echo "vqelint_negative: go vet passed the $1 fixture; want a failure" >&2
+        exit 1
+    fi
+    case "$out" in
+    *"$2"*) ;;
+    *)
+        echo "vqelint_negative: $1 fixture failed without \"$2\":" >&2
+        echo "$out" >&2
+        exit 1
+        ;;
+    esac
+    echo "vqelint_negative: gate correctly fails the $1 fixture"
+}
+
+mkdir -p "$FIXTURE_DIR/unlock" "$FIXTURE_DIR/stale"
+cat > "$FIXTURE_DIR/unlock/fixture.go" <<'EOF'
+// Package unlock is an injected vqelint negative-gate fixture: the Lock
 // below is not released on the early-return path, which lockdiscipline
 // must report. This package only exists for the duration of the check.
-package fixture
+package unlock
 
 import "sync"
 
@@ -43,14 +70,17 @@ func (b *box) bump(limit int) int {
 	return b.n
 }
 EOF
+cat > "$FIXTURE_DIR/stale/fixture.go" <<'EOF'
+// Package stale is an injected vqelint negative-gate fixture: the
+// directive below suppresses nothing, which the suite must report. This
+// package only exists for the duration of the check.
+package stale
 
-# The fixture must not be matched by the committed baseline either, so
-# run with it, exactly as the gate does.
-status=0
-"$VQELINT_BIN" -baseline lint_baseline.json -only lockdiscipline "./$FIXTURE_DIR/" || status=$?
+func sum(a, b int) int {
+	//vqelint:ignore floatcompare there is no float comparison here
+	return a + b
+}
+EOF
 
-if [ "$status" -ne 2 ]; then
-    echo "vqelint_negative: expected exit 2 on unpaired Lock, got $status" >&2
-    exit 1
-fi
-echo "vqelint_negative: gate correctly fails the injected unpaired-Lock fixture"
+expect_failure unlock "lockdiscipline: b.mu.Lock is not released on every path"
+expect_failure stale "unused-ignore: stale //vqelint:ignore floatcompare"
