@@ -118,10 +118,12 @@ race:
 # starting from its committed corpus (testdata/fuzz/<target>/, which a
 # plain `go test` replays). A failing input is written there; commit it
 # with the fix. FuzzPlanEvaluate holds Plan.Evaluate to its references
-# on random observables and states up to 16 qubits.
+# on random observables and states up to 16 qubits; FuzzRestrict holds a
+# sector restriction to Plan.MatVec on operators up to 12 qubits.
 FUZZTIME = 30s
 fuzz-smoke:
 	$(GO) test ./internal/pauli -run '^$$' -fuzz '^FuzzPlanEvaluate$$' -fuzztime $(FUZZTIME) -parallel 2
+	$(GO) test ./internal/pauli -run '^$$' -fuzz '^FuzzRestrict$$' -fuzztime $(FUZZTIME) -parallel 2
 
 # chaos covers both resilience layers: the in-process fault/crash-resume
 # test suite (chaos-tests) and the kill-the-daemon recovery drill

@@ -190,6 +190,61 @@ func BenchmarkAdaptWaterSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkFCIWater times the adapt12 job's FCI reference: chem.FCIofPlan
+// on the plan of 12-qubit water's observable, the 495-determinant sector
+// restriction and Lanczos. A plan keeps its sector restriction, so every
+// iteration gets a fresh plan, compiled off the clock.
+func BenchmarkFCIWater(b *testing.B) {
+	h := chem.QubitHamiltonian(chem.WaterLike())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plan := pauli.NewPlan(h)
+		b.StartTimer()
+		if _, err := chem.FCIofPlan(plan, 12, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSectorWater16 times what a 16-qubit water solve compiles before
+// its first evaluation: H restricted to the C(16, 8) = 12 870-determinant
+// sector, the singles+doubles pool's pairs on it, and the 4 900-state block
+// Hartree–Fock reaches, cut out of both. A fresh plan of H per iteration,
+// compiled off the clock.
+func BenchmarkSectorWater16(b *testing.B) {
+	m := chem.WaterLikeScaled(8)
+	h := chem.QubitHamiltonian(m)
+	pool, err := ansatz.NewPool(16, m.NumElectrons)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gens := make([]*pauli.Plan, len(pool.Ops))
+	for k, ex := range pool.Ops {
+		gens[k] = ex.Plan()
+	}
+	ref := uint64(1)<<uint(m.NumElectrons) - 1
+	pairs := make([]*pauli.Pairs, len(gens))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plan := pauli.NewPlan(h)
+		b.StartTimer()
+		sector, hs, err := plan.RestrictSector(16, m.NumElectrons)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k, g := range gens {
+			if pairs[k], err = g.RestrictPairs(sector); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if block, _, _ := sector.Block(ref, hs, pairs); block.Dim() != 4900 {
+			b.Fatalf("block of %d states, want 4 900", block.Dim())
+		}
+	}
+}
+
 // BenchmarkValueAndGradientWater times one L-BFGS evaluation — energy and
 // adjoint gradient at the same θ — on the 12-operator ansatz that solve
 // ends with. An infinite gradient tolerance makes MinimizeLBFGS return

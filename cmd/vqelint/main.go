@@ -100,7 +100,7 @@ func runVetTool(cfgPath string) int {
 		}
 		files = append(files, f)
 	}
-	pkg, err := loader.LoadFiles(cfg.ImportPath, cfg.Dir, files)
+	pkg, err := loader.LoadFiles(cfg.ImportPath, files)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0

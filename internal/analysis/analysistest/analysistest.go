@@ -68,7 +68,7 @@ func load(t *testing.T, dir string) *analysis.Package {
 	// The loader shells out to `go list` for export data; run it from
 	// the module root so "repro/..." imports resolve.
 	loader := analysis.NewLoader(moduleRoot(t, dir))
-	pkg, err := loader.LoadFiles(importPath, dir, files)
+	pkg, err := loader.LoadFiles(importPath, files)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

@@ -53,7 +53,7 @@ func TestSuiteNames(t *testing.T) {
 // directives that name it.
 func TestUnusedIgnores(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "unusedignore")
-	pkg, err := analysis.NewLoader("").LoadFiles("repro/internal/unusedignore", dir,
+	pkg, err := analysis.NewLoader("").LoadFiles("repro/internal/unusedignore",
 		[]string{filepath.Join(dir, "unusedignore.go")})
 	if err != nil {
 		t.Fatal(err)

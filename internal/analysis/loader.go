@@ -18,7 +18,6 @@ import (
 // A Package bundles one type-checked package for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -101,7 +100,7 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 // the entry point used by the `go vet -vettool` driver (which receives
 // the file list from the go command) and by the analysistest harness
 // (which loads fixture directories outside the module proper).
-func (l *Loader) LoadFiles(importPath, dir string, files []string) (*Package, error) {
+func (l *Loader) LoadFiles(importPath string, files []string) (*Package, error) {
 	var asts []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -118,7 +117,7 @@ func (l *Loader) LoadFiles(importPath, dir string, files []string) (*Package, er
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	pkg := &Package{ImportPath: importPath, Dir: dir, Fset: l.fset, Files: asts, Info: info}
+	pkg := &Package{ImportPath: importPath, Fset: l.fset, Files: asts, Info: info}
 	conf := types.Config{
 		Importer: l.imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },

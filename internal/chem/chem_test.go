@@ -122,6 +122,28 @@ func TestHFDeterminantExpectation(t *testing.T) {
 	}
 }
 
+// enumerateDeterminants lists all occupation bitmasks with ne electrons in
+// nModes spin orbitals, in increasing numeric order (Gosper's hack): the
+// basis of the map-indexed restriction TestFCIFromQubitHamiltonianBitEqual
+// holds the rank-indexed pauli.Sector route to.
+func enumerateDeterminants(nModes, ne int) []uint64 {
+	if ne < 0 || ne > nModes {
+		return nil
+	}
+	if ne == 0 {
+		return []uint64{0}
+	}
+	var out []uint64
+	v := uint64(1)<<uint(ne) - 1
+	limit := uint64(1) << uint(nModes)
+	for v < limit {
+		out = append(out, v)
+		t := v | (v - 1)
+		v = (t + 1) | (((^t & (t + 1)) - 1) >> uint(bits.TrailingZeros64(v)+1))
+	}
+	return out
+}
+
 func TestEnumerateDeterminants(t *testing.T) {
 	dets := enumerateDeterminants(4, 2)
 	if len(dets) != 6 {
@@ -340,6 +362,65 @@ func TestQubitHamiltonianAllocationBound(t *testing.T) {
 	}
 }
 
+// TestWaterSectorStoredReal is a count gate on 12-qubit water's FCI
+// sector: its 37 935 couplings all have imaginary part 0, so each is
+// stored in 12 bytes, a 4-byte column and a float64, where a complex128
+// took 20.
+func TestWaterSectorStoredReal(t *testing.T) {
+	_, sub, err := pauli.NewPlan(QubitHamiltonian(WaterLike())).RestrictSector(12, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sub.Real() || sub.NNZ() != 37935 || sub.StoredBytes() != 12*sub.NNZ() {
+		t.Errorf("water-12 sector: real %v, %d couplings in %d bytes; want real, 37 935 in 12 bytes each",
+			sub.Real(), sub.NNZ(), sub.StoredBytes())
+	}
+}
+
+// TestFCIComplexHopping: a number-conserving H on a ring whose hops carry
+// a complex phase (a flux no gauge removes) keeps its sector restriction
+// complex, and its FCI, Lanczos on that restriction, is the ground state
+// of the dense sector matrix built column by column from Plan.MatVec, to
+// 1e-12.
+func TestFCIComplexHopping(t *testing.T) {
+	const n, ne = 10, 4 // C(10, 4) = 210 states: the Lanczos route
+	rng := core.NewRNG(10)
+	h := fermion.NewOp()
+	for p := 0; p < n; p++ {
+		q := (p + 1) % n
+		hop := cmplx.Rect(0.5+rng.Float64(), 0.3)
+		h.Add(fermion.Number(p), complex(rng.NormFloat64(), 0))
+		h.Add(fermion.OneBody(p, q), hop).Add(fermion.OneBody(q, p), cmplx.Conj(hop))
+		h.Add(fermion.Number(p).Mul(fermion.Number(q)), 2)
+	}
+	plan := pauli.NewPlan(h.JordanWigner())
+	fci, err := FCIofPlan(plan, n, ne)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sub, _ := plan.RestrictSector(n, ne); sub.Real() {
+		t.Error("a complex-phase hop is stored real")
+	}
+	dets := enumerateDeterminants(n, ne)
+	dense := linalg.NewMatrix(len(dets), len(dets))
+	in, out := make([]complex128, 1<<n), make([]complex128, 1<<n)
+	for c, k := range dets {
+		in[k] = 1
+		plan.MatVec(out, in, nil)
+		in[k] = 0
+		for r, j := range dets {
+			dense.Set(r, c, out[j])
+		}
+	}
+	want, _, err := linalg.GroundState(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(fci.Energy-want) > 1e-12 {
+		t.Errorf("FCI %.17g, dense sector %.17g (|Δ| %.3g)", fci.Energy, want, math.Abs(fci.Energy-want))
+	}
+}
+
 // TestFCIWater16Pinned is the 16-qubit pin: C(16,8) = 12 870 determinants.
 func TestFCIWater16Pinned(t *testing.T) {
 	if testing.Short() {
@@ -436,12 +517,6 @@ func TestHubbardDimerExact(t *testing.T) {
 	want := (u - math.Sqrt(u*u+16*tHop*tHop)) / 2
 	if math.Abs(res.Energy-want) > 1e-9 {
 		t.Errorf("dimer E = %v, want %v", res.Energy, want)
-	}
-}
-
-func TestSectorDimension(t *testing.T) {
-	if SectorDimension(12, 8) != 495 {
-		t.Errorf("C(12,8) = %d", SectorDimension(12, 8))
 	}
 }
 

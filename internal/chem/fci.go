@@ -2,7 +2,7 @@ package chem
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fermion"
@@ -19,26 +19,6 @@ type FCIResult struct {
 	NumModes     int
 }
 
-// enumerateDeterminants lists all occupation bitmasks with ne electrons in
-// nModes spin orbitals, in increasing numeric order (Gosper's hack).
-func enumerateDeterminants(nModes, ne int) []uint64 {
-	if ne < 0 || ne > nModes {
-		return nil
-	}
-	if ne == 0 {
-		return []uint64{0}
-	}
-	var out []uint64
-	v := uint64(1)<<uint(ne) - 1
-	limit := uint64(1) << uint(nModes)
-	for v < limit {
-		out = append(out, v)
-		t := v | (v - 1)
-		v = (t + 1) | (((^t & (t + 1)) - 1) >> uint(bits.TrailingZeros64(v)+1))
-	}
-	return out
-}
-
 // SectorMatrix builds the Hamiltonian matrix of a fermionic operator
 // restricted to the ne-electron sector of nModes spin orbitals: h's
 // Jordan–Wigner plan restricted to the C(nModes, ne) determinants (see
@@ -48,7 +28,11 @@ func SectorMatrix(h *fermion.Op, nModes, ne int) (*linalg.Sparse, []uint64, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	return sectorMatrix(plan, nModes, ne)
+	sector, sub, err := plan.RestrictSector(nModes, ne)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sub.Sparse(), sector.Basis(), nil
 }
 
 // FCI computes the exact ground state of the molecule's electronic
@@ -72,19 +56,25 @@ func FCIofOp(h *fermion.Op, nModes, ne int) (*FCIResult, error) {
 // a Jordan–Wigner qubit operator's plan restricted to the ne-electron
 // sector of nModes spin orbitals, whose C(nModes, ne) determinants are
 // basis indices under JW. A caller that already compiled the observable
-// (runspec, per job) passes that plan, so H is built once. An operator
-// that maps a sector determinant outside the sector (one that does not
-// conserve particle number) is rejected with core.ErrInvalidArgument.
+// (runspec, per job) passes that plan, so H is built once, and the plan
+// keeps the restriction (pauli.Plan.RestrictSector), so the ansatz block
+// the same job runs in is read off it rather than restricted again. An
+// operator that maps a sector determinant outside the sector (one that
+// does not conserve particle number) is rejected with
+// core.ErrInvalidArgument.
 func FCIofPlan(plan *pauli.Plan, nModes, ne int) (*FCIResult, error) {
-	sp, dets, err := sectorMatrix(plan, nModes, ne)
+	if q := plan.MaxQubit(); q >= nModes {
+		return nil, fmt.Errorf("%w: operator touches qubit %d of %d", core.ErrInvalidArgument, q, nModes)
+	}
+	sector, sub, err := plan.RestrictSector(nModes, ne)
 	if err != nil {
 		return nil, err
 	}
-	e, vec, err := lanczosOrDense(sp)
+	e, vec, err := lanczosOrDense(sub)
 	if err != nil {
 		return nil, err
 	}
-	return &FCIResult{Energy: e, Determinants: dets, Ground: vec, NumModes: nModes}, nil
+	return &FCIResult{Energy: e, Determinants: slices.Clone(sector.Basis()), Ground: vec, NumModes: nModes}, nil
 }
 
 // jwPlan compiles h's Jordan–Wigner image, rejecting a mode outside the
@@ -96,26 +86,20 @@ func jwPlan(h *fermion.Op, nModes int) (*pauli.Plan, error) {
 	return pauli.NewPlan(h.JordanWigner()), nil
 }
 
-// sectorMatrix restricts a JW plan to the C(nModes, ne) determinants.
-func sectorMatrix(plan *pauli.Plan, nModes, ne int) (*linalg.Sparse, []uint64, error) {
-	if q := plan.MaxQubit(); q >= nModes {
-		return nil, nil, fmt.Errorf("%w: operator touches qubit %d of %d", core.ErrInvalidArgument, q, nModes)
-	}
-	dets := enumerateDeterminants(nModes, ne)
-	sub, err := plan.Restrict(pauli.SubspaceOf(dets))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub.Sparse(), dets, nil
+// sectorOperator is a sector matrix either solver can read: a
+// pauli.SubMatrix, or its linalg.Sparse export.
+type sectorOperator interface {
+	linalg.MatVecer
+	Dense() *linalg.Matrix
 }
 
 // lanczosOrDense picks the solver by size: Jacobi for tiny sectors (more
 // robust to degeneracy), Lanczos beyond.
-func lanczosOrDense(sp *linalg.Sparse) (float64, []complex128, error) {
-	if sp.N <= 64 {
-		return linalg.GroundState(sp.Dense())
+func lanczosOrDense(op sectorOperator) (float64, []complex128, error) {
+	if op.Dim() <= 64 {
+		return linalg.GroundState(op.Dense())
 	}
-	return linalg.LanczosGround(sp, linalg.LanczosOptions{MaxIter: 300, Tol: 1e-12})
+	return linalg.LanczosGround(op, linalg.LanczosOptions{MaxIter: 300, Tol: 1e-12})
 }
 
 // FullVector scatters the sector eigenvector into the full 2ⁿ qubit space
@@ -127,9 +111,4 @@ func (r *FCIResult) FullVector() []complex128 {
 		out[d] = r.Ground[i]
 	}
 	return out
-}
-
-// SectorDimension returns C(nModes, ne), the FCI basis size.
-func SectorDimension(nModes, ne int) int {
-	return len(enumerateDeterminants(nModes, ne))
 }

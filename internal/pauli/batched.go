@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -117,6 +118,9 @@ type Plan struct {
 	// spare is the working set of a finished Evaluate, kept so the next
 	// one allocates nothing; concurrent evaluations each take their own.
 	spare atomic.Pointer[evaluation]
+	// sectors memoizes RestrictSector, one entry per (n, ne) asked for.
+	sectorMu sync.Mutex
+	sectors  []*sectorRestriction
 }
 
 // NewPlan groups op's terms by X mask. The identity term needs no special

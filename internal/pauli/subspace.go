@@ -2,7 +2,10 @@ package pauli
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/kernel/tuning"
@@ -37,9 +40,82 @@ func (g *xGroup) coupling(i uint64) (complex128, bool) {
 // Subspace is an ordered set of computational-basis states closed under
 // the plans it was built from, with the position of each state in that
 // order. Immutable after construction.
+//
+// A closure (NewSubspace) or a listed basis (SubspaceOf) finds positions
+// through a map. A particle-number sector (Sector) needs none: its states
+// are the n-bit masks with ne ones in ascending order, so a state's
+// position is its combinatorial rank, and a state is outside exactly when
+// its popcount is not ne. A block cut from a sector (Block) keeps the rank
+// and reads its positions from a table over the sector's ranks.
 type Subspace struct {
-	basis []uint64 // ascending
-	pos   map[uint64]int32
+	basis []uint64         // ascending
+	pos   map[uint64]int32 // nil when positions come by rank
+	// n and ne are the sector's qubits and ones when pos is nil; within,
+	// for a block, holds the position of each sector rank, −1 outside.
+	n, ne  int
+	within []int32
+}
+
+// binomial[n][k] is C(n, k) for n ≤ 64: the terms of a rank. Every entry
+// is at most C(64, 32) < 2⁶³, so the table cannot overflow.
+var binomial = func() (t [65][65]uint64) {
+	for n := range t {
+		t[n][0] = 1
+		for k := 1; k <= n; k++ {
+			t[n][k] = t[n-1][k-1] + t[n-1][k]
+		}
+	}
+	return t
+}()
+
+// Sector is the ne-particle sector of n qubits: every n-bit basis state
+// with ne bits set, in ascending order. A number-conserving operator under
+// Jordan–Wigner maps it into itself, so its states are the determinants
+// of an FCI. n must be at most 64 and the sector at most 2³¹−1 states, or
+// it is rejected with core.ErrInvalidArgument.
+func Sector(n, ne int) (*Subspace, error) {
+	if n < 0 || n > 64 || ne < 0 || ne > n || binomial[n][ne] > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: pauli: no %d-particle sector of %d qubits with at most 2³¹−1 states", core.ErrInvalidArgument, ne, n)
+	}
+	sp := &Subspace{basis: make([]uint64, binomial[n][ne]), n: n, ne: ne}
+	// Gosper's hack steps to the next larger mask with the same popcount.
+	v := uint64(1)<<uint(ne) - 1
+	for p := range sp.basis {
+		sp.basis[p] = v
+		if v == 0 {
+			break
+		}
+		t := v | (v - 1)
+		v = (t + 1) | (((^t & (t + 1)) - 1) >> uint(bits.TrailingZeros64(v)+1))
+	}
+	return sp, nil
+}
+
+// lowestBit[(i&−i)·deBruijn64>>58] is the index of i's lowest set bit.
+// rank finds it so rather than by bits.TrailingZeros64, whose BSF keeps a
+// false dependency on its destination register: on Intel that chains each
+// step of rank to the previous step's table load, 2.5–4× slower.
+const deBruijn64 = 0x03f79d71b4ca8b09
+
+var lowestBit = func() (t [64]uint8) {
+	for b := range 64 {
+		t[uint64(1)<<uint(b)*deBruijn64>>58] = uint8(b)
+	}
+	return t
+}()
+
+// rank is i's position in its sector, Σₜ C(bₜ, t) over the positions
+// b₁ < b₂ < … of its set bits, and false when i is outside the sector.
+func (sp *Subspace) rank(i uint64) (int, bool) {
+	if i>>uint(sp.n) != 0 || bits.OnesCount64(i) != sp.ne {
+		return 0, false
+	}
+	var r uint64
+	for t := 1; i != 0; t++ {
+		r += binomial[lowestBit[(i&-i)*deBruijn64>>58]][t]
+		i &= i - 1
+	}
+	return int(r), true
 }
 
 // NewSubspace closes {ref} under the nonzero transitions of every X-mask
@@ -85,10 +161,22 @@ func SubspaceOf(basis []uint64) *Subspace {
 // Dim is the number of basis states.
 func (sp *Subspace) Dim() int { return len(sp.basis) }
 
+// Basis is the states in position order. The slice is shared and must not
+// be modified.
+func (sp *Subspace) Basis() []uint64 { return sp.basis }
+
 // Position returns where basis state i sits in a vector over the subspace.
 func (sp *Subspace) Position(i uint64) (int, bool) {
-	p, ok := sp.pos[i]
-	return int(p), ok
+	if sp.pos != nil {
+		p, ok := sp.pos[i]
+		return int(p), ok
+	}
+	r, ok := sp.rank(i)
+	if !ok || sp.within == nil {
+		return r, ok
+	}
+	p := sp.within[r]
+	return int(p), p >= 0
 }
 
 // Scatter writes v, a vector over the subspace, into the full-space vector
@@ -100,17 +188,73 @@ func (sp *Subspace) Scatter(dst, v []complex128) {
 	}
 }
 
+// entryBound bounds the coefficients pl can have on sp, for presizing a
+// restriction. On a sector it is exact up to cancelled couplings: group x,
+// with k bits of its mask inside the register, keeps a state in the sector
+// exactly when the state holds k/2 of them, which C(k, k/2)·C(n−k, ne−k/2)
+// states do. Elsewhere it is the diagonal's share.
+func (sp *Subspace) entryBound(pl *Plan) int {
+	if sp.pos != nil || sp.within != nil {
+		return len(sp.basis)
+	}
+	total := uint64(0)
+	for gi := range pl.groups {
+		x := pl.groups[gi].x
+		k := bits.OnesCount64(x)
+		if x>>uint(sp.n) != 0 || k%2 != 0 || sp.ne < k/2 || sp.ne-k/2 > sp.n-k {
+			continue
+		}
+		total += binomial[k][k/2] * binomial[sp.n-k][sp.ne-k/2]
+	}
+	return int(total)
+}
+
+// seals reports whether group g provably moves no state of sector sp out
+// of it, which spares Restrict and RestrictPairs their per-state check. It
+// looks only where that check is dearer: on a sector, when every Z mask of
+// g differs from the first only on bits of x (as under Jordan–Wigner a
+// generator's and a two-body excitation's do), a(j) is ±a(j∧x) to the bit,
+// every term's sign flipping alike. Then the 2^|x| patterns j∧x with
+// |j∧x| ≠ |x|/2, the ones x moves out of the sector, decide it. Otherwise,
+// or when the patterns outnumber the states, it reports false and the
+// per-state check runs.
+func (sp *Subspace) seals(g *xGroup) bool {
+	x, k := g.x, bits.OnesCount64(g.x)
+	if sp.pos != nil || sp.within != nil || x>>uint(sp.n) != 0 || 1<<uint(k) > len(sp.basis) {
+		return false
+	}
+	for _, z := range g.zs {
+		if (z^g.zs[0])&^x != 0 {
+			return false
+		}
+	}
+	for p := x; ; p = (p - 1) & x { // every submask of x
+		ones := bits.OnesCount64(p)
+		if 2*ones != k && ones <= sp.ne && sp.ne-ones <= sp.n-k {
+			if _, moves := g.coupling(p); moves {
+				return false
+			}
+		}
+		if p == 0 {
+			return true
+		}
+	}
+}
+
 // leak is the error of restricting a plan that maps the subspace outside itself.
 func leak(from, to uint64) error {
 	return fmt.Errorf("%w: pauli: plan maps basis state %#b to %#b outside the subspace", core.ErrInvalidArgument, from, to)
 }
 
 // SubMatrix is an observable plan restricted to a subspace, in compressed
-// sparse row form over positions.
+// sparse row form over positions. Its values are stored as float64 when
+// every one has imaginary part exactly 0 (a real Hamiltonian's), and as
+// complex128 otherwise; vectors are complex either way.
 type SubMatrix struct {
 	rowStart []int32 // row r holds entries [rowStart[r], rowStart[r+1])
 	col      []int32
-	val      []complex128
+	re       []float64    // the values when all are real, else nil
+	val      []complex128 // the values when one is not, else nil
 }
 
 // Restrict compiles the plan's matrix on sp. Row j lists its sources
@@ -118,30 +262,83 @@ type SubMatrix struct {
 // a vector supported on sp the two agree entry for entry. A plan that maps
 // a state of sp outside sp is rejected with core.ErrInvalidArgument.
 func (pl *Plan) Restrict(sp *Subspace) (*SubMatrix, error) {
-	m := &SubMatrix{rowStart: make([]int32, 1, len(sp.basis)+1)}
+	mRestrict.Inc()
+	sealed := make([]bool, len(pl.groups))
+	for gi := range pl.groups {
+		sealed[gi] = sp.seals(&pl.groups[gi])
+	}
+	bound := sp.entryBound(pl)
+	m := &SubMatrix{rowStart: make([]int32, 1, len(sp.basis)+1), col: make([]int32, 0, bound), re: make([]float64, 0, bound)}
 	for _, j := range sp.basis {
 		for gi := range pl.groups {
 			g := &pl.groups[gi]
 			i := j ^ g.x
-			if p, inside := sp.pos[i]; !inside {
+			if p, inside := sp.Position(i); !inside {
+				if sealed[gi] {
+					continue
+				}
 				if _, moves := g.coupling(j); moves {
 					return nil, leak(j, i)
 				}
 			} else if a, moves := g.coupling(i); moves {
-				m.col = append(m.col, p)
-				m.val = append(m.val, a)
+				m.col = append(m.col, int32(p))
+				m.add(a)
 			}
 		}
 		m.rowStart = append(m.rowStart, int32(len(m.col)))
 	}
+	// The bound also counts slots whose couplings cancel (a spin-conserving
+	// H's spin flips, a quarter of water's), which a kept matrix drops.
+	if slack := cap(m.col) - len(m.col); slack > len(m.col)/8 {
+		m.col = append(make([]int32, 0, len(m.col)), m.col...)
+		if m.val == nil {
+			m.re = append(make([]float64, 0, len(m.re)), m.re...)
+		} else {
+			m.val = append(make([]complex128, 0, len(m.val)), m.val...)
+		}
+	}
 	return m, nil
 }
 
+// add stores the next value, moving the stored ones to complex128 at the
+// first with a nonzero imaginary part.
+func (m *SubMatrix) add(a complex128) {
+	if m.val == nil && imag(a) == 0 {
+		m.re = append(m.re, real(a))
+		return
+	}
+	if m.val == nil {
+		m.val = make([]complex128, len(m.re), cap(m.re))
+		for e, v := range m.re {
+			m.val[e] = complex(v, 0)
+		}
+		m.re = nil
+	}
+	m.val = append(m.val, a)
+}
+
+// Real reports whether the values are stored as float64.
+func (m *SubMatrix) Real() bool { return m.val == nil }
+
+// value is stored coefficient e.
+func (m *SubMatrix) value(e int32) complex128 {
+	if m.val == nil {
+		return complex(m.re[e], 0)
+	}
+	return m.val[e]
+}
+
 // Sparse exports the matrix in linalg's CSR form, rows in stored order so
-// that MulVecTo sums each row as MatVec does. The result shares the stored
-// values; neither may be modified.
+// that MulVecTo sums each row as MatVec does. Complex values are shared
+// with the result; neither may be modified.
 func (m *SubMatrix) Sparse() *linalg.Sparse {
 	s := &linalg.Sparse{N: m.Dim(), RowPtr: make([]int, len(m.rowStart)), ColIdx: make([]int, len(m.col)), Vals: m.val}
+	if m.val == nil {
+		s.Vals = make([]complex128, len(m.re))
+		for e, v := range m.re {
+			s.Vals[e] = complex(v, 0)
+		}
+	}
 	for r, e := range m.rowStart {
 		s.RowPtr[r] = int(e)
 	}
@@ -151,11 +348,29 @@ func (m *SubMatrix) Sparse() *linalg.Sparse {
 	return s
 }
 
+// Dense expands the matrix, for the dense eigensolver on small sectors.
+func (m *SubMatrix) Dense() *linalg.Matrix {
+	d := linalg.NewMatrix(m.Dim(), m.Dim())
+	for r := range m.Dim() {
+		for e := m.rowStart[r]; e < m.rowStart[r+1]; e++ {
+			d.Set(r, int(m.col[e]), m.value(e))
+		}
+	}
+	return d
+}
+
 // Dim is the number of rows.
 func (m *SubMatrix) Dim() int { return len(m.rowStart) - 1 }
 
 // NNZ is the number of stored coefficients: the multiplies of one MatVec.
-func (m *SubMatrix) NNZ() int { return len(m.val) }
+func (m *SubMatrix) NNZ() int { return len(m.col) }
+
+// StoredBytes is the memory the column indices and values hold, the part
+// of the matrix that grows with its coefficients: 12 bytes per coefficient
+// stored real, 20 complex, and whatever capacity is left over.
+func (m *SubMatrix) StoredBytes() int {
+	return 4*cap(m.col) + 8*cap(m.re) + 16*cap(m.val)
+}
 
 // MatVec computes dst = H·src over the subspace, rows partitioned over pool
 // from tuning.ReduceParallel rows up (nil runs inline). Each row is summed
@@ -171,15 +386,86 @@ func (m *SubMatrix) MatVec(dst, src []complex128, pool *state.Pool) {
 	pool.Run(rows, pool.Workers(), func(_ int, lo, hi uint64) { m.matVecRows(dst, src, lo, hi) })
 }
 
+// Apply is MatVec inline and untimed: linalg.MatVecer, for Lanczos.
+func (m *SubMatrix) Apply(dst, src []complex128) { m.matVecRows(dst, src, 0, uint64(m.Dim())) }
+
+// matVecRows sums each row in stored order. A real value v is multiplied
+// into the real and imaginary parts separately: v·re and v·im are the
+// parts of (v+0i)·src to the bit, since the 0·im and 0·re they drop are
+// zeros and a sum that starts at +0 absorbs a zero of either sign. Rows
+// go two at a time, their sums interleaved: each is still one chain of
+// adds in stored order, and the two chains overlap in the pipeline.
+//
 //vqesim:hotpath
 func (m *SubMatrix) matVecRows(dst, src []complex128, lo, hi uint64) {
-	for r := lo; r < hi; r++ {
-		var acc complex128
-		for e := m.rowStart[r]; e < m.rowStart[r+1]; e++ {
-			acc += m.val[e] * src[m.col[e]]
+	rs := m.rowStart
+	r := lo
+	for ; r+1 < hi; r += 2 {
+		if m.val == nil {
+			dst[r], dst[r+1] = realRows(m.re, m.col, src, rs[r], rs[r+1], rs[r+2])
+		} else {
+			dst[r], dst[r+1] = complexRows(m.val, m.col, src, rs[r], rs[r+1], rs[r+2])
 		}
-		dst[r] = acc
 	}
+	if r < hi && m.val == nil {
+		dst[r] = realRow(m.re, m.col, src, rs[r], rs[r+1], 0)
+	} else if r < hi {
+		dst[r] = complexRow(m.val, m.col, src, rs[r], rs[r+1], 0)
+	}
+}
+
+// realRows sums entries [a, b) and [b, c), stored real, against src: the
+// two rows' chains in lockstep, then the longer one's tail.
+//
+//vqesim:hotpath
+func realRows(re []float64, col []int32, src []complex128, a, b, c int32) (complex128, complex128) {
+	var re0, im0, re1, im1 float64
+	e0, e1 := a, b
+	for ; e0 < b && e1 < c; e0, e1 = e0+1, e1+1 {
+		v0, x0 := re[e0], src[col[e0]]
+		v1, x1 := re[e1], src[col[e1]]
+		re0 += v0 * real(x0)
+		im0 += v0 * imag(x0)
+		re1 += v1 * real(x1)
+		im1 += v1 * imag(x1)
+	}
+	return realRow(re, col, src, e0, b, complex(re0, im0)), realRow(re, col, src, e1, c, complex(re1, im1))
+}
+
+// realRow adds entries [e, end), stored real, to the partial sum acc.
+//
+//vqesim:hotpath
+func realRow(re []float64, col []int32, src []complex128, e, end int32, acc complex128) complex128 {
+	accRe, accIm := real(acc), imag(acc)
+	for ; e < end; e++ {
+		v, x := re[e], src[col[e]]
+		accRe += v * real(x)
+		accIm += v * imag(x)
+	}
+	return complex(accRe, accIm)
+}
+
+// complexRows is realRows for complex values.
+//
+//vqesim:hotpath
+func complexRows(val []complex128, col []int32, src []complex128, a, b, c int32) (complex128, complex128) {
+	var acc0, acc1 complex128
+	e0, e1 := a, b
+	for ; e0 < b && e1 < c; e0, e1 = e0+1, e1+1 {
+		acc0 += val[e0] * src[col[e0]]
+		acc1 += val[e1] * src[col[e1]]
+	}
+	return complexRow(val, col, src, e0, b, acc0), complexRow(val, col, src, e1, c, acc1)
+}
+
+// complexRow is realRow for complex values.
+//
+//vqesim:hotpath
+func complexRow(val []complex128, col []int32, src []complex128, e, end int32, acc complex128) complex128 {
+	for ; e < end; e++ {
+		acc += val[e] * src[col[e]]
+	}
+	return acc
 }
 
 // Pairs is a generator plan restricted to a subspace: each X-mask group as
@@ -198,17 +484,18 @@ func (pl *Plan) RestrictPairs(sp *Subspace) (*Pairs, error) {
 	out := &Pairs{groups: make([][]state.Pair, len(pl.groups))}
 	for gi := range pl.groups {
 		g := &pl.groups[gi]
+		sealed := sp.seals(g)
 		for p, i := range sp.basis {
-			a, moves := g.coupling(i)
-			if !moves {
-				continue
-			}
-			q, inside := sp.pos[i^g.x]
-			if !inside {
-				return nil, leak(i, i^g.x)
-			}
-			if i>>uint(g.q)&1 == 0 { // one entry per pair, from its lower member
-				out.groups[gi] = append(out.groups[gi], state.Pair{P: int32(p), Q: q, A: a})
+			q, inside := sp.Position(i ^ g.x)
+			switch {
+			case !inside && !sealed:
+				if _, moves := g.coupling(i); moves {
+					return nil, leak(i, i^g.x)
+				}
+			case inside && i>>uint(g.q)&1 == 0: // one entry per pair, from its lower member
+				if a, moves := g.coupling(i); moves {
+					out.groups[gi] = append(out.groups[gi], state.Pair{P: int32(p), Q: int32(q), A: a})
+				}
 			}
 		}
 	}
@@ -229,4 +516,133 @@ func (ps *Pairs) Exp(phi, lam []complex128, theta float64) float64 {
 		total += state.RotatePairList(phi, lam, g, theta)
 	}
 	return total
+}
+
+// sectorRestriction is one memoized Plan.RestrictSector.
+type sectorRestriction struct {
+	n, ne int
+	once  sync.Once
+	space *Subspace
+	h     *SubMatrix
+	err   error
+}
+
+// RestrictSector is Restrict on Sector(n, ne), computed once per plan and
+// sector: the FCI reference and the ansatz block of one job ask the same
+// plan and share the result. Safe for concurrent use; the subspace and
+// matrix must not be modified.
+func (pl *Plan) RestrictSector(n, ne int) (*Subspace, *SubMatrix, error) {
+	pl.sectorMu.Lock()
+	var sr *sectorRestriction
+	for _, c := range pl.sectors {
+		if c.n == n && c.ne == ne {
+			sr = c
+		}
+	}
+	if sr == nil {
+		sr = &sectorRestriction{n: n, ne: ne}
+		pl.sectors = append(pl.sectors, sr)
+	}
+	pl.sectorMu.Unlock()
+	sr.once.Do(func() {
+		if sr.space, sr.err = Sector(n, ne); sr.err == nil {
+			sr.h, sr.err = pl.Restrict(sr.space)
+		}
+	})
+	return sr.space, sr.h, sr.err
+}
+
+// Block cuts the closure of ref out of sector sp: the states ref reaches
+// through h's nonzeros — h.Restrict on sp, an edge from column i to row
+// j — and through gens's pairs, the generators' RestrictPairs on sp. For
+// an anti-Hermitian generator both directions of a pair couple alike, so
+// this is the set NewSubspace(ref, gens' plans…, h's plan) finds, in the
+// same order. The block's H is h's sub-block and each generator's pairs
+// the ones inside, each in stored order, so they sum as Restrict and
+// RestrictPairs on the block would. ref must lie in sp.
+func (sp *Subspace) Block(ref uint64, h *SubMatrix, gens []*Pairs) (*Subspace, *SubMatrix, []*Pairs) {
+	r0, ok := sp.rank(ref)
+	if !ok || sp.pos != nil || sp.within != nil {
+		panic(fmt.Errorf("%w: pauli: Block needs a sector and a reference inside it", core.ErrInvalidArgument))
+	}
+	// within marks the closure with 0 until positions are known.
+	within := make([]int32, len(sp.basis))
+	for r := range within {
+		within[r] = -1
+	}
+	within[r0] = 0
+	for grew := true; grew; {
+		grew = false
+		for j := range h.Dim() {
+			if within[j] >= 0 {
+				continue
+			}
+			for e := h.rowStart[j]; e < h.rowStart[j+1]; e++ {
+				if within[h.col[e]] >= 0 {
+					within[j], grew = 0, true
+					break
+				}
+			}
+		}
+		for _, ps := range gens {
+			for _, g := range ps.groups {
+				for _, pr := range g {
+					if (within[pr.P] >= 0) != (within[pr.Q] >= 0) {
+						within[pr.P], within[pr.Q], grew = 0, 0, true
+					}
+				}
+			}
+		}
+	}
+	dim, bound := 0, 0
+	for r, w := range within {
+		if w >= 0 {
+			dim++
+			bound += int(h.rowStart[r+1] - h.rowStart[r])
+		}
+	}
+	block := &Subspace{basis: make([]uint64, 0, dim), n: sp.n, ne: sp.ne, within: within}
+	for r, w := range within {
+		if w >= 0 {
+			within[r] = int32(len(block.basis))
+			block.basis = append(block.basis, sp.basis[r])
+		}
+	}
+
+	bh := &SubMatrix{rowStart: make([]int32, 1, dim+1), col: make([]int32, 0, bound)}
+	if h.val == nil {
+		bh.re = make([]float64, 0, bound)
+	} else {
+		bh.val = make([]complex128, 0, bound)
+	}
+	for r, w := range within {
+		if w < 0 {
+			continue
+		}
+		for e := h.rowStart[r]; e < h.rowStart[r+1]; e++ {
+			if c := within[h.col[e]]; c >= 0 {
+				bh.col = append(bh.col, c)
+				if h.val == nil {
+					bh.re = append(bh.re, h.re[e])
+				} else {
+					bh.val = append(bh.val, h.val[e])
+				}
+			}
+		}
+		bh.rowStart = append(bh.rowStart, int32(len(bh.col)))
+	}
+
+	bgens := make([]*Pairs, len(gens))
+	for k, ps := range gens {
+		bgens[k] = &Pairs{groups: make([][]state.Pair, len(ps.groups))}
+		for gi, g := range ps.groups {
+			bgens[k].groups[gi] = make([]state.Pair, 0, len(g))
+			for _, pr := range g {
+				if p := within[pr.P]; p >= 0 {
+					bgens[k].groups[gi] = append(bgens[k].groups[gi], state.Pair{P: p, Q: within[pr.Q], A: pr.A})
+				}
+			}
+		}
+	}
+	return block, bh, bgens
 }

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/state"
+	"repro/internal/telemetry"
 )
 
 // hoppingModel is a number-conserving observable on an n-qubit chain —
@@ -263,5 +265,196 @@ func TestSubspaceOfMatchesClosure(t *testing.T) {
 		if got != want[r] {
 			t.Fatalf("row %d: %v from CSR, %v from MatVec", r, got, want[r])
 		}
+	}
+}
+
+// TestSectorRanks: Sector(n, ne) lists every n-bit state with ne ones in
+// ascending order, C(n, ne) of them — C(12, 8) = 495 determinants for
+// 12-qubit water — and each state's rank is its position; a state of
+// another popcount, or one reaching past n qubits, has none. A sector
+// that is not one, or that would outgrow int32 positions, is rejected.
+func TestSectorRanks(t *testing.T) {
+	if binomial[12][8] != 495 {
+		t.Errorf("C(12, 8) = %d, want 495", binomial[12][8])
+	}
+	for n := 0; n <= 12; n++ {
+		for ne := 0; ne <= n; ne++ {
+			sp, err := Sector(n, ne)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for i := uint64(0); i < 1<<uint(n); i++ {
+				if bits.OnesCount64(i) == ne {
+					want = append(want, i)
+				}
+			}
+			if !slices.Equal(sp.Basis(), want) || uint64(sp.Dim()) != binomial[n][ne] {
+				t.Fatalf("Sector(%d, %d) = %v, want the %d states %v", n, ne, sp.Basis(), binomial[n][ne], want)
+			}
+			for i := uint64(0); i < 1<<uint(n+1); i++ {
+				p, ok := sp.Position(i)
+				if at, in := slices.BinarySearch(want, i); ok != in || (ok && p != at) {
+					t.Fatalf("Sector(%d, %d): Position(%#b) = %d, %v; want %d, %v", n, ne, i, p, ok, at, in)
+				}
+			}
+		}
+	}
+	sp, err := Sector(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := sp.Position(1<<63 | 1<<62); !ok || p != sp.Dim()-1 {
+		t.Errorf("Sector(64, 2): top state at %d, %v; want %d", p, ok, sp.Dim()-1)
+	}
+	for _, c := range [][2]int{{-1, 0}, {4, 5}, {4, -1}, {65, 1}, {34, 17}} {
+		if _, err := Sector(c[0], c[1]); !errors.Is(err, core.ErrInvalidArgument) {
+			t.Errorf("Sector(%d, %d): %v, want ErrInvalidArgument", c[0], c[1], err)
+		}
+	}
+}
+
+// twoChainModel is hoppingModel on two 4-qubit chains that nothing hops
+// between, coupled by ZZ: it conserves each chain's particle number, so
+// from two particles on each the block is C(4,2)² = 36 of the C(8,4) = 70
+// sector states. With phase, every hop also carries a Hermitian
+// (XY − YX)·s term, which makes H's couplings complex.
+func twoChainModel(t *testing.T, rng *core.RNG, phase bool) (*Plan, []*Plan) {
+	t.Helper()
+	h := NewOp()
+	var gens []*Plan
+	for q := 0; q < 8; q++ {
+		h.Add(String{Z: 1 << uint(q)}, complex(rng.NormFloat64(), 0))
+		if q < 4 {
+			h.Add(String{Z: 1<<uint(q) | 1<<uint(q+4)}, complex(rng.NormFloat64(), 0))
+		}
+		if q == 3 || q == 7 {
+			continue
+		}
+		x := uint64(0b11) << uint(q)
+		lo, hi := uint64(1)<<uint(q), uint64(1)<<uint(q+1)
+		hop := complex(0.5*rng.NormFloat64(), 0)
+		h.Add(String{X: x}, hop).Add(String{X: x, Z: x}, hop)
+		if phase {
+			s := complex(0.5*rng.NormFloat64(), 0)
+			h.Add(String{X: x, Z: hi}, s).Add(String{X: x, Z: lo}, -s)
+		}
+		g, err := NewGenerator([]Term{{Coeff: 0.5i, P: String{X: x, Z: hi}}, {Coeff: -0.5i, P: String{X: x, Z: lo}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens = append(gens, g)
+	}
+	return NewPlan(h), gens
+}
+
+// TestBlockMatchesClosure: the block cut out of the sector restriction is
+// the closure NewSubspace finds, in the same order, and its H and pairs
+// compute what Restrict and RestrictPairs on that closure compute, to the
+// bit: H·φ, equal also to Plan.MatVec on 2ⁿ, and exp(θ·A) with its
+// bracket. A real H is stored real, one with a hopping phase complex.
+func TestBlockMatchesClosure(t *testing.T) {
+	const n, ref = 8, 0b00110011
+	for _, phase := range []bool{false, true} {
+		rng := core.NewRNG(8)
+		h, gens := twoChainModel(t, rng, phase)
+		sector, hs, err := h.RestrictSector(n, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := make([]*Pairs, len(gens))
+		for k, g := range gens {
+			if pairs[k], err = g.RestrictPairs(sector); err != nil {
+				t.Fatal(err)
+			}
+		}
+		block, bh, bpairs := sector.Block(ref, hs, pairs)
+		closed := NewSubspace(ref, append(gens, h)...)
+		if block.Dim() != 36 || !slices.Equal(block.basis, closed.basis) {
+			t.Fatalf("phase %v: block %v, closure %v", phase, block.basis, closed.basis)
+		}
+		for p, i := range closed.basis {
+			if at, ok := block.Position(i); !ok || at != p {
+				t.Fatalf("phase %v: block Position(%#b) = %d, %v; want %d", phase, i, at, ok, p)
+			}
+		}
+		if _, ok := block.Position(0b00010111); ok {
+			t.Errorf("phase %v: a sector state outside the block has a position", phase)
+		}
+		ch, err := h.Restrict(closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hs.Real() == phase || bh.Real() == phase || ch.Real() == phase {
+			t.Errorf("phase %v: stored real: sector %v, block %v, closure %v", phase, hs.Real(), bh.Real(), ch.Real())
+		}
+		if bh.NNZ() != ch.NNZ() {
+			t.Errorf("phase %v: block %d coefficients, closure %d", phase, bh.NNZ(), ch.NNZ())
+		}
+		phi, lam := randomOver(rng, block.Dim()), randomOver(rng, block.Dim())
+		got, want := make([]complex128, block.Dim()), make([]complex128, block.Dim())
+		bh.MatVec(got, phi, nil)
+		ch.MatVec(want, phi, nil)
+		full := make([]complex128, 1<<n)
+		h.MatVec(full, embed(block, n, phi), nil)
+		for p, i := range block.basis {
+			if got[p] != want[p] || got[p] != full[i] {
+				t.Fatalf("phase %v: (H·φ)[%#b] = %v from the block, %v from the closure, %v on 2ⁿ", phase, i, got[p], want[p], full[i])
+			}
+		}
+		for k, g := range gens {
+			cp, err := g.RestrictPairs(closed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			theta := rng.NormFloat64()
+			phiB, lamB := slices.Clone(phi), slices.Clone(lam)
+			if got, want := bpairs[k].Exp(phiB, lamB, theta), cp.Exp(phi, lam, theta); got != want || !slices.Equal(phiB, phi) || !slices.Equal(lamB, lam) {
+				t.Fatalf("phase %v: generator %d: block Exp %v, closure %v", phase, k, got, want)
+			}
+		}
+	}
+}
+
+// TestRestrictSectorOnce: a plan restricts itself to a sector once, however
+// many readers ask and however concurrently, and a different sector is a
+// restriction of its own.
+func TestRestrictSectorOnce(t *testing.T) {
+	h, _ := twoChainModel(t, core.NewRNG(9), true)
+	withRestrictCount(t, func() {
+		var wg sync.WaitGroup
+		got := make([]*SubMatrix, 4)
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, got[k], _ = h.RestrictSector(8, 4)
+			}()
+		}
+		wg.Wait()
+		for _, m := range got[1:] {
+			if m != got[0] {
+				t.Error("readers got different restrictions")
+			}
+		}
+		if _, _, err := h.RestrictSector(8, 3); err != nil {
+			t.Fatal(err)
+		}
+	}, 2)
+}
+
+// withRestrictCount runs f with telemetry on and requires it to restrict
+// want plans.
+func withRestrictCount(t *testing.T, f func(), want int64) {
+	t.Helper()
+	telemetry.Enable()
+	t.Cleanup(func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	})
+	telemetry.Reset()
+	f()
+	if got := telemetry.Capture().Counters["pauli.restrict"]; got != want {
+		t.Errorf("%d restrictions, want %d", got, want)
 	}
 }

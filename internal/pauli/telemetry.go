@@ -12,4 +12,6 @@ var (
 	mPlanEval   = telemetry.GetTimer("pauli.plan.evaluate")
 	mPlanMatVec = telemetry.GetTimer("pauli.plan.matvec")
 	mNaiveEval  = telemetry.GetTimer("pauli.naive.evaluate")
+	// mRestrict counts plans restricted to a subspace (Restrict calls).
+	mRestrict = telemetry.GetCounter("pauli.restrict")
 )

@@ -309,6 +309,32 @@ func TestVQERunCompilesHamiltonianOnce(t *testing.T) {
 	}
 }
 
+// TestAdaptRunRestrictsOnce is a count gate on pauli.restrict: a job
+// restricts H to its particle-number sector once. The FCI reference does
+// it on the job's plan, which keeps the result, and the Adapt block (the
+// UCCSD block for a VQE job) is cut out of that restriction instead of
+// restricting the plan again, as it did before: 2 per adapt job.
+func TestAdaptRunRestrictsOnce(t *testing.T) {
+	telemetry.Enable()
+	t.Cleanup(func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	})
+	for _, body := range []string{adaptWater1, `{"molecule":{"kind":"hubbard","sites":3,"electrons":2,"u":4}}`} {
+		spec, err := Parse([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		telemetry.Reset()
+		if _, err := Run(context.Background(), spec, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if n := telemetry.Capture().Counters["pauli.restrict"]; n != 1 {
+			t.Errorf("%s: %d restrictions of H per job, want 1", body, n)
+		}
+	}
+}
+
 // TestAdaptRunAllocationBound is a count gate on one adaptWater1 job.
 // Building H twice, once for the observable and once for the FCI
 // reference, cost 65 391 allocations (84 148 under -race) with a

@@ -2,6 +2,7 @@ package vqe
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ansatz"
 	"repro/internal/circuit"
@@ -29,6 +30,13 @@ type subspace struct {
 // plan h and generators ops. ref must be X gates alone — one
 // basis state — or the ansatz is rejected with core.ErrInvalidArgument.
 // workers and injected are the caller's Workers and Pool options.
+//
+// When H and every generator keep the reference's particle-number sector
+// (Jordan–Wigner), the block is cut out of H's sector restriction, which
+// the plan keeps: a job whose FCI reference read the same plan restricts
+// H once. Otherwise (another encoding, or an operator that breaks the
+// symmetry) the block is the closure pauli.NewSubspace finds, and H and the
+// generators are restricted to it.
 func compileSubspace(ref *circuit.Circuit, h *pauli.Plan, ops []ansatz.Excitation, workers int, injected *state.Pool) (*subspace, error) {
 	var refState uint64
 	for _, g := range ref.Gates {
@@ -37,30 +45,51 @@ func compileSubspace(ref *circuit.Circuit, h *pauli.Plan, ops []ansatz.Excitatio
 		}
 		refState ^= 1 << uint(g.Qubits[0])
 	}
-	plans := make([]*pauli.Plan, 0, len(ops)+1)
-	for _, ex := range ops {
-		plans = append(plans, ex.Plan())
+	plans := make([]*pauli.Plan, len(ops))
+	for k, ex := range ops {
+		plans[k] = ex.Plan()
 	}
-	space := pauli.NewSubspace(refState, append(plans, h)...)
-	hs, err := h.Restrict(space)
-	if err != nil {
-		return nil, err
-	}
-	sp := &subspace{space: space, h: hs, ops: make([]*pauli.Pairs, len(ops)), pool: injected}
-	sp.ref, _ = space.Position(refState)
-	for k := range ops {
-		if sp.ops[k], err = plans[k].RestrictPairs(space); err != nil {
+	sp := &subspace{pool: injected}
+	var ok bool
+	if sp.space, sp.h, sp.ops, ok = sectorBlock(refState, ref.NumQubits, h, plans); !ok {
+		sp.space = pauli.NewSubspace(refState, append(plans, h)...)
+		var err error
+		if sp.h, err = h.Restrict(sp.space); err != nil {
 			return nil, err
 		}
+		sp.ops = make([]*pauli.Pairs, len(ops))
+		for k := range ops {
+			if sp.ops[k], err = plans[k].RestrictPairs(sp.space); err != nil {
+				return nil, err
+			}
+		}
 	}
+	sp.ref, _ = sp.space.Position(refState)
 	// state.New's rule for starting a pool, on the block's size.
-	if sp.pool == nil && space.Dim() >= tuning.ReduceParallel && state.ResolveWorkers(workers) > 1 {
+	if sp.pool == nil && sp.space.Dim() >= tuning.ReduceParallel && state.ResolveWorkers(workers) > 1 {
 		sp.pool = state.NewPool(workers)
 	}
 	mSubspaceCompiles.Inc()
-	mSubspaceDim.Set(int64(space.Dim()))
-	mSubspaceNNZ.Set(int64(hs.NNZ()))
+	mSubspaceDim.Set(int64(sp.space.Dim()))
+	mSubspaceNNZ.Set(int64(sp.h.NNZ()))
 	return sp, nil
+}
+
+// sectorBlock is the block read off the n-qubit sector of refState's
+// particle number, and false when H or a generator leaves that sector.
+func sectorBlock(refState uint64, n int, h *pauli.Plan, plans []*pauli.Plan) (*pauli.Subspace, *pauli.SubMatrix, []*pauli.Pairs, bool) {
+	sector, hs, err := h.RestrictSector(n, bits.OnesCount64(refState))
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	gens := make([]*pauli.Pairs, len(plans))
+	for k, pl := range plans {
+		if gens[k], err = pl.RestrictPairs(sector); err != nil {
+			return nil, nil, nil, false
+		}
+	}
+	space, block, pairs := sector.Block(refState, hs, gens)
+	return space, block, pairs, true
 }
 
 // with is the same block applying, in order, the generators at the given
