@@ -37,9 +37,8 @@ func (g *xGroup) coupling(i uint64) (complex128, bool) {
 	return a, real(a)*real(a)+imag(a)*imag(a) > subspaceZeroTol*subspaceZeroTol
 }
 
-// Subspace is an ordered set of computational-basis states closed under
-// the plans it was built from, with the position of each state in that
-// order. Immutable after construction.
+// Subspace is an ordered set of computational-basis states, with the
+// position of each state in that order. Immutable after construction.
 //
 // A closure (NewSubspace) or a listed basis (SubspaceOf) finds positions
 // through a map. A particle-number sector (Sector) needs none: its states
