@@ -119,11 +119,14 @@ race:
 # plain `go test` replays). A failing input is written there; commit it
 # with the fix. FuzzPlanEvaluate holds Plan.Evaluate to its references
 # on random observables and states up to 16 qubits; FuzzRestrict holds a
-# sector restriction to Plan.MatVec on operators up to 12 qubits.
+# sector restriction to Plan.MatVec on operators up to 12 qubits;
+# FuzzJordanWigner holds the Jordan–Wigner transform to its map-built
+# reference, bit for bit, on random ladder products.
 FUZZTIME = 30s
 fuzz-smoke:
 	$(GO) test ./internal/pauli -run '^$$' -fuzz '^FuzzPlanEvaluate$$' -fuzztime $(FUZZTIME) -parallel 2
 	$(GO) test ./internal/pauli -run '^$$' -fuzz '^FuzzRestrict$$' -fuzztime $(FUZZTIME) -parallel 2
+	$(GO) test ./internal/fermion -run '^$$' -fuzz '^FuzzJordanWigner$$' -fuzztime $(FUZZTIME) -parallel 2
 
 # chaos covers both resilience layers: the in-process fault/crash-resume
 # test suite (chaos-tests) and the kill-the-daemon recovery drill

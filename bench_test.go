@@ -801,3 +801,16 @@ func BenchmarkTapering(b *testing.B) {
 	b.ReportMetric(float64(reduced), "qubits_after")
 	_ = h
 }
+
+// BenchmarkQubitHamiltonianWater times building 12-qubit water's qubit
+// observable, as every adapt12 job does: the fermionic Hamiltonian from
+// the integrals, its Jordan–Wigner transform and the Hermitian part.
+func BenchmarkQubitHamiltonianWater(b *testing.B) {
+	m := chem.WaterLike()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if h := chem.QubitHamiltonian(m); h.NumTerms() != 1819 {
+			b.Fatalf("%d Pauli terms, want 1 819", h.NumTerms())
+		}
+	}
+}

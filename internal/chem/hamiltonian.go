@@ -23,7 +23,14 @@ func SpinOrbital(p, sigma int) int { return 2*p + sigma }
 // from chemist-notation spatial integrals.
 func FermionicHamiltonian(m *MolecularData) *fermion.Op {
 	n := m.NumOrbitals
-	h := fermion.Scalar(complex(m.NuclearRepulsion, 0))
+	// At most 2n² one-body and 4n⁴ two-body products.
+	terms := make([]fermion.Term, 1, 1+2*n*n+4*n*n*n*n)
+	terms[0] = fermion.Term{Coeff: complex(m.NuclearRepulsion, 0)}
+	ladders := make([]fermion.Ladder, 0, 4*n*n+16*n*n*n*n) // every product, one after another
+	product := func(ops ...fermion.Ladder) []fermion.Ladder {
+		ladders = append(ladders, ops...)
+		return ladders[len(ladders)-len(ops) : len(ladders) : len(ladders)]
+	}
 	for p := 0; p < n; p++ {
 		for q := 0; q < n; q++ {
 			v := m.OneBody[p][q]
@@ -31,7 +38,10 @@ func FermionicHamiltonian(m *MolecularData) *fermion.Op {
 				continue
 			}
 			for sigma := 0; sigma < 2; sigma++ {
-				h.Add(fermion.OneBody(SpinOrbital(p, sigma), SpinOrbital(q, sigma)), complex(v, 0))
+				terms = append(terms, fermion.Term{
+					Coeff: complex(v, 0),
+					Ops:   product(fermion.Ladder{Mode: SpinOrbital(p, sigma), Dagger: true}, fermion.Ladder{Mode: SpinOrbital(q, sigma)}),
+				})
 			}
 		}
 	}
@@ -52,14 +62,14 @@ func FermionicHamiltonian(m *MolecularData) *fermion.Op {
 							if i == j || k == l {
 								continue // a†a† or aa on same mode vanishes
 							}
-							h.AddTerm(fermion.Term{
+							terms = append(terms, fermion.Term{
 								Coeff: complex(0.5*v, 0),
-								Ops: []fermion.Ladder{
-									{Mode: i, Dagger: true},
-									{Mode: j, Dagger: true},
-									{Mode: k, Dagger: false},
-									{Mode: l, Dagger: false},
-								},
+								Ops: product(
+									fermion.Ladder{Mode: i, Dagger: true},
+									fermion.Ladder{Mode: j, Dagger: true},
+									fermion.Ladder{Mode: k, Dagger: false},
+									fermion.Ladder{Mode: l, Dagger: false},
+								),
 							})
 						}
 					}
@@ -67,7 +77,7 @@ func FermionicHamiltonian(m *MolecularData) *fermion.Op {
 			}
 		}
 	}
-	return h
+	return fermion.FromTerms(terms)
 }
 
 // QubitHamiltonian builds the Jordan–Wigner qubit observable of a

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // Numeric tolerances used throughout the code base.
@@ -50,6 +51,16 @@ func AlmostEqual(a, b, tol float64) bool {
 func AlmostEqualC(a, b complex128, tol float64) bool {
 	d := a - b
 	return math.Hypot(real(d), imag(d)) < tol
+}
+
+// Negligible reports whether cmplx.Abs(c) <= CoeffEps: the rule by which
+// operator algebra drops a coefficient. A part above CoeffEps decides it
+// without the hypot, exactly: math.Hypot(a, b) ≥ max(|a|, |b|).
+func Negligible(c complex128) bool {
+	if math.Abs(real(c)) > CoeffEps || math.Abs(imag(c)) > CoeffEps {
+		return false
+	}
+	return cmplx.Abs(c) <= CoeffEps
 }
 
 // Dim returns the Hilbert-space dimension 2^n for an n-qubit register.

@@ -41,6 +41,9 @@ type Term struct {
 // maxMode is the highest mode a term key can hold: one byte per ladder.
 const maxMode = 127
 
+// maxLadders is the longest product a term key can hold.
+const maxLadders = 15
+
 // ladderRank numbers the ladders, indexed mode<<1 | dagger, in the order
 // of their texts ("3^ " for a_3†, "3 " for a_3). No ladder's text is a
 // prefix of another's, so products keyed by these ranks sort as their
@@ -59,21 +62,36 @@ var ladderRank = func() (rank [2 * (maxMode + 1)]byte) {
 	return rank
 }()
 
-// appendKey appends the map key of a ladder product: each ladder's
-// ladderRank, one byte each. Keys are equal exactly when the products
-// are, and sort as their texts.
-func appendKey(b []byte, ops []Ladder) []byte {
-	for _, l := range ops {
+// key is a ladder product's map key: the products' ladderRanks as the
+// first bytes of a 16-byte big-endian number, zero-padded, and the
+// product's length as its last byte. Keys are equal exactly when the
+// products are, and compare as their texts: a product sorts before every
+// longer one it is a prefix of, whose padding ties and whose length is
+// larger.
+type key struct{ hi, lo uint64 }
+
+// keyOf returns the key of a product of at most maxLadders ladders on
+// modes 0..maxMode.
+func keyOf(ops []Ladder) key {
+	if len(ops) > maxLadders {
+		panic(fmt.Errorf("%w: fermion: product of %d ladder operators, at most %d", core.ErrInvalidArgument, len(ops), maxLadders))
+	}
+	k := key{lo: uint64(len(ops))}
+	for i, l := range ops {
 		if l.Mode < 0 || l.Mode > maxMode {
 			panic(fmt.Errorf("%w: fermion: mode %d outside 0..%d", core.ErrInvalidArgument, l.Mode, maxMode))
 		}
-		i := l.Mode << 1
+		r := l.Mode << 1
 		if l.Dagger {
-			i |= 1
+			r |= 1
 		}
-		b = append(b, ladderRank[i])
+		if i < 8 {
+			k.hi |= uint64(ladderRank[r]) << uint(56-8*i)
+		} else {
+			k.lo |= uint64(ladderRank[r]) << uint(120-8*i)
+		}
 	}
-	return b
+	return k
 }
 
 // String renders e.g. "(0.5+0i)·[2^ 0]".
@@ -88,11 +106,11 @@ func (t Term) String() string {
 // Op is a sum of ladder-product terms. The zero value is the zero
 // operator.
 type Op struct {
-	terms map[string]Term // by appendKey of the product
+	terms map[key]Term
 }
 
 // NewOp returns an empty fermionic operator.
-func NewOp() *Op { return &Op{terms: map[string]Term{}} }
+func NewOp() *Op { return &Op{terms: map[key]Term{}} }
 
 // Scalar returns c·1.
 func Scalar(c complex128) *Op {
@@ -119,26 +137,44 @@ func TwoBody(p, q, r, s int) *Op {
 func Number(p int) *Op { return OneBody(p, p) }
 
 // AddTerm accumulates a term (merging with an existing identical product).
+// A product longer than 15 ladders or on a mode outside 0..127 panics with
+// core.ErrInvalidArgument.
 func (op *Op) AddTerm(t Term) *Op {
 	if op.terms == nil {
-		op.terms = map[string]Term{}
+		op.terms = map[key]Term{}
 	}
-	if cmplx.Abs(t.Coeff) <= core.CoeffEps {
+	return op.add(t, false)
+}
+
+// FromTerms sums ts into a new operator, as AddTerm would one by one. It
+// keeps the ladder slices of the terms it stores, which must not be
+// modified afterwards.
+func FromTerms(ts []Term) *Op {
+	op := &Op{terms: make(map[key]Term, len(ts))}
+	for _, t := range ts {
+		op.add(t, true)
+	}
+	return op
+}
+
+// add is AddTerm, storing t.Ops itself when keep is set and a copy
+// otherwise.
+func (op *Op) add(t Term, keep bool) *Op {
+	if core.Negligible(t.Coeff) {
 		return op
 	}
-	var buf [8]byte
-	k := appendKey(buf[:0], t.Ops)
-	if ex, ok := op.terms[string(k)]; ok {
-		c := ex.Coeff + t.Coeff
-		if cmplx.Abs(c) <= core.CoeffEps {
-			delete(op.terms, string(k))
-		} else {
-			ex.Coeff = c
-			op.terms[string(k)] = ex
-		}
-	} else {
-		cp := Term{Coeff: t.Coeff, Ops: append([]Ladder(nil), t.Ops...)}
-		op.terms[string(k)] = cp
+	k := keyOf(t.Ops)
+	ex, ok := op.terms[k]
+	switch {
+	case !ok && !keep:
+		op.terms[k] = Term{Coeff: t.Coeff, Ops: append([]Ladder(nil), t.Ops...)}
+	case !ok:
+		op.terms[k] = t
+	case core.Negligible(ex.Coeff + t.Coeff):
+		delete(op.terms, k)
+	default:
+		ex.Coeff += t.Coeff
+		op.terms[k] = ex
 	}
 	return op
 }
@@ -154,7 +190,7 @@ func (op *Op) Add(o *Op, c complex128) *Op {
 // Scale multiplies all coefficients in place.
 func (op *Op) Scale(c complex128) *Op {
 	if c == 0 {
-		op.terms = map[string]Term{}
+		op.terms = map[key]Term{}
 		return op
 	}
 	for k, t := range op.terms {
@@ -208,16 +244,54 @@ func (op *Op) NumTerms() int { return len(op.terms) }
 // Terms returns the term list in deterministic order: by key, which is
 // the order of the products' texts (see ladderRank).
 func (op *Op) Terms() []Term {
-	out := make([]Term, 0, len(op.terms))
-	keys := make([]string, 0, len(op.terms))
+	keys := make([]key, 0, len(op.terms))
 	for k := range op.terms {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, op.terms[k])
+	sortKeys(keys)
+	out := make([]Term, len(keys))
+	for i, k := range keys {
+		out[i] = op.terms[k]
 	}
 	return out
+}
+
+// sortKeys sorts keys ascending by radix: one stable counting pass per
+// byte in which some keys differ, least significant first. A Hamiltonian's
+// products differ in their first four ranks and their length, five passes.
+func sortKeys(keys []key) {
+	if len(keys) < 2 {
+		return
+	}
+	var differ key
+	for _, k := range keys {
+		differ.hi |= k.hi ^ keys[0].hi
+		differ.lo |= k.lo ^ keys[0].lo
+	}
+	src, dst := keys, make([]key, len(keys))
+	for b := 0; b < 16; b++ {
+		digit := func(k key) int { return int(k.lo >> uint(8*b) & 0xff) }
+		if b >= 8 {
+			digit = func(k key) int { return int(k.hi >> uint(8*(b-8)) & 0xff) }
+		}
+		if digit(differ) == 0 {
+			continue
+		}
+		var start [257]int
+		for _, k := range src {
+			start[digit(k)+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, k := range src {
+			d := digit(k)
+			dst[start[d]] = k
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src)
 }
 
 // Clone deep-copies the operator.
@@ -344,26 +418,35 @@ func swapAt(ops []Ladder, i int) []Ladder {
 // partial product is a phase times c·X^x·Z^z·∏(I ± Z_q)/2 over the m
 // distinct modes it has touched, so its strings all carry |c|/2^m, and two
 // products that meet on one string (a repeated mode) are equal or
-// opposite. Different ladder products transform onto overlapping strings,
-// so the terms are summed in canonical order — map iteration would make
-// the low-order bits of the sums vary between otherwise identical
-// constructions.
+// opposite. When no mode repeats, no two strings meet (a ladder on mode m
+// multiplies each string so far by X_m·Z_{<m} or by Y_m·Z_{<m}, which
+// differ by Z_m alone up to phase), and the last level's |c|/2^k decides
+// at once whether the deletion takes every string or none: such a product
+// skips the merging. Different ladder products transform onto overlapping
+// strings, so the terms are summed into the result in canonical order.
 func (op *Op) JordanWigner() *pauli.Op {
 	start := telemetry.Now()
 	out := pauli.NewOp()
 	var acc, next jwTerms
 	for _, t := range op.Terms() {
+		distinct := distinctModes(t.Ops)
 		acc = acc[:0].add(pauli.Identity, t.Coeff)
 		for _, l := range t.Ops {
 			x, y, cy := ladderJW(l)
 			next = next[:0]
 			for _, e := range acc {
-				r, ph := e.P.Mul(x)
-				next = next.add(r, e.Coeff*0.5*ph)
-				r, ph = e.P.Mul(y)
-				next = next.add(r, e.Coeff*cy*ph)
+				rx, phx := e.P.Mul(x)
+				ry, phy := e.P.Mul(y)
+				if distinct {
+					next = append(next, pauli.Term{Coeff: e.Coeff * 0.5 * phx, P: rx}, pauli.Term{Coeff: e.Coeff * cy * phy, P: ry})
+				} else {
+					next = next.add(rx, e.Coeff*0.5*phx).add(ry, e.Coeff*cy*phy)
+				}
 			}
 			acc, next = next, acc
+		}
+		if distinct && len(acc) > 0 && core.Negligible(acc[0].Coeff) {
+			continue
 		}
 		for _, e := range acc {
 			out.Add(e.P, e.Coeff)
@@ -385,7 +468,7 @@ func (b jwTerms) add(p pauli.String, c complex128) jwTerms {
 	for i := range b {
 		if b[i].P == p {
 			v := b[i].Coeff + c
-			if cmplx.Abs(v) <= core.CoeffEps {
+			if core.Negligible(v) {
 				b[i] = b[len(b)-1]
 				return b[:len(b)-1]
 			}
@@ -393,10 +476,22 @@ func (b jwTerms) add(p pauli.String, c complex128) jwTerms {
 			return b
 		}
 	}
-	if v := 0 + c; cmplx.Abs(v) > core.CoeffEps {
+	if v := 0 + c; !core.Negligible(v) {
 		b = append(b, pauli.Term{Coeff: v, P: p})
 	}
 	return b
+}
+
+// distinctModes reports whether no mode occurs twice in ops.
+func distinctModes(ops []Ladder) bool {
+	for i := range ops {
+		for _, l := range ops[:i] {
+			if l.Mode == ops[i].Mode {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ladderJW returns the strings X_p·Z_{<p} and Y_p·Z_{<p} of one ladder

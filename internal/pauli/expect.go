@@ -65,8 +65,8 @@ func ExpectationNaive(s *state.State, op *Op) float64 {
 	start := telemetry.Now()
 	defer mNaiveEval.Since(start)
 	total := 0.0
-	for p, c := range op.terms {
-		total += real(c * expectationString(s, p))
+	for _, t := range op.stored() {
+		total += real(t.Coeff * expectationString(s, t.P))
 	}
 	return total
 }

@@ -166,3 +166,57 @@ func TestFromTerms(t *testing.T) {
 		t.Error("FromTerms didn't merge")
 	}
 }
+
+// TestOpAddMatchesMap: Add, Coeff, NumTerms and Terms agree bit for bit
+// with a map accumulating by the same rule (stored + c, deleted at or
+// below core.CoeffEps), over additions that collide on few strings, cancel
+// exactly, land near CoeffEps, and empty the table and refill it — which
+// exercises removal from the middle of probe runs.
+func TestOpAddMatchesMap(t *testing.T) {
+	rng := core.NewRNG(0x51)
+	for round := 0; round < 20; round++ {
+		op, ref := NewOp(), map[String]complex128{}
+		strs := make([]String, 1+rng.Intn(300))
+		for k := range strs {
+			strs[k] = String{X: uint64(rng.Intn(64)), Z: uint64(rng.Intn(64))}
+		}
+		for k := 0; k < 4000; k++ {
+			p := strs[rng.Intn(len(strs))]
+			var c complex128
+			switch rng.Intn(4) {
+			case 0:
+				c = -ref[p] // exact cancellation, or a fresh +0
+			case 1:
+				c = complex(rng.NormFloat64()*1e-12, rng.NormFloat64()*1e-12)
+			default:
+				c = complex(rng.NormFloat64(), float64(rng.Intn(2))*rng.NormFloat64())
+			}
+			op.Add(p, c)
+			if v := ref[p] + c; core.Negligible(v) {
+				delete(ref, p)
+			} else {
+				ref[p] = v
+			}
+			if k%997 == 0 {
+				for p := range ref {
+					op.Add(p, -ref[p])
+					delete(ref, p)
+				}
+			}
+		}
+		if op.NumTerms() != len(ref) {
+			t.Fatalf("round %d: %d terms, map %d", round, op.NumTerms(), len(ref))
+		}
+		for _, s := range strs {
+			g, w := op.Coeff(s), ref[s]
+			if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+				t.Fatalf("round %d: %s = %v, map %v", round, s.Compact(), g, w)
+			}
+		}
+		for _, tm := range op.Terms() {
+			if _, ok := ref[tm.P]; !ok {
+				t.Fatalf("round %d: %s listed, not in the map", round, tm.P.Compact())
+			}
+		}
+	}
+}

@@ -154,19 +154,11 @@ func (s String) QubitwiseCommutes(o String) bool {
 	return (s.X^o.X)&both == 0 && (s.Z^o.Z)&both == 0
 }
 
-// phaseExp returns k for phases i^k, k ∈ {0,1,2,3}.
-func phaseI(k int) complex128 {
-	switch ((k % 4) + 4) % 4 {
-	case 0:
-		return 1
-	case 1:
-		return 1i
-	case 2:
-		return -1
-	default:
-		return -1i
-	}
-}
+// phaseI returns i^k.
+func phaseI(k int) complex128 { return powersOfI[k&3] }
+
+// powersOfI is i^0 … i^3; k&3 is k mod 4 for negative k too.
+var powersOfI = [4]complex128{1, 1i, -1, -1i}
 
 // Mul returns the product s·o = phase · r with r canonical.
 func (s String) Mul(o String) (r String, phase complex128) {

@@ -53,6 +53,13 @@ type Subspace struct {
 	// for a block, holds the position of each sector rank, −1 outside.
 	n, ne  int
 	within []int32
+	// rankTab[rankOff[c] + m<<8 + v] is what chunk c of a state — its bits
+	// 8c … 8c+7, reading v — adds to the state's rank when m ones lie below
+	// the chunk: Σₜ C(8c + bₜ, m + t) over v's set bits b₁ < b₂ < …. Row m
+	// of chunk c exists for m ≤ min(ne, 8c); an entry no sector state
+	// reads is 0.
+	rankTab []uint32
+	rankOff []int
 }
 
 // binomial[n][k] is C(n, k) for n ≤ 64: the terms of a rank. Every entry
@@ -76,7 +83,27 @@ func Sector(n, ne int) (*Subspace, error) {
 	if n < 0 || n > 64 || ne < 0 || ne > n || binomial[n][ne] > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: pauli: no %d-particle sector of %d qubits with at most 2³¹−1 states", core.ErrInvalidArgument, ne, n)
 	}
-	sp := &Subspace{basis: make([]uint64, binomial[n][ne]), n: n, ne: ne}
+	sp := &Subspace{basis: make([]uint64, binomial[n][ne]), n: n, ne: ne, rankOff: make([]int, (n+7)/8)}
+	size := 0
+	for c := range sp.rankOff {
+		sp.rankOff[c] = size
+		size += (min(ne, 8*c) + 1) << 8
+	}
+	sp.rankTab = make([]uint32, size)
+	for c, off := range sp.rankOff {
+		for m := 0; m <= min(ne, 8*c); m++ {
+			row := sp.rankTab[off+m<<8 : off+(m+1)<<8]
+			for v := 1; v < 256; v++ {
+				// v adds its highest bit hb, the t-th of its ones, to what
+				// v without it adds; a sector state holding v here needs
+				// room above hb for its remaining ne−m−t ones.
+				hb, t := bits.Len(uint(v))-1, bits.OnesCount(uint(v))
+				if m+t <= ne && ne-m-t <= n-(8*c+hb+1) {
+					row[v] = row[v&^(1<<uint(hb))] + uint32(binomial[8*c+hb][m+t])
+				}
+			}
+		}
+	}
 	// Gosper's hack steps to the next larger mask with the same popcount.
 	v := uint64(1)<<uint(ne) - 1
 	for p := range sp.basis {
@@ -90,31 +117,39 @@ func Sector(n, ne int) (*Subspace, error) {
 	return sp, nil
 }
 
-// lowestBit[(i&−i)·deBruijn64>>58] is the index of i's lowest set bit.
-// rank finds it so rather than by bits.TrailingZeros64, whose BSF keeps a
-// false dependency on its destination register: on Intel that chains each
-// step of rank to the previous step's table load, 2.5–4× slower.
-const deBruijn64 = 0x03f79d71b4ca8b09
-
-var lowestBit = func() (t [64]uint8) {
-	for b := range 64 {
-		t[uint64(1)<<uint(b)*deBruijn64>>58] = uint8(b)
-	}
-	return t
-}()
-
 // rank is i's position in its sector, Σₜ C(bₜ, t) over the positions
-// b₁ < b₂ < … of its set bits, and false when i is outside the sector.
+// b₁ < b₂ < … of its set bits, read chunk by chunk from rankTab; false
+// when i is outside the sector.
 func (sp *Subspace) rank(i uint64) (int, bool) {
 	if i>>uint(sp.n) != 0 || bits.OnesCount64(i) != sp.ne {
 		return 0, false
 	}
-	var r uint64
-	for t := 1; i != 0; t++ {
-		r += binomial[lowestBit[(i&-i)*deBruijn64>>58]][t]
-		i &= i - 1
+	mRanks.Inc()
+	r, m := 0, 0
+	for c, off := range sp.rankOff {
+		v := int(i >> uint(8*c) & 0xff)
+		r += int(sp.rankTab[off+m<<8+v])
+		m += bits.OnesCount8(uint8(v))
 	}
-	return int(r), true
+	return r, true
+}
+
+// stepRank is the rank of i⊕x for a state i of rank r that x keeps in
+// sector sp, where x's bits lie in chunks lo … hi: only those chunks'
+// parts of the rank change, since outside them the bits and the count of
+// ones below are i's.
+func (sp *Subspace) stepRank(i uint64, r int, x uint64, lo, hi int) int {
+	d := i ^ x
+	mi := bits.OnesCount64(i & (1<<uint(8*lo) - 1))
+	md := mi
+	for c := lo; c <= hi; c++ {
+		off := sp.rankOff[c]
+		vi, vd := int(i>>uint(8*c)&0xff), int(d>>uint(8*c)&0xff)
+		r += int(sp.rankTab[off+md<<8+vd]) - int(sp.rankTab[off+mi<<8+vi])
+		mi += bits.OnesCount8(uint8(vi))
+		md += bits.OnesCount8(uint8(vd))
+	}
+	return r
 }
 
 // NewSubspace closes {ref} under the nonzero transitions of every X-mask
@@ -187,49 +222,119 @@ func (sp *Subspace) Scatter(dst, v []complex128) {
 	}
 }
 
-// entryBound bounds the coefficients pl can have on sp, for presizing a
-// restriction. On a sector it is exact up to cancelled couplings: group x,
-// with k bits of its mask inside the register, keeps a state in the sector
-// exactly when the state holds k/2 of them, which C(k, k/2)·C(n−k, ne−k/2)
-// states do. Elsewhere it is the diagonal's share.
-func (sp *Subspace) entryBound(pl *Plan) int {
-	if sp.pos != nil || sp.within != nil {
-		return len(sp.basis)
-	}
-	total := uint64(0)
-	for gi := range pl.groups {
-		x := pl.groups[gi].x
-		k := bits.OnesCount64(x)
-		if x>>uint(sp.n) != 0 || k%2 != 0 || sp.ne < k/2 || sp.ne-k/2 > sp.n-k {
-			continue
-		}
-		total += binomial[k][k/2] * binomial[sp.n-k][sp.ne-k/2]
-	}
-	return int(total)
+// sectorGroup is an X-mask group compiled for a walk over a sector's
+// states: which states it keeps inside, whether any can leak, and, where
+// they are few, its couplings by pattern.
+type sectorGroup struct {
+	x uint64
+	// k is |x|: x keeps a sector state inside exactly when the state holds
+	// k/2 of x's bits. It is −1 when no sector state can (x reaches past
+	// the register, |x| is odd, or no state has room for the rest of its
+	// ones), and x only moves states out.
+	k      int
+	lo, hi int  // the rank chunks x's bits lie in; lo > hi for x = 0
+	sealed bool // no sector state leaks under x: the per-state check is spared
+	// When every Z mask of the group differs from the first only on bits
+	// of x, at most four, a(i) depends on i only through its pattern on x
+	// and the parity of i∧outZ, outZ being the first Z mask outside x: each
+	// term's sign (−1)^{|i∧z|} splits alike into the two. memoed is then
+	// set, and memo holds a(i) at slot[pattern]<<1 | parity for the
+	// patterns with k/2 ones, the sources x moves within the sector; xbits
+	// lists x's bits, padded with a bit outside x. Otherwise a(i) is
+	// evaluated.
+	memoed bool
+	outZ   uint64
+	xbits  [4]uint8
+	slot   [16]uint8
+	memo   [12]complex128
+	g      *xGroup
 }
 
-// seals reports whether group g provably moves no state of sector sp out
-// of it, which spares Restrict and RestrictPairs their per-state check. It
-// looks only where that check is dearer: on a sector, when every Z mask of
-// g differs from the first only on bits of x (as under Jordan–Wigner a
-// generator's and a two-body excitation's do), a(j) is ±a(j∧x) to the bit,
-// every term's sign flipping alike. Then the 2^|x| patterns j∧x with
-// |j∧x| ≠ |x|/2, the ones x moves out of the sector, decide it. Otherwise,
-// or when the patterns outnumber the states, it reports false and the
-// per-state check runs.
-func (sp *Subspace) seals(g *xGroup) bool {
+// compile prepares group g for a walk over sector sp, adding to *couplings
+// the coefficients it evaluates.
+func (sp *Subspace) compile(s *sectorGroup, g *xGroup, couplings *int) {
 	x, k := g.x, bits.OnesCount64(g.x)
-	if sp.pos != nil || sp.within != nil || x>>uint(sp.n) != 0 || 1<<uint(k) > len(sp.basis) {
-		return false
+	*s = sectorGroup{x: x, k: k, lo: bits.TrailingZeros64(x) / 8, hi: (bits.Len64(x) - 1) / 8, g: g}
+	if x == 0 {
+		s.lo, s.hi = 0, -1
 	}
+	if x>>uint(sp.n) != 0 || k%2 != 0 || sp.ne < k/2 || sp.ne-k/2 > sp.n-k {
+		s.k = -1
+	}
+	patterned := x>>uint(sp.n) == 0 && 1<<uint(k) <= len(sp.basis)
 	for _, z := range g.zs {
-		if (z^g.zs[0])&^x != 0 {
-			return false
+		patterned = patterned && (z^g.zs[0])&^x == 0
+	}
+	if !patterned {
+		return
+	}
+	s.sealed = sp.seals(g, couplings)
+	if s.k < 0 || k > len(s.xbits) {
+		return
+	}
+	s.memoed = true
+	pad := uint8(bits.TrailingZeros64(^x))
+	for b := range s.xbits {
+		s.xbits[b] = pad
+	}
+	for b, q := 0, x; q != 0; b, q = b+1, q&(q-1) {
+		s.xbits[b] = uint8(bits.TrailingZeros64(q))
+	}
+	s.outZ = g.zs[0] &^ x
+	next := 0
+	for p := x; ; p = (p - 1) & x { // every submask of x
+		if 2*bits.OnesCount64(p) == k {
+			e := next << 1
+			s.slot[s.pattern(p)] = uint8(next)
+			next++
+			s.memo[e] = state.PairCoeff(p, g.zs, g.cs)
+			*couplings++
+			if s.outZ != 0 {
+				s.memo[e|1] = state.PairCoeff(p|s.outZ&-s.outZ, g.zs, g.cs)
+				*couplings++
+			}
+		}
+		if p == 0 {
+			return
 		}
 	}
+}
+
+// pattern gathers i's bits on x into the low k bits.
+func (s *sectorGroup) pattern(i uint64) int {
+	i, b := i&s.x, s.xbits
+	return int(i>>b[0]&1 | i>>b[1]&1<<1 | i>>b[2]&1<<2 | i>>b[3]&1<<3)
+}
+
+// keeps reports whether x keeps sector state i inside the sector.
+func (s *sectorGroup) keeps(i uint64) bool {
+	return s.k >= 0 && 2*bits.OnesCount64(i&s.x) == s.k
+}
+
+// source is a(i) and whether x moves i, for a source i that x keeps in
+// the sector: from the memo when there is one, else evaluated and added
+// to *couplings.
+func (s *sectorGroup) source(i uint64, couplings *int) (complex128, bool) {
+	if !s.memoed {
+		*couplings++
+		return s.g.coupling(i)
+	}
+	a := s.memo[int(s.slot[s.pattern(i)])<<1|bits.OnesCount64(i&s.outZ)&1]
+	return a, real(a)*real(a)+imag(a)*imag(a) > subspaceZeroTol*subspaceZeroTol
+}
+
+// seals reports whether group g, whose Z masks differ only on bits of x,
+// moves no state of sector sp out of it. Then a(j) is ±a(j∧x) to the bit,
+// every term's sign flipping alike, so the 2^|x| patterns j∧x with
+// |j∧x| ≠ |x|/2 that some sector state holds, the ones x moves out of the
+// sector, decide it. The coefficients it evaluates are added to
+// *couplings.
+func (sp *Subspace) seals(g *xGroup, couplings *int) bool {
+	x, k := g.x, bits.OnesCount64(g.x)
 	for p := x; ; p = (p - 1) & x { // every submask of x
 		ones := bits.OnesCount64(p)
 		if 2*ones != k && ones <= sp.ne && sp.ne-ones <= sp.n-k {
+			*couplings++
 			if _, moves := g.coupling(p); moves {
 				return false
 			}
@@ -262,29 +367,28 @@ type SubMatrix struct {
 // a state of sp outside sp is rejected with core.ErrInvalidArgument.
 func (pl *Plan) Restrict(sp *Subspace) (*SubMatrix, error) {
 	mRestrict.Inc()
-	sealed := make([]bool, len(pl.groups))
-	for gi := range pl.groups {
-		sealed[gi] = sp.seals(&pl.groups[gi])
-	}
 	bound := sp.entryBound(pl)
 	m := &SubMatrix{rowStart: make([]int32, 1, len(sp.basis)+1), col: make([]int32, 0, bound), re: make([]float64, 0, bound)}
-	for _, j := range sp.basis {
-		for gi := range pl.groups {
-			g := &pl.groups[gi]
-			i := j ^ g.x
-			if p, inside := sp.Position(i); !inside {
-				if sealed[gi] {
-					continue
-				}
-				if _, moves := g.coupling(j); moves {
-					return nil, leak(j, i)
-				}
-			} else if a, moves := g.coupling(i); moves {
-				m.col = append(m.col, int32(p))
-				m.add(a)
-			}
+	if sp.pos == nil && sp.within == nil {
+		if err := pl.restrictSector(sp, m); err != nil {
+			return nil, err
 		}
-		m.rowStart = append(m.rowStart, int32(len(m.col)))
+	} else {
+		for _, j := range sp.basis {
+			for gi := range pl.groups {
+				g := &pl.groups[gi]
+				i := j ^ g.x
+				if p, inside := sp.Position(i); !inside {
+					if _, moves := g.coupling(j); moves {
+						return nil, leak(j, i)
+					}
+				} else if a, moves := g.coupling(i); moves {
+					m.col = append(m.col, int32(p))
+					m.add(a)
+				}
+			}
+			m.rowStart = append(m.rowStart, int32(len(m.col)))
+		}
 	}
 	// The bound also counts slots whose couplings cancel (a spin-conserving
 	// H's spin flips, a quarter of water's), which a kept matrix drops.
@@ -297,6 +401,74 @@ func (pl *Plan) Restrict(sp *Subspace) (*SubMatrix, error) {
 		}
 	}
 	return m, nil
+}
+
+// restrictSector fills m with the rows of Restrict on sector sp. A row
+// evaluates only the groups that keep it in the sector — the ones whose X
+// mask it holds half of — and the unsealed ones it may leak through,
+// testing each group against the row from scan, a compact copy that
+// stays in cache. A kept source's position steps from the row's rank
+// (stepRank), and a memoized group reads its coupling by pattern.
+func (pl *Plan) restrictSector(sp *Subspace, m *SubMatrix) error {
+	couplings, visits := 0, 0
+	defer func() {
+		mRestrictCouplings.Add(int64(couplings))
+		mRestrictVisits.Add(int64(visits))
+	}()
+	type scanned struct {
+		x      uint64
+		k      int32
+		sealed bool
+	}
+	walk := make([]sectorGroup, len(pl.groups))
+	scan := make([]scanned, len(pl.groups))
+	for gi := range pl.groups {
+		sp.compile(&walk[gi], &pl.groups[gi], &couplings)
+		scan[gi] = scanned{walk[gi].x, int32(walk[gi].k), walk[gi].sealed}
+	}
+	for r, j := range sp.basis {
+		for w, c := range scan {
+			if c.k < 0 || 2*bits.OnesCount64(j&c.x) != int(c.k) {
+				if !c.sealed {
+					visits++
+					couplings++
+					if _, moves := walk[w].g.coupling(j); moves {
+						return leak(j, j^c.x)
+					}
+				}
+				continue
+			}
+			visits++
+			s := &walk[w]
+			if a, moves := s.source(j^c.x, &couplings); moves {
+				m.col = append(m.col, int32(sp.stepRank(j, r, c.x, s.lo, s.hi)))
+				m.add(a)
+			}
+		}
+		m.rowStart = append(m.rowStart, int32(len(m.col)))
+	}
+	return nil
+}
+
+// entryBound bounds the coefficients pl can have on sp, for presizing a
+// restriction. On a sector it is exact up to cancelled couplings: group x,
+// with k bits of its mask inside the register, keeps a state in the sector
+// exactly when the state holds k/2 of them, which C(k, k/2)·C(n−k, ne−k/2)
+// states do. Elsewhere it is the diagonal's share.
+func (sp *Subspace) entryBound(pl *Plan) int {
+	if sp.pos != nil || sp.within != nil {
+		return len(sp.basis)
+	}
+	total := uint64(0)
+	for gi := range pl.groups {
+		x := pl.groups[gi].x
+		k := bits.OnesCount64(x)
+		if x>>uint(sp.n) != 0 || k%2 != 0 || sp.ne < k/2 || sp.ne-k/2 > sp.n-k {
+			continue
+		}
+		total += binomial[k][k/2] * binomial[sp.n-k][sp.ne-k/2]
+	}
+	return int(total)
 }
 
 // add stores the next value, moving the stored ones to complex128 at the
@@ -475,23 +647,45 @@ type Pairs struct {
 
 // RestrictPairs compiles a NewGenerator plan on sp. Within a group the
 // pairs keep the order PairBracket visits them in. A generator that maps a
-// state of sp outside sp is rejected with core.ErrInvalidArgument.
+// state of sp outside sp is rejected with core.ErrInvalidArgument. On a
+// sector it walks the states as Restrict does.
 func (pl *Plan) RestrictPairs(sp *Subspace) (*Pairs, error) {
 	if !pl.generator {
 		return nil, fmt.Errorf("%w: pauli: plan was not built by NewGenerator", core.ErrInvalidArgument)
 	}
 	out := &Pairs{groups: make([][]state.Pair, len(pl.groups))}
+	if sp.pos == nil && sp.within == nil {
+		couplings := 0
+		defer func() { mRestrictCouplings.Add(int64(couplings)) }()
+		var s sectorGroup
+		for gi := range pl.groups {
+			sp.compile(&s, &pl.groups[gi], &couplings)
+			for p, i := range sp.basis {
+				switch {
+				case !s.keeps(i) && !s.sealed:
+					couplings++
+					if _, moves := s.g.coupling(i); moves {
+						return nil, leak(i, i^s.x)
+					}
+				case s.keeps(i) && i>>uint(s.g.q)&1 == 0: // one entry per pair, from its lower member
+					if a, moves := s.source(i, &couplings); moves {
+						out.groups[gi] = append(out.groups[gi], state.Pair{P: int32(p), Q: int32(sp.stepRank(i, p, s.x, s.lo, s.hi)), A: a})
+					}
+				}
+			}
+		}
+		return out, nil
+	}
 	for gi := range pl.groups {
 		g := &pl.groups[gi]
-		sealed := sp.seals(g)
 		for p, i := range sp.basis {
 			q, inside := sp.Position(i ^ g.x)
 			switch {
-			case !inside && !sealed:
+			case !inside:
 				if _, moves := g.coupling(i); moves {
 					return nil, leak(i, i^g.x)
 				}
-			case inside && i>>uint(g.q)&1 == 0: // one entry per pair, from its lower member
+			case i>>uint(g.q)&1 == 0: // one entry per pair, from its lower member
 				if a, moves := g.coupling(i); moves {
 					out.groups[gi] = append(out.groups[gi], state.Pair{P: int32(p), Q: int32(q), A: a})
 				}
@@ -600,7 +794,7 @@ func (sp *Subspace) Block(ref uint64, h *SubMatrix, gens []*Pairs) (*Subspace, *
 			bound += int(h.rowStart[r+1] - h.rowStart[r])
 		}
 	}
-	block := &Subspace{basis: make([]uint64, 0, dim), n: sp.n, ne: sp.ne, within: within}
+	block := &Subspace{basis: make([]uint64, 0, dim), n: sp.n, ne: sp.ne, within: within, rankTab: sp.rankTab, rankOff: sp.rankOff}
 	for r, w := range within {
 		if w >= 0 {
 			within[r] = int32(len(block.basis))

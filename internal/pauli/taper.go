@@ -26,9 +26,9 @@ func FindZSymmetries(op *Op, n int) []String {
 	}
 	// Collect distinct X-masks (rows of the constraint system).
 	rowSet := map[uint64]bool{}
-	for p := range op.terms {
-		if p.X != 0 {
-			rowSet[p.X] = true
+	for _, t := range op.stored() {
+		if t.P.X != 0 {
+			rowSet[t.P.X] = true
 		}
 	}
 	rows := make([]uint64, 0, len(rowSet))
@@ -104,7 +104,8 @@ func conjugateByClifford(op *Op, tau String, q int) *Op {
 	xq := String{X: 1 << uint(q)}
 	xt, phXT := xq.Mul(tau)
 	out := NewOp()
-	for p, c := range op.terms {
+	for _, t := range op.stored() {
+		p, c := t.P, t.Coeff
 		commX := p.Commutes(xq)
 		commT := p.Commutes(tau)
 		switch {
@@ -158,7 +159,8 @@ func Taper(op *Op, n int, syms []String, sector []int) (*TaperResult, error) {
 		removeMask |= 1 << uint(q)
 	}
 	out := NewOp()
-	for p, c := range work.terms {
+	for _, t := range work.stored() {
+		p, c := t.P, t.Coeff
 		// After the Cliffords, pivot qubits must carry only I or X.
 		if p.Z&removeMask != 0 {
 			return nil, fmt.Errorf("pauli: taper invariant violated: Z on pivot qubit in %s", p.Compact())

@@ -14,4 +14,11 @@ var (
 	mNaiveEval  = telemetry.GetTimer("pauli.naive.evaluate")
 	// mRestrict counts plans restricted to a subspace (Restrict calls).
 	mRestrict = telemetry.GetCounter("pauli.restrict")
+	// mRestrictCouplings counts the coefficients a(i) Restrict and
+	// RestrictPairs evaluate on sectors, and mRestrictVisits the (row,
+	// group) pairs Restrict evaluates on sectors; mRanks counts sector
+	// ranks computed in full (Subspace.rank).
+	mRestrictCouplings = telemetry.GetCounter("pauli.restrict.couplings")
+	mRestrictVisits    = telemetry.GetCounter("pauli.restrict.visits")
+	mRanks             = telemetry.GetCounter("pauli.sector.ranks")
 )

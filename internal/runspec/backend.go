@@ -130,18 +130,18 @@ func (b BackendSpec) ClusterOptions() cluster.Options {
 
 // backend resolves the section to what the driver loop asks for ⟨H⟩ on n
 // qubits: nil (the driver's own state vector, with every mode, caching and
-// adjoint gradients) for nwq-sv, the row's adaptor otherwise.
+// adjoint gradients) for nwq-sv, the row's adaptor otherwise. A register
+// past the row's qubit limit is refused with core.ErrInvalidArgument.
 func (b BackendSpec) backend(n int) (vqe.Backend, error) {
 	r, ok := lookupBackend(b.Accelerator)
 	if !ok {
 		return nil, unknownBackend(b.Accelerator)
 	}
-	be := r.build(b)
-	if be != nil && n > r.qubitLimit {
+	if n > r.qubitLimit {
 		return nil, fmt.Errorf("%w: runspec: %d qubits exceed backend %q limit of %d",
 			core.ErrInvalidArgument, n, b.Accelerator, r.qubitLimit)
 	}
-	return be, nil
+	return r.build(b), nil
 }
 
 // svBackend prepares each circuit on a fresh state vector with the

@@ -30,7 +30,6 @@ type BuildCache struct {
 type obsEntry struct {
 	h    *pauli.Op
 	plan *pauli.Plan
-	n    int
 }
 
 // NewBuildCache returns an empty cache.
@@ -88,11 +87,11 @@ func (bc *BuildCache) observable(ms MoleculeSpec, m *chem.MolecularData, encodin
 			return e, nil
 		}
 	}
-	h, n, err := buildObservable(m, encoding, downfold)
+	h, err := buildObservable(m, encoding, downfold)
 	if err != nil {
 		return obsEntry{}, err
 	}
-	e := obsEntry{h: h, plan: pauli.NewPlan(h), n: n}
+	e := obsEntry{h: h, plan: pauli.NewPlan(h)}
 	if bc != nil {
 		bc.mu.Lock()
 		bc.obs[key] = e
@@ -102,26 +101,32 @@ func (bc *BuildCache) observable(ms MoleculeSpec, m *chem.MolecularData, encodin
 }
 
 // buildObservable maps the molecule, or with downfold > 0 its downfolded
-// active space, to qubits under the encoding, and returns the qubit count.
-func buildObservable(m *chem.MolecularData, encoding string, downfold int) (*pauli.Op, int, error) {
+// active space, to qubits under the encoding.
+func buildObservable(m *chem.MolecularData, encoding string, downfold int) (*pauli.Op, error) {
 	if downfold <= 0 {
-		h, err := BuildObservable(m, encoding)
-		return h, m.NumSpinOrbitals(), err
+		return BuildObservable(m, encoding)
 	}
 	dres, err := chem.Downfold(m, chem.DownfoldOptions{ActiveOrbitals: downfold, Order: 2})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	n := 2 * downfold
-	enc, err := encodingFor(encoding, n)
+	enc, err := encodingFor(encoding, registerSize(m, downfold))
 	switch {
 	case err != nil:
-		return nil, 0, err
+		return nil, err
 	case enc == nil: // Jordan–Wigner: the downfold already mapped it
-		return dres.Qubit, n, nil
+		return dres.Qubit, nil
 	}
-	h, err := encodeHermitian(enc, dres.Fermionic)
-	return h, n, err
+	return encodeHermitian(enc, dres.Fermionic)
+}
+
+// registerSize is the qubit count of the observable buildObservable
+// builds: the spin orbitals, or with downfold > 0 the active space's.
+func registerSize(m *chem.MolecularData, downfold int) int {
+	if downfold > 0 {
+		return 2 * downfold
+	}
+	return m.NumSpinOrbitals()
 }
 
 // fciEnergy returns the molecule's FCI reference energy. jw is the job's

@@ -258,12 +258,19 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 		ro.CheckpointGap = opts.CheckpointGap
 	}
 
+	// The register is known from the spec alone; the backend refuses one
+	// past its limit before anything is built, whatever the algorithm.
+	n := registerSize(m, c.Downfold)
+	backend, err := c.Backend.backend(n)
+	if err != nil {
+		return nil, err
+	}
 	obs, err := opts.Shared.observable(c.Molecule, m, c.Encoding, c.Downfold)
 	if err != nil {
 		return nil, err
 	}
 	setupBeat(1)
-	h, n, ne := obs.h, obs.n, m.NumElectrons
+	h, ne := obs.h, m.NumElectrons
 	// H is built and compiled once per job. The FCI reference reads that
 	// plan when it is m's full Jordan–Wigner operator; under another
 	// encoding or a downfolded active space it compiles its own.
@@ -292,7 +299,7 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 	case AlgorithmAdapt:
 		err = runAdapt(ctx, c, obs.plan, n, ne, fciEnergy, ro, opts, res)
 	default:
-		err = runVQE(ctx, c, h, obs.plan, n, ne, ro, opts, res)
+		err = runVQE(ctx, c, h, obs.plan, backend, n, ne, ro, opts, res)
 	}
 	if err != nil {
 		return nil, err
@@ -371,12 +378,8 @@ var energyModes = map[string]vqe.EnergyMode{"direct": vqe.Direct, "rotated": vqe
 
 // runVQE runs fixed-ansatz VQE through the one driver loop; the backend
 // section only decides where that loop gets ⟨H⟩ from.
-func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, plan *pauli.Plan, n, ne int, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
+func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, plan *pauli.Plan, backend vqe.Backend, n, ne int, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
 	a, err := buildAnsatz(c, n, ne)
-	if err != nil {
-		return err
-	}
-	backend, err := c.Backend.backend(n)
 	if err != nil {
 		return err
 	}

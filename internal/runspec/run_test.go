@@ -2,12 +2,15 @@ package runspec
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ansatz"
+	"repro/internal/core"
 	"repro/internal/state"
 	"repro/internal/telemetry"
 )
@@ -355,5 +358,31 @@ func TestAdaptRunAllocationBound(t *testing.T) {
 	t.Logf("adaptWater1: %.0f allocations per job", a)
 	if a > 28000 {
 		t.Errorf("adaptWater1: %.0f allocations per job, bound 28 000", a)
+	}
+}
+
+// TestOversizedSpecRefusedBeforeBuild: a default 16-site Hubbard spec asks
+// for 32 qubits, past nwq-sv's limit of 30. Run refuses it with
+// ErrInvalidArgument, for VQE, Adapt and QPE alike, before any
+// Hamiltonian is built or compiled.
+func TestOversizedSpecRefusedBeforeBuild(t *testing.T) {
+	telemetry.Enable()
+	t.Cleanup(func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	})
+	for _, algorithm := range []string{"vqe", "adapt", "qpe"} {
+		spec, err := Parse([]byte(`{"molecule":{"kind":"hubbard","sites":16},"algorithm":"` + algorithm + `"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		telemetry.Reset()
+		if _, err := Run(context.Background(), spec, RunOptions{}); !errors.Is(err, core.ErrInvalidArgument) || !strings.Contains(err.Error(), "32 qubits") {
+			t.Errorf("%s: Run: %v, want ErrInvalidArgument for 32 qubits", algorithm, err)
+		}
+		timers := telemetry.Capture().Timers
+		if n := timers["fermion.jordan_wigner"].Count + timers["pauli.plan.build"].Count; n != 0 {
+			t.Errorf("%s: %d mappings and plans built before the refusal, want 0", algorithm, n)
+		}
 	}
 }

@@ -88,8 +88,8 @@ func TestBackendCatalog(t *testing.T) {
 	}
 }
 
-// TestBackendQubitLimits: every limit is plausible, and an adaptor row
-// refuses a register wider than its limit.
+// TestBackendQubitLimits: every limit is plausible, and every row, nwq-sv
+// included, refuses a register wider than its limit.
 func TestBackendQubitLimits(t *testing.T) {
 	for _, r := range backends {
 		if r.qubitLimit < 2 {
@@ -100,8 +100,8 @@ func TestBackendQubitLimits(t *testing.T) {
 		if _, err := s.Backend.backend(r.qubitLimit); err != nil {
 			t.Errorf("%s: %d qubits refused: %v", r.name, r.qubitLimit, err)
 		}
-		if _, err := s.Backend.backend(r.qubitLimit + 1); (err != nil) != (r.name != "nwq-sv") {
-			t.Errorf("%s: %d qubits: err = %v", r.name, r.qubitLimit+1, err)
+		if _, err := s.Backend.backend(r.qubitLimit + 1); !errors.Is(err, core.ErrInvalidArgument) {
+			t.Errorf("%s: %d qubits: err = %v, want ErrInvalidArgument", r.name, r.qubitLimit+1, err)
 		}
 	}
 }

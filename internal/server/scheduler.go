@@ -482,7 +482,7 @@ func (s *Server) runPoint(famCtx context.Context, f *family, p *point, shared *r
 			s.degradeSpool(fmt.Sprintf("checkpoint write failed: %v", err))
 			res, checkpoint, fault = nil, "", err.Error()
 
-		case err != nil && (errors.Is(err, errJobPanicked) || retryableEngineErr(err)):
+		case err != nil && (errors.Is(err, errJobPanicked) || retryableEngineErr(err, p.pt.Spec)):
 			fault = err.Error()
 
 		case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
@@ -549,9 +549,11 @@ func (s *Server) execute(ctx context.Context, f *family, p *point, shared *runsp
 
 // retryableEngineErr classifies transient engine failures worth a
 // re-run: exhausted comm retries, detected corruption, dropped
-// transfers. Spec errors (invalid argument) are always terminal.
-func retryableEngineErr(err error) bool {
-	if errors.Is(err, core.ErrInvalidArgument) {
+// transfers. Spec errors (invalid argument) are always terminal, and so
+// is a failure of a spec that seeds a fault drill (backend.fault): each
+// attempt rebuilds the same seeded injector and fails the same way.
+func retryableEngineErr(err error, spec *runspec.RunSpec) bool {
+	if errors.Is(err, core.ErrInvalidArgument) || spec != nil && spec.Backend.Fault != nil {
 		return false
 	}
 	return errors.Is(err, resilience.ErrRetriesExhausted) ||
