@@ -158,7 +158,12 @@ func (op *Op) NumTerms() int { return op.live }
 
 // Terms returns the term list sorted canonically.
 func (op *Op) Terms() []Term {
-	out := slices.Clone(op.stored())
+	out := make([]Term, 0, op.live)
+	for _, t := range op.terms {
+		if t.Coeff != 0 {
+			out = append(out, t)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].P.Less(out[j].P) })
 	return out
 }
@@ -236,7 +241,7 @@ func (op *Op) IsHermitian(tol float64) bool {
 // the imaginary part of each coefficient.
 func (op *Op) HermitianPart() *Op {
 	out := NewOp()
-	for _, t := range op.stored() {
+	for _, t := range op.terms {
 		if r := real(t.Coeff); math.Abs(r) > core.CoeffEps {
 			out.Add(t.P, complex(r, 0))
 		}
