@@ -1,12 +1,14 @@
 package fermion
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/pauli"
 )
@@ -302,5 +304,28 @@ func TestTermsInTextOrder(t *testing.T) {
 		if a, b := text(terms[i-1].Ops), text(terms[i].Ops); a >= b {
 			t.Fatalf("Terms()[%d] = %q precedes %q", i-1, a, b)
 		}
+	}
+}
+
+// TestAddTermRejectsUnkeyableProducts: a product a term key cannot hold —
+// more than 15 ladders, or a mode outside 0..127 — panics with
+// core.ErrInvalidArgument rather than colliding with another product.
+func TestAddTermRejectsUnkeyableProducts(t *testing.T) {
+	long := make([]Ladder, 16)
+	for i := range long {
+		long[i] = Ladder{Mode: i}
+	}
+	for name, ops := range map[string][]Ladder{"16 ladders": long, "mode 128": {{Mode: 128, Dagger: true}}} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, core.ErrInvalidArgument) {
+					t.Errorf("%s: recovered %v, want ErrInvalidArgument", name, err)
+				}
+			}()
+			NewOp().AddTerm(Term{Coeff: 1, Ops: ops})
+		}()
+	}
+	if got := NewOp().AddTerm(Term{Coeff: 1, Ops: long[:15]}).NumTerms(); got != 1 {
+		t.Errorf("a 15-ladder product: %d terms, want 1", got)
 	}
 }

@@ -170,8 +170,8 @@ func TestFromTerms(t *testing.T) {
 // TestOpAddMatchesMap: Add, Coeff, NumTerms and Terms agree bit for bit
 // with a map accumulating by the same rule (stored + c, deleted at or
 // below core.CoeffEps), over additions that collide on few strings, cancel
-// exactly, land near CoeffEps, and empty the table and refill it — which
-// exercises removal from the middle of probe runs.
+// exactly, land near CoeffEps, and empty the operator and refill it —
+// which revives removed strings across the index's growth.
 func TestOpAddMatchesMap(t *testing.T) {
 	rng := core.NewRNG(0x51)
 	for round := 0; round < 20; round++ {

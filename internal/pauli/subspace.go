@@ -261,7 +261,7 @@ func (sp *Subspace) compile(s *sectorGroup, g *xGroup, couplings *int) {
 	if x>>uint(sp.n) != 0 || k%2 != 0 || sp.ne < k/2 || sp.ne-k/2 > sp.n-k {
 		s.k = -1
 	}
-	patterned := x>>uint(sp.n) == 0 && 1<<uint(k) <= len(sp.basis)
+	patterned := x>>uint(sp.n) == 0 && k < bits.Len(uint(len(sp.basis))) // 2^k ≤ the states
 	for _, z := range g.zs {
 		patterned = patterned && (z^g.zs[0])&^x == 0
 	}
