@@ -11,6 +11,7 @@ package noise
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -109,18 +110,20 @@ func Expectation(c *circuit.Circuit, obs *pauli.Op, m Model, opts Options) (*Res
 	for i := range rngs {
 		rngs[i] = master.Split()
 	}
-	sem := make(chan struct{}, workers)
+	// One plan serves every trajectory; workers take them from a counter.
+	plan := pauli.NewPlan(obs)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for tr := 0; tr < trajectories; tr++ {
+	for range min(workers, trajectories) {
 		wg.Add(1)
-		go func(tr int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s, inj := RunTrajectory(c, m, rngs[tr], 1)
-			vals[tr] = pauli.Expectation(s, obs, pauli.ExpectationOptions{})
-			errsInjected[tr] = inj
-		}(tr)
+			for tr := int(next.Add(1)) - 1; tr < trajectories; tr = int(next.Add(1)) - 1 {
+				s, inj := RunTrajectory(c, m, rngs[tr], 1)
+				vals[tr] = plan.Evaluate(s, pauli.ExpectationOptions{})
+				errsInjected[tr] = inj
+			}
+		}()
 	}
 	wg.Wait()
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/density"
 	"repro/internal/pauli"
+	"repro/internal/telemetry"
 )
 
 func bell() *circuit.Circuit { return circuit.New(2).H(0).CX(0, 1) }
@@ -87,6 +88,23 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	b, _ := Expectation(bell(), zz(), m, Options{Trajectories: 60, Seed: 4, Workers: 8})
 	if a.Mean != b.Mean {
 		t.Errorf("worker count changed result: %v vs %v", a.Mean, b.Mean)
+	}
+}
+
+// TestPlanCompiledOncePerExpectation: the observable's plan is compiled
+// once per estimate, not once per trajectory.
+func TestPlanCompiledOncePerExpectation(t *testing.T) {
+	telemetry.Enable()
+	telemetry.Reset()
+	t.Cleanup(func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	})
+	if _, err := Expectation(bell(), zz(), Model{P1: 0.05, P2: 0.05}, Options{Trajectories: 50, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if builds := telemetry.Capture().Timers["pauli.plan.build"].Count; builds != 1 {
+		t.Errorf("50 trajectories compiled %d plans, want 1", builds)
 	}
 }
 

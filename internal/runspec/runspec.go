@@ -143,8 +143,9 @@ type RunSpec struct {
 	Mode string `json:"mode,omitempty"`
 	// Shots per measurement group in sampled mode (default 8192).
 	Shots int `json:"shots,omitempty"`
-	// DisableCaching turns off the post-ansatz state cache (rotated and
-	// sampled modes; irrelevant in direct mode).
+	// DisableCaching turns off post-ansatz caching: every measurement group
+	// re-prepares the ansatz (rotated and sampled modes; irrelevant in
+	// direct mode).
 	DisableCaching bool `json:"disable_caching,omitempty"`
 	// Fusion runs circuit (hardware-efficient) ansätze through the fused
 	// executor; a no-op for uccsd and adapt, which have no gates to fuse.

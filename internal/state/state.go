@@ -1,8 +1,7 @@
 // Package state implements the state-vector simulation engine at the heart
 // of the NWQ-Sim reproduction. It provides serial and parallel gate
 // application over a 2ⁿ-amplitude complex vector, measurement and sampling,
-// and the two-tier (device/host) memory model used by the post-ansatz state
-// cache (paper §4.1.4).
+// and CopyFrom, the restore of post-ansatz caching (paper §4.1).
 //
 // The paper's GPU kernels distribute amplitude updates over thousands of
 // CUDA cores; here the same chunked update loops are distributed over a
@@ -202,8 +201,8 @@ func (s *State) GatesApplied() uint64 { return s.nGates }
 func (s *State) ResetCounters() { s.nGates = 0 }
 
 // Clone duplicates the state, including RNG position and counters. The
-// worker pool is shared, not duplicated: clones (scratch states, cache
-// restores) reuse the parent's persistent goroutines.
+// worker pool is shared, not duplicated: clones reuse the parent's
+// persistent goroutines.
 func (s *State) Clone() *State {
 	c := &State{n: s.n, amps: s.AmplitudesCopy(), opts: s.opts, rng: s.rng.Split(), nGates: s.nGates, pool: s.pool, support: s.support}
 	return c
@@ -437,15 +436,19 @@ func (s *State) Probability(q int) float64 {
 	})
 }
 
-// Probabilities returns |ψ_i|² for every basis state (allocates). The fill
-// is chunked over the worker pool; chunks write disjoint ranges.
-func (s *State) Probabilities() []float64 {
+// Probabilities returns |ψ_i|² for every basis state (allocates).
+func (s *State) Probabilities() []float64 { return s.probabilities()[1:] }
+
+// probabilities allocates p with p[0] = 0 and p[i+1] = |ψ_i|², the layout
+// sampleCumulative sums in place. The fill is chunked over the worker
+// pool; chunks write disjoint ranges.
+func (s *State) probabilities() []float64 {
 	amps := s.amps
-	out := make([]float64, len(amps))
+	out := make([]float64, len(amps)+1)
 	s.parallelFor(uint64(len(amps)), func(lo, hi uint64) {
 		for i := lo; i < hi; i++ {
 			a := amps[i]
-			out[i] = real(a)*real(a) + imag(a)*imag(a)
+			out[i+1] = real(a)*real(a) + imag(a)*imag(a)
 		}
 	})
 	return out
@@ -503,7 +506,7 @@ func (s *State) collapse(q, outcome int, p1 float64) {
 // collapsed — this models the repeated-preparation sampling workflow that
 // the paper's direct-expectation optimization replaces (§4.2.1).
 func (s *State) SampleCounts(shots int) map[uint64]int {
-	return SampleProbabilities(s.Probabilities(), shots, s.rng)
+	return sampleCumulative(s.probabilities(), shots, s.rng)
 }
 
 // SampleProbabilities draws shots outcomes from a probability vector (not
@@ -511,16 +514,23 @@ func (s *State) SampleCounts(shots int) map[uint64]int {
 // shot. It is the sampler of both the state vector and the density-matrix
 // diagonal.
 func SampleProbabilities(probs []float64, shots int, rng *core.RNG) map[uint64]int {
-	// Prefix sums for binary search.
 	cum := make([]float64, len(probs)+1)
-	for i, p := range probs {
-		cum[i+1] = cum[i] + p
+	copy(cum[1:], probs)
+	return sampleCumulative(cum, shots, rng)
+}
+
+// sampleCumulative draws shots outcomes with rng from the probabilities in
+// cum[1:], which it turns into prefix sums in place (cum[0] is 0).
+func sampleCumulative(cum []float64, shots int, rng *core.RNG) map[uint64]int {
+	n := len(cum) - 1
+	for i := 1; i <= n; i++ {
+		cum[i] = cum[i-1] + cum[i]
 	}
-	total := cum[len(probs)]
+	total := cum[n]
 	out := make(map[uint64]int)
 	for k := 0; k < shots; k++ {
 		r := rng.Float64() * total
-		lo, hi := 0, len(probs)
+		lo, hi := 0, n
 		for lo < hi {
 			mid := (lo + hi) / 2
 			if cum[mid+1] <= r {
@@ -529,8 +539,8 @@ func SampleProbabilities(probs []float64, shots int, rng *core.RNG) map[uint64]i
 				hi = mid
 			}
 		}
-		if lo >= len(probs) {
-			lo = len(probs) - 1
+		if lo >= n {
+			lo = n - 1
 		}
 		out[uint64(lo)]++
 	}

@@ -1,7 +1,9 @@
 package state
 
 import (
+	"maps"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +245,39 @@ func TestSampleCountsMatchProbabilities(t *testing.T) {
 	// Sampling must not collapse the state.
 	if math.Abs(s.Probability(0)-0.5) > 1e-9 {
 		t.Error("SampleCounts collapsed the state")
+	}
+}
+
+// TestSampleCountsAllocatesOnePrefixBuffer: sampling a 16-qubit state
+// allocates its 2ⁿ+1 prefix sums and the histogram, not a probability
+// vector besides, and draws the same outcomes as SampleProbabilities on
+// that vector with the same generator.
+func TestSampleCountsAllocatesOnePrefixBuffer(t *testing.T) {
+	const n, shots = 16, 200
+	prepare := func() *State {
+		s := New(n, Options{Seed: 5, Workers: 2})
+		c := circuit.New(n)
+		for q := 0; q < n; q++ {
+			c.RY(0.1*float64(q+1), q)
+		}
+		for q := 0; q+1 < n; q++ {
+			c.CX(q, q+1)
+		}
+		s.Run(c)
+		return s
+	}
+	s, ref := prepare(), prepare()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	counts := s.SampleCounts(shots)
+	runtime.ReadMemStats(&after)
+	prefix := uint64(8 * (1<<n + 1))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc < prefix || alloc > prefix+64<<10 {
+		t.Errorf("SampleCounts allocated %d bytes at %d qubits, want its %d-byte prefix sums plus the histogram (< 64 KiB)", alloc, n, prefix)
+	}
+	want := SampleProbabilities(ref.Probabilities(), shots, ref.rng)
+	if !maps.Equal(counts, want) {
+		t.Errorf("SampleCounts drew %v, SampleProbabilities %v", counts, want)
 	}
 }
 

@@ -183,14 +183,6 @@ func TestEveryWriterDropsSupport(t *testing.T) {
 		{"reset marker", func(_ *testing.T, s, _ *State) *State { s.ApplyGate(gate.New(gate.Reset, 0)); return s }},
 		{"Measure", func(_ *testing.T, s, _ *State) *State { s.Measure(n - 2); return s }},
 		{"CopyFrom", func(_ *testing.T, s, src *State) *State { s.CopyFrom(src); return s }},
-		{"Cache.Restore", func(t *testing.T, s, src *State) *State {
-			c := NewCache(0)
-			c.Put(src)
-			if _, ok := c.Restore(s); !ok {
-				t.Fatal("cache missed")
-			}
-			return s
-		}},
 		{"Amplitudes", func(_ *testing.T, s, src *State) *State { copy(s.Amplitudes(), src.amps); return s }},
 		{"Clone", func(_ *testing.T, _, src *State) *State { return src.Clone() }},
 		{"FromAmplitudes", func(t *testing.T, _, src *State) *State {

@@ -76,8 +76,7 @@ func (l *loop) result(d *Driver, start int64, res opt.Result) (Result, error) {
 	if l.err != nil {
 		return Result{}, l.err
 	}
-	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(),
-		CacheStats: d.CacheStats(), Interrupted: res.Interrupted}, nil
+	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(), Interrupted: res.Interrupted}, nil
 }
 
 // Minimize runs the classical optimization loop from x0 using Nelder–Mead

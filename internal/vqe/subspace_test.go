@@ -84,10 +84,10 @@ func TestSubspaceRouteSixteenQubits(t *testing.T) {
 
 // TestExponentialDriversHaveABlock: every in-process driver of an
 // exponential ansatz — each fallback and grid case, in every mode, and an
-// Adapt solve's scans and inner drivers — runs on one compiled block, and
-// a 2ⁿ state exists only where a mode rotates or samples one. A reference
-// that is not X gates alone, and a generator with a diagonal string, are
-// rejected with core.ErrInvalidArgument.
+// Adapt solve's scans and inner drivers — runs on one compiled block with
+// no 2ⁿ simulator: a 2ⁿ scratch state exists exactly where a mode rotates
+// or samples one. A reference that is not X gates alone, and a generator
+// with a diagonal string, are rejected with core.ErrInvalidArgument.
 func TestExponentialDriversHaveABlock(t *testing.T) {
 	h, cases := fallbackCases(t)
 	for _, fc := range append(cases, gridCases(t)...) {
@@ -111,8 +111,11 @@ func TestExponentialDriversHaveABlock(t *testing.T) {
 			if d.sub == nil {
 				t.Errorf("%s: driver has no block", fc.name)
 			}
-			if wantSim := fc.opts.Mode != Direct; (d.sim != nil) != wantSim {
-				t.Errorf("%s: 2ⁿ simulator allocated %v, want %v", fc.name, d.sim != nil, wantSim)
+			if d.sim != nil {
+				t.Errorf("%s: 2ⁿ simulator allocated", fc.name)
+			}
+			if wantScratch := fc.opts.Mode != Direct; (d.scratch != nil) != wantScratch {
+				t.Errorf("%s: 2ⁿ scratch state allocated %v, want %v", fc.name, d.scratch != nil, wantScratch)
 			}
 		}
 		if got := telemetry.Capture().Counters["vqe.subspace.compiles"]; got != 1 {

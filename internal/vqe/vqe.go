@@ -1,9 +1,9 @@
 // Package vqe implements the variational-quantum-eigensolver workflow the
 // paper builds around NWQ-Sim: energy evaluation in three modes (direct
-// expectation, basis-rotated exact readout, and shot sampling), the
-// post-ansatz state cache (§4.1), gate-cost accounting for the
-// caching/non-caching comparison (Figure 3), adjoint analytic gradients,
-// and the Adapt-VQE outer loop (Figure 5).
+// expectation, basis-rotated exact readout, and shot sampling), post-ansatz
+// caching (§4.1), gate-cost accounting for the caching/non-caching
+// comparison (Figure 3), adjoint analytic gradients, and the Adapt-VQE
+// outer loop (Figure 5).
 package vqe
 
 import (
@@ -24,7 +24,7 @@ import (
 type EnergyMode int
 
 const (
-	// Direct computes the exact expectation from the cached state
+	// Direct computes the exact expectation from the prepared state
 	// amplitudes with no measurement circuits (paper §4.2).
 	Direct EnergyMode = iota
 	// Rotated computes exact expectations through per-group basis-rotation
@@ -65,20 +65,18 @@ type Options struct {
 	Backend Backend
 	// Shots per measurement group in Sampled mode (default 8192).
 	Shots int
-	// Caching enables the post-ansatz state cache in Rotated and Sampled
-	// mode: the ansatz is executed once per parameter set and restored (not
+	// Caching enables post-ansatz caching in Rotated and Sampled mode: the
+	// ansatz is executed once per parameter set and its state copied (not
 	// re-prepared) for every measurement basis.
 	Caching bool
-	// DeviceCapacityBytes bounds the simulated device tier of the cache
-	// (0 = unlimited; spills go to the host tier, §4.1.4).
-	DeviceCapacityBytes uint64
 	// Workers for parallel gate application and expectation reduction.
 	Workers int
 	// Pool shares one persistent worker pool across every state the
-	// driver creates (simulator, scratch, cache restores). A job
-	// scheduler running many drivers concurrently injects its bounded
-	// pool here so goroutine count is fixed per process, not per job;
-	// nil keeps the per-driver pool behavior. Overrides Workers with the
+	// driver creates (the prepared state and the one each measurement
+	// basis rotates). A job scheduler running many drivers concurrently
+	// injects its bounded pool here so goroutine count is fixed per
+	// process, not per job; nil keeps the per-driver pool behavior.
+	// Overrides Workers with the
 	// pool's width.
 	Pool *state.Pool
 	// Transpile executes circuit (hardware-efficient) ansätze through the
@@ -111,9 +109,9 @@ type Driver struct {
 	opts   Options
 
 	n int
-	// sim and plan are the in-process engine, nil when a Backend is set;
-	// sim is the 2ⁿ state a circuit ansatz runs on, or the one Rotated and
-	// Sampled mode rotate and read.
+	// sim, scratch and plan are the in-process engine, nil when a Backend
+	// is set. A circuit ansatz is prepared in sim where an energy reads it
+	// or caching copies it; scratch is what Rotated and Sampled mode rotate.
 	sim     *state.State
 	scratch *state.State
 	plan    *pauli.Plan // batched X-mask-grouped evaluation plan for H
@@ -138,7 +136,6 @@ type Driver struct {
 	// state (Rotated) or on counts sampled from it (Sampled).
 	groups   []pauli.MeasurementBasis
 	readouts []*pauli.Plan
-	cache    *state.Cache
 	stats    Stats
 }
 
@@ -175,7 +172,6 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, op
 		Ansatz: a,
 		opts:   opts,
 		n:      n,
-		cache:  state.NewCache(opts.DeviceCapacityBytes),
 	}
 	if opts.Backend == nil {
 		if exp, ok := a.(Exponential); ok {
@@ -197,11 +193,12 @@ func newDriver(h *pauli.Op, plan *pauli.Plan, sub *subspace, a ansatz.Ansatz, op
 				d.opts.Pool = sub.pool // the 2ⁿ states below share it
 			}
 		}
-		if d.exp == nil || opts.Mode != Direct {
+		if d.exp == nil && (opts.Mode == Direct || opts.Caching) {
 			d.sim = state.New(n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed, Pool: d.opts.Pool})
 		}
 	}
 	if opts.Mode != Direct {
+		d.scratch = state.New(n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed + 1, Pool: d.opts.Pool})
 		if opts.PerTermMeasurement {
 			d.groups = perTermBases(h, n)
 		} else {
@@ -247,16 +244,13 @@ func (d *Driver) Stats() Stats {
 	return s
 }
 
-// CacheStats exposes the post-ansatz cache counters.
-func (d *Driver) CacheStats() state.CacheStats { return d.cache.Stats() }
-
 // prepareAnsatz runs U(θ) from |0…0⟩ on s (the simulator, or the scratch
 // state the uncached measurement walk re-prepares for every basis). An
 // exponential ansatz is prepared in the block — d.phi, counted as the
 // reference circuit's gates plus one sweep per generator group — and then
-// scattered into s by basis state; forward, which reads only the block,
-// passes a nil s. It has no gates to fuse, so Transpile only bears on
-// circuit-shaped ansätze.
+// scattered into s by basis state; forward and the caching walk, which
+// read the block, pass a nil s. It has no gates to fuse, so Transpile only
+// bears on circuit-shaped ansätze.
 func (d *Driver) prepareAnsatz(s *state.State, params []float64) {
 	start := telemetry.Now()
 	d.lambdaValid = false
@@ -358,23 +352,22 @@ func (d *Driver) evaluate(ctx context.Context, params []float64) (float64, error
 }
 
 // energyViaGroups is the measurement walk of Rotated and Sampled mode: for
-// every group, re-prepare or restore the post-ansatz state, rotate into the
-// group's basis, and read the group's diagonal plan — on the rotated
-// amplitudes (Rotated) or on Shots outcomes sampled from them (Sampled).
+// every group, re-prepare the ansatz in scratch or restore it there from
+// sim or the block (caching prepares once), rotate into the group's basis,
+// and read the group's diagonal plan — on the rotated amplitudes (Rotated)
+// or on Shots outcomes sampled from them (Sampled).
 func (d *Driver) energyViaGroups(params []float64) float64 {
-	if d.scratch == nil {
-		d.scratch = state.New(d.n, state.Options{Workers: d.opts.Workers, Seed: d.opts.Seed + 1, Pool: d.opts.Pool})
-	}
 	if d.opts.Caching {
 		d.prepareAnsatz(d.sim, params)
-		d.cache.Put(d.sim)
 	}
 	total := real(d.H.Coeff(pauli.Identity))
 	for i, mb := range d.groups {
 		if d.opts.Caching {
 			restoreStart := telemetry.Now()
-			if _, ok := d.cache.Restore(d.scratch); !ok {
-				panic("vqe: cache lost the post-ansatz state")
+			if d.exp != nil {
+				d.sub.space.Scatter(d.scratch.Amplitudes(), d.phi)
+			} else {
+				d.scratch.CopyFrom(d.sim)
 			}
 			d.stats.CacheRestores++
 			mPhaseRestore.Since(restoreStart)
@@ -396,11 +389,10 @@ func (d *Driver) energyViaGroups(params []float64) float64 {
 
 // Result reports a VQE minimization.
 type Result struct {
-	Energy     float64
-	Params     []float64
-	Optimizer  opt.Result
-	Stats      Stats
-	CacheStats state.CacheStats
+	Energy    float64
+	Params    []float64
+	Optimizer opt.Result
+	Stats     Stats
 	// Interrupted is set when the loop was halted early (deadline or
 	// observer); Energy/Params then hold the best point so far.
 	Interrupted bool

@@ -2,6 +2,7 @@ package vqe
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -163,37 +164,8 @@ func TestCachingReducesAnsatzExecutions(t *testing.T) {
 		t.Errorf("no-cache gates %d should exceed cache gates %d",
 			sNo.GatesApplied, sYes.GatesApplied)
 	}
-	if withCache.CacheStats().Hits == 0 {
-		t.Error("cache never hit")
-	}
-}
-
-func TestCachingSpillsToHostTier(t *testing.T) {
-	h, u, _ := h2Setup(t)
-	// Device capacity below one 4-qubit snapshot → host spill (§4.1.4).
-	d, _ := New(h, u, Options{Mode: Rotated, Caching: true, DeviceCapacityBytes: 64})
-	d.Energy([]float64{0.05, -0.03, 0.1})
-	cs := d.CacheStats()
-	if cs.HostSpills == 0 || cs.HostHits == 0 {
-		t.Errorf("expected host-tier traffic, got %+v", cs)
-	}
-}
-
-// TestCachingKeepsOneSnapshot: a snapshot can only serve the evaluation that
-// stored it, so the cache holds the current one and nothing older.
-func TestCachingKeepsOneSnapshot(t *testing.T) {
-	h, u, _ := h2Setup(t)
-	d, _ := New(h, u, Options{Mode: Rotated, Caching: true})
-	const evaluations = 50
-	for i := 0; i < evaluations; i++ {
-		d.Energy([]float64{0.05, -0.03, 0.001 * float64(i)})
-	}
-	cs := d.CacheStats()
-	if cs.Puts != evaluations {
-		t.Errorf("%d snapshots stored over %d evaluations", cs.Puts, evaluations)
-	}
-	if oneState := uint64(16 * state.BytesPerAmp); cs.BytesStored != oneState {
-		t.Errorf("cache retains %d bytes after %d evaluations, want one 4-qubit state = %d", cs.BytesStored, evaluations, oneState)
+	if sYes.CacheRestores == 0 {
+		t.Error("caching never restored the post-ansatz state")
 	}
 }
 
@@ -250,6 +222,93 @@ func TestCostModel(t *testing.T) {
 	}
 	if gc.SavingsFactor() < 2.5 {
 		t.Errorf("savings %v", gc.SavingsFactor())
+	}
+}
+
+// TestCostModelMatchesMeasuredWalk: Figure 3's accounting is what the
+// per-term measurement walk really executes. H2 with a 2-layer HEA circuit
+// ansatz, one rotated energy per term: the simulator's applied-gate tally
+// equals the model's non-caching total without caching and its caching
+// total with it, exactly.
+func TestCostModelMatchesMeasuredWalk(t *testing.T) {
+	h := chem.QubitHamiltonian(chem.H2())
+	hea, err := ansatz.NewHardwareEfficient(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := make([]float64, hea.NumParameters())
+	for i := range params {
+		params[i] = 0.1 * float64(i+1)
+	}
+	gc := CostModel(h, hea.Circuit(params).GateCount())
+	for _, caching := range []bool{false, true} {
+		d, err := New(h, hea, Options{Mode: Rotated, Caching: caching, PerTermMeasurement: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Energy(params)
+		want := gc.NonCachingTotal
+		if caching {
+			want = gc.CachingTotal
+		}
+		if got := d.Stats().GatesApplied; got != want {
+			t.Errorf("caching %v: %d gates applied, cost model %d", caching, got, want)
+		}
+	}
+}
+
+// TestDriverStatesPerRoute is the count gate on the 2ⁿ states a driver
+// holds after one energy, per route: the circuit a direct energy reads;
+// the prepared state and the one a caching walk restores, rotates and
+// reads; only the latter without caching, or for an exponential ansatz,
+// whose block already is the post-ansatz state; none for an exponential
+// ansatz read directly, or for a backend.
+func TestDriverStatesPerRoute(t *testing.T) {
+	h, u, _ := h2Setup(t)
+	hea, err := ansatz.NewHardwareEfficient(4, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type route struct {
+		name string
+		a    ansatz.Ansatz
+		opts Options
+		want int
+	}
+	cases := []route{
+		{"direct/hea", hea, Options{Mode: Direct}, 1},
+		{"direct/uccsd", u, Options{Mode: Direct}, 0},
+		{"direct/uccsd/backend", u, Options{Backend: &scriptedBackend{}}, 0},
+		{"direct/hea/backend", hea, Options{Backend: &scriptedBackend{}}, 0},
+	}
+	for _, mode := range []EnergyMode{Rotated, Sampled} {
+		for _, caching := range []bool{false, true} {
+			name := fmt.Sprintf("%v/caching=%v", mode, caching)
+			opts := Options{Mode: mode, Caching: caching, Shots: 64}
+			heaStates := 1
+			if caching {
+				heaStates = 2
+			}
+			cases = append(cases, route{name + "/hea", hea, opts, heaStates}, route{name + "/uccsd", u, opts, 1})
+		}
+	}
+	for _, c := range cases {
+		d, err := New(h, c.a, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.EnergyContext(context.Background(), make([]float64, c.a.NumParameters())); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, s := range []*state.State{d.sim, d.scratch} {
+			if s != nil {
+				got++
+			}
+		}
+		if got != c.want {
+			t.Errorf("%s: driver holds %d 2ⁿ states, want %d", c.name, got, c.want)
+		}
 	}
 }
 
